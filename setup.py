@@ -1,20 +1,8 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernel is an optimization, not a requirement: set
-# COALDEF_PURE_ONLY=1 to install without it (the package falls back to
-# coaldef._kernels_py at import time).
-ext_modules = []
-if not os.environ.get("COALDEF_PURE_ONLY"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        pass
-    else:
-        ext_modules = cythonize(
-            [Extension("coaldef._kernels", ["src/coaldef/_kernels.pyx"])],
-            language_level="3",
-        )
-
-setup(ext_modules=ext_modules)
+# The compiled kernel is an optimization, not a requirement.  Without
+# Cython, setuptools compiles the committed _kernels.c instead of the
+# .pyx; if compiling fails, the package uses coaldef._kernels_py.
+setup(ext_modules=[
+    Extension("coaldef._kernels", ["src/coaldef/_kernels.pyx"], optional=True),
+])

@@ -17,12 +17,13 @@ The package is organized bottom-up:
 * :mod:`coaldef.problemfile` / :mod:`coaldef.cli` -- the batch front
   end and its JSON problem-file format.
 
-Hot arithmetic loops run on a compiled Cython kernel when built, with a
-pure-Python fallback selected automatically at import
-(:mod:`coaldef._backend`).
+Hot arithmetic loops run on the compiled Cython kernel when it is
+built and on its bit-identical pure-Python twin otherwise;
+:func:`backend_name` reports which one is active (``"compiled"`` or
+``"pure"``).
 """
 
-from ._backend import available_backends, backend_name, select
+from ._backend import backend_name
 from .coalgebra import (
     Bicomodule,
     Coalgebra,

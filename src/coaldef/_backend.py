@@ -1,55 +1,17 @@
-"""Selection of the arithmetic kernel backend.
+"""The arithmetic kernel backend.
 
 The compiled Cython extension ``coaldef._kernels`` and the pure-Python
 module ``coaldef._kernels_py`` implement the same contract and produce
-bit-identical results.  The compiled one is preferred when built; the
-environment variable ``COALDEF_BACKEND`` (``compiled`` or ``pure``)
-forces a choice, which :func:`select` also exposes for benchmarks and
-tests.
+bit-identical results.  The compiled one is used whenever it is built,
+the pure one otherwise.
 """
 
-import os
-
-from . import _kernels_py
-
 try:
-    from . import _kernels
+    from . import _kernels as _active
+    _active_name = "compiled"
 except ImportError:
-    _kernels = None
-
-_active = None
-_active_name = None
-
-
-def available_backends():
-    names = ["pure"]
-    if _kernels is not None:
-        names.insert(0, "compiled")
-    return names
-
-
-def select(name=None):
-    """Activate a backend and return its name.
-
-    ``None`` picks the compiled kernel when available, else the pure one.
-    Requesting ``compiled`` without the extension built is an error.
-    """
-    global _active, _active_name
-    if name is None:
-        name = "compiled" if _kernels is not None else "pure"
-    if name == "compiled":
-        if _kernels is None:
-            raise RuntimeError(
-                "compiled kernel backend requested but coaldef._kernels "
-                "is not built (install without COALDEF_PURE_ONLY)"
-            )
-        _active = _kernels
-    elif name == "pure":
-        _active = _kernels_py
-    else:
-        raise ValueError(f"unknown backend {name!r} (expected 'compiled' or 'pure')")
-    _active_name = name
-    return name
+    from . import _kernels_py as _active
+    _active_name = "pure"
 
 
 def kernel():
@@ -58,6 +20,3 @@ def kernel():
 
 def backend_name():
     return _active_name
-
-
-select(os.environ.get("COALDEF_BACKEND") or None)

@@ -218,10 +218,16 @@ def bicomodule_via(f: CoalgebraMorphism) -> Bicomodule:
     """The source space as a bicomodule over the target, pushed along f.
 
     Coactions are (f (x) Id) o delta_source and (Id (x) f) o delta_source.
+    Raises InvalidStructureError unless f is a coalgebra morphism.
     """
     rep = check_morphism(f)
     if not rep.ok:
         raise InvalidStructureError(f"not a coalgebra morphism ({rep.message})")
+    return _pushed_forward(f)
+
+
+def _pushed_forward(f: CoalgebraMorphism) -> Bicomodule:
+    """The coactions of :func:`bicomodule_via`, without the morphism check."""
     a = f.source
     ident = Matrix.identity(a.field, a.dim)
     psi_l = f.matrix.kron(ident) @ a.delta

@@ -26,6 +26,7 @@ from .coalgebra import (
     Bicomodule,
     CoalgebraMorphism,
     InvalidStructureError,
+    _pushed_forward,
     bicomodule_via,
     middle_insertion,
     regular_bicomodule,
@@ -346,10 +347,9 @@ class HochschildComplex(_ComplexBase):
 class MorphismComplex(_ComplexBase):
     """The deformation complex of a coalgebra morphism.
 
-    ``validate=False`` skips the morphism-compatibility check and builds
-    the mixed bicomodule from the raw formulas; it exists so that
-    checking tools can hold cochains over structures they are about to
-    report as broken.
+    ``validate=False`` skips the morphism-compatibility check of the
+    mixed bicomodule; it exists so that checking tools can hold cochains
+    over structures they are about to report as broken.
     """
 
     def __init__(self, f: CoalgebraMorphism, validate=True):
@@ -357,14 +357,8 @@ class MorphismComplex(_ComplexBase):
         self.morphism = f
         self.on_source = HochschildComplex(regular_bicomodule(f.source))
         self.on_target = HochschildComplex(regular_bicomodule(f.target))
-        if validate:
-            via = bicomodule_via(f)
-        else:
-            ident = Matrix.identity(f.field, f.source.dim)
-            via = Bicomodule(f.target, f.source.dim,
-                             f.matrix.kron(ident) @ f.source.delta,
-                             ident.kron(f.matrix) @ f.source.delta)
-        self.mixed = HochschildComplex(via)
+        self.mixed = HochschildComplex(
+            bicomodule_via(f) if validate else _pushed_forward(f))
         self._powers = {}
 
     @property

@@ -44,15 +44,17 @@ class ExtensionRejected(ExactLinalgError):
 # truncated matrix power series (coefficient lists of fixed length)
 
 
+def _cauchy(a, b, n):
+    """Order-n coefficient of the product of two matrix series."""
+    acc = a[0] @ b[n]
+    for i in range(1, n + 1):
+        acc = acc + a[i] @ b[n - i]
+    return acc
+
+
 def _series_mul(a, b, order):
     """Cauchy product of two truncated matrix series, truncated at ``order``."""
-    out = []
-    for n in range(order + 1):
-        acc = a[0] @ b[n]
-        for i in range(1, n + 1):
-            acc = acc + a[i] @ b[n - i]
-        out.append(acc)
-    return out
+    return [_cauchy(a, b, n) for n in range(order + 1)]
 
 
 def _series_kron(a, b, order):
@@ -180,6 +182,13 @@ def _structure_coefficient(comp: MorphismComplex) -> MorphismCochain:
     return comp.element(f.source.delta, f.target.delta, f.matrix, 2)
 
 
+def _identity_pair(comp: MorphismComplex) -> MorphismCochain:
+    """The order-0 coefficient of a formal isomorphism."""
+    f = comp.morphism
+    return comp.element(Matrix.identity(f.field, f.source.dim),
+                        Matrix.identity(f.field, f.target.dim), None, 1)
+
+
 class FormalIsomorphism:
     """A truncated formal isomorphism: degree-1 coefficients on both sides.
 
@@ -187,17 +196,18 @@ class FormalIsomorphism:
     formal isomorphism invertible modulo t^(order+1).
     """
 
-    __slots__ = ("morphism", "order", "coeffs", "_complex")
+    __slots__ = ("morphism", "order", "coeffs")
 
     def __init__(self, morphism: CoalgebraMorphism, coeffs):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise DimensionError("an isomorphism has at least its order-0 term")
-        comp = MorphismComplex(morphism)
-        ident = comp.element(
-            Matrix.identity(morphism.field, morphism.source.dim),
-            Matrix.identity(morphism.field, morphism.target.dim), None, 1)
-        if coeffs[0] != ident:
+        c0 = coeffs[0]
+        if (c0.degree != 1 or c0.morphism != morphism
+                or c0.a_part.matrix != Matrix.identity(morphism.field,
+                                                       morphism.source.dim)
+                or c0.b_part.matrix != Matrix.identity(morphism.field,
+                                                       morphism.target.dim)):
             raise InvalidStructureError(
                 "order-0 coefficient of a formal isomorphism must be the "
                 "identity pair")
@@ -209,7 +219,6 @@ class FormalIsomorphism:
         self.morphism = morphism
         self.order = len(coeffs) - 1
         self.coeffs = coeffs
-        self._complex = comp
 
     @classmethod
     def from_higher_coefficients(cls, morphism, higher, order=None):
@@ -217,12 +226,9 @@ class FormalIsomorphism:
         if order is None:
             order = len(higher)
         comp = MorphismComplex(morphism)
-        ident = comp.element(
-            Matrix.identity(morphism.field, morphism.source.dim),
-            Matrix.identity(morphism.field, morphism.target.dim), None, 1)
         while len(higher) < order:
             higher.append(comp.zero(1))
-        return cls(morphism, [ident] + higher)
+        return cls(morphism, [_identity_pair(comp)] + higher)
 
     @classmethod
     def identity(cls, morphism, order):
@@ -327,48 +333,58 @@ class TrivializationResult:
 # verification
 
 
+def _bar(s: Matrix) -> Matrix:
+    """(s (x) Id) - (Id (x) s) for a map s: X -> X (x) X."""
+    ident = Matrix.identity(s.field, s.cols)
+    return s.kron(ident) - ident.kron(s)
+
+
+def _defects(series_a, series_b, series_f, orders):
+    """Defects of the three deformation equations at each of ``orders``.
+
+    For coefficient series a (source comultiplication), b (target
+    comultiplication) and f (morphism), the order-n defects are
+
+    * D_a = sum_i (a_i (x) Id - Id (x) a_i) o a_(n-i),
+    * D_b = the same sum over b,
+    * D_f = sum_(i+j+k=n) (f_j (x) f_k) o a_i - sum_i b_i o f_(n-i),
+
+    and the series form a deformation through order N exactly when all
+    three vanish for every n <= N.  Returns one (D_a, D_b, D_f) triple
+    per requested order; every series must reach the largest one.
+    """
+    bars_a = [_bar(s) for s in series_a]
+    bars_b = [_bar(s) for s in series_b]
+    ff = _series_kron(series_f, series_f, max(orders))
+    return [(_cauchy(bars_a, series_a, n), _cauchy(bars_b, series_b, n),
+             _cauchy(ff, series_a, n) - _cauchy(series_b, series_f, n))
+            for n in orders]
+
+
+_EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
+              ("coassociativity[target]", "coassociativity[target]"),
+              ("morphism", "morphism condition"))
+
+
 def verify_deformation(d: TruncatedDeformation) -> DeformationReport:
     """Check all defining identities coefficientwise through the order.
 
     For every order n: coassociativity of both deformed comultiplications
     (the convolution of the coefficient lists) and the morphism condition
     equating the two ways of pushing the deformed comultiplications
-    through the deformed map.  Reports the first failure.
+    through the deformed map.  Reports the first failure, taking every
+    order of source coassociativity first, then the target, then the
+    morphism condition.
     """
-    f = d.morphism
-    n_max = d.order
-    sides = (
-        ("coassociativity[source]", d.series_a(), f.source.dim),
-        ("coassociativity[target]", d.series_b(), f.target.dim),
-    )
-    for label, series, dim in sides:
-        ident = Matrix.identity(f.field, dim)
-        krons = [(s.kron(ident), ident.kron(s)) for s in series]
-        for n in range(n_max + 1):
-            acc = Matrix.zeros(f.field, dim ** 3, dim)
-            for i in range(n + 1):
-                left, right = krons[i]
-                acc = acc + (left - right) @ series[n - i]
-            if not acc.is_zero():
-                pos = acc.first_nonzero()
+    defects = _defects(d.series_a(), d.series_b(), d.series_f(),
+                       range(d.order + 1))
+    for k, (label, statement) in enumerate(_EQUATIONS):
+        for n, triple in enumerate(defects):
+            pos = triple[k].first_nonzero()
+            if pos is not None:
                 return DeformationReport(
                     False, n, label, pos,
-                    f"{label} fails at order {n}, entry {pos}")
-    sa, sb, sf = d.series_a(), d.series_b(), d.series_f()
-    for n in range(n_max + 1):
-        acc = None
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                k = n - i - j
-                term = sf[j].kron(sf[k]) @ sa[i]
-                acc = term if acc is None else acc + term
-        for i in range(n + 1):
-            acc = acc - sb[i] @ sf[n - i]
-        if not acc.is_zero():
-            pos = acc.first_nonzero()
-            return DeformationReport(
-                False, n, "morphism", pos,
-                f"morphism condition fails at order {n}, entry {pos}")
+                    f"{statement} fails at order {n}, entry {pos}")
     return DeformationReport(True)
 
 
@@ -406,45 +422,20 @@ def comp_bar(s: Cochain, t: Cochain) -> Cochain:
     m = s.bicomodule
     if m.psi_l != m.over.delta or m.psi_r != m.over.delta:
         raise InvalidStructureError("comp_bar requires the regular bicomodule")
-    ident = Matrix.identity(m.field, m.over.dim)
-    mat = s.matrix.kron(ident) @ t.matrix - ident.kron(s.matrix) @ t.matrix
-    return Cochain(m, 3, mat)
+    return Cochain(m, 3, _bar(s.matrix) @ t.matrix)
 
 
 def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     """The degree-3 cochain obstructing extension by one order.
 
-    Raises InternalInvariantError if it fails to be a 3-cocycle, which
-    the theory rules out for valid input.
+    It is the order-(N+1) defect of the deformation equations with a
+    zero order-(N+1) coefficient.  Raises InternalInvariantError if it
+    fails to be a 3-cocycle, which the theory rules out for valid input.
     """
-    f = d.morphism
     comp = d.complex()
-    n = d.order
-    ident_a = Matrix.identity(f.field, f.source.dim)
-    ident_b = Matrix.identity(f.field, f.target.dim)
-
-    def comp_sum(series, ident, dim):
-        acc = Matrix.zeros(f.field, dim ** 3, dim)
-        for i in range(1, n + 1):
-            s = series[i]
-            t = series[n + 1 - i]
-            acc = acc + (s.kron(ident) - ident.kron(s)) @ t
-        return acc
-
-    ob_a = comp_sum(d.series_a(), ident_a, f.source.dim)
-    ob_b = comp_sum(d.series_b(), ident_b, f.target.dim)
-
-    sa, sb, sf = d.series_a(), d.series_b(), d.series_f()
-    ob_f = Matrix.zeros(f.field, f.target.dim ** 2, f.source.dim)
-    for i in range(n + 1):
-        for j in range(n + 1 - i + 1):
-            k = n + 1 - i - j
-            if k > n or j > n:
-                continue
-            ob_f = ob_f + sf[j].kron(sf[k]) @ sa[i]
-    for i in range(1, n + 1):
-        ob_f = ob_f - sb[n + 1 - i] @ sf[i]
-
+    padded = [series + [zero.matrix] for series, zero in zip(
+        (d.series_a(), d.series_b(), d.series_f()), comp.zero(2).parts())]
+    [(ob_a, ob_b, ob_f)] = _defects(*padded, [d.order + 1])
     ob = comp.element(ob_a, ob_b, ob_f, 3)
     if not comp.is_cocycle(ob):
         raise InternalInvariantError(
@@ -535,7 +526,7 @@ def invert_formal(p: FormalIsomorphism) -> FormalIsomorphism:
     modulo t^(order+1)."""
     inv_a = _series_inverse(p.series_a(), p.order)
     inv_b = _series_inverse(p.series_b(), p.order)
-    return _isomorphism_from_series(p.morphism, inv_a, inv_b, p.order)
+    return _isomorphism_from_series(p.morphism, inv_a, inv_b)
 
 
 def compose_isomorphisms(outer: FormalIsomorphism,
@@ -546,14 +537,13 @@ def compose_isomorphisms(outer: FormalIsomorphism,
     n = outer.order
     series_a = _series_mul(outer.series_a(), inner.series_a(), n)
     series_b = _series_mul(outer.series_b(), inner.series_b(), n)
-    return _isomorphism_from_series(outer.morphism, series_a, series_b, n)
+    return _isomorphism_from_series(outer.morphism, series_a, series_b)
 
 
-def _isomorphism_from_series(f, series_a, series_b, order):
+def _isomorphism_from_series(f, series_a, series_b):
     comp = MorphismComplex(f)
-    higher = [comp.element(series_a[i], series_b[i], None, 1)
-              for i in range(1, order + 1)]
-    return FormalIsomorphism.from_higher_coefficients(f, higher, order)
+    return FormalIsomorphism(f, [comp.element(a, b, None, 1)
+                                 for a, b in zip(series_a, series_b)])
 
 
 def apply_equivalence(p: FormalIsomorphism,
@@ -587,9 +577,8 @@ def apply_equivalence(p: FormalIsomorphism,
             or new_f[0] != d.map_coeff(0)):
         raise InternalInvariantError(
             "transport moved the order-0 structure maps")
-    higher = [comp.element(new_a[i], new_b[i], new_f[i], 2)
-              for i in range(1, n + 1)]
-    out = TruncatedDeformation.from_higher_coefficients(d.morphism, higher, n)
+    out = TruncatedDeformation(d.morphism, [d.coeffs[0]] + [
+        comp.element(new_a[i], new_b[i], new_f[i], 2) for i in range(1, n + 1)])
     out._complex = comp
     return out
 

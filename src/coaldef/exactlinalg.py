@@ -66,6 +66,35 @@ class Rationals:
         return hash("rational")
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly below this bound (Sorenson and Webster, 2015).  Twelve bases
+# are not enough: 318665857834031151167461 is a strong pseudoprime to
+# all of 2..37.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic primality for 2 <= n < _MILLER_RABIN_LIMIT."""
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The prime field of integers modulo ``p``."""
 
@@ -74,11 +103,11 @@ class PrimeField:
     def __init__(self, p):
         if p < 2:
             raise ValueError(f"modulus must be a prime >= 2, got {p}")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"modulus {p} is not prime")
-            d += 1
+        if p >= _MILLER_RABIN_LIMIT:
+            raise ValueError(f"modulus {p} is too large (the limit is "
+                             f"{_MILLER_RABIN_LIMIT - 1})")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
     def coerce(self, x):
@@ -109,11 +138,6 @@ class PrimeField:
 
 
 QQ = Rationals()
-
-
-def scalar_to_str(x) -> str:
-    """Canonical string form of a scalar ('3', '-2/7', ...)."""
-    return str(x)
 
 
 # ---------------------------------------------------------------------------

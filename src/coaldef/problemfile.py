@@ -34,7 +34,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .coalgebra import Coalgebra, CoalgebraMorphism, direct_sum, divided_power, \
     grouplike, zero_comultiplication
 from .cohomology import MorphismCochain, MorphismComplex
-from .deformation import FormalIsomorphism, TruncatedDeformation
+from .deformation import FormalIsomorphism, TruncatedDeformation, \
+    _identity_pair, _structure_coefficient
 from .exactlinalg import QQ, Matrix, PrimeField
 
 
@@ -171,8 +172,7 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
             n = _coeff_order(key, order, where)
             higher[n - 1] = _parse_coefficient(field, f, cspec, 2,
                                                f"{where}.coeffs.{key}", comp)
-        d = TruncatedDeformation(f, [comp.element(
-            f.source.delta, f.target.delta, f.matrix, 2)] + higher)
+        d = TruncatedDeformation(f, [_structure_coefficient(comp)] + higher)
         d._complex = comp
         pf.deformations[name] = d
 
@@ -193,9 +193,8 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
                                 (f.target.dim, f.target.dim),
                                 f"{where}.coeffs.{key}.B")
             higher[n - 1] = comp.element(a, b, None, 1)
-        ident = comp.element(Matrix.identity(field, f.source.dim),
-                             Matrix.identity(field, f.target.dim), None, 1)
-        pf.isomorphisms[name] = FormalIsomorphism(f, [ident] + higher)
+        pf.isomorphisms[name] = FormalIsomorphism(
+            f, [_identity_pair(comp)] + higher)
 
     return pf
 

@@ -61,6 +61,25 @@ class TestCheck:
         payload = machine_section(r.output)["payload"]
         assert payload["position"] is not None
 
+    def test_isomorphism_over_non_morphism_still_loads(self, tmp_path):
+        bad = {
+            "coalgebras": {"g2": {"dim": 2, "delta": [[0, 0, 0, "1"],
+                                                      [1, 1, 1, "1"]]},
+                           "g1": {"dim": 1, "delta": [[0, 0, 0, "1"]]}},
+            "morphisms": {"bad": {"source": "g2", "target": "g1",
+                                  "matrix": [["1", "2"]]}},
+            "isomorphisms": {"p": {"morphism": "bad", "order": 1,
+                                   "coeffs": {}}},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        r = run("check", path, "bad")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        machine = machine_section(r.output)
+        assert machine["status"] == "fail"
+        assert machine["payload"]["position"] == [0, 1]
+
     def test_unknown_name_is_usage_error(self, corpus_dir):
         r = run("check", corpus_dir / "fixtures.json", "missing")
         assert r.exit_code == 2
@@ -204,6 +223,8 @@ class TestFieldFlag:
         assert r.exit_code == 0
 
     def test_bad_field_spec(self, corpus_dir):
-        r = run("--field", "prime:6", "check", corpus_dir / "fixtures.json",
-                "grouplike1")
-        assert r.exit_code == 2
+        # a composite, then a modulus above the primality test's bound
+        for spec in ("prime:6", "prime:3317044064679887385961981"):
+            r = run("--field", spec, "check", corpus_dir / "fixtures.json",
+                    "grouplike1")
+            assert r.exit_code == 2

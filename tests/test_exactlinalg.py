@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,8 +215,18 @@ class TestMatrixOps:
         assert m.scale(2).to_rows() == [[1, 4]]
 
     def test_prime_field_rejects_composite(self):
-        with pytest.raises(ValueError):
-            PrimeField(6)
+        # 561 is a Carmichael number, 2047 and 3215031751 are strong
+        # pseudoprimes to small bases, the last one to every base 2..37
+        for n in (6, 561, 2047, 3215031751, 318665857834031151167461):
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeField(n)
+
+    def test_prime_field_large_modulus(self):
+        started = time.perf_counter()
+        assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+        assert time.perf_counter() - started < 0.5
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(3317044064679887385961981)
 
     def test_zero_denominator_mod_p(self):
         with pytest.raises(ZeroDivisionError):

@@ -174,3 +174,100 @@ def _sum_terms(terms):
             for j, x in enumerate(row):
                 out[i][j] += x
     return out
+
+
+def reference_obstruction(d):
+    """The obstruction sum written out term by term over split indices.
+
+    Only products of coefficients of orders 1..N enter; this is the
+    independent formula that the next-order defect of the deformation
+    equations must reproduce exactly.
+    """
+    f = d.morphism
+    n = d.order
+    sa, sb, sf = d.series_a(), d.series_b(), d.series_f()
+
+    def comp_sum(series, dim):
+        ident = Matrix.identity(f.field, dim)
+        acc = Matrix.zeros(f.field, dim ** 3, dim)
+        for i in range(1, n + 1):
+            s, t = series[i], series[n + 1 - i]
+            acc = acc + (s.kron(ident) - ident.kron(s)) @ t
+        return acc
+
+    ob_f = Matrix.zeros(f.field, f.target.dim ** 2, f.source.dim)
+    for i in range(n + 1):
+        for j in range(n + 2 - i):
+            k = n + 1 - i - j
+            if k <= n and j <= n:
+                ob_f = ob_f + sf[j].kron(sf[k]) @ sa[i]
+    for i in range(1, n + 1):
+        ob_f = ob_f - sb[n + 1 - i] @ sf[i]
+    return comp_sum(sa, f.source.dim), comp_sum(sb, f.target.dim), ob_f
+
+
+def _random_series_deformation(rng, f, comp, order):
+    """Random coefficients of every order: almost never a deformation."""
+    field = f.field
+
+    def entry():
+        if field.kind == "rational":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        return rng.randrange(field.p)
+
+    def mat(rows, cols):
+        if not rows or not cols:
+            return Matrix.zeros(field, rows, cols)
+        return Matrix.from_rows(field, [[entry() for _ in range(cols)]
+                                        for _ in range(rows)])
+
+    sd, td = f.source.dim, f.target.dim
+    higher = [comp.element(mat(sd * sd, sd), mat(td * td, td),
+                           mat(td, sd), 2) for _ in range(order)]
+    constant = comp.element(f.source.delta, f.target.delta, f.matrix, 2)
+    d = TruncatedDeformation(f, [constant] + higher)
+    d._complex = comp
+    return d
+
+
+def test_obstruction_matches_reference_sum_on_random_series(monkeypatch):
+    from coaldef.coalgebra import (CoalgebraMorphism, collapse_morphism,
+                                   divided_power, grouplike, identity_morphism)
+    from coaldef.deformation import _obstruction_cochain
+    from coaldef.exactlinalg import PrimeField
+
+    # the cochain is compared, not its 3-cocycle check, which random
+    # coefficients fail
+    monkeypatch.setattr(MorphismComplex, "is_cocycle", lambda self, w: True)
+    rng = fresh_rng(2718)
+    for field in (QQ, PrimeField(2), PrimeField(101)):
+        morphisms = [identity_morphism(divided_power(3, field)),
+                     collapse_morphism(3, field),
+                     CoalgebraMorphism(grouplike(2, field), grouplike(1, field),
+                                       Matrix.from_rows(field, [[1, 3]]))]
+        if field is QQ:
+            morphisms.append(random_morphism(rng, max_dim=2))
+        for f in morphisms:
+            comp = MorphismComplex(f, validate=False)
+            for order in range(4):
+                d = _random_series_deformation(rng, f, comp, order)
+                ob = _obstruction_cochain(d)
+                assert (ob.a_part.matrix, ob.b_part.matrix,
+                        ob.ab_part.matrix) == reference_obstruction(d)
+
+
+def test_obstruction_matches_reference_sum_on_deformations():
+    from coaldef.deformation import _obstruction_cochain, integrate
+    from helpers import random_cocycle
+
+    rng = fresh_rng(1618)
+    for _ in range(6):
+        f = random_morphism(rng, max_dim=3)
+        comp = MorphismComplex(f)
+        d = integrate(random_cocycle(comp, rng), 3).deformation
+        d = apply_equivalence(random_isomorphism(comp, d.order, rng), d)
+        for n in range(d.order + 1):
+            trunc = d.truncate(n)
+            ob = _obstruction_cochain(trunc)
+            assert (ob.a_part.matrix, ob.b_part.matrix,
+                    ob.ab_part.matrix) == reference_obstruction(trunc)
