@@ -144,8 +144,10 @@ def check(ctx, file, name):
         ok, detail = rep.ok, rep.message
         if rep.position is not None:
             payload["position"] = list(rep.position)
-    elif kind == "morphisms":
-        rep = check_morphism(obj)
+    elif kind in ("morphisms", "isomorphisms"):
+        # an isomorphism's construction enforces the identity constant
+        # term and the shapes; what is left is the morphism it is about
+        rep = check_morphism(obj if kind == "morphisms" else obj.morphism)
         ok, detail = rep.ok, rep.message
         if rep.position is not None:
             payload["position"] = list(rep.position)
@@ -156,9 +158,6 @@ def check(ctx, file, name):
             payload["order"] = rep.order
             payload["equation"] = rep.equation
             payload["position"] = list(rep.position)
-    elif kind == "isomorphisms":
-        # construction enforces the identity constant term and shapes
-        ok, detail = True, "ok"
     else:
         comp = MorphismComplex(obj.morphism, validate=False)
         dw = comp.differential(obj)
@@ -284,7 +283,7 @@ def obstruct(ctx, file, name):
 @main.command("integrate")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("name")
-@click.argument("order", type=click.IntRange(min=1))
+@click.argument("order", type=click.IntRange(min=1, max=pfmod.MAX_ORDER))
 @click.option("-o", "--output", required=True,
               type=click.Path(dir_okay=False, writable=True),
               help="Problem file to write the resulting deformation to.")
@@ -295,7 +294,10 @@ def integrate_cmd(ctx, file, name, order, output):
     pf = _load(file, ctx)
     _, w = _lookup(pf, name, ("cocycles",))
     command = f"integrate {file} {name} {order}"
-    comp = MorphismComplex(w.morphism, validate=False)
+    comp = _validated_morphism_complex(w.morphism)
+    if isinstance(comp, Report):
+        comp.command = command
+        return comp
     dw = comp.differential(w)
     if not dw.is_zero():
         raise ProblemFileError(

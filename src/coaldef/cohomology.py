@@ -20,7 +20,10 @@ concatenate their (a, b, ab) blocks in that order.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .coalgebra import (
     Bicomodule,
@@ -28,7 +31,6 @@ from .coalgebra import (
     InvalidStructureError,
     _pushed_forward,
     bicomodule_via,
-    middle_insertion,
     regular_bicomodule,
     tensor_power_map,
 )
@@ -189,23 +191,113 @@ class CohomologyReport:
     representatives: tuple
 
 
-def _flatten_matrix(m: Matrix):
-    """Row-major coordinate list of a cochain matrix."""
-    return [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+def _denominator(*matrices):
+    """Least common denominator of the entries (1 over GF(p))."""
+    den = 1
+    for m in matrices:
+        if m._den is not None:
+            den = lcm(den, *m._den)
+    return den
+
+
+def _nonzeros(m: Matrix, den):
+    """(row, col, den * entry) of every nonzero entry, row-major.
+
+    ``den`` must be a multiple of every denominator of m, so the scaled
+    entries are ints.
+    """
+    if m._den is None:
+        return [(*divmod(idx, m.cols), x) for idx, x in enumerate(m._num) if x]
+    return [(*divmod(idx, m.cols), x * (den // d))
+            for idx, (x, d) in enumerate(zip(m._num, m._den)) if x]
+
+
+def _scaled(matrices):
+    """Concatenated row-major entries as ints over a common denominator.
+
+    Returns (ints, den) with entry k equal to ints[k] / den.
+    """
+    den = _denominator(*matrices)
+    ints = []
+    for m in matrices:
+        if m._den is None:
+            ints += m._num
+        else:
+            ints += [x * (den // d) for x, d in zip(m._num, m._den)]
+    return ints, den
+
+
+def _matrix(field, rows, cols, entries):
+    """The rows x cols matrix with the row-major scalar list ``entries``."""
+    if not rows or not cols:
+        return Matrix.zeros(field, rows, cols)
+    return Matrix.from_rows(
+        field, (entries[i * cols:(i + 1) * cols] for i in range(rows)))
 
 
 class _ComplexBase:
-    """Shared machinery: differentials in matrix form and cohomology."""
+    """Shared machinery: the sparse differentials and cohomology.
+
+    Each differential D_n is assembled once, by :meth:`operator`, as a
+    sparse map scattered straight from the structure constants.
+    Row-major flattening turns every term A o s o B of a coboundary
+    into the matrix A (x) B^T acting on the coordinates of s, so each
+    term contributes one entry per nonzero structure constant and free
+    index.  The element-level differential and the dense matrix D_n are
+    both read off this one operator.
+    """
 
     def __init__(self):
+        self._operators = {}
         self._dmat_cache = {}
 
     # subclasses: field, cochain_dim(n), zero(n), from_flat(n, entries),
-    # differential(w), element degree accessor via w.degree
+    # _parts(w) (component matrices in block order), _denominator(n),
+    # _scatter(n, acc, row, col, sign, den), and differential(w)
+    # documenting the coboundary it applies
+
+    def operator(self, n):
+        """The degree-n differential as ``({(row, col): int}, den)``.
+
+        D_n[row, col] is the stored int over ``den``; only nonzero
+        entries are stored.  Over QQ, ``den`` is a common denominator of
+        the structure constants involved, so the entries accumulate as
+        exact ints; over GF(p) it is 1 and the ints lie in [1, p).
+        """
+        if n not in self._operators:
+            den = self._denominator(n)
+            acc = defaultdict(int)
+            self._scatter(n, acc, 0, 0, 1, den)
+            if self.field.kind == "prime":
+                p = self.field.p
+                acc = {key: x % p for key, x in acc.items()}
+            self._operators[n] = ({key: x for key, x in acc.items() if x}, den)
+        return self._operators[n]
 
     def flatten(self, w) -> Matrix:
         """Coordinate column vector of a cochain, in the fixed block order."""
-        raise NotImplementedError
+        parts = self._parts(w)
+        num = [x for m in parts for x in m._num]
+        den = None if self.field.kind == "prime" else \
+            [x for m in parts for x in m._den]
+        return Matrix(self.field, len(num), 1, num, den)
+
+    def _apply(self, w):
+        """The image of w under the sparse operator of its degree."""
+        n = w.degree
+        x, x_den = _scaled(self._parts(w))
+        if len(x) != self.cochain_dim(n):
+            raise DimensionError(f"degree-{n} cochain has {len(x)} "
+                                 f"coordinates, expected {self.cochain_dim(n)}")
+        entries, den = self.operator(n)
+        out = [0] * self.cochain_dim(n + 1)
+        for (row, col), value in entries.items():
+            if x[col]:
+                out[row] += value * x[col]
+        den *= x_den
+        if den != 1:
+            out = [Fraction(y, den) if y else 0 for y in out]
+        return self.from_flat(n + 1, out)
 
     def differential_matrix(self, n) -> Matrix:
         """The matrix D_n of the degree-n differential on coordinate vectors.
@@ -214,20 +306,20 @@ class _ComplexBase:
         order; D_0 has zero columns since the degree-0 module is zero.
         """
         if n not in self._dmat_cache:
-            src = self.cochain_dim(n)
-            tgt = self.cochain_dim(n + 1)
-            if src and tgt:
-                cols = []
-                for idx in range(src):
-                    entries = [0] * src
-                    entries[idx] = 1
-                    image = self.differential(self.from_flat(n, entries))
-                    cols.append(self.flatten(image).column_entries(0))
-                rows = [[cols[j][i] for j in range(src)] for i in range(tgt)]
-                mat = Matrix.from_rows(self.field, rows)
+            rows, cols = self.cochain_dim(n + 1), self.cochain_dim(n)
+            entries, common = self.operator(n)
+            num = [0] * (rows * cols)
+            if self.field.kind == "prime":
+                den = None
+                for (i, j), x in entries.items():
+                    num[i * cols + j] = x
             else:
-                mat = Matrix.zeros(self.field, tgt, src)
-            self._dmat_cache[n] = mat
+                den = [1] * (rows * cols)
+                for (i, j), x in entries.items():
+                    g = gcd(x, common)
+                    num[i * cols + j] = x // g
+                    den[i * cols + j] = common // g
+            self._dmat_cache[n] = Matrix(self.field, rows, cols, num, den)
         return self._dmat_cache[n]
 
     def is_cocycle(self, w) -> bool:
@@ -288,7 +380,6 @@ class HochschildComplex(_ComplexBase):
     def __init__(self, bicomodule: Bicomodule):
         super().__init__()
         self.bicomodule = bicomodule
-        self._insertions = {}
 
     @property
     def field(self):
@@ -303,23 +394,18 @@ class HochschildComplex(_ComplexBase):
         return Cochain.zero(self.bicomodule, n)
 
     def from_flat(self, n, entries):
-        d = self.bicomodule.over.dim
-        m = self.bicomodule.dim
         if n <= 0:
             return Cochain.zero(self.bicomodule, 0)
-        rows = [entries[i * m:(i + 1) * m] for i in range(d ** n)]
-        return Cochain(self.bicomodule, n, Matrix.from_rows(self.field, rows))
+        return Cochain(self.bicomodule, n, _matrix(
+            self.field, self.bicomodule.over.dim ** n, self.bicomodule.dim,
+            entries))
 
-    def flatten(self, w: Cochain) -> Matrix:
-        if w.degree == 0:
-            return Matrix.zeros(self.field, 0, 1)
-        return Matrix.column(self.field, _flatten_matrix(w.matrix))
+    def _parts(self, w: Cochain):
+        return [w.matrix] if w.degree else []
 
-    def _insertion(self, n, i):
-        key = (n, i)
-        if key not in self._insertions:
-            self._insertions[key] = middle_insertion(self.bicomodule.over, n, i)
-        return self._insertions[key]
+    def _denominator(self, n):
+        m = self.bicomodule
+        return _denominator(m.psi_l, m.psi_r, m.over.delta)
 
     def differential(self, w: Cochain) -> Cochain:
         """The coboundary delta_c.
@@ -330,18 +416,44 @@ class HochschildComplex(_ComplexBase):
         + (-1)^(n+1) (s (x) Id) o psi_r,
         landing in degree n+1.  Degree-0 input gives the zero 1-cochain.
         """
+        return self._apply(w)
+
+    def _scatter(self, n, acc, row, col, sign, den):
+        """Add sign * den * D_n to ``acc`` with its corner at (row, col).
+
+        The entry s[t, k] of a cochain has coordinate t*m + k (m = dim M);
+        each term of delta_c sends it, times one structure constant, to
+        one coordinate of the image.
+        """
+        if n <= 0:
+            return
         m = self.bicomodule
-        n = w.degree
-        if n == 0:
-            return Cochain.zero(m, 1)
-        ident = Matrix.identity(self.field, m.over.dim)
-        total = ident.kron(w.matrix) @ m.psi_l
+        d, dim = m.over.dim, m.dim
+        dn = d ** n
+        # (Id (x) s) o psi_l: psi_l[(a, k), j] s[t, k] lands at (a t, j)
+        for r, j, x in _nonzeros(m.psi_l, den):
+            a, k = divmod(r, dim)
+            for t in range(dn):
+                acc[row + (a * dn + t) * dim + j, col + t * dim + k] += sign * x
+        # (-1)^i (Id^(i-1) (x) delta (x) Id^(n-i)) o s: delta[(p, q), k]
+        # s[(u, k, v), j] lands at ((u, p, q, v), j)
         for i in range(1, n + 1):
-            term = self._insertion(n, i) @ w.matrix
-            total = total - term if i % 2 else total + term
-        last = w.matrix.kron(ident) @ m.psi_r
-        total = total + last if n % 2 else total - last
-        return Cochain(m, n + 1, total)
+            c = -sign if i % 2 else sign
+            tail = d ** (n - i)
+            for pq, k, x in _nonzeros(m.over.delta, den):
+                for u in range(d ** (i - 1)):
+                    for v in range(tail):
+                        src = ((u * d + k) * tail + v) * dim
+                        dst = ((u * d * d + pq) * tail + v) * dim
+                        for j in range(dim):
+                            acc[row + dst + j, col + src + j] += c * x
+        # (-1)^(n+1) (s (x) Id) o psi_r: psi_r[(k, a), j] s[t, k] lands
+        # at (t a, j)
+        c = sign if n % 2 else -sign
+        for r, j, x in _nonzeros(m.psi_r, den):
+            k, a = divmod(r, d)
+            for t in range(dn):
+                acc[row + (t * d + a) * dim + j, col + t * dim + k] += c * x
 
 
 class MorphismComplex(_ComplexBase):
@@ -359,16 +471,10 @@ class MorphismComplex(_ComplexBase):
         self.on_target = HochschildComplex(regular_bicomodule(f.target))
         self.mixed = HochschildComplex(
             bicomodule_via(f) if validate else _pushed_forward(f))
-        self._powers = {}
 
     @property
     def field(self):
         return self.morphism.field
-
-    def _power(self, n):
-        if n not in self._powers:
-            self._powers[n] = tensor_power_map(self.morphism.matrix, n)
-        return self._powers[n]
 
     def cochain_dim(self, n):
         if n <= 0:
@@ -405,14 +511,19 @@ class MorphismComplex(_ComplexBase):
         ab = self.mixed.from_flat(n - 1, entries[na + nb:])
         return MorphismCochain(self.morphism, n, a, b, ab)
 
-    def flatten(self, w: MorphismCochain) -> Matrix:
+    def _parts(self, w: MorphismCochain):
         if w.degree == 0:
-            return Matrix.zeros(self.field, 0, 1)
-        entries = _flatten_matrix(w.a_part.matrix)
-        entries.extend(_flatten_matrix(w.b_part.matrix))
-        if w.degree >= 2:
-            entries.extend(_flatten_matrix(w.ab_part.matrix))
-        return Matrix.column(self.field, entries)
+            return []
+        if w.degree == 1:
+            return [w.a_part.matrix, w.b_part.matrix]
+        return [w.a_part.matrix, w.b_part.matrix, w.ab_part.matrix]
+
+    def _denominator(self, n):
+        # the entries of f^(x)n have denominators dividing den(f)^n
+        return lcm(self.on_source._denominator(n),
+                   self.on_target._denominator(n),
+                   self.mixed._denominator(n),
+                   _denominator(self.morphism.matrix) ** n)
 
     def differential(self, w: MorphismCochain) -> MorphismCochain:
         """The coboundary d_c of the deformation complex.
@@ -422,17 +533,33 @@ class MorphismComplex(_ComplexBase):
         two comparison terms is what makes first-order deformation
         coefficients cocycles.
         """
-        n = w.degree
+        return self._apply(w)
+
+    def _scatter(self, n, acc, row, col, sign, den):
+        """Add sign * den * D_n to ``acc`` with its corner at (row, col).
+
+        The three Hochschild blocks sit at their (a, b, ab) offsets; the
+        comparison terms fill the ab rows from the a and b columns.
+        """
+        if n <= 0:
+            return
         f = self.morphism
-        if n == 0:
-            return self.zero(1)
-        da = self.on_source.differential(w.a_part)
-        db = self.on_target.differential(w.b_part)
-        mixed_mat = (w.b_part.matrix @ f.matrix
-                     - self._power(n) @ w.a_part.matrix
-                     - self.mixed.differential(w.ab_part).matrix)
-        ab = Cochain(self.mixed.bicomodule, n, mixed_mat)
-        return MorphismCochain(f, n + 1, da, db, ab)
+        ds, dt = f.source.dim, f.target.dim
+        col_b = col + self.on_source.cochain_dim(n)
+        col_ab = col_b + self.on_target.cochain_dim(n)
+        row_b = row + self.on_source.cochain_dim(n + 1)
+        row_ab = row_b + self.on_target.cochain_dim(n + 1)
+        self.on_source._scatter(n, acc, row, col, sign, den)
+        self.on_target._scatter(n, acc, row_b, col_b, sign, den)
+        self.mixed._scatter(n - 1, acc, row_ab, col_ab, -sign, den)
+        # b_part o f: b[t, k] f[k, j] lands at (t, j)
+        for k, j, x in _nonzeros(f.matrix, den):
+            for t in range(dt ** n):
+                acc[row_ab + t * ds + j, col_b + t * dt + k] += sign * x
+        # - f^(x)n o a_part: f^(x)n[t, u] a[u, j] lands at (t, j)
+        for t, u, x in _nonzeros(tensor_power_map(f.matrix, n), den):
+            for j in range(ds):
+                acc[row_ab + t * ds + j, col + u * ds + j] -= sign * x
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,27 @@ class ProblemFileError(Exception):
     """The file does not parse or fails referential validation."""
 
 
+# Upper bounds on the sizes a problem file may declare, checked before
+# anything of that size is allocated: a coalgebra of dimension d costs
+# d^3 entries per comultiplication, and a deformation or isomorphism of
+# order N holds N coefficients.
+MAX_DIM = 16
+MAX_ORDER = 64
+
+
+def _is_int(x):
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _bounded_int(spec, key, bound, where):
+    value = spec.get(key)
+    if not _is_int(value) or not 0 <= value <= bound:
+        raise ProblemFileError(
+            f"{where}: {key} must be an int in 0..{bound}, got {value!r}")
+    return value
+
+
 @dataclass
 class ProblemFile:
     field: object = QQ
@@ -58,7 +79,7 @@ class ProblemFile:
 
 
 def _parse_scalar(field, x, where):
-    if not isinstance(x, (int, str)):
+    if not (_is_int(x) or isinstance(x, str)):
         raise ProblemFileError(f"{where}: scalar must be an int or string, got {x!r}")
     try:
         return field.coerce(x)
@@ -76,7 +97,7 @@ def _quadruples_to_matrix(field, quads, dim, where):
             raise ProblemFileError(f"{where}: quadruple must be [a, b, c, coeff]")
         a, b, c, coeff = q
         for idx in (a, b, c):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_int(idx) or not 0 <= idx < dim:
                 raise ProblemFileError(
                     f"{where}: basis index {idx} out of range for dim {dim}")
         _parse_scalar(field, coeff, where)
@@ -141,9 +162,7 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
 
     for name, spec in _section(obj, "coalgebras").items():
         where = f"coalgebras.{name}"
-        dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 0:
-            raise ProblemFileError(f"{where}: dim must be a non-negative int")
+        dim = _bounded_int(spec, "dim", MAX_DIM, where)
         delta = _quadruples_to_matrix(field, spec.get("delta", []), dim, where)
         pf.coalgebras[name] = Coalgebra(name, dim, delta)
 
@@ -163,9 +182,7 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
     for name, spec in _section(obj, "deformations").items():
         where = f"deformations.{name}"
         f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
-        order = spec.get("order")
-        if not isinstance(order, int) or order < 0:
-            raise ProblemFileError(f"{where}: order must be a non-negative int")
+        order = _bounded_int(spec, "order", MAX_ORDER, where)
         comp = MorphismComplex(f, validate=False)
         higher = [comp.zero(2) for _ in range(order)]
         for key, cspec in _section(spec, "coeffs", where).items():
@@ -179,9 +196,7 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
     for name, spec in _section(obj, "isomorphisms").items():
         where = f"isomorphisms.{name}"
         f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
-        order = spec.get("order")
-        if not isinstance(order, int) or order < 0:
-            raise ProblemFileError(f"{where}: order must be a non-negative int")
+        order = _bounded_int(spec, "order", MAX_ORDER, where)
         comp = MorphismComplex(f, validate=False)
         higher = [comp.zero(1) for _ in range(order)]
         for key, cspec in _section(spec, "coeffs", where).items():
@@ -204,7 +219,7 @@ def _parse_field(spec):
         return QQ
     if isinstance(spec, dict) and set(spec) == {"prime"}:
         p = spec["prime"]
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise ProblemFileError("field.prime must be an int")
         try:
             return PrimeField(p)

@@ -37,74 +37,88 @@ def rational_matrix(rng, rows, cols, bound=9):
         [rational(rng, bound) for _ in range(cols)] for _ in range(rows)])
 
 
-def invertible_matrix(rng, n, bound=9):
+def field_matrix(rng, field, rows, cols, bound=9):
+    """Random entries: bounded rationals over QQ, uniform over GF(p)."""
+    if field.kind == "rational":
+        return rational_matrix(rng, rows, cols, bound)
+    return Matrix.from_rows(field, [
+        [rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)])
+
+
+def invertible_matrix(rng, n, bound=9, field=QQ):
     while True:
-        m = rational_matrix(rng, n, n, bound)
+        m = field_matrix(rng, field, n, n, bound)
         if m.inverse() is not None:
             return m
 
 
-def seed_coalgebras(max_dim=3):
-    pool = [grouplike(1), zero_comultiplication(1)]
+def seed_coalgebras(max_dim=3, field=QQ):
+    """Coalgebras with integer structure constants, built over ``field``."""
+    pool = [grouplike(1, field), zero_comultiplication(1, field)]
     if max_dim >= 2:
-        pool += [grouplike(2), divided_power(2), zero_comultiplication(2),
-                 direct_sum(grouplike(1), grouplike(1))]
+        pool += [grouplike(2, field), divided_power(2, field),
+                 zero_comultiplication(2, field),
+                 direct_sum(grouplike(1, field), grouplike(1, field))]
     if max_dim >= 3:
-        pool += [grouplike(3), divided_power(3),
-                 direct_sum(grouplike(1), divided_power(2))]
+        pool += [grouplike(3, field), divided_power(3, field),
+                 direct_sum(grouplike(1, field), divided_power(2, field))]
     return pool
 
 
-def random_coalgebra(rng, max_dim=3):
-    seed = rng.choice(seed_coalgebras(max_dim))
+def random_coalgebra(rng, max_dim=3, field=QQ):
+    seed = rng.choice(seed_coalgebras(max_dim, field))
     if seed.dim == 0:
         return seed
-    return change_basis(seed, invertible_matrix(rng, seed.dim))
+    return change_basis(seed, invertible_matrix(rng, seed.dim, field=field))
 
 
-def seed_morphisms(max_dim=3):
-    pool = [identity_morphism(grouplike(1)),
-            identity_morphism(zero_comultiplication(1))]
+def seed_morphisms(max_dim=3, field=QQ):
+    """Morphisms with integer structure constants, built over ``field``."""
+    pool = [identity_morphism(grouplike(1, field)),
+            identity_morphism(zero_comultiplication(1, field))]
     if max_dim >= 2:
-        pool += [identity_morphism(divided_power(2)),
-                 identity_morphism(grouplike(2)),
-                 collapse_morphism(2),
-                 inclusion_morphism(grouplike(1), grouplike(1)),
-                 zero_morphism(grouplike(1), divided_power(2))]
+        pool += [identity_morphism(divided_power(2, field)),
+                 identity_morphism(grouplike(2, field)),
+                 collapse_morphism(2, field),
+                 inclusion_morphism(grouplike(1, field), grouplike(1, field)),
+                 zero_morphism(grouplike(1, field), divided_power(2, field))]
     if max_dim >= 3:
-        pool += [collapse_morphism(3),
-                 identity_morphism(divided_power(3)),
-                 inclusion_morphism(grouplike(1), divided_power(2))]
+        pool += [collapse_morphism(3, field),
+                 identity_morphism(divided_power(3, field)),
+                 inclusion_morphism(grouplike(1, field),
+                                    divided_power(2, field))]
     return pool
 
 
-def random_morphism(rng, max_dim=3):
-    seed = rng.choice(seed_morphisms(max_dim))
-    p = invertible_matrix(rng, seed.source.dim)
-    q = invertible_matrix(rng, seed.target.dim)
+def random_morphism(rng, max_dim=3, field=QQ):
+    seed = rng.choice(seed_morphisms(max_dim, field))
+    p = invertible_matrix(rng, seed.source.dim, field=field)
+    q = invertible_matrix(rng, seed.target.dim, field=field)
     return change_basis_morphism(seed, p, q)
 
 
-def random_bicomodule(rng, max_dim=3):
+def random_bicomodule(rng, max_dim=3, field=QQ):
     if rng.random() < 0.5:
-        return regular_bicomodule(random_coalgebra(rng, max_dim))
+        return regular_bicomodule(random_coalgebra(rng, max_dim, field))
     from coaldef.coalgebra import bicomodule_via
-    return bicomodule_via(random_morphism(rng, max_dim))
+    return bicomodule_via(random_morphism(rng, max_dim, field))
 
 
 def random_cochain(bicomodule, degree, rng, bound=9):
     d = bicomodule.over.dim
-    return Cochain(bicomodule, degree,
-                   rational_matrix(rng, d ** degree, bicomodule.dim, bound))
+    return Cochain(bicomodule, degree, field_matrix(
+        rng, bicomodule.field, d ** degree, bicomodule.dim, bound))
 
 
 def random_morphism_cochain(comp: MorphismComplex, degree, rng, bound=9):
     f = comp.morphism
-    a = rational_matrix(rng, f.source.dim ** degree, f.source.dim, bound)
-    b = rational_matrix(rng, f.target.dim ** degree, f.target.dim, bound)
+    field = f.field
+    a = field_matrix(rng, field, f.source.dim ** degree, f.source.dim, bound)
+    b = field_matrix(rng, field, f.target.dim ** degree, f.target.dim, bound)
     if degree == 1:
         return comp.element(a, b, None, 1)
-    ab = rational_matrix(rng, f.target.dim ** (degree - 1), f.source.dim, bound)
+    ab = field_matrix(rng, field, f.target.dim ** (degree - 1), f.source.dim,
+                      bound)
     return comp.element(a, b, ab, degree)
 
 

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from coaldef.cli import main
+from coaldef.problemfile import MAX_DIM, MAX_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +23,22 @@ def run(*args):
 def stable_lines(output):
     """Report lines without the timing line (excluded from determinism)."""
     return [l for l in output.splitlines() if not l.startswith("time:")]
+
+
+def json_lines(output):
+    return [l for l in output.splitlines() if l.startswith("json: ")]
+
+
+# dp2 with f = 2 id, which breaks morphism compatibility at entry (0, 0)
+DOUBLED_DP2 = {
+    "coalgebras": {"dp2": {"dim": 2, "delta": [[0, 0, 0, "1"], [1, 0, 1, "1"],
+                                               [1, 1, 0, "1"]]}},
+    "morphisms": {"double": {"source": "dp2", "target": "dp2",
+                             "matrix": [["2", "0"], ["0", "2"]]}},
+    "cocycles": {"w": {"morphism": "double", "A": [], "B": [],
+                       "F": [["0", "0"], ["0", "0"]]}},
+    "isomorphisms": {"p": {"morphism": "double", "order": 1, "coeffs": {}}},
+}
 
 
 def machine_section(output):
@@ -79,6 +96,17 @@ class TestCheck:
         machine = machine_section(r.output)
         assert machine["status"] == "fail"
         assert machine["payload"]["position"] == [0, 1]
+
+    def test_isomorphism_over_non_morphism_fails(self, tmp_path):
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(DOUBLED_DP2))
+        r = run("check", path, "p")
+        assert r.exit_code == 1
+        machine = machine_section(r.output)
+        assert machine["status"] == "fail"
+        assert machine["payload"]["kind"] == "isomorphisms"
+        assert machine["payload"]["position"] == [0, 0]
+        assert "morphism compatibility" in machine["payload"]["detail"]
 
     def test_unknown_name_is_usage_error(self, corpus_dir):
         r = run("check", corpus_dir / "fixtures.json", "missing")
@@ -165,6 +193,24 @@ class TestIntegrate:
         assert payload["failing_order"] == 2
         assert any(x != "0" for x in payload["h3_class"])
 
+    def test_non_morphism_fails_located(self, tmp_path):
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(DOUBLED_DP2))
+        out = tmp_path / "out.json"
+        r = run("integrate", path, "w", 2, "-o", out)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "status: fail" in r.output.splitlines()
+        assert len(json_lines(r.output)) == 1
+        detail = machine_section(r.output)["payload"]["detail"]
+        assert "morphism compatibility" in detail and "(0, 0)" in detail
+        assert not out.exists()
+
+    def test_order_above_bound_is_usage_error(self, corpus_dir, tmp_path):
+        r = run("integrate", corpus_dir / "fixtures.json", "zero_g1",
+                MAX_ORDER + 1, "-o", tmp_path / "x.json")
+        assert r.exit_code == 2
+
     def test_non_cocycle_usage_error(self, corpus_dir, tmp_path):
         # build a file whose "cocycle" is not closed
         import coaldef.problemfile as pfmod
@@ -228,3 +274,30 @@ class TestFieldFlag:
             r = run("--field", spec, "check", corpus_dir / "fixtures.json",
                     "grouplike1")
             assert r.exit_code == 2
+
+
+class TestProblemFileLimits:
+    @pytest.mark.parametrize("section,key,value,where", [
+        ("coalgebras", "dim", True, "coalgebras.dp2: dim"),
+        ("coalgebras", "dim", MAX_DIM + 1, "coalgebras.dp2: dim"),
+        ("isomorphisms", "order", True, "isomorphisms.p: order"),
+        ("isomorphisms", "order", MAX_ORDER + 1, "isomorphisms.p: order"),
+    ])
+    def test_bad_size_is_located_usage_error(self, tmp_path, section, key,
+                                             value, where):
+        obj = json.loads(json.dumps(DOUBLED_DP2))
+        name = next(iter(obj[section]))
+        obj[section][name][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        r = run("check", path, "dp2")
+        assert r.exit_code == 2
+        assert where in r.output
+
+    def test_boolean_prime_is_usage_error(self, tmp_path):
+        obj = dict(DOUBLED_DP2, field={"prime": True})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        r = run("check", path, "dp2")
+        assert r.exit_code == 2
+        assert "field.prime" in r.output

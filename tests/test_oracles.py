@@ -3,22 +3,52 @@
 These re-derive the differential and the equivalence transport by
 explicit basis-vector bookkeeping with plain Fractions (no Kronecker
 products, no matrix class in the computation), then compare entrywise
-with the production implementations.
+with the production implementations.  The Kronecker-product form of the
+coboundaries, with its column-probing matrix assembly, is kept here as
+the reference for the sparse assembly of the differentials.
 """
 
 from fractions import Fraction
 
-from coaldef.coalgebra import pack_index, unpack_index
-from coaldef.cohomology import HochschildComplex, MorphismComplex
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coaldef.coalgebra import (
+    Coalgebra,
+    CoalgebraMorphism,
+    change_basis,
+    change_basis_morphism,
+    check_morphism,
+    divided_power,
+    grouplike,
+    identity_morphism,
+    middle_insertion,
+    pack_index,
+    regular_bicomodule,
+    tensor_power_map,
+    unpack_index,
+)
+from coaldef.cohomology import (
+    Cochain,
+    HochschildComplex,
+    MorphismCochain,
+    MorphismComplex,
+)
 from coaldef.deformation import TruncatedDeformation, apply_equivalence
-from coaldef.exactlinalg import QQ, Matrix
+from coaldef.exactlinalg import QQ, Matrix, PrimeField
 
 from helpers import (
+    field_matrix,
     fresh_rng,
+    invertible_matrix,
     random_bicomodule,
     random_cochain,
     random_isomorphism,
     random_morphism,
+    random_morphism_cochain,
+    seed_coalgebras,
+    seed_morphisms,
 )
 
 
@@ -76,6 +106,175 @@ def test_delta_c_matches_index_chasing_oracle():
         expected = naive_delta(m, w, degree)
         assert hc.differential(w).matrix.to_rows() == expected
         checked += 1
+
+
+def reference_differential(complex_, w):
+    """The coboundary as Kronecker products and insertion matrices.
+
+    Hochschild: (Id (x) s) psi_l + sum_i (-1)^i (Id^(i-1) (x) delta (x)
+    Id^(n-i)) s + (-1)^(n+1) (s (x) Id) psi_r.  Deformation complex:
+    (delta_c a, delta_c b, b f - f^(x)n a - delta_c ab).
+    """
+    n = w.degree
+    if isinstance(complex_, MorphismComplex):
+        if n == 0:
+            return complex_.zero(1)
+        f = complex_.morphism
+        da = reference_differential(complex_.on_source, w.a_part)
+        db = reference_differential(complex_.on_target, w.b_part)
+        mixed = (w.b_part.matrix @ f.matrix
+                 - tensor_power_map(f.matrix, n) @ w.a_part.matrix
+                 - reference_differential(complex_.mixed, w.ab_part).matrix)
+        return MorphismCochain(f, n + 1, da, db,
+                               Cochain(complex_.mixed.bicomodule, n, mixed))
+    m = complex_.bicomodule
+    if n == 0:
+        return Cochain.zero(m, 1)
+    ident = Matrix.identity(m.field, m.over.dim)
+    total = ident.kron(w.matrix) @ m.psi_l
+    for i in range(1, n + 1):
+        term = middle_insertion(m.over, n, i) @ w.matrix
+        total = total - term if i % 2 else total + term
+    last = w.matrix.kron(ident) @ m.psi_r
+    total = total + last if n % 2 else total - last
+    return Cochain(m, n + 1, total)
+
+
+def reference_differential_matrix(complex_, n):
+    """D_n column by column: the reference coboundary of each basis cochain."""
+    src = complex_.cochain_dim(n)
+    tgt = complex_.cochain_dim(n + 1)
+    if not (src and tgt):
+        return Matrix.zeros(complex_.field, tgt, src)
+    cols = []
+    for idx in range(src):
+        entries = [0] * src
+        entries[idx] = 1
+        image = reference_differential(complex_, complex_.from_flat(n, entries))
+        cols.append(complex_.flatten(image).column_entries(0))
+    return Matrix.from_rows(complex_.field,
+                            [[c[i] for c in cols] for i in range(tgt)])
+
+
+ORACLE_FIELDS = (QQ, PrimeField(2), PrimeField(101))
+
+
+def _random_element(complex_, degree, rng):
+    if degree == 0:
+        return complex_.zero(0)
+    if isinstance(complex_, MorphismComplex):
+        return random_morphism_cochain(complex_, degree, rng, bound=5)
+    return random_cochain(complex_.bicomodule, degree, rng, bound=5)
+
+
+def _assert_matches_reference(complex_, rng, degrees=range(4)):
+    for n in degrees:
+        assert complex_.differential_matrix(n) == \
+            reference_differential_matrix(complex_, n)
+        w = _random_element(complex_, n, rng)
+        assert complex_.differential(w) == reference_differential(complex_, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_hochschild_assembly_matches_reference(seed, field):
+    rng = fresh_rng(seed)
+    _assert_matches_reference(
+        HochschildComplex(random_bicomodule(rng, max_dim=2, field=field)), rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_morphism_assembly_matches_reference(seed, field):
+    rng = fresh_rng(seed)
+    _assert_matches_reference(
+        MorphismComplex(random_morphism(rng, max_dim=2, field=field)), rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_element_differential_matches_reference_in_dimension_three(seed,
+                                                                   field):
+    rng = fresh_rng(seed)
+    comp = MorphismComplex(random_morphism(rng, max_dim=3, field=field))
+    for n in range(4):
+        w = _random_element(comp, n, rng)
+        assert comp.differential(w) == reference_differential(comp, w)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_assembly_matches_reference_over_non_morphism(field):
+    rng = fresh_rng(77)
+    checked = 0
+    while checked < 3:
+        f = CoalgebraMorphism(grouplike(2, field), divided_power(2, field),
+                              field_matrix(rng, field, 2, 2, 4))
+        if not check_morphism(f).ok:
+            _assert_matches_reference(MorphismComplex(f, validate=False), rng)
+            checked += 1
+
+
+def triangular(field=QQ):
+    """The non-cocommutative coalgebra dual to upper triangular 2x2 matrices.
+
+    Basis e11, e12, e22 with delta(e_ij) = sum over k of e_ik (x) e_kj.
+    The seed pool is cocommutative, so this is what tells the two tensor
+    factors of delta apart.
+    """
+    quads = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (2, 2, 2)]
+    delta = Matrix.zeros(field, 9, 3)
+    for a, b, c in quads:
+        delta._num[(b * 3 + c) * 3 + a] = 1
+    return Coalgebra("triangular", 3, delta)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_assembly_matches_reference_without_cocommutativity(field):
+    rng = fresh_rng(99)
+    tri = change_basis(triangular(field),
+                       invertible_matrix(rng, 3, bound=4, field=field))
+    g1 = grouplike(1, field)
+    _assert_matches_reference(HochschildComplex(regular_bicomodule(tri)), rng)
+    # tri -> g1 sends e11, e22 to the grouplike; g1 -> tri picks e11
+    back = Matrix.from_rows(field, [[1, 0, 1]])
+    to_tri = Matrix.from_rows(field, [[1], [0], [0]])
+    for f in (identity_morphism(tri),
+              change_basis_morphism(
+                  CoalgebraMorphism(triangular(field), g1, back),
+                  invertible_matrix(rng, 3, bound=4, field=field),
+                  Matrix.identity(field, 1)),
+              CoalgebraMorphism(g1, triangular(field), to_tri)):
+        comp = MorphismComplex(f)
+        _assert_matches_reference(comp, rng, degrees=range(3))
+        w = _random_element(comp, 3, rng)
+        assert comp.differential(w) == reference_differential(comp, w)
+
+
+def test_assembly_matches_reference_on_zero_dimensional_pieces():
+    nil = Coalgebra("nil", 0, Matrix.zeros(QQ, 0, 0))
+    g1 = grouplike(1)
+    for f in (CoalgebraMorphism(nil, g1, Matrix.zeros(QQ, 1, 0)),
+              CoalgebraMorphism(g1, nil, Matrix.zeros(QQ, 0, 1))):
+        comp = MorphismComplex(f, validate=False)
+        for n in range(4):
+            assert comp.differential_matrix(n) == \
+                reference_differential_matrix(comp, n)
+
+
+@pytest.mark.parametrize("index", range(len(seed_morphisms())))
+def test_cohomology_agrees_over_qq_and_large_prime(index):
+    # integer structure constants: over QQ and over GF(2^31 - 1) the
+    # cohomology dimensions of these small complexes must coincide
+    big = PrimeField(2 ** 31 - 1)
+    f_qq, f_p = seed_morphisms()[index], seed_morphisms(field=big)[index]
+    complexes = [(MorphismComplex(f_qq), MorphismComplex(f_p))]
+    if index < len(seed_coalgebras()):
+        a_qq, a_p = seed_coalgebras()[index], seed_coalgebras(field=big)[index]
+        complexes.append((HochschildComplex(regular_bicomodule(a_qq)),
+                          HochschildComplex(regular_bicomodule(a_p))))
+    for over_qq, over_p in complexes:
+        for n in (1, 2, 3):
+            assert over_qq.cohomology(n).h_dim == over_p.cohomology(n).h_dim
 
 
 def naive_series(mat_series, order):

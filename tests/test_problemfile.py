@@ -4,6 +4,8 @@ import pytest
 
 from coaldef.exactlinalg import QQ, PrimeField
 from coaldef.problemfile import (
+    MAX_DIM,
+    MAX_ORDER,
     ProblemFileError,
     builtin_corpus,
     parse_field_spec,
@@ -75,6 +77,21 @@ def test_parse_field_spec():
         "0", {"A": [], "B": [], "F": [["0"]]}), "order 0"),
     (lambda o: o["deformations"]["d"]["coeffs"].__setitem__(
         "9", {"A": [], "B": [], "F": [["0"]]}), "outside"),
+    (lambda o: o["coalgebras"]["g"].__setitem__("dim", True),
+     "coalgebras.g: dim must be an int"),
+    (lambda o: o["coalgebras"]["g"].__setitem__("dim", "1"),
+     "coalgebras.g: dim must be an int"),
+    (lambda o: o["coalgebras"]["g"].__setitem__("dim", MAX_DIM + 1),
+     f"coalgebras.g: dim must be an int in 0..{MAX_DIM}"),
+    (lambda o: o["deformations"]["d"].__setitem__("order", True),
+     "deformations.d: order must be an int"),
+    (lambda o: o["deformations"]["d"].__setitem__("order", MAX_ORDER + 1),
+     f"deformations.d: order must be an int in 0..{MAX_ORDER}"),
+    (lambda o: o["isomorphisms"]["p"].__setitem__("order", False),
+     "isomorphisms.p: order must be an int"),
+    (lambda o: o.__setitem__("field", {"prime": True}), "field.prime"),
+    (lambda o: o["coalgebras"]["g"].__setitem__("delta", [[0, 0, 0, True]]),
+     "scalar must be an int or string"),
 ])
 def test_parse_errors(mutate, fragment):
     obj = json.loads(json.dumps(MINIMAL))
@@ -126,3 +143,22 @@ def test_deformation_file_with_broken_morphism_still_parses():
     rep = verify_deformation(pf.deformations["d"])
     assert not rep.ok
     assert rep.order == 0 and rep.equation == "morphism"
+
+
+def test_size_bounds_admit_benchmark_inputs():
+    # dp4 coalgebras and order-12 deformations, as the benchmark writes
+    obj = {
+        "coalgebras": {"dp4": {"dim": 4, "delta": [
+            [k, i, k - i, "1"] for k in range(4) for i in range(k + 1)]}},
+        "morphisms": {"id": {"source": "dp4", "target": "dp4",
+                             "matrix": [[str(int(i == j)) for j in range(4)]
+                                        for i in range(4)]}},
+        "deformations": {"g": {"morphism": "id", "order": 12, "coeffs": {}}},
+        "isomorphisms": {"p": {"morphism": "id", "order": 12, "coeffs": {}}},
+    }
+    pf = parse_problem_text(json.dumps(obj))
+    assert pf.coalgebras["dp4"].dim == 4 <= MAX_DIM
+    assert pf.deformations["g"].order == 12 <= MAX_ORDER
+    for corpus in builtin_corpus().values():
+        assert all(c.dim <= MAX_DIM for c in corpus.coalgebras.values())
+        assert all(d.order <= MAX_ORDER for d in corpus.deformations.values())
