@@ -23,6 +23,15 @@ from .coalgebra import check_coassociative, check_morphism, regular_bicomodule
 from .deformation import integrate, obstruction, trivialize, verify_deformation
 from .problemfile import ProblemFile, ProblemFileError
 
+# The largest differential matrix D_n (rows x columns) a command may
+# build, checked before assembly: D_n of a complex over a coalgebra of
+# dimension d has about d^(2n+3) cells.  The bound admits D_3 of id(dp4)
+# (2304 x 576) and D_8 of id(dp2) (2560 x 1280, a few seconds).
+MAX_DIFFERENTIAL_CELLS = 1 << 22
+# cohomology degrees are bounded too: over dimension 0 or 1 the cells
+# stay small, but assembly still loops over the degree
+MAX_DEGREE = 64
+
 
 @dataclass
 class Report:
@@ -118,6 +127,15 @@ def _command(fn):
     return wrapper
 
 
+def _require_budget(comp, n, name):
+    """Usage error (exit 2) if D_n of ``comp`` is over the cell budget."""
+    rows, cols = comp.cochain_dim(n + 1), comp.cochain_dim(n)
+    if rows * cols > MAX_DIFFERENTIAL_CELLS:
+        raise click.UsageError(
+            f"{name}: the degree-{n} differential would be a {rows}x{cols} "
+            f"matrix, over the limit of {MAX_DIFFERENTIAL_CELLS} entries")
+
+
 def _lookup(pf: ProblemFile, name, sections):
     for section in sections:
         table = getattr(pf, section)
@@ -178,7 +196,7 @@ def check(ctx, file, name):
 @click.argument("complex_kind", metavar="COMPLEX",
                 type=click.Choice(["source", "target", "morphism"]))
 @click.argument("name")
-@click.argument("degree", type=click.IntRange(min=1))
+@click.argument("degree", type=click.IntRange(min=1, max=MAX_DEGREE))
 @click.pass_context
 @_command
 def cohomology(ctx, file, complex_kind, name, degree):
@@ -196,7 +214,6 @@ def cohomology(ctx, file, complex_kind, name, degree):
         if isinstance(comp, Report):
             comp.command = command
             return comp
-        dims = (f.source.dim, f.target.dim)
     else:
         if name in pf.morphisms:
             f = pf.morphisms[name]
@@ -211,11 +228,7 @@ def cohomology(ctx, file, complex_kind, name, degree):
             return Report(command, "fail",
                           {"name": name, "detail": rep.message}, [rep.message])
         comp = HochschildComplex(regular_bicomodule(coalg))
-        dims = (coalg.dim,)
-    human = []
-    if degree > 6 and max(dims) >= 3:
-        human.append(f"warning: degree {degree} over dimension {max(dims)} "
-                     f"builds matrices with {max(dims) ** (degree + 1)} rows")
+    _require_budget(comp, degree, name)
     report = comp.cohomology(degree)
     payload = {
         "name": name,
@@ -229,9 +242,9 @@ def cohomology(ctx, file, complex_kind, name, degree):
             for r in report.representatives
         ],
     }
-    human.append(f"degree {degree}: cocycles {report.cocycle_dim}, "
-                 f"coboundaries {report.coboundary_dim}, "
-                 f"cohomology dimension {report.h_dim}")
+    human = [f"degree {degree}: cocycles {report.cocycle_dim}, "
+             f"coboundaries {report.coboundary_dim}, "
+             f"cohomology dimension {report.h_dim}"]
     return Report(command, "ok", payload, human)
 
 
@@ -255,6 +268,7 @@ def obstruct(ctx, file, name):
     """Obstruction cochain and class of a named deformation."""
     pf = _load(file, ctx)
     _, d = _lookup(pf, name, ("deformations",))
+    _require_budget(d.complex(), 3, name)
     command = f"obstruct {file} {name}"
     rep = verify_deformation(d)
     if not rep.ok:
@@ -298,6 +312,7 @@ def integrate_cmd(ctx, file, name, order, output):
     if isinstance(comp, Report):
         comp.command = command
         return comp
+    _require_budget(comp, 3, name)
     dw = comp.differential(w)
     if not dw.is_zero():
         raise ProblemFileError(
@@ -337,6 +352,7 @@ def trivialize_cmd(ctx, file, name, output):
     """Find a formal isomorphism carrying a deformation to the trivial one."""
     pf = _load(file, ctx)
     _, d = _lookup(pf, name, ("deformations",))
+    _require_budget(d.complex(), 2, name)
     command = f"trivialize {file} {name}"
     rep = verify_deformation(d)
     if not rep.ok:

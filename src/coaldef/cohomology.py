@@ -357,11 +357,7 @@ class _ComplexBase:
         n = w.degree
         ker = kernel_basis(self.differential_matrix(n))
         im = image_basis(self.differential_matrix(n - 1))
-        h_dim, reps = quotient_data(ker, im)
-        if h_dim == 0:
-            if self.is_coboundary(w) is None:
-                raise InvalidStructureError("not a cocycle")
-            return []
+        _, reps = quotient_data(ker, im)
         basis = im.basis
         for v in reps:
             basis = basis.hstack(v)

@@ -44,39 +44,34 @@ class ExtensionRejected(ExactLinalgError):
 # truncated matrix power series (coefficient lists of fixed length)
 
 
-def _cauchy(a, b, n):
-    """Order-n coefficient of the product of two matrix series."""
-    acc = a[0] @ b[n]
+def _cauchy(a, b, n, product=Matrix.__matmul__):
+    """Order-n coefficient sum_i product(a_i, b_(n-i)) of two matrix series.
+
+    The i = 0 term is always formed, so the result has its shape even
+    when every term vanishes; every other term with a zero factor is
+    skipped.
+    """
+    acc = product(a[0], b[n])
     for i in range(1, n + 1):
-        acc = acc + a[i] @ b[n - i]
+        if not (a[i].is_zero() or b[n - i].is_zero()):
+            acc = acc + product(a[i], b[n - i])
     return acc
 
 
-def _series_mul(a, b, order):
-    """Cauchy product of two truncated matrix series, truncated at ``order``."""
-    return [_cauchy(a, b, n) for n in range(order + 1)]
+def _series(a, b, order, product=Matrix.__matmul__):
+    """Product of two truncated matrix series, truncated at ``order``.
 
-
-def _series_kron(a, b, order):
-    """Coefficientwise Kronecker product of two truncated series."""
-    out = []
-    for n in range(order + 1):
-        acc = a[0].kron(b[n])
-        for i in range(1, n + 1):
-            acc = acc + a[i].kron(b[n - i])
-        out.append(acc)
-    return out
+    ``product`` combines the coefficients: composition by default,
+    ``Matrix.kron`` for the coefficientwise tensor product.
+    """
+    return [_cauchy(a, b, n, product) for n in range(order + 1)]
 
 
 def _series_inverse(a, order):
     """Inverse of a truncated series whose constant term is the identity."""
-    ident = a[0]
-    inv = [ident]
+    inv = [a[0]]
     for n in range(1, order + 1):
-        acc = a[1] @ inv[n - 1]
-        for k in range(2, n + 1):
-            acc = acc + a[k] @ inv[n - k]
-        inv.append(-acc)
+        inv.append(-_cauchy(a[1:], inv, n - 1))
     return inv
 
 
@@ -355,7 +350,7 @@ def _defects(series_a, series_b, series_f, orders):
     """
     bars_a = [_bar(s) for s in series_a]
     bars_b = [_bar(s) for s in series_b]
-    ff = _series_kron(series_f, series_f, max(orders))
+    ff = _series(series_f, series_f, max(orders), Matrix.kron)
     return [(_cauchy(bars_a, series_a, n), _cauchy(bars_b, series_b, n),
              _cauchy(ff, series_a, n) - _cauchy(series_b, series_f, n))
             for n in orders]
@@ -535,8 +530,8 @@ def compose_isomorphisms(outer: FormalIsomorphism,
     if outer.morphism != inner.morphism or outer.order != inner.order:
         raise DimensionError("isomorphism mismatch")
     n = outer.order
-    series_a = _series_mul(outer.series_a(), inner.series_a(), n)
-    series_b = _series_mul(outer.series_b(), inner.series_b(), n)
+    series_a = _series(outer.series_a(), inner.series_a(), n)
+    series_b = _series(outer.series_b(), inner.series_b(), n)
     return _isomorphism_from_series(outer.morphism, series_a, series_b)
 
 
@@ -567,11 +562,11 @@ def apply_equivalence(p: FormalIsomorphism,
     phi_a, phi_b = p.series_a(), p.series_b()
     inv_a = _series_inverse(phi_a, n)
     inv_b = _series_inverse(phi_b, n)
-    new_a = _series_mul(_series_kron(phi_a, phi_a, n),
-                        _series_mul(d.series_a(), inv_a, n), n)
-    new_b = _series_mul(_series_kron(phi_b, phi_b, n),
-                        _series_mul(d.series_b(), inv_b, n), n)
-    new_f = _series_mul(phi_b, _series_mul(d.series_f(), inv_a, n), n)
+    new_a = _series(_series(phi_a, phi_a, n, Matrix.kron),
+                    _series(d.series_a(), inv_a, n), n)
+    new_b = _series(_series(phi_b, phi_b, n, Matrix.kron),
+                    _series(d.series_b(), inv_b, n), n)
+    new_f = _series(phi_b, _series(d.series_f(), inv_a, n), n)
     comp = d.complex()
     if (new_a[0] != d.comul_a(0) or new_b[0] != d.comul_b(0)
             or new_f[0] != d.map_coeff(0)):

@@ -438,17 +438,6 @@ class Subspace:
     def field(self):
         return self.basis.field
 
-    def contains(self, vec: Matrix) -> bool:
-        if vec.rows != self.ambient_dim or vec.cols != 1:
-            raise DimensionError("vector has wrong ambient dimension")
-        return solve(self.basis, vec) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionError("ambient dimension mismatch")
-        stacked = self.basis.hstack(other.basis)
-        return rank(stacked) == self.dim
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -519,19 +508,17 @@ def quotient_data(ker: Subspace, im: Subspace):
     """
     if ker.ambient_dim != im.ambient_dim:
         raise DimensionError("ambient dimension mismatch")
-    if not ker.contains_subspace(im):
+    # both bases are independent, so the rank of [im | ker] is ker.dim
+    # exactly when im lies in ker
+    _, piv = im.basis.hstack(ker.basis).rref()
+    if len(piv) != ker.dim:
         raise QuotientError(
             "second subspace is not contained in the first; "
             "if these came from a cochain complex its differential is broken"
         )
-    combined = im.basis.hstack(ker.basis)
-    _, piv = combined.rref()
     reps = [
         ker.basis.submatrix_columns([p - im.dim])
         for p in piv
         if p >= im.dim
     ]
-    dim = ker.dim - im.dim
-    if len(reps) != dim:
-        raise QuotientError("inconsistent quotient dimensions")
-    return dim, reps
+    return ker.dim - im.dim, reps

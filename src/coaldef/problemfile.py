@@ -16,19 +16,22 @@ to five named-object sections::
                               "coeffs": {"1": {"A": rows, "B": rows}, ...}}}
     }
 
-Scalars are exact strings ("3", "-2/7") or plain integers.  A quadruple
-``[a, b, c, coeff]`` adds ``coeff * e_b (x) e_c`` to the image of
-``e_a``; it describes any map X -> X (x) X (comultiplications and the
-comultiplication slots of degree-2 cochains).  Plain linear maps are
-dense row lists.  Deformation coefficient keys start at "1": the
-order-0 coefficient is always the structure maps of the morphism and is
-never stored.  Serialization is canonical (sorted keys, zero
+Scalars are plain integers or exact strings in the form ``str(Fraction)``
+writes: an optional sign, digits, and optionally ``/`` and more digits
+("3", "-2/7"); exponents, decimal points, underscores and spaces are
+rejected.  A quadruple ``[a, b, c, coeff]`` adds ``coeff * e_b (x) e_c``
+to the image of ``e_a``; it describes any map X -> X (x) X
+(comultiplications and the comultiplication slots of degree-2
+cochains).  Plain linear maps are dense row lists.  Deformation
+coefficient keys start at "1": the order-0 coefficient is always the
+structure maps of the morphism and is never stored.  Serialization is canonical (sorted keys, zero
 coefficients omitted), so parse/serialize round-trips are identities.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field as dataclass_field
 
 from .coalgebra import Coalgebra, CoalgebraMorphism, direct_sum, divided_power, \
@@ -46,9 +49,15 @@ class ProblemFileError(Exception):
 # Upper bounds on the sizes a problem file may declare, checked before
 # anything of that size is allocated: a coalgebra of dimension d costs
 # d^3 entries per comultiplication, and a deformation or isomorphism of
-# order N holds N coefficients.
+# order N holds N coefficients.  MAX_ENTRIES bounds the sum over the
+# whole file; it admits one deformation of order MAX_ORDER over
+# coalgebras of dimension MAX_DIM (about 0.54M entries).
 MAX_DIM = 16
 MAX_ORDER = 64
+MAX_ENTRIES = 1 << 20
+
+# What str(Fraction) writes: an optional sign, digits, optionally /digits.
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _is_int(x):
@@ -81,9 +90,12 @@ class ProblemFile:
 def _parse_scalar(field, x, where):
     if not (_is_int(x) or isinstance(x, str)):
         raise ProblemFileError(f"{where}: scalar must be an int or string, got {x!r}")
+    if isinstance(x, str) and not _SCALAR.fullmatch(x):
+        raise ProblemFileError(f"{where}: bad scalar {x!r} (expected digits "
+                               f"with an optional sign and /denominator)")
     try:
         return field.coerce(x)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(f"{where}: bad scalar {x!r} ({exc})") from None
 
 
@@ -158,6 +170,7 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
         if key not in known:
             raise ProblemFileError(f"unknown top-level section {key!r}")
     field = field_override or _parse_field(obj.get("field", "rational"))
+    _check_declared_size(obj)
     pf = ProblemFile(field=field)
 
     for name, spec in _section(obj, "coalgebras").items():
@@ -212,6 +225,46 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
             f, [_identity_pair(comp)] + higher)
 
     return pf
+
+
+def _check_declared_size(obj):
+    """Reject a file whose declared sizes add up to over MAX_ENTRIES.
+
+    Runs on the raw JSON, before anything is allocated.  A coalgebra of
+    dimension d declares d^3 entries, a morphism between dimensions s
+    and t declares t*s, a cocycle one degree-2 coefficient (s^3 + t^3 +
+    t*s), a deformation of order N that many coefficients, and an
+    isomorphism of order N that many pairs (s^2 + t^2).  A name that
+    does not resolve counts nothing here; parsing reports it.
+    """
+    dims = {name: _bounded_int(spec, "dim", MAX_DIM, f"coalgebras.{name}")
+            for name, spec in _section(obj, "coalgebras").items()}
+    declared = [(f"coalgebras.{name}", d ** 3) for name, d in dims.items()]
+    ends = {}
+    for name, spec in _section(obj, "morphisms").items():
+        s, t = (dims.get(x) if isinstance(x, str) else None
+                for x in (spec.get("source"), spec.get("target")))
+        if s is not None and t is not None:
+            ends[name] = s, t
+            declared.append((f"morphisms.{name}", t * s))
+    for section in ("cocycles", "deformations", "isomorphisms"):
+        for name, spec in _section(obj, section).items():
+            where = f"{section}.{name}"
+            count = 1 if section == "cocycles" else \
+                _bounded_int(spec, "order", MAX_ORDER, where)
+            f = spec.get("morphism")
+            if isinstance(f, str) and f in ends:
+                s, t = ends[f]
+                size = s * s + t * t if section == "isomorphisms" else \
+                    s ** 3 + t ** 3 + t * s
+                declared.append((where, count * size))
+    total = 0
+    for where, size in declared:
+        total += size
+        if total > MAX_ENTRIES:
+            raise ProblemFileError(
+                f"{where}: the file declares more than {MAX_ENTRIES} matrix "
+                f"entries in all")
 
 
 def _parse_field(spec):
@@ -292,7 +345,9 @@ def _parse_coefficient(field, f, spec, degree, where, comp=None):
 def parse_problem_text(text, field_override=None) -> ProblemFile:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an integer past Python's digit limit, or
+        # nesting past the decoder's recursion limit
         raise ProblemFileError(f"invalid JSON: {exc}") from None
     return parse_problem(obj, field_override)
 

@@ -7,6 +7,7 @@ defining identity while scrambling all matrix entries.  Cochains are
 unconstrained linear maps of the right shape.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -157,3 +158,16 @@ def dilate_deformation(d: TruncatedDeformation, k) -> TruncatedDeformation:
 
 def fresh_rng(seed):
     return random.Random(seed)
+
+
+# Problem files that once crashed, hung or flooded the parser: nesting
+# past the JSON decoder's recursion limit, an integer past Python's
+# digit limit, an exponent that Fraction would expand into 30 million
+# digits, and 34 KB declaring 1000 coalgebras of dimension 16.
+DEEP_NESTING = "[" * 100000 + "]" * 100000
+HUGE_INTEGER = ('{"coalgebras": {"c": {"dim": 1, "delta": [[0, 0, 0, '
+                + "7" * 5000 + ']]}}}')
+EXPONENT_SCALAR = ('{"coalgebras": {"c": {"dim": 2, '
+                   '"delta": [[0,0,0,"1e30000000"]]}}}')
+MANY_COALGEBRAS = json.dumps({"coalgebras": {
+    f"c{i}": {"dim": 16, "delta": []} for i in range(1000)}})

@@ -3,8 +3,13 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from coaldef.cli import main
+from coaldef.cli import MAX_DEGREE, MAX_DIFFERENTIAL_CELLS, main
+from coaldef.coalgebra import divided_power, identity_morphism
+from coaldef.cohomology import MorphismComplex
 from coaldef.problemfile import MAX_DIM, MAX_ORDER
+
+from helpers import (DEEP_NESTING, EXPONENT_SCALAR, HUGE_INTEGER,
+                     MANY_COALGEBRAS)
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +306,74 @@ class TestProblemFileLimits:
         r = run("check", path, "dp2")
         assert r.exit_code == 2
         assert "field.prime" in r.output
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("text,fragment", [
+        (DEEP_NESTING, "invalid JSON: "),
+        (HUGE_INTEGER, "invalid JSON: "),
+        (EXPONENT_SCALAR, "coalgebras.c: bad scalar '1e30000000'"),
+        (MANY_COALGEBRAS, "coalgebras.c256: the file declares more than"),
+    ])
+    def test_one_located_message_and_exit_two(self, tmp_path, text,
+                                              fragment):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        r = run("check", path, "c")
+        assert r.exit_code == 2
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert fragment in r.output
+        assert r.output.count("Error:") == 1
+
+
+# the identity of the eight-dimensional grouplike coalgebra: D_2 and D_3
+# of its deformation complex are over the cell budget, D_1 is not
+GROUPLIKE8 = {
+    "coalgebras": {"g8": {"dim": 8, "delta": [[i, i, i, "1"]
+                                              for i in range(8)]}},
+    "morphisms": {"id": {"source": "g8", "target": "g8",
+                         "matrix": [[str(int(i == j)) for j in range(8)]
+                                    for i in range(8)]}},
+    "cocycles": {"w": {"morphism": "id"}},
+    "deformations": {"d": {"morphism": "id", "order": 1}},
+}
+
+
+class TestDifferentialBudget:
+    def test_cohomology_degree_over_budget(self, corpus_dir):
+        r = run("cohomology", corpus_dir / "fixtures.json", "morphism",
+                "id_divided_power2", 12)
+        assert r.exit_code == 2
+        assert "id_divided_power2: the degree-12 differential would be a " \
+               "40960x20480 matrix" in r.output
+
+    def test_degree_above_bound_is_usage_error(self, corpus_dir):
+        r = run("cohomology", corpus_dir / "fixtures.json", "source", "nil",
+                MAX_DEGREE + 1)
+        assert r.exit_code == 2
+        assert run("cohomology", corpus_dir / "fixtures.json", "source",
+                   "nil", MAX_DEGREE).exit_code == 0
+
+    @pytest.mark.parametrize("args,degree", [
+        (("obstruct", "d"), 3),
+        (("trivialize", "d", "-o", "OUT"), 2),
+        (("integrate", "w", 2, "-o", "OUT"), 3),
+    ])
+    def test_commands_check_their_largest_differential(self, tmp_path, args,
+                                                       degree):
+        path = tmp_path / "g8.json"
+        path.write_text(json.dumps(GROUPLIKE8))
+        out = tmp_path / "out.json"
+        r = run(args[0], path, *[out if a == "OUT" else a for a in args[1:]])
+        assert r.exit_code == 2
+        assert not out.exists()
+        assert f"the degree-{degree} differential" in r.output
+        r = run("cohomology", path, "morphism", "id", 1)
+        assert r.exit_code == 0
+
+    def test_budget_admits_largest_benchmark_and_test_matrices(self):
+        # D_3 of id(dp4) (cohomology-qq) and D_8 of id(dp2)
+        for dim, n in ((4, 3), (2, 8)):
+            comp = MorphismComplex(identity_morphism(divided_power(dim)))
+            assert comp.cochain_dim(n + 1) * comp.cochain_dim(n) \
+                <= MAX_DIFFERENTIAL_CELLS

@@ -5,7 +5,9 @@ explicit basis-vector bookkeeping with plain Fractions (no Kronecker
 products, no matrix class in the computation), then compare entrywise
 with the production implementations.  The Kronecker-product form of the
 coboundaries, with its column-probing matrix assembly, is kept here as
-the reference for the sparse assembly of the differentials.
+the reference for the sparse assembly of the differentials, and the
+dense Cauchy loops of the matrix power series as the reference for the
+zero-skipping series product.
 """
 
 from fractions import Fraction
@@ -35,7 +37,16 @@ from coaldef.cohomology import (
     MorphismCochain,
     MorphismComplex,
 )
-from coaldef.deformation import TruncatedDeformation, apply_equivalence
+from coaldef.deformation import (
+    FormalIsomorphism,
+    TruncatedDeformation,
+    _series,
+    _series_inverse,
+    _structure_coefficient,
+    apply_equivalence,
+    compose_isomorphisms,
+    invert_formal,
+)
 from coaldef.exactlinalg import QQ, Matrix, PrimeField
 
 from helpers import (
@@ -470,3 +481,148 @@ def test_obstruction_matches_reference_sum_on_deformations():
             ob = _obstruction_cochain(trunc)
             assert (ob.a_part.matrix, ob.b_part.matrix,
                     ob.ab_part.matrix) == reference_obstruction(trunc)
+
+
+# ---------------------------------------------------------------------------
+# series products: the dense Cauchy loops, multiplying and adding every
+# coefficient including the zero ones, are the reference for the
+# zero-skipping product of deformation.py
+
+
+def reference_cauchy(a, b, n):
+    acc = a[0] @ b[n]
+    for i in range(1, n + 1):
+        acc = acc + a[i] @ b[n - i]
+    return acc
+
+
+def reference_series_mul(a, b, order):
+    return [reference_cauchy(a, b, n) for n in range(order + 1)]
+
+
+def reference_series_kron(a, b, order):
+    out = []
+    for n in range(order + 1):
+        acc = a[0].kron(b[n])
+        for i in range(1, n + 1):
+            acc = acc + a[i].kron(b[n - i])
+        out.append(acc)
+    return out
+
+
+def reference_series_inverse(a, order):
+    inv = [a[0]]
+    for n in range(1, order + 1):
+        acc = a[1] @ inv[n - 1]
+        for k in range(2, n + 1):
+            acc = acc + a[k] @ inv[n - k]
+        inv.append(-acc)
+    return inv
+
+
+def reference_transport(p, d):
+    n = d.order
+    phi_a, phi_b = p.series_a(), p.series_b()
+    inv_a = reference_series_inverse(phi_a, n)
+    inv_b = reference_series_inverse(phi_b, n)
+    return (reference_series_mul(reference_series_kron(phi_a, phi_a, n),
+                                 reference_series_mul(d.series_a(), inv_a, n),
+                                 n),
+            reference_series_mul(reference_series_kron(phi_b, phi_b, n),
+                                 reference_series_mul(d.series_b(), inv_b, n),
+                                 n),
+            reference_series_mul(phi_b,
+                                 reference_series_mul(d.series_f(), inv_a, n),
+                                 n))
+
+
+def _sparse_matrix(rng, field, rows, cols):
+    """A random matrix that is zero half of the time."""
+    if rng.random() < 0.5 or not rows or not cols:
+        return Matrix.zeros(field, rows, cols)
+    return field_matrix(rng, field, rows, cols, bound=5)
+
+
+def _sparse_series(rng, field, rows, cols, order):
+    return [_sparse_matrix(rng, field, rows, cols) for _ in range(order + 1)]
+
+
+def _sparse_isomorphism(rng, comp, order):
+    """A formal isomorphism with randomly zeroed coefficients, or a staircase
+    step I - chi t^l as trivialize builds it."""
+    f = comp.morphism
+    s, t = f.source.dim, f.target.dim
+    if order and rng.random() < 0.4:
+        level = rng.randint(1, order)
+        chi = comp.element(field_matrix(rng, f.field, s, s, bound=5),
+                           field_matrix(rng, f.field, t, t, bound=5), None, 1)
+        higher = [comp.zero(1)] * (level - 1) + [-chi]
+    else:
+        higher = [comp.element(_sparse_matrix(rng, f.field, s, s),
+                               _sparse_matrix(rng, f.field, t, t), None, 1)
+                  for _ in range(order)]
+    return FormalIsomorphism.from_higher_coefficients(f, higher, order)
+
+
+def _sparse_deformation(rng, comp, order):
+    """Random coefficients, each zero half of the time (not a deformation)."""
+    f = comp.morphism
+    s, t = f.source.dim, f.target.dim
+    higher = [comp.element(_sparse_matrix(rng, f.field, s * s, s),
+                           _sparse_matrix(rng, f.field, t * t, t),
+                           _sparse_matrix(rng, f.field, t, s), 2)
+              for _ in range(order)]
+    d = TruncatedDeformation(f, [_structure_coefficient(comp)] + higher)
+    d._complex = comp
+    return d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_series_products_match_dense_reference(seed, field):
+    rng = fresh_rng(seed)
+    order = rng.randint(0, 5)
+    r, k, c = (rng.randint(0, 3) for _ in range(3))
+    # the order-0 terms are zero half of the time, as the morphism series
+    # of a zero morphism is
+    a = _sparse_series(rng, field, r, k, order)
+    b = _sparse_series(rng, field, k, c, order)
+    assert _series(a, b, order) == reference_series_mul(a, b, order)
+    assert _series(a, b, order, Matrix.kron) == \
+        reference_series_kron(a, b, order)
+    unit = [Matrix.identity(field, k)] + _sparse_series(rng, field, k, k,
+                                                        order)[1:]
+    assert _series_inverse(unit, order) == \
+        reference_series_inverse(unit, order)
+
+
+def _transport_morphisms(field):
+    from coaldef.coalgebra import collapse_morphism, zero_morphism
+    return [identity_morphism(divided_power(2, field)),
+            collapse_morphism(2, field),
+            zero_morphism(grouplike(1, field), divided_power(2, field))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 2))
+def test_equivalence_operations_match_dense_reference(seed, field, which):
+    rng = fresh_rng(seed)
+    f = _transport_morphisms(field)[which]
+    comp = MorphismComplex(f)
+    order = rng.randint(0, 5)
+    p = _sparse_isomorphism(rng, comp, order)
+    q = _sparse_isomorphism(rng, comp, order)
+    d = _sparse_deformation(rng, comp, order)
+
+    moved = apply_equivalence(p, d)
+    assert (moved.series_a(), moved.series_b(), moved.series_f()) == \
+        reference_transport(p, d)
+    both = compose_isomorphisms(p, q)
+    assert both.series_a() == reference_series_mul(p.series_a(),
+                                                   q.series_a(), order)
+    assert both.series_b() == reference_series_mul(p.series_b(),
+                                                   q.series_b(), order)
+    inv = invert_formal(p)
+    assert inv.series_a() == reference_series_inverse(p.series_a(), order)
+    assert inv.series_b() == reference_series_inverse(p.series_b(), order)

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from coaldef.exactlinalg import QQ, PrimeField
 from coaldef.problemfile import (
     MAX_DIM,
+    MAX_ENTRIES,
     MAX_ORDER,
     ProblemFileError,
     builtin_corpus,
@@ -12,6 +14,9 @@ from coaldef.problemfile import (
     parse_problem_text,
     serialize_problem,
 )
+
+from helpers import (DEEP_NESTING, EXPONENT_SCALAR, HUGE_INTEGER,
+                     MANY_COALGEBRAS)
 
 
 MINIMAL = {
@@ -106,6 +111,59 @@ def test_invalid_json():
         parse_problem_text("{not json")
 
 
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ProblemFileError, match="invalid JSON"):
+        parse_problem_text(DEEP_NESTING)
+
+
+def test_integer_past_digit_limit_is_a_parse_error():
+    with pytest.raises(ProblemFileError, match="invalid JSON"):
+        parse_problem_text(HUGE_INTEGER)
+
+
+@pytest.mark.parametrize("scalar", [
+    "1e30000000", "1.5", "1_000", " 1", "1/-2", "--1", "1/2/3", "", "٣"])
+def test_scalar_outside_grammar_is_rejected(scalar):
+    obj = json.loads(EXPONENT_SCALAR)
+    obj["coalgebras"]["c"]["delta"][0][3] = scalar
+    with pytest.raises(ProblemFileError, match="coalgebras.c: bad scalar"):
+        parse_problem_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("scalar,value", [
+    ("3", 3), ("-3", -3), ("+3", 3), ("-2/7", Fraction(-2, 7)), ("0", 0),
+    (5, 5)])
+def test_scalar_grammar_accepts_fraction_strings(scalar, value):
+    obj = {"coalgebras": {"c": {"dim": 1, "delta": [[0, 0, 0, scalar]]}}}
+    assert parse_problem_text(json.dumps(obj)).coalgebras["c"].delta[0, 0] \
+        == value
+
+
+def test_total_declared_size_is_bounded():
+    # 1000 coalgebras of dimension 16 declare 4096 entries each
+    over = MAX_ENTRIES // 16 ** 3
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(MANY_COALGEBRAS)
+    assert str(err.value).startswith(f"coalgebras.c{over}: the file declares")
+
+
+def test_declared_size_counts_coefficients():
+    # one small coalgebra, but an order-64 deformation over it repeated
+    obj = json.loads(json.dumps(MINIMAL))
+    obj["coalgebras"]["g"]["dim"] = 4
+    obj["coalgebras"]["g"]["delta"] = []
+    obj["morphisms"]["f"]["matrix"] = [["0"] * 4 for _ in range(4)]
+    obj["cocycles"] = {}
+    obj["isomorphisms"] = {}
+    per_deformation = MAX_ORDER * (4 ** 3 * 2 + 4 * 4)
+    copies = MAX_ENTRIES // per_deformation + 1
+    obj["deformations"] = {f"d{i}": {"morphism": "f", "order": MAX_ORDER}
+                           for i in range(copies)}
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(json.dumps(obj))
+    assert str(err.value).startswith(f"deformations.d{copies - 1}: ")
+
+
 def test_zero_dimensional_coalgebra():
     obj = {"coalgebras": {"nil": {"dim": 0, "delta": []}}}
     pf = parse_problem_text(json.dumps(obj))
@@ -146,19 +204,28 @@ def test_deformation_file_with_broken_morphism_still_parses():
 
 
 def test_size_bounds_admit_benchmark_inputs():
-    # dp4 coalgebras and order-12 deformations, as the benchmark writes
+    # a dp4 coalgebra with a cocycle and order-12 deformations, larger than
+    # the dp3 files the benchmark writes
     obj = {
         "coalgebras": {"dp4": {"dim": 4, "delta": [
             [k, i, k - i, "1"] for k in range(4) for i in range(k + 1)]}},
         "morphisms": {"id": {"source": "dp4", "target": "dp4",
                              "matrix": [[str(int(i == j)) for j in range(4)]
                                         for i in range(4)]}},
+        "cocycles": {"w": {"morphism": "id"}},
         "deformations": {"g": {"morphism": "id", "order": 12, "coeffs": {}}},
         "isomorphisms": {"p": {"morphism": "id", "order": 12, "coeffs": {}}},
     }
     pf = parse_problem_text(json.dumps(obj))
     assert pf.coalgebras["dp4"].dim == 4 <= MAX_DIM
     assert pf.deformations["g"].order == 12 <= MAX_ORDER
-    for corpus in builtin_corpus().values():
-        assert all(c.dim <= MAX_DIM for c in corpus.coalgebras.values())
-        assert all(d.order <= MAX_ORDER for d in corpus.deformations.values())
+    for field in (QQ, PrimeField(5)):
+        for corpus in builtin_corpus(field).values():
+            assert all(c.dim <= MAX_DIM for c in corpus.coalgebras.values())
+            assert all(d.order <= MAX_ORDER
+                       for d in corpus.deformations.values())
+            assert parse_problem_text(serialize_problem(corpus)) == corpus
+    # one deformation of the largest order over the largest coalgebra fits
+    one_of_each = (MAX_DIM ** 3 + MAX_DIM ** 2
+                   + MAX_ORDER * (2 * MAX_DIM ** 3 + MAX_DIM ** 2))
+    assert one_of_each <= MAX_ENTRIES
