@@ -14,9 +14,15 @@ Data layout:
 
 Matrix products and Kronecker products skip exact zeros, so the cost
 tracks the number of nonzero entries rather than the dense size.
+Rational products run fraction-free: each row of the left factor and
+each column of the right one is brought to its common denominator, the
+entries are integer dot products, and each is reduced once at the end.
+The compiled kernel keeps a per-term loop; the results are the same bit
+for bit, because every entry is stored in lowest terms.
 """
 
-from math import gcd
+from math import gcd, lcm
+from operator import floordiv, mul
 
 # ---------------------------------------------------------------------------
 # scalar helpers (rationals as int pairs, mirroring fractions.Fraction)
@@ -88,23 +94,60 @@ def q_scale(an, ad, sn, sd):
 
 
 def q_matmul(an, ad, bn, bd, n, k, m):
-    cn = [0] * (n * m)
-    cd = [1] * (n * m)
+    """Fraction-free product of an n x k and a k x m rational matrix.
+
+    Row i of A is scaled by the lcm L_i of its denominators and column j
+    of B by the lcm M_j of its own, so every term is an integer product
+    and entry (i, j) is one integer dot product over L_i M_j, reduced
+    once with one gcd.  Integer matrices skip the scaling and the
+    reduction.
+    """
+    size = n * m
+    a_int = ad.count(1) == len(ad)
+    b_int = bd.count(1) == len(bd)
+    if not b_int:
+        cden = [lcm(*bd[j::m]) for j in range(m)]
+        bn = list(map(mul, bn, map(floordiv, cden * k, bd)))
+    if not a_int:
+        rden = []
+    cn = [0] * size
+    scale = 1
     for i in range(n):
         ik = i * k
         im = i * m
+        if not a_int:
+            scale = lcm(*ad[ik:ik + k])
+            rden.append(scale)
         for t in range(k):
             na = an[ik + t]
             if not na:
                 continue
-            da = ad[ik + t]
+            if scale != 1:
+                na *= scale // ad[ik + t]
             tm = t * m
             for j in range(m):
                 nb = bn[tm + j]
-                if not nb:
-                    continue
-                pn, pd = _q_mul(na, da, nb, bd[tm + j])
-                cn[im + j], cd[im + j] = _q_add(cn[im + j], cd[im + j], pn, pd)
+                if nb:
+                    cn[im + j] += na * nb
+    if a_int:
+        if b_int:
+            return cn, [1] * size
+        cd = cden * n
+    elif b_int:
+        cd = []
+        for ri in rden:
+            cd += [ri] * m
+    else:
+        cd = [ri * cj for ri in rden for cj in cden]
+    for idx in range(size):
+        x = cn[idx]
+        if x:
+            g = gcd(x, cd[idx])
+            if g != 1:
+                cn[idx] = x // g
+                cd[idx] //= g
+        else:
+            cd[idx] = 1
     return cn, cd
 
 

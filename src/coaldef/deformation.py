@@ -26,6 +26,7 @@ Everything is exact; truncation order is part of every object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .coalgebra import CoalgebraMorphism, InvalidStructureError
 from .cohomology import Cochain, MorphismCochain, MorphismComplex
@@ -44,27 +45,47 @@ class ExtensionRejected(ExactLinalgError):
 # truncated matrix power series (coefficient lists of fixed length)
 
 
-def _cauchy(a, b, n, product=Matrix.__matmul__):
-    """Order-n coefficient sum_i product(a_i, b_(n-i)) of two matrix series.
+def _terms(a, b, n):
+    """The pairs (a_i, b_(n-i)), i = 0..n, of the order-n coefficient of
+    a product of two series, less every pair with a zero factor."""
+    return [(a[i], b[n - i]) for i in range(n + 1)
+            if not (a[i].is_zero() or b[n - i].is_zero())]
 
-    The i = 0 term is always formed, so the result has its shape even
-    when every term vanishes; every other term with a zero factor is
-    skipped.
-    """
-    acc = product(a[0], b[n])
-    for i in range(1, n + 1):
-        if not (a[i].is_zero() or b[n - i].is_zero()):
-            acc = acc + product(a[i], b[n - i])
+
+def _product_sum(pairs, left, right):
+    """sum_i l_i @ r_i over the (l_i, r_i) pairs, as the one product
+    [l_1 | l_2 | ...] @ [r_1; r_2; ...]; with no pairs, the zero matrix
+    of the shape of left @ right."""
+    if not pairs:
+        return Matrix.zeros(left.field, left.rows, right.cols)
+    return Matrix.hstack(*[l for l, _ in pairs]) @ \
+        Matrix.vstack(*[r for _, r in pairs])
+
+
+def _cauchy(a, b, n):
+    """Order-n coefficient sum_i a_i @ b_(n-i) of two matrix series."""
+    return _product_sum(_terms(a, b, n), a[0], b[0])
+
+
+def _cauchy_kron(a, b, n):
+    """Order-n coefficient sum_i a_i (x) b_(n-i) of the tensor product."""
+    pairs = _terms(a, b, n)
+    if not pairs:
+        return Matrix.zeros(a[0].field, a[0].rows * b[0].rows,
+                            a[0].cols * b[0].cols)
+    acc = pairs[0][0].kron(pairs[0][1])
+    for l, r in pairs[1:]:
+        acc = acc + l.kron(r)
     return acc
 
 
-def _series(a, b, order, product=Matrix.__matmul__):
+def _series(a, b, order, cauchy=_cauchy):
     """Product of two truncated matrix series, truncated at ``order``.
 
-    ``product`` combines the coefficients: composition by default,
-    ``Matrix.kron`` for the coefficientwise tensor product.
+    ``cauchy`` forms the coefficients: composition by default,
+    ``_cauchy_kron`` for the coefficientwise tensor product.
     """
-    return [_cauchy(a, b, n, product) for n in range(order + 1)]
+    return [cauchy(a, b, n) for n in range(order + 1)]
 
 
 def _series_inverse(a, order):
@@ -328,10 +349,44 @@ class TrivializationResult:
 # verification
 
 
-def _bar(s: Matrix) -> Matrix:
-    """(s (x) Id) - (Id (x) s) for a map s: X -> X (x) X."""
-    ident = Matrix.identity(s.field, s.cols)
-    return s.kron(ident) - ident.kron(s)
+@lru_cache(maxsize=64)
+def _bar_indices(d):
+    """Entry positions of the fused form of s (x) Id - Id (x) s.
+
+    For maps s, x: X -> X (x) X with dim X = d and row-major flattening,
+    (s (x) Id) o x is s @ R(x) read as a d^3 x d matrix, where R(x) is x
+    read as a d x d^2 matrix (the same flat list), and (Id (x) s) o x is
+    a fixed permutation of s @ S(x), where S(x)[q, p d + k] =
+    x[p d + q, k].  Returns the positions that read [R(x) | S(x)] off x,
+    and the two that read (s (x) Id) o x and (Id (x) s) o x off
+    s @ [R(x) | S(x)].
+    """
+    w = d * d
+    split, left, right = [], [], []
+    for q in range(d):
+        split += range(q * w, q * w + w)
+        split += [(p * d + q) * d + k for p in range(d) for k in range(d)]
+    for r in range(w):
+        left += range(2 * r * w, 2 * r * w + w)
+    for p in range(d):
+        for r in range(w):
+            right += range(2 * r * w + w + p * d, 2 * r * w + w + p * d + d)
+    return tuple(split), tuple(left), tuple(right)
+
+
+def _split(x):
+    """[R(x) | S(x)] for a map x: X -> X (x) X (see _bar_indices)."""
+    d = x.cols
+    return x.gather(d, 2 * d * d, _bar_indices(d)[0])
+
+
+def _bar_cauchy(s, xs, n):
+    """Order-n coefficient sum_i (s_i (x) Id - Id (x) s_i) o x_(n-i) of
+    maps X -> X (x) X, from one product; ``xs[j]`` is ``_split(x_j)``."""
+    d = s[0].cols
+    _, left, right = _bar_indices(d)
+    fused = _cauchy(s, xs, n)
+    return fused.gather(d ** 3, d, left) - fused.gather(d ** 3, d, right)
 
 
 def _defects(series_a, series_b, series_f, orders):
@@ -345,14 +400,18 @@ def _defects(series_a, series_b, series_f, orders):
     * D_f = sum_(i+j+k=n) (f_j (x) f_k) o a_i - sum_i b_i o f_(n-i),
 
     and the series form a deformation through order N exactly when all
-    three vanish for every n <= N.  Returns one (D_a, D_b, D_f) triple
-    per requested order; every series must reach the largest one.
+    three vanish for every n <= N.  Each defect is one product.  Returns
+    one (D_a, D_b, D_f) triple per requested order; every series must
+    reach the largest one.
     """
-    bars_a = [_bar(s) for s in series_a]
-    bars_b = [_bar(s) for s in series_b]
-    ff = _series(series_f, series_f, max(orders), Matrix.kron)
-    return [(_cauchy(bars_a, series_a, n), _cauchy(bars_b, series_b, n),
-             _cauchy(ff, series_a, n) - _cauchy(series_b, series_f, n))
+    split_a = [_split(x) for x in series_a]
+    split_b = [_split(x) for x in series_b]
+    ff = _series(series_f, series_f, max(orders), _cauchy_kron)
+    neg_f = [-x for x in series_f]
+    return [(_bar_cauchy(series_a, split_a, n),
+             _bar_cauchy(series_b, split_b, n),
+             _product_sum(_terms(ff, series_a, n)
+                          + _terms(series_b, neg_f, n), ff[0], series_a[0]))
             for n in orders]
 
 
@@ -417,7 +476,7 @@ def comp_bar(s: Cochain, t: Cochain) -> Cochain:
     m = s.bicomodule
     if m.psi_l != m.over.delta or m.psi_r != m.over.delta:
         raise InvalidStructureError("comp_bar requires the regular bicomodule")
-    return Cochain(m, 3, _bar(s.matrix) @ t.matrix)
+    return Cochain(m, 3, _bar_cauchy([s.matrix], [_split(t.matrix)], 0))
 
 
 def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
@@ -562,9 +621,9 @@ def apply_equivalence(p: FormalIsomorphism,
     phi_a, phi_b = p.series_a(), p.series_b()
     inv_a = _series_inverse(phi_a, n)
     inv_b = _series_inverse(phi_b, n)
-    new_a = _series(_series(phi_a, phi_a, n, Matrix.kron),
+    new_a = _series(_series(phi_a, phi_a, n, _cauchy_kron),
                     _series(d.series_a(), inv_a, n), n)
-    new_b = _series(_series(phi_b, phi_b, n, Matrix.kron),
+    new_b = _series(_series(phi_b, phi_b, n, _cauchy_kron),
                     _series(d.series_b(), inv_b, n), n)
     new_f = _series(phi_b, _series(d.series_f(), inv_a, n), n)
     comp = d.complex()

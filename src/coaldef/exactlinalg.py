@@ -343,19 +343,50 @@ class Matrix:
                     den[j * self.rows + i] = self._den[i * self.cols + j]
         return Matrix(self.field, self.cols, self.rows, num, den)
 
-    def hstack(self, other):
-        if self.field != other.field or self.rows != other.rows:
-            raise DimensionError("hstack shape mismatch")
-        cols = self.cols + other.cols
+    def hstack(self, *others):
+        """The block row [self | others...]."""
+        if not others:
+            return self
+        parts = (self,) + others
+        for m in others:
+            if m.field != self.field or m.rows != self.rows:
+                raise DimensionError("hstack shape mismatch")
+        cols = sum(m.cols for m in parts)
+        num = [0] * (self.rows * cols)
+        den = None if self._den is None else [1] * (self.rows * cols)
+        offset = 0
+        for m in parts:
+            for i in range(self.rows):
+                at, lo = i * cols + offset, i * m.cols
+                num[at:at + m.cols] = m._num[lo:lo + m.cols]
+                if den is not None:
+                    den[at:at + m.cols] = m._den[lo:lo + m.cols]
+            offset += m.cols
+        return Matrix(self.field, self.rows, cols, num, den)
+
+    def vstack(self, *others):
+        """The block column [self; others...]."""
+        if not others:
+            return self
+        parts = (self,) + others
+        for m in others:
+            if m.field != self.field or m.cols != self.cols:
+                raise DimensionError("vstack shape mismatch")
         num = []
         den = [] if self._den is not None else None
-        for i in range(self.rows):
-            num.extend(self._num[i * self.cols:(i + 1) * self.cols])
-            num.extend(other._num[i * other.cols:(i + 1) * other.cols])
+        for m in parts:
+            num += m._num
             if den is not None:
-                den.extend(self._den[i * self.cols:(i + 1) * self.cols])
-                den.extend(other._den[i * other.cols:(i + 1) * other.cols])
-        return Matrix(self.field, self.rows, cols, num, den)
+                den += m._den
+        return Matrix(self.field, sum(m.rows for m in parts), self.cols,
+                      num, den)
+
+    def gather(self, rows, cols, index):
+        """The rows x cols matrix whose row-major entry t is this matrix's
+        row-major entry index[t]: a reshape or a permutation of entries."""
+        num = self._num
+        den = None if self._den is None else [self._den[t] for t in index]
+        return Matrix(self.field, rows, cols, [num[t] for t in index], den)
 
     def submatrix_columns(self, col_indices):
         num = []

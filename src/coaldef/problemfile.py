@@ -23,16 +23,21 @@ rejected.  A quadruple ``[a, b, c, coeff]`` adds ``coeff * e_b (x) e_c``
 to the image of ``e_a``; it describes any map X -> X (x) X
 (comultiplications and the comultiplication slots of degree-2
 cochains).  Plain linear maps are dense row lists.  Deformation
-coefficient keys start at "1": the order-0 coefficient is always the
-structure maps of the morphism and is never stored.  Serialization is canonical (sorted keys, zero
-coefficients omitted), so parse/serialize round-trips are identities.
+coefficient keys start at "1" and are spelled as ``str(n)`` writes
+them: the order-0 coefficient is always the structure maps of the
+morphism and is never stored.  A key repeated within one JSON object is
+an error.  Serialization is canonical (sorted keys, zero coefficients
+omitted), so parse/serialize round-trips are identities.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
+from math import gcd
 
 from .coalgebra import Coalgebra, CoalgebraMorphism, direct_sum, divided_power, \
     grouplike, zero_comultiplication
@@ -57,7 +62,7 @@ MAX_ORDER = 64
 MAX_ENTRIES = 1 << 20
 
 # What str(Fraction) writes: an optional sign, digits, optionally /digits.
-_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _is_int(x):
@@ -88,22 +93,33 @@ class ProblemFile:
 
 
 def _parse_scalar(field, x, where):
-    if not (_is_int(x) or isinstance(x, str)):
+    """Validate a scalar and coerce it, once, to the field's normal form."""
+    if _is_int(x):
+        return field.coerce(x)
+    if not isinstance(x, str):
         raise ProblemFileError(f"{where}: scalar must be an int or string, got {x!r}")
-    if isinstance(x, str) and not _SCALAR.fullmatch(x):
+    match = _SCALAR.fullmatch(x)
+    if match is None:
         raise ProblemFileError(f"{where}: bad scalar {x!r} (expected digits "
                                f"with an optional sign and /denominator)")
+    num, den = match.groups()
     try:
-        return field.coerce(x)
+        num = int(num)
+        return field.coerce(num if den is None else Fraction(num, int(den)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(f"{where}: bad scalar {x!r} ({exc})") from None
 
 
 def _quadruples_to_matrix(field, quads, dim, where):
-    """Structure-constant quadruples -> the (dim^2 x dim) matrix of the map."""
+    """Structure-constant quadruples -> the (dim^2 x dim) matrix of the map.
+
+    Repeated quadruples for one (a, b, c) add up.
+    """
     if not isinstance(quads, list):
         raise ProblemFileError(f"{where}: expected a list of quadruples")
-    rows = [[0] * dim for _ in range(dim * dim)]
+    rational = field.kind == "rational"
+    num = [0] * dim ** 3
+    den = [1] * dim ** 3 if rational else None
     for q in quads:
         if not (isinstance(q, list) and len(q) == 4):
             raise ProblemFileError(f"{where}: quadruple must be [a, b, c, coeff]")
@@ -112,21 +128,16 @@ def _quadruples_to_matrix(field, quads, dim, where):
             if not _is_int(idx) or not 0 <= idx < dim:
                 raise ProblemFileError(
                     f"{where}: basis index {idx} out of range for dim {dim}")
-        _parse_scalar(field, coeff, where)
-        rows[b * dim + c][a] = _entry_sum(field, rows[b * dim + c][a], coeff)
-    if dim == 0:
-        return Matrix.zeros(field, 0, 0)
-    return Matrix.from_rows(field, rows)
-
-
-def _entry_sum(field, acc, coeff):
-    # repeated quadruples for one (a, b, c) accumulate
-    from fractions import Fraction
-    if field.kind == "rational":
-        n, d = field.coerce(coeff)
-        base = acc if isinstance(acc, Fraction) else Fraction(acc)
-        return base + Fraction(n, d)
-    return (field.coerce(acc) + field.coerce(coeff)) % field.p
+        value = _parse_scalar(field, coeff, where)
+        at = (b * dim + c) * dim + a
+        if rational:
+            n = num[at] * value[1] + value[0] * den[at]
+            d = den[at] * value[1]
+            g = gcd(n, d)
+            num[at], den[at] = n // g, d // g
+        else:
+            num[at] = (num[at] + value) % field.p
+    return Matrix(field, dim * dim, dim, num, den)
 
 
 def _matrix_to_quadruples(m: Matrix, dim):
@@ -145,12 +156,11 @@ def _rows_to_matrix(field, rows, shape, where):
             or any(not isinstance(r, list) or len(r) != shape[1] for r in rows):
         raise ProblemFileError(
             f"{where}: expected a {shape[0]}x{shape[1]} row list")
-    for r in rows:
-        for x in r:
-            _parse_scalar(field, x, where)
-    if shape[0] == 0 or shape[1] == 0:
-        return Matrix.zeros(field, *shape)
-    return Matrix.from_rows(field, rows)
+    values = [_parse_scalar(field, x, where) for r in rows for x in r]
+    if field.kind == "rational":
+        return Matrix(field, *shape, [n for n, _ in values],
+                      [d for _, d in values])
+    return Matrix(field, *shape, values, None)
 
 
 def _matrix_to_rows(m: Matrix):
@@ -164,6 +174,7 @@ def _matrix_to_rows(m: Matrix):
 def parse_problem(obj, field_override=None) -> ProblemFile:
     if not isinstance(obj, dict):
         raise ProblemFileError("top level must be a JSON object")
+    _reject_duplicates(obj, "top level")
     known = {"field", "coalgebras", "morphisms", "cocycles", "deformations",
              "isomorphisms"}
     for key in obj:
@@ -271,6 +282,7 @@ def _parse_field(spec):
     if spec == "rational":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"prime"}:
+        _reject_duplicates(spec, "field")
         p = spec["prime"]
         if not _is_int(p):
             raise ProblemFileError("field.prime must be an int")
@@ -299,10 +311,33 @@ def _section(obj, key, where=""):
     sec = obj.get(key, {})
     if not isinstance(sec, dict):
         raise ProblemFileError(f"{where or key}: must be an object")
+    _reject_duplicates(sec, f"{where}.{key}" if where else key)
     for name, spec in sec.items():
         if not isinstance(spec, dict):
             raise ProblemFileError(f"{where or key}.{name}: must be an object")
+        _reject_duplicates(spec, f"{where or key}.{name}")
     return sec
+
+
+class _Object(dict):
+    """A JSON object that remembers the keys the text gave more than once."""
+
+    duplicates = ()
+
+
+def _object(pairs):
+    obj = _Object(pairs)
+    if len(obj) != len(pairs):
+        counts = Counter(k for k, _ in pairs)
+        obj.duplicates = [k for k, n in counts.items() if n > 1]
+    return obj
+
+
+def _reject_duplicates(obj, where):
+    # json.loads would keep the last of the repeated keys, silently
+    duplicates = getattr(obj, "duplicates", ())
+    if duplicates:
+        raise ProblemFileError(f"{where}: duplicate key {duplicates[0]!r}")
 
 
 def _resolve(table, name, where):
@@ -314,11 +349,15 @@ def _resolve(table, name, where):
 
 
 def _coeff_order(key, order, where):
+    """The order that a coefficient key names: n is spelled str(n) only."""
     try:
         n = int(key)
     except ValueError:
-        raise ProblemFileError(f"{where}: coefficient key {key!r} is not an "
-                               f"integer") from None
+        n = None
+    if n is None or str(n) != key:
+        raise ProblemFileError(
+            f"{where}: coefficient key {key!r} is not an order written in "
+            f"decimal digits without sign, spaces or leading zeros")
     if not 1 <= n <= order:
         raise ProblemFileError(
             f"{where}: coefficient order {n} outside 1..{order} "
@@ -344,7 +383,7 @@ def _parse_coefficient(field, f, spec, degree, where, comp=None):
 
 def parse_problem_text(text, field_override=None) -> ProblemFile:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         # malformed JSON, an integer past Python's digit limit, or
         # nesting past the decoder's recursion limit

@@ -171,3 +171,16 @@ EXPONENT_SCALAR = ('{"coalgebras": {"c": {"dim": 2, '
                    '"delta": [[0,0,0,"1e30000000"]]}}}')
 MANY_COALGEBRAS = json.dumps({"coalgebras": {
     f"c{i}": {"dim": 16, "delta": []} for i in range(1000)}})
+
+# one coefficient spelled twice: "1" and "01" both read as order 1 under
+# int(), and the later one silently replaced the earlier
+_ONE_BY_ONE = {
+    "coalgebras": {"g": {"dim": 1, "delta": [[0, 0, 0, "1"]]}},
+    "morphisms": {"f": {"source": "g", "target": "g", "matrix": [["1"]]}}}
+ALIASED_ISOMORPHISM = json.dumps(dict(_ONE_BY_ONE, isomorphisms={"p": {
+    "morphism": "f", "order": 1,
+    "coeffs": {"1": {"A": [["2"]], "B": [["2"]]},
+               "01": {"A": [["5"]], "B": [["5"]]}}}}))
+ALIASED_DEFORMATION = json.dumps(dict(_ONE_BY_ONE, deformations={"d": {
+    "morphism": "f", "order": 1,
+    "coeffs": {"1": {"F": [["2"]]}, "01": {"F": [["5"]]}}}}))

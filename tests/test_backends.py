@@ -49,6 +49,20 @@ def test_rational_kernels_agree(seed):
     s = rational(rng, 9)
     assert compiled.q_scale(an, ad, s.numerator, s.denominator) == \
         pure.q_scale(an, ad, s.numerator, s.denominator)
+    # the shapes of the fused series products: stacks of up to about 13
+    # coefficients of dimension 3, times [R | S] blocks of 2d^2 = 32
+    # columns at d = 4, with zero rows on both sides
+    n, k, m = rng.randint(0, 9), rng.randint(0, 40), rng.randint(0, 32)
+    an, ad = rand_pairs(rng, n * k)
+    bn, bd = rand_pairs(rng, k * m)
+    for i in rng.sample(range(n), n // 3):
+        an[i * k:(i + 1) * k] = [0] * k
+        ad[i * k:(i + 1) * k] = [1] * k
+    for t in rng.sample(range(k), k // 3):
+        bn[t * m:(t + 1) * m] = [0] * m
+        bd[t * m:(t + 1) * m] = [1] * m
+    assert compiled.q_matmul(an, ad, bn, bd, n, k, m) == \
+        pure.q_matmul(an, ad, bn, bd, n, k, m)
 
 
 @needs_compiled

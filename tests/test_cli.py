@@ -8,8 +8,8 @@ from coaldef.coalgebra import divided_power, identity_morphism
 from coaldef.cohomology import MorphismComplex
 from coaldef.problemfile import MAX_DIM, MAX_ORDER
 
-from helpers import (DEEP_NESTING, EXPONENT_SCALAR, HUGE_INTEGER,
-                     MANY_COALGEBRAS)
+from helpers import (ALIASED_ISOMORPHISM, DEEP_NESTING, EXPONENT_SCALAR,
+                     HUGE_INTEGER, MANY_COALGEBRAS)
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,8 @@ class TestHostileInput:
         (HUGE_INTEGER, "invalid JSON: "),
         (EXPONENT_SCALAR, "coalgebras.c: bad scalar '1e30000000'"),
         (MANY_COALGEBRAS, "coalgebras.c256: the file declares more than"),
+        (ALIASED_ISOMORPHISM,
+         "isomorphisms.p: coefficient key '01' is not an order"),
     ])
     def test_one_located_message_and_exit_two(self, tmp_path, text,
                                               fragment):

@@ -5,9 +5,11 @@ explicit basis-vector bookkeeping with plain Fractions (no Kronecker
 products, no matrix class in the computation), then compare entrywise
 with the production implementations.  The Kronecker-product form of the
 coboundaries, with its column-probing matrix assembly, is kept here as
-the reference for the sparse assembly of the differentials, and the
-dense Cauchy loops of the matrix power series as the reference for the
-zero-skipping series product.
+the reference for the sparse assembly of the differentials, the dense
+Cauchy loops of the matrix power series as the reference for the
+zero-skipping series product, the per-term rational matrix product as
+the reference for the fraction-free one, and s (x) Id - Id (x) s as the
+reference for the fused coassociativity defect.
 """
 
 from fractions import Fraction
@@ -37,13 +39,18 @@ from coaldef.cohomology import (
     MorphismCochain,
     MorphismComplex,
 )
+from coaldef import _kernels_py as pure_kernel
+from coaldef._kernels_py import _q_add, _q_mul
 from coaldef.deformation import (
     FormalIsomorphism,
     TruncatedDeformation,
+    _cauchy_kron,
+    _defects,
     _series,
     _series_inverse,
     _structure_coefficient,
     apply_equivalence,
+    comp_bar,
     compose_isomorphisms,
     invert_formal,
 )
@@ -588,7 +595,7 @@ def test_series_products_match_dense_reference(seed, field):
     a = _sparse_series(rng, field, r, k, order)
     b = _sparse_series(rng, field, k, c, order)
     assert _series(a, b, order) == reference_series_mul(a, b, order)
-    assert _series(a, b, order, Matrix.kron) == \
+    assert _series(a, b, order, _cauchy_kron) == \
         reference_series_kron(a, b, order)
     unit = [Matrix.identity(field, k)] + _sparse_series(rng, field, k, k,
                                                         order)[1:]
@@ -626,3 +633,152 @@ def test_equivalence_operations_match_dense_reference(seed, field, which):
     inv = invert_formal(p)
     assert inv.series_a() == reference_series_inverse(p.series_a(), order)
     assert inv.series_b() == reference_series_inverse(p.series_b(), order)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free rational product: the per-term loop it replaced, one
+# _q_mul and one _q_add per pair of nonzero entries, is the reference
+
+
+def reference_q_matmul(an, ad, bn, bd, n, k, m):
+    cn = [0] * (n * m)
+    cd = [1] * (n * m)
+    for i in range(n):
+        for t in range(k):
+            na = an[i * k + t]
+            if not na:
+                continue
+            for j in range(m):
+                nb = bn[t * m + j]
+                if not nb:
+                    continue
+                pn, pd = _q_mul(na, ad[i * k + t], nb, bd[t * m + j])
+                cn[i * m + j], cd[i * m + j] = _q_add(
+                    cn[i * m + j], cd[i * m + j], pn, pd)
+    return cn, cd
+
+
+# pairwise coprime denominators, some past a machine word, so that the
+# common denominators of rows and columns grow
+LARGE_PRIMES = (2, 3, 5, 7, 1000003, 998244353, 2 ** 31 - 1, 2 ** 61 - 1,
+                2 ** 89 - 1, 2 ** 127 - 1)
+
+
+def _kernel_operand(rng, rows, cols, mode):
+    """Flat (num, den) lists of a random rows x cols rational matrix.
+
+    Modes: "integer" (every denominator 1), "small" (bounded fractions),
+    "primes" (denominators that are products of large primes); about a
+    third of the rows and of the columns are all zero, and half of the
+    other entries are zero.
+    """
+    zero_rows = {i for i in range(rows) if rng.random() < 0.3}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.3}
+    num, den = [], []
+    for i in range(rows):
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols or rng.random() < 0.5:
+                x = Fraction(0)
+            elif mode == "integer":
+                x = Fraction(rng.randint(-10 ** 6, 10 ** 6))
+            elif mode == "small":
+                x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            else:
+                d = 1
+                for _ in range(rng.randint(1, 3)):
+                    d *= rng.choice(LARGE_PRIMES)
+                x = Fraction(rng.randint(-10 ** 20, 10 ** 20), d)
+            num.append(x.numerator)
+            den.append(x.denominator)
+    return num, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(("integer", "small", "primes")),
+       st.sampled_from(("integer", "small", "primes")))
+def test_fraction_free_matmul_matches_per_term_reference(seed, mode_a,
+                                                         mode_b):
+    rng = fresh_rng(seed)
+    n, k, m = (rng.choice((0, 1, 2, 3, rng.randint(4, 12))) for _ in range(3))
+    an, ad = _kernel_operand(rng, n, k, mode_a)
+    bn, bd = _kernel_operand(rng, k, m, mode_b)
+    assert pure_kernel.q_matmul(an, ad, bn, bd, n, k, m) == \
+        reference_q_matmul(an, ad, bn, bd, n, k, m)
+
+
+def test_fraction_free_matmul_on_fused_shapes():
+    # the shapes of the fused defect products of deform-cli: a 9 x 3T
+    # stack of coefficients times a 3T x 18 stack of [R | S] blocks
+    rng = fresh_rng(31)
+    for terms in (1, 4, 13):
+        for mode in ("integer", "small", "primes"):
+            an, ad = _kernel_operand(rng, 9, 3 * terms, mode)
+            bn, bd = _kernel_operand(rng, 3 * terms, 18, mode)
+            assert pure_kernel.q_matmul(an, ad, bn, bd, 9, 3 * terms, 18) \
+                == reference_q_matmul(an, ad, bn, bd, 9, 3 * terms, 18)
+
+
+# ---------------------------------------------------------------------------
+# the fused coassociativity defect: the Kronecker form s (x) Id - Id (x) s
+# of the equations, written out with dense Cauchy loops, is the reference
+
+
+def reference_bar(s):
+    ident = Matrix.identity(s.field, s.cols)
+    return s.kron(ident) - ident.kron(s)
+
+
+def reference_defects(series_a, series_b, series_f, orders):
+    bars_a = [reference_bar(s) for s in series_a]
+    bars_b = [reference_bar(s) for s in series_b]
+    ff = reference_series_kron(series_f, series_f, max(orders))
+    return [(reference_cauchy(bars_a, series_a, n),
+             reference_cauchy(bars_b, series_b, n),
+             reference_cauchy(ff, series_a, n)
+             - reference_cauchy(series_b, series_f, n)) for n in orders]
+
+
+def _defect_morphisms(field):
+    """Coalgebras of dimension 0 to 3, and the non-cocommutative one."""
+    tri = triangular(field)
+    g1 = grouplike(1, field)
+    nil = Coalgebra("nil", 0, Matrix.zeros(field, 0, 0))
+    return [identity_morphism(divided_power(2, field)),
+            identity_morphism(g1),
+            identity_morphism(tri),
+            CoalgebraMorphism(g1, tri, Matrix.from_rows(field,
+                                                        [[1], [0], [0]])),
+            CoalgebraMorphism(tri, g1, Matrix.from_rows(field, [[1, 0, 1]])),
+            CoalgebraMorphism(nil, g1, Matrix.zeros(field, 1, 0)),
+            CoalgebraMorphism(g1, nil, Matrix.zeros(field, 0, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 6))
+def test_defects_match_kronecker_reference(seed, field, which):
+    rng = fresh_rng(seed)
+    f = _defect_morphisms(field)[which]
+    comp = MorphismComplex(f, validate=False)
+    order = rng.randint(0, 4)
+    d = _sparse_deformation(rng, comp, order)
+    series = (d.series_a(), d.series_b(), d.series_f())
+    orders = range(order + 1)
+    assert _defects(*series, orders) == reference_defects(*series, orders)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_comp_bar_matches_kronecker_reference(seed, field):
+    rng = fresh_rng(seed)
+    pool = [grouplike(1, field), divided_power(2, field), triangular(field),
+            Coalgebra("nil", 0, Matrix.zeros(field, 0, 0))]
+    c = rng.choice(pool)
+    if c.dim:
+        c = change_basis(c, invertible_matrix(rng, c.dim, bound=4,
+                                              field=field))
+    reg = regular_bicomodule(c)
+    s, t = (Cochain(reg, 2, _sparse_matrix(rng, field, c.dim ** 2, c.dim))
+            for _ in range(2))
+    assert comp_bar(s, t).matrix == reference_bar(s.matrix) @ t.matrix

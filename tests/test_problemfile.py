@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coaldef.exactlinalg import QQ, PrimeField
+from coaldef.exactlinalg import QQ, Matrix, PrimeField
 from coaldef.problemfile import (
     MAX_DIM,
     MAX_ENTRIES,
@@ -15,8 +15,8 @@ from coaldef.problemfile import (
     serialize_problem,
 )
 
-from helpers import (DEEP_NESTING, EXPONENT_SCALAR, HUGE_INTEGER,
-                     MANY_COALGEBRAS)
+from helpers import (ALIASED_DEFORMATION, ALIASED_ISOMORPHISM, DEEP_NESTING,
+                     EXPONENT_SCALAR, HUGE_INTEGER, MANY_COALGEBRAS)
 
 
 MINIMAL = {
@@ -229,3 +229,69 @@ def test_size_bounds_admit_benchmark_inputs():
     one_of_each = (MAX_DIM ** 3 + MAX_DIM ** 2
                    + MAX_ORDER * (2 * MAX_DIM ** 3 + MAX_DIM ** 2))
     assert one_of_each <= MAX_ENTRIES
+
+
+@pytest.mark.parametrize("text,where", [
+    (ALIASED_ISOMORPHISM, "isomorphisms.p"),
+    (ALIASED_DEFORMATION, "deformations.d"),
+])
+def test_aliased_coefficient_keys_are_rejected(text, where):
+    with pytest.raises(ProblemFileError,
+                       match=f"{where}: coefficient key '01' is not an order"):
+        parse_problem_text(text)
+    # with the alias gone the file parses, and order 1 is the "1" entry
+    obj = json.loads(text)
+    section = where.split(".")[0]
+    del obj[section][where.split(".")[1]]["coeffs"]["01"]
+    pf = parse_problem_text(json.dumps(obj))
+    if section == "isomorphisms":
+        assert pf.isomorphisms["p"].coefficient(1).a_part.matrix[0, 0] == 2
+    else:
+        assert pf.deformations["d"].coefficient(1).ab_part.matrix[0, 0] == 2
+
+
+@pytest.mark.parametrize("section", ["deformations", "isomorphisms"])
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "1.0", "1_0", "١",
+                                 "x", ""])
+def test_coefficient_key_must_be_canonical(section, key):
+    name = "d" if section == "deformations" else "p"
+    obj = json.loads(json.dumps(MINIMAL))
+    obj[section][name]["coeffs"] = {key: {"A": [["2"]], "B": [["2"]]}
+                                    if section == "isomorphisms" else {}}
+    with pytest.raises(ProblemFileError,
+                       match=f"{section}.{name}: coefficient key .* is not "
+                             f"an order"):
+        parse_problem_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text,fragment", [
+    # the same order twice: json.loads alone would keep the second
+    ('{"coalgebras": {"g": {"dim": 1, "delta": []}},'
+     ' "morphisms": {"f": {"source": "g", "target": "g", "matrix": [["1"]]}},'
+     ' "isomorphisms": {"p": {"morphism": "f", "order": 1, "coeffs":'
+     ' {"1": {"A": [["2"]], "B": [["2"]]}, "1": {"A": [["5"]], "B": [["5"]]}}'
+     '}}}', "isomorphisms.p.coeffs: duplicate key '1'"),
+    ('{"coalgebras": {"g": {"dim": 1, "delta": []},'
+     ' "g": {"dim": 2, "delta": []}}}', "coalgebras: duplicate key 'g'"),
+    ('{"coalgebras": {"g": {"dim": 1, "dim": 2, "delta": []}}}',
+     "coalgebras.g: duplicate key 'dim'"),
+    ('{"coalgebras": {}, "coalgebras": {}}',
+     "top level: duplicate key 'coalgebras'"),
+    ('{"field": {"prime": 5, "prime": 7}}', "field: duplicate key 'prime'"),
+])
+def test_duplicate_keys_are_rejected(text, fragment):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(text)
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=repr)
+def test_repeated_quadruples_add_exactly(field):
+    # "1/3" + "-5/6" + "7/2" = 3 over QQ; over GF(5) the same sum mod 5
+    quads = [[0, 0, 0, "1/3"], [0, 0, 0, "-5/6"], [0, 0, 0, "7/2"],
+             [1, 0, 1, 4], [1, 0, 1, "-4"]]
+    obj = {"field": "rational" if field == QQ else {"prime": 5},
+           "coalgebras": {"c": {"dim": 2, "delta": quads}}}
+    delta = parse_problem_text(json.dumps(obj)).coalgebras["c"].delta
+    # equal as stored: normalized pairs, the cancelled entry as 0/1
+    assert delta == Matrix.from_rows(field, [[3, 0], [0, 0], [0, 0], [0, 0]])
