@@ -23,13 +23,19 @@ from .coalgebra import check_coassociative, check_morphism, regular_bicomodule
 from .deformation import integrate, obstruction, trivialize, verify_deformation
 from .problemfile import ProblemFile, ProblemFileError
 
-# The largest differential matrix D_n (rows x columns) a command may
-# build, checked before assembly: D_n of a complex over a coalgebra of
-# dimension d has about d^(2n+3) cells.  The bound admits D_3 of id(dp4)
-# (2304 x 576) and D_8 of id(dp2) (2560 x 1280, a few seconds).
-MAX_DIFFERENTIAL_CELLS = 1 << 22
-# cohomology degrees are bounded too: over dimension 0 or 1 the cells
-# stay small, but assembly still loops over the degree
+# What a command may ask of the sparse path, checked before assembly.
+# D_n is scattered from the structure constants one term at a time, so
+# its term count (``scatter_terms``) bounds assembly and the operator,
+# and keeps elimination to about a second even when a basis change
+# makes every structure constant nonzero.  Queries of degree n also
+# hold dense n-cochains: up to dim C^n representatives of H^n, and an
+# echelon of at most dim C^n rows of that length, hence the bound on
+# dim C^n.  Both admit D_3 of id(dp5) (21,500 terms, dim C^3 = 1375)
+# and D_8 of id(dp2) (19,840 terms, dim C^8 = 1280).
+MAX_DIFFERENTIAL_TERMS = 1 << 15
+MAX_COCHAIN_DIM = 1 << 11
+# cohomology degrees are bounded too: over dimension 0 or 1 the
+# cochains stay small, but assembly still loops over the degree
 MAX_DEGREE = 64
 
 
@@ -128,12 +134,17 @@ def _command(fn):
 
 
 def _require_budget(comp, n, name):
-    """Usage error (exit 2) if D_n of ``comp`` is over the cell budget."""
-    rows, cols = comp.cochain_dim(n + 1), comp.cochain_dim(n)
-    if rows * cols > MAX_DIFFERENTIAL_CELLS:
+    """Usage error (exit 2) if D_n of ``comp`` is over the budget."""
+    dim = comp.cochain_dim(n)
+    if dim > MAX_COCHAIN_DIM:
         raise click.UsageError(
-            f"{name}: the degree-{n} differential would be a {rows}x{cols} "
-            f"matrix, over the limit of {MAX_DIFFERENTIAL_CELLS} entries")
+            f"{name}: the degree-{n} differential acts on {dim}-dimensional "
+            f"cochains, over the limit of {MAX_COCHAIN_DIM}")
+    terms = comp.scatter_terms(n)
+    if terms > MAX_DIFFERENTIAL_TERMS:
+        raise click.UsageError(
+            f"{name}: the degree-{n} differential would be scattered from "
+            f"{terms} terms, over the limit of {MAX_DIFFERENTIAL_TERMS}")
 
 
 def _lookup(pf: ProblemFile, name, sections):

@@ -13,7 +13,9 @@ Two complexes are implemented:
 
 Both complexes expose the same surface: differentials in operator and in
 matrix form, cocycle/coboundary predicates with canonical cobounding
-solutions, and cohomology reports with quotient representatives.
+solutions, and cohomology reports with quotient representatives.  The
+queries read one sparse elimination record per degree, computed exactly
+from the operator; no dense matrix of a differential is formed.
 Cochains flatten to coordinate vectors row-major; morphism cochains
 concatenate their (a, b, ab) blocks in that order.
 """
@@ -32,16 +34,8 @@ from .coalgebra import (
     _pushed_forward,
     bicomodule_via,
     regular_bicomodule,
-    tensor_power_map,
 )
-from .exactlinalg import (
-    DimensionError,
-    Matrix,
-    image_basis,
-    kernel_basis,
-    quotient_data,
-    solve,
-)
+from .exactlinalg import DimensionError, Matrix
 
 
 class Cochain:
@@ -212,6 +206,26 @@ def _nonzeros(m: Matrix, den):
             for idx, (x, d) in enumerate(zip(m._num, m._den)) if x]
 
 
+def _power_nonzeros(m: Matrix, n, den):
+    """(row, col, den * entry) of every nonzero entry of the Kronecker
+    power m^(x)n, formed from the nonzeros of m without the dense power.
+
+    ``den`` must be a multiple of den(m)^n, so the scaled entries are ints.
+    """
+    base = _denominator(m)
+    factors = _nonzeros(m, base)
+    p = m.field.p if m._den is None else None
+    out = [(0, 0, den // base ** n)]
+    for _ in range(n):
+        out = [(t * m.rows + r, u * m.cols + c, x * y % p if p else x * y)
+               for t, u, x in out for r, c, y in factors]
+    return out
+
+
+def _nnz(m: Matrix):
+    return len(m._num) - m._num.count(0)
+
+
 def _scaled(matrices):
     """Concatenated row-major entries as ints over a common denominator.
 
@@ -243,13 +257,19 @@ class _ComplexBase:
     Row-major flattening turns every term A o s o B of a coboundary
     into the matrix A (x) B^T acting on the coordinates of s, so each
     term contributes one entry per nonzero structure constant and free
-    index.  The element-level differential and the dense matrix D_n are
-    both read off this one operator.
+    index.  The element-level differential applies this operator.
+    :meth:`cohomology`, :meth:`is_coboundary` and
+    :meth:`class_coordinates` read one lazily built, cached record per
+    degree (:class:`coaldef.sparse.Elimination`): the exact sparse
+    elimination of the operator, which replaces the dense matrix D_n and
+    gives the same canonical bases and solutions.
     """
 
     def __init__(self):
         self._operators = {}
         self._dmat_cache = {}
+        self._eliminations = {}
+        self._quotients = {}
 
     # subclasses: field, cochain_dim(n), zero(n), from_flat(n, entries),
     # _parts(w) (component matrices in block order), _denominator(n),
@@ -285,10 +305,7 @@ class _ComplexBase:
     def _apply(self, w):
         """The image of w under the sparse operator of its degree."""
         n = w.degree
-        x, x_den = _scaled(self._parts(w))
-        if len(x) != self.cochain_dim(n):
-            raise DimensionError(f"degree-{n} cochain has {len(x)} "
-                                 f"coordinates, expected {self.cochain_dim(n)}")
+        x, x_den = self._coordinates(w)
         entries, den = self.operator(n)
         out = [0] * self.cochain_dim(n + 1)
         for (row, col), value in entries.items():
@@ -304,6 +321,8 @@ class _ComplexBase:
 
         Columns are indexed by the standard cochain basis in flattening
         order; D_0 has zero columns since the degree-0 module is zero.
+        This dense form is public API and the test reference; the
+        queries of the complex read the sparse elimination instead.
         """
         if n not in self._dmat_cache:
             rows, cols = self.cochain_dim(n + 1), self.cochain_dim(n)
@@ -322,49 +341,73 @@ class _ComplexBase:
             self._dmat_cache[n] = Matrix(self.field, rows, cols, num, den)
         return self._dmat_cache[n]
 
+    def _elimination(self, n):
+        """The cached sparse elimination record of D_n."""
+        if n not in self._eliminations:
+            # imported on first use: a process that never eliminates
+            # does not load it
+            from .sparse import Elimination
+            self._eliminations[n] = Elimination(
+                self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
+                *self.operator(n))
+        return self._eliminations[n]
+
+    def _quotient(self, n):
+        """The cached cocycles-modulo-coboundaries echelon of degree n."""
+        if n not in self._quotients:
+            from .sparse import Quotient
+            self._quotients[n] = Quotient(self._elimination(n - 1).image,
+                                          self._elimination(n).kernel)
+        return self._quotients[n]
+
+    def _coordinates(self, w):
+        """(ints, den): the coordinate vector of w is ints / den."""
+        x, den = _scaled(self._parts(w))
+        if len(x) != self.cochain_dim(w.degree):
+            raise DimensionError(
+                f"degree-{w.degree} cochain has {len(x)} coordinates, "
+                f"expected {self.cochain_dim(w.degree)}")
+        return x, den
+
     def is_cocycle(self, w) -> bool:
         return self.differential(w).is_zero()
 
     def is_coboundary(self, w):
         """A canonical preimage under the differential, or None.
 
-        The preimage is chosen by the deterministic linear solve (free
-        variables zero), so repeated runs agree.
+        The preimage is the canonical solution of D_(n-1) x = w: the
+        pivots are the leftmost independent columns of D_(n-1) and every
+        free variable is zero, so repeated runs agree.  Its pivot
+        entries are the recorded row combinations of the elimination of
+        D_(n-1) applied to w; an exact residual check through the sparse
+        operator decides whether w is a coboundary at all.
         """
         n = w.degree
-        x = solve(self.differential_matrix(n - 1), self.flatten(w))
+        x = self._elimination(n - 1).solve(*self._coordinates(w))
         if x is None:
             return None
-        return self.from_flat(n - 1, x.column_entries(0))
+        return self.from_flat(n - 1, x)
 
     def cohomology(self, n) -> CohomologyReport:
         """Kernel-modulo-image data of the complex in degree n >= 1."""
         if n < 1:
             raise DimensionError("cohomology is exposed for degrees >= 1 only")
-        ker = kernel_basis(self.differential_matrix(n))
-        im = image_basis(self.differential_matrix(n - 1))
-        h_dim, reps = quotient_data(ker, im)
+        q = self._quotient(n)
         cochain_reps = tuple(
-            self.from_flat(n, v.column_entries(0)) for v in reps
+            self.from_flat(n, entries) for entries in q.representative_entries()
         )
-        return CohomologyReport(n, ker.dim, im.dim, h_dim, cochain_reps)
+        return CohomologyReport(n, q.kernel_dim, q.image_dim,
+                                len(cochain_reps), cochain_reps)
 
     def class_coordinates(self, w):
         """Coordinates of the class of a cocycle w in the canonical H^n basis.
 
         Empty list iff w is a coboundary.  Raises if w is not a cocycle.
         """
-        n = w.degree
-        ker = kernel_basis(self.differential_matrix(n))
-        im = image_basis(self.differential_matrix(n - 1))
-        _, reps = quotient_data(ker, im)
-        basis = im.basis
-        for v in reps:
-            basis = basis.hstack(v)
-        x = solve(basis, self.flatten(w))
-        if x is None:
+        q = self._quotient(w.degree)
+        coords = q.coordinates(*self._coordinates(w))
+        if coords is None:
             raise InvalidStructureError("not a cocycle")
-        coords = x.column_entries(0)[im.dim:]
         if not any(coords):
             return []
         return coords
@@ -450,6 +493,16 @@ class HochschildComplex(_ComplexBase):
             k, a = divmod(r, d)
             for t in range(dn):
                 acc[row + (t * d + a) * dim + j, col + t * dim + k] += c * x
+
+    def scatter_terms(self, n):
+        """The number of terms :meth:`_scatter` adds for D_n, counted
+        from the structure constants without assembling anything."""
+        if n <= 0:
+            return 0
+        m = self.bicomodule
+        d = m.over.dim
+        return ((_nnz(m.psi_l) + _nnz(m.psi_r)) * d ** n
+                + n * _nnz(m.over.delta) * d ** (n - 1) * m.dim)
 
 
 class MorphismComplex(_ComplexBase):
@@ -553,9 +606,21 @@ class MorphismComplex(_ComplexBase):
             for t in range(dt ** n):
                 acc[row_ab + t * ds + j, col_b + t * dt + k] += sign * x
         # - f^(x)n o a_part: f^(x)n[t, u] a[u, j] lands at (t, j)
-        for t, u, x in _nonzeros(tensor_power_map(f.matrix, n), den):
+        for t, u, x in _power_nonzeros(f.matrix, n, den):
             for j in range(ds):
                 acc[row_ab + t * ds + j, col + u * ds + j] -= sign * x
+
+    def scatter_terms(self, n):
+        """The number of terms :meth:`_scatter` adds for D_n, counted
+        from the structure constants without assembling anything."""
+        if n <= 0:
+            return 0
+        f = self.morphism
+        nnz = _nnz(f.matrix)
+        return (self.on_source.scatter_terms(n)
+                + self.on_target.scatter_terms(n)
+                + self.mixed.scatter_terms(n - 1)
+                + nnz * f.target.dim ** n + nnz ** n * f.source.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ Matrices are immutable and dense in semantics.  Internally an entry is a
 normalized integer pair (rationals) or an int in ``[0, p)`` (prime
 fields); the arithmetic itself lives in the kernel backend selected by
 :mod:`coaldef._backend`.
+
+The cochain complexes eliminate their differentials sparsely instead
+(:mod:`coaldef.sparse`); the dense routines here give the same results
+and stay as public API and as the tests' reference.
 """
 
 from __future__ import annotations

@@ -1,0 +1,338 @@
+"""Exact sparse elimination of linear operators.
+
+An operator is a dict ``{(row, col): int}`` of its nonzero entries; over
+QQ the ints share one denominator, which only scales rows, so only the
+solve needs it, and over GF(p) they lie in [1, p).  :func:`sparse_rref`
+brings dict rows to reduced row echelon form, fraction-free over QQ.
+Reduced echelon forms are unique, so every result agrees entry for
+entry with the dense routines of :mod:`coaldef.exactlinalg`
+(``Matrix.rref``, ``kernel_basis``, ``image_basis``, ``solve``,
+``quotient_data``), which the tests keep as the reference.
+
+:class:`Elimination` holds what the cochain complexes ask of one
+differential (canonical kernel and image bases and the canonical
+solve), and :class:`Quotient` the cohomology of one degree.
+:mod:`coaldef.cohomology` imports this module on its first query, so
+a process that never eliminates does not load it.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+
+from .exactlinalg import QuotientError
+
+
+class SparseEchelon:
+    """A sparse matrix in reduced row echelon form, built one row at a time.
+
+    A row is a dict ``{column: int}`` holding its nonzero entries.  Over
+    GF(p) the ints lie in [1, p) and each pivot entry is 1.  Over QQ a
+    row stands for the line it spans: rows stay integer (fraction-free),
+    and each pivot row is kept primitive with a positive pivot entry,
+    so the reduced echelon row is the pivot row divided by its pivot
+    entry.  Columns at or past ``width`` are bookkeeping columns: they
+    are never pivots but take part in every row operation, so a row
+    that starts as ``{width + i: 1}`` records the combination of
+    inserted rows that it became.
+
+    The pivot of a row is its leftmost column, or its rightmost one
+    with ``reverse``.  A reduced row echelon form is unique, so the
+    pivot rows do not depend on the order of insertion: inserting
+    sparse rows first only keeps the fill low.
+    """
+
+    __slots__ = ("field", "width", "reverse", "rows", "_users")
+
+    def __init__(self, field, width, reverse=False):
+        self.field = field
+        self.width = width
+        self.reverse = reverse
+        self.rows = {}     # pivot column -> pivot row
+        self._users = {}   # free column -> pivot columns of the rows holding it
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def holding(self, col):
+        """Pivot columns of the rows with a nonzero entry in free column col."""
+        return self._users.get(col, ())
+
+    def reduce(self, row):
+        """Clear every pivot column from ``row`` in place and return it.
+
+        Over QQ the result is a nonzero multiple of the true remainder,
+        so a row with bookkeeping columns keeps track of that multiple.
+        """
+        rows = self.rows
+        p = self.field.p if self.field.kind == "prime" else None
+        for c in [k for k in row if k in rows]:
+            _eliminate(row, c, rows[c], p)
+        return row
+
+    def insert(self, row):
+        """Add ``row`` (consumed) unless it is dependent on the pivot rows.
+
+        Returns the new pivot column, or None for a dependent row.
+        """
+        self.reduce(row)
+        real = [k for k in row if k < self.width]
+        if not real:
+            return None
+        c = max(real) if self.reverse else min(real)
+        p = self.field.p if self.field.kind == "prime" else None
+        _normalize(row, c, p)
+        users = self._users
+        rows = self.rows
+        touched = [k for k in real if k != c]
+        for q in users.pop(c, ()):
+            # the Jordan step: clear c from an earlier pivot row, keeping
+            # the column index current
+            qrow = rows[q]
+            before = {k for k in touched if k in qrow}
+            _eliminate(qrow, c, row, p)
+            for k in touched:
+                if k in qrow:
+                    if k not in before:
+                        users.setdefault(k, set()).add(q)
+                elif k in before:
+                    users[k].discard(q)
+            if p is None:
+                _normalize(qrow, q, None)
+        for k in touched:
+            users.setdefault(k, set()).add(c)
+        rows[c] = row
+        return c
+
+
+def _eliminate(row, c, prow, p):
+    """Clear column c of ``row`` with the pivot row ``prow`` (pivot c)."""
+    x = row[c]
+    if p is not None:
+        for k, v in prow.items():
+            y = (row.get(k, 0) - x * v) % p
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+        return
+    a = prow[c]
+    if a != 1:
+        g = gcd(a, x)
+        a, x = a // g, x // g
+        for k in row:
+            row[k] *= a
+    for k, v in prow.items():
+        y = row.get(k, 0) - x * v
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _normalize(row, c, p):
+    """Scale ``row`` to pivot entry 1 (GF(p)), or primitive with a
+    positive pivot entry (QQ)."""
+    if p is not None:
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            for k in row:
+                row[k] = row[k] * inv % p
+        return
+    g = gcd(*row.values())
+    if row[c] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def sparse_rref(field, rows, width, reverse=False):
+    """The reduced row echelon form of a sparse matrix, as a SparseEchelon.
+
+    ``rows`` are dicts ``{column: int}`` (consumed), ``width`` the
+    number of columns.  Rows with the fewest nonzeros are inserted
+    first, in the row-selection style of LaMacchia and Odlyzko, "Solving
+    large sparse linear systems over finite fields" (CRYPTO 1990).
+    """
+    echelon = SparseEchelon(field, width, reverse)
+    for row in sorted(rows, key=len):
+        echelon.insert(row)
+    return echelon
+
+
+def _rows_of(entries, transpose=False):
+    """The nonzero rows (or columns) of a sparse operator, as dicts."""
+    rows = defaultdict(dict)
+    if transpose:
+        for (i, j), x in entries.items():
+            rows[j][i] = x
+    else:
+        for (i, j), x in entries.items():
+            rows[i][j] = x
+    return rows
+
+
+class Elimination:
+    """The exact sparse elimination of one ``rows x cols`` operator D,
+    given as ``entries / den``.
+
+    Each part is computed on first use, and each is fixed by the
+    uniqueness of reduced echelon forms:
+
+    * ``kernel`` -- the canonical kernel basis, ``(v, scale)`` pairs for
+      the vectors v / scale.  Eliminating with rightmost pivots makes
+      each vector e_j - sum_p r_p[j] e_p of a free column j reduced
+      already, so no second elimination is needed;
+    * ``image`` -- the canonical image basis: the reduced echelon rows
+      of the columns of D;
+    * ``solver`` -- the leftmost-pivot elimination of [D | I], whose
+      bookkeeping columns record the row combination behind each pivot
+      row.
+    """
+
+    def __init__(self, field, rows, cols, entries, den):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        self.den = den
+
+    @cached_property
+    def kernel(self):
+        cols = self.cols
+        echelon = sparse_rref(self.field, _rows_of(self.entries).values(),
+                              cols, reverse=True)
+        pivots = echelon.rows
+        vectors = []
+        for j in range(cols):
+            if j in pivots:
+                continue
+            holders = echelon.holding(j)
+            if self.field.kind == "prime":
+                p = self.field.p
+                v = {q: -pivots[q][j] % p for q in holders}
+                v[j] = scale = 1
+            else:
+                scale = lcm(*(pivots[q][q] for q in holders))
+                v = {q: -pivots[q][j] * (scale // pivots[q][q])
+                     for q in holders}
+                v[j] = scale
+            vectors.append((v, scale))
+        return vectors
+
+    @cached_property
+    def image(self):
+        return sparse_rref(self.field,
+                           _rows_of(self.entries, transpose=True).values(),
+                           self.rows)
+
+    @cached_property
+    def solver(self):
+        cols = self.cols
+        rows = _rows_of(self.entries)
+        for i, row in rows.items():
+            row[cols + i] = 1
+        return sparse_rref(self.field, rows.values(), cols)
+
+    def solve(self, b, b_den):
+        """The canonical solution of D x = b / b_den, or None.
+
+        b is an int list; the solution is an entry list (Fractions over
+        QQ).  Its pivot entries are the recorded row combinations
+        applied to b and its free entries are zero, which solves the
+        system whenever it is solvable; an exact residual check through
+        the operator decides whether it is.
+        """
+        cols = self.cols
+        x = [0] * cols
+        pivots = self.solver.rows
+        prime = self.field.kind == "prime"
+        # the combinations act on the rows of entries = den * D: below,
+        # x is x_den times the canonical solution y of entries @ y = b,
+        # and y * den / b_den solves D x = b / b_den
+        x_den = 1 if prime else lcm(*(row[c] for c, row in pivots.items()))
+        for c, row in pivots.items():
+            y = sum(t * b[k - cols] for k, t in row.items() if k >= cols)
+            x[c] = y % self.field.p if prime else y * (x_den // row[c])
+        out = [0] * len(b)
+        for (i, j), value in self.entries.items():
+            if x[j]:
+                out[i] += value * x[j]
+        if prime:
+            p = self.field.p
+            if any((y - z) % p for y, z in zip(out, b)):
+                return None
+            return x
+        if any(y != z * x_den for y, z in zip(out, b)):
+            return None
+        x_den *= b_den
+        return [Fraction(y * self.den, x_den) if y else 0 for y in x]
+
+
+class Quotient:
+    """A kernel modulo an image inside it, as one sparse echelon.
+
+    The image rows (a SparseEchelon) go in first, then the kernel
+    vectors in order.  A kernel vector independent of all rows before it
+    is a representative, so the representatives are the pivots of
+    [im | ker], as :func:`coaldef.exactlinalg.quotient_data` picks them.
+    The bookkeeping columns of each row hold its coordinates in the
+    basis [im | representatives], so reducing a vector by the echelon
+    reads off its class.
+    """
+
+    def __init__(self, image, kernel):
+        width = image.width
+        echelon = SparseEchelon(image.field, width)
+        for i, c in enumerate(sorted(image.rows)):
+            row = dict(image.rows[c])
+            row[width + i] = row[c]
+            echelon.insert(row)
+        self.first = width + image.rank
+        reps = []
+        for v, scale in kernel:
+            row = dict(v)
+            row[self.first + len(reps)] = scale
+            if echelon.insert(row) is not None:
+                reps.append((v, scale))
+        if echelon.rank != len(kernel):
+            raise QuotientError(
+                "the image of the previous differential is not contained in "
+                "the kernel; the differential of this complex is broken")
+        self.echelon = echelon
+        self.representatives = reps
+        self.kernel_dim = len(kernel)
+        self.image_dim = image.rank
+
+    def representative_entries(self):
+        """The representatives as entry lists (Fractions over QQ)."""
+        prime = self.echelon.field.kind == "prime"
+        out = []
+        for v, scale in self.representatives:
+            entries = [0] * self.echelon.width
+            for k, x in v.items():
+                entries[k] = x if prime else Fraction(x, scale)
+            out.append(entries)
+        return out
+
+    def coordinates(self, b, b_den):
+        """Representative coordinates of the vector b / b_den, or None if
+        it is not in the kernel."""
+        echelon = self.echelon
+        marker = self.first + len(self.representatives)
+        row = {k: x for k, x in enumerate(b) if x}
+        row[marker] = 1
+        echelon.reduce(row)
+        if any(k < echelon.width for k in row):
+            return None
+        keys = range(self.first, marker)
+        if echelon.field.kind == "prime":
+            p = echelon.field.p
+            return [-row.get(k, 0) % p for k in keys]
+        scale = row[marker] * b_den
+        return [Fraction(-row.get(k, 0), scale) for k in keys]

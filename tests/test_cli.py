@@ -1,15 +1,19 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
-from coaldef.cli import MAX_DEGREE, MAX_DIFFERENTIAL_CELLS, main
-from coaldef.coalgebra import divided_power, identity_morphism
+from coaldef.cli import (MAX_COCHAIN_DIM, MAX_DEGREE, MAX_DIFFERENTIAL_TERMS,
+                         main)
+from coaldef.coalgebra import change_basis, divided_power, identity_morphism
 from coaldef.cohomology import MorphismComplex
-from coaldef.problemfile import MAX_DIM, MAX_ORDER
+from coaldef.problemfile import (MAX_DIM, MAX_ORDER, ProblemFile,
+                                 write_problem)
 
 from helpers import (ALIASED_ISOMORPHISM, DEEP_NESTING, EXPONENT_SCALAR,
-                     HUGE_INTEGER, MANY_COALGEBRAS)
+                     HUGE_INTEGER, MANY_COALGEBRAS, fresh_rng,
+                     invertible_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -328,17 +332,27 @@ class TestHostileInput:
         assert r.output.count("Error:") == 1
 
 
-# the identity of the eight-dimensional grouplike coalgebra: D_2 and D_3
-# of its deformation complex are over the cell budget, D_1 is not
-GROUPLIKE8 = {
-    "coalgebras": {"g8": {"dim": 8, "delta": [[i, i, i, "1"]
-                                              for i in range(8)]}},
-    "morphisms": {"id": {"source": "g8", "target": "g8",
-                         "matrix": [[str(int(i == j)) for j in range(8)]
-                                    for i in range(8)]}},
+# the identity of the ten-dimensional grouplike coalgebra: D_2 and D_3
+# of its deformation complex act on cochains over the dimension budget
+# (dim C^2 = 2100, dim C^3 = 21000), D_1 does not
+GROUPLIKE10 = {
+    "coalgebras": {"g10": {"dim": 10, "delta": [[i, i, i, "1"]
+                                                for i in range(10)]}},
+    "morphisms": {"id": {"source": "g10", "target": "g10",
+                         "matrix": [[str(int(i == j)) for j in range(10)]
+                                    for i in range(10)]}},
     "cocycles": {"w": {"morphism": "id"}},
     "deformations": {"d": {"morphism": "id", "order": 1}},
 }
+
+
+def identity_problem(path, coalgebra):
+    """A problem file holding ``coalgebra`` and its identity morphism "f"."""
+    pf = ProblemFile()
+    pf.coalgebras["c"] = coalgebra
+    pf.morphisms["f"] = identity_morphism(coalgebra)
+    write_problem(pf, path)
+    return path
 
 
 class TestDifferentialBudget:
@@ -346,8 +360,8 @@ class TestDifferentialBudget:
         r = run("cohomology", corpus_dir / "fixtures.json", "morphism",
                 "id_divided_power2", 12)
         assert r.exit_code == 2
-        assert "id_divided_power2: the degree-12 differential would be a " \
-               "40960x20480 matrix" in r.output
+        assert "id_divided_power2: the degree-12 differential acts on " \
+               "20480-dimensional cochains" in r.output
 
     def test_degree_above_bound_is_usage_error(self, corpus_dir):
         r = run("cohomology", corpus_dir / "fixtures.json", "source", "nil",
@@ -363,8 +377,8 @@ class TestDifferentialBudget:
     ])
     def test_commands_check_their_largest_differential(self, tmp_path, args,
                                                        degree):
-        path = tmp_path / "g8.json"
-        path.write_text(json.dumps(GROUPLIKE8))
+        path = tmp_path / "g10.json"
+        path.write_text(json.dumps(GROUPLIKE10))
         out = tmp_path / "out.json"
         r = run(args[0], path, *[out if a == "OUT" else a for a in args[1:]])
         assert r.exit_code == 2
@@ -374,8 +388,34 @@ class TestDifferentialBudget:
         assert r.exit_code == 0
 
     def test_budget_admits_largest_benchmark_and_test_matrices(self):
-        # D_3 of id(dp4) (cohomology-qq) and D_8 of id(dp2)
-        for dim, n in ((4, 3), (2, 8)):
+        # D_3 of id(dp4) (cohomology-qq), D_8 of id(dp2) and D_3 of
+        # id(dp5), a 6875 x 1375 matrix with 12,120 nonzeros
+        for dim, n in ((4, 3), (2, 8), (5, 3)):
             comp = MorphismComplex(identity_morphism(divided_power(dim)))
-            assert comp.cochain_dim(n + 1) * comp.cochain_dim(n) \
-                <= MAX_DIFFERENTIAL_CELLS
+            assert comp.cochain_dim(n) <= MAX_COCHAIN_DIM
+            assert comp.scatter_terms(n) <= MAX_DIFFERENTIAL_TERMS
+
+    def test_third_cohomology_of_divided_power_five(self, tmp_path):
+        path = identity_problem(tmp_path / "dp5.json", divided_power(5))
+        r = run("cohomology", path, "morphism", "f", 3)
+        assert r.exit_code == 0, r.output
+        payload = machine_section(r.output)["payload"]
+        assert (payload["cocycle_dim"], payload["coboundary_dim"],
+                payload["h_dim"]) == (229, 225, 4)
+        assert len(payload["representatives"]) == 4
+
+    def test_dense_structure_constants_over_term_budget_exit_fast(
+            self, tmp_path):
+        # a basis change makes every structure constant of dp5 nonzero:
+        # D_3 keeps its shape but is scattered from 168,650 terms
+        dense = change_basis(divided_power(5),
+                             invertible_matrix(fresh_rng(5), 5, bound=3))
+        comp = MorphismComplex(identity_morphism(dense))
+        assert comp.cochain_dim(3) <= MAX_COCHAIN_DIM
+        assert comp.scatter_terms(3) > MAX_DIFFERENTIAL_TERMS
+        path = identity_problem(tmp_path / "dense_dp5.json", dense)
+        started = time.perf_counter()
+        r = run("cohomology", path, "morphism", "f", 3)
+        assert time.perf_counter() - started < 1.0
+        assert r.exit_code == 2
+        assert "the degree-3 differential would be scattered from" in r.output

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coaldef.coalgebra import (
+    InvalidStructureError,
     change_basis,
     divided_power,
     grouplike,
@@ -14,9 +15,10 @@ from coaldef.cohomology import (
     Cochain,
     HochschildComplex,
     MorphismComplex,
+    _ComplexBase,
     delta_c,
 )
-from coaldef.exactlinalg import QQ, DimensionError, Matrix
+from coaldef.exactlinalg import QQ, DimensionError, Matrix, PrimeField
 
 from helpers import (
     fresh_rng,
@@ -261,3 +263,40 @@ class TestCocycleCoboundary:
         pre = comp.is_coboundary(w)
         assert pre is not None
         assert comp.differential(pre) == w
+
+
+class TestSparseElimination:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=repr)
+    def test_divided_power_five_reaches_degree_three(self, field):
+        comp = MorphismComplex(identity_morphism(divided_power(5, field)))
+        triples = [(r.cocycle_dim, r.coboundary_dim, r.h_dim)
+                   for r in map(comp.cohomology, (1, 2, 3))]
+        assert triples == [(4, 0, 4), (50, 46, 4), (229, 225, 4)]
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=repr)
+    def test_identity_of_divided_power_has_h_dim_d_minus_one(self, field):
+        for d in (2, 3, 4, 5):
+            comp = MorphismComplex(identity_morphism(divided_power(d, field)))
+            assert [comp.cohomology(n).h_dim for n in (1, 2, 3)] == \
+                [d - 1] * 3
+
+    def test_queries_build_no_dense_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a dense matrix was built")
+
+        monkeypatch.setattr(Matrix, "rref", refuse)
+        monkeypatch.setattr(_ComplexBase, "differential_matrix", refuse)
+        comp = MorphismComplex(identity_morphism(divided_power(3)))
+        reps = comp.cohomology(2).representatives
+        assert len(reps) == 2
+        u = comp.from_flat(1, list(range(comp.cochain_dim(1))))
+        w = reps[0].scale(3) + comp.differential(u)
+        assert comp.differential(comp.is_coboundary(comp.differential(u))) \
+            == comp.differential(u)
+        assert comp.is_coboundary(w) is None
+        assert comp.class_coordinates(w) == [3, 0]
+        assert comp.class_coordinates(comp.differential(u)) == []
+        v = comp.from_flat(2, [1] + [0] * (comp.cochain_dim(2) - 1))
+        assert not comp.is_cocycle(v)
+        with pytest.raises(InvalidStructureError):
+            comp.class_coordinates(v)

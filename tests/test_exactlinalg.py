@@ -18,6 +18,7 @@ from coaldef.exactlinalg import (
     rank,
     solve,
 )
+from coaldef.sparse import sparse_rref
 
 from helpers import fresh_rng, rational_matrix
 
@@ -231,3 +232,74 @@ class TestMatrixOps:
     def test_zero_denominator_mod_p(self):
         with pytest.raises(ZeroDivisionError):
             PrimeField(5).coerce("1/5")
+
+
+def _sparse_operand(rng, field, rows, cols):
+    """A random matrix, most entries zero, as (Matrix, dict rows)."""
+    def entry():
+        if rng.random() < 0.7:
+            return 0
+        if field.kind == "rational":
+            return rng.choice((1, -1, 2, rng.randint(-9, 9)))
+        return rng.randrange(field.p)
+    dense = [[entry() for _ in range(cols)] for _ in range(rows)]
+    m = Matrix.from_rows(field, dense) if rows else Matrix.zeros(field, 0, cols)
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
+    return m, sparse
+
+
+def _reduced_rows(echelon, field, pivots):
+    """The rows of a SparseEchelon scaled to pivot entry 1, as scalars."""
+    out = []
+    for c in pivots:
+        row = echelon.rows[c]
+        dense = [0] * echelon.width
+        for k, x in row.items():
+            if k < echelon.width:
+                dense[k] = x if field.kind == "prime" else Fraction(x, row[c])
+        out.append(dense)
+    return out
+
+
+class TestSparseRref:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from((QQ, PrimeField(2), PrimeField(101))))
+    def test_matches_dense_rref_both_pivot_orders(self, seed, field):
+        rng = fresh_rng(seed)
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        m, sparse = _sparse_operand(rng, field, rows, cols)
+        r, piv = m.rref()
+        echelon = sparse_rref(field, [dict(x) for x in sparse], cols)
+        assert sorted(echelon.rows) == list(piv)
+        assert _reduced_rows(echelon, field, piv) == r.to_rows()[:len(piv)]
+        # rightmost pivots: the dense rref of the mirrored matrix
+        mirrored = Matrix.from_rows(field, [row[::-1] for row in m.to_rows()]) \
+            if rows else m
+        r, piv = mirrored.rref()
+        echelon = sparse_rref(field, sparse, cols, reverse=True)
+        pivots = [cols - 1 - p for p in piv]
+        assert sorted(echelon.rows, reverse=True) == pivots
+        assert _reduced_rows(echelon, field, pivots) == \
+            [row[::-1] for row in r.to_rows()[:len(piv)]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from((QQ, PrimeField(2), PrimeField(101))))
+    def test_bookkeeping_columns_record_row_combinations(self, seed, field):
+        rng = fresh_rng(seed)
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        m, sparse = _sparse_operand(rng, field, rows, cols)
+        for i, row in enumerate(sparse):
+            row[cols + i] = 1
+        echelon = sparse_rref(field, sparse, cols)
+        for c, row in echelon.rows.items():
+            # the row is sum_i row[cols + i] * (row i of m), exactly
+            combo = [0] * cols
+            for k, t in row.items():
+                if k >= cols:
+                    for j in range(cols):
+                        combo[j] += t * m[k - cols, j]
+            if field.kind == "prime":
+                combo = [x % field.p for x in combo]
+            assert combo == [row.get(j, 0) for j in range(cols)]

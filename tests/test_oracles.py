@@ -9,7 +9,10 @@ the reference for the sparse assembly of the differentials, the dense
 Cauchy loops of the matrix power series as the reference for the
 zero-skipping series product, the per-term rational matrix product as
 the reference for the fraction-free one, and s (x) Id - Id (x) s as the
-reference for the fused coassociativity defect.
+reference for the fused coassociativity defect.  The dense routines of
+exactlinalg (kernel_basis, image_basis, quotient_data, solve) applied to
+the dense differential_matrix are the reference for the sparse
+elimination behind cohomology, is_coboundary and class_coordinates.
 """
 
 from fractions import Fraction
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from coaldef.coalgebra import (
     Coalgebra,
     CoalgebraMorphism,
+    InvalidStructureError,
     change_basis,
     change_basis_morphism,
     check_morphism,
@@ -54,7 +58,16 @@ from coaldef.deformation import (
     compose_isomorphisms,
     invert_formal,
 )
-from coaldef.exactlinalg import QQ, Matrix, PrimeField
+from coaldef.exactlinalg import (
+    QQ,
+    Matrix,
+    PrimeField,
+    QuotientError,
+    image_basis,
+    kernel_basis,
+    quotient_data,
+    solve,
+)
 
 from helpers import (
     field_matrix,
@@ -782,3 +795,100 @@ def test_comp_bar_matches_kronecker_reference(seed, field):
     s, t = (Cochain(reg, 2, _sparse_matrix(rng, field, c.dim ** 2, c.dim))
             for _ in range(2))
     assert comp_bar(s, t).matrix == reference_bar(s.matrix) @ t.matrix
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination record: kernel_basis, image_basis, quotient_data
+# and solve on the dense differential_matrix are the reference
+
+
+def _reference_class(basis, im_dim, vector):
+    """Class coordinates by the dense route, or None for a non-cocycle."""
+    x = solve(basis, vector)
+    if x is None:
+        return None
+    coords = x.column_entries(0)[im_dim:]
+    return coords if any(coords) else []
+
+
+def _random_flat(comp, n, rng):
+    """A random n-cochain of any complex, zero-dimensional parts included."""
+    def entry():
+        if comp.field.kind == "rational":
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randrange(comp.field.p)
+    return comp.from_flat(n, [entry() for _ in range(comp.cochain_dim(n))])
+
+
+def _assert_record_matches_dense(comp, n, rng):
+    d_n, d_prev = comp.differential_matrix(n), comp.differential_matrix(n - 1)
+    ker, im = kernel_basis(d_n), image_basis(d_prev)
+    try:
+        h_dim, reps = quotient_data(ker, im)
+    except QuotientError:
+        with pytest.raises(QuotientError):
+            comp.cohomology(n)
+        return
+    report = comp.cohomology(n)
+    assert (report.cocycle_dim, report.coboundary_dim, report.h_dim) == \
+        (ker.dim, im.dim, h_dim)
+    assert [comp.flatten(r) for r in report.representatives] == reps
+
+    basis = im.basis.hstack(*reps)
+    cocycle = comp.zero(n)
+    for r in report.representatives:
+        cocycle = cocycle + r.scale(rng.randint(-2, 2))
+    vectors = [cocycle, *report.representatives]
+    for _ in range(2):
+        boundary = comp.differential(_random_flat(comp, n - 1, rng))
+        vectors += [boundary, cocycle + boundary, _random_flat(comp, n, rng)]
+    for w in vectors:
+        vector = comp.flatten(w)
+        pre = comp.is_coboundary(w)
+        got = None if pre is None else comp.flatten(pre)
+        assert got == solve(d_prev, vector)
+        coords = _reference_class(basis, im.dim, vector)
+        if coords is None:
+            with pytest.raises(InvalidStructureError):
+                comp.class_coordinates(w)
+        else:
+            assert repr(comp.class_coordinates(w)) == repr(coords)
+
+
+def _record_complex(rng, field, which):
+    """A random morphism or bicomodule complex, a random non-morphism, or
+    one over the triangular dual or a zero-dimensional piece."""
+    if which == 0:
+        return MorphismComplex(random_morphism(rng, max_dim=3, field=field))
+    if which == 1:
+        return HochschildComplex(random_bicomodule(rng, max_dim=3,
+                                                   field=field))
+    if which == 2:
+        # almost never a morphism: its differential need not square to zero
+        return MorphismComplex(CoalgebraMorphism(
+            grouplike(2, field), divided_power(2, field),
+            field_matrix(rng, field, 2, 2, 4)), validate=False)
+    return MorphismComplex(_defect_morphisms(field)[which - 3],
+                           validate=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 9))
+def test_sparse_elimination_matches_dense_reference(seed, field, which):
+    rng = fresh_rng(seed)
+    comp = _record_complex(rng, field, which)
+    for n in (1, 2, 3):
+        # keep the dense reference of D_3 small
+        if comp.cochain_dim(n + 1) * comp.cochain_dim(n) > 60000:
+            break
+        _assert_record_matches_dense(comp, n, rng)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_sparse_elimination_matches_dense_reference_on_seed_pool(field):
+    rng = fresh_rng(404)
+    for f in seed_morphisms(field=field):
+        comp = MorphismComplex(f)
+        for n in (1, 2, 3):
+            _assert_record_matches_dense(comp, n, rng)
