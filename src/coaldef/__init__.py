@@ -16,14 +16,8 @@ The package is organized bottom-up:
   equivalence transport and constructive trivialization;
 * :mod:`coaldef.problemfile` / :mod:`coaldef.cli` -- the batch front
   end and its JSON problem-file format.
-
-Hot arithmetic loops run on the compiled Cython kernel when it is
-built and on its bit-identical pure-Python twin otherwise;
-:func:`backend_name` reports which one is active (``"compiled"`` or
-``"pure"``).
 """
 
-from ._backend import backend_name
 from .coalgebra import (
     Bicomodule,
     Coalgebra,

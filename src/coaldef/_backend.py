@@ -1,22 +1,12 @@
-"""The arithmetic kernel backend.
+"""The arithmetic kernel that :class:`coaldef.exactlinalg.Matrix` calls.
 
-The compiled Cython extension ``coaldef._kernels`` and the pure-Python
-module ``coaldef._kernels_py`` implement the same contract and produce
-bit-identical results.  The compiled one is used whenever it is built,
-the pure one otherwise.
+There is one kernel, :mod:`coaldef._kernels_py`.  ``Matrix`` fetches it
+through :func:`kernel` on every operation, so this module is the one
+point where a tracer can substitute a wrapping proxy for ``_active``.
 """
 
-try:
-    from . import _kernels as _active
-    _active_name = "compiled"
-except ImportError:
-    from . import _kernels_py as _active
-    _active_name = "pure"
+from . import _kernels_py as _active
 
 
 def kernel():
     return _active
-
-
-def backend_name():
-    return _active_name

@@ -1,8 +1,4 @@
-"""Pure-Python arithmetic kernels.
-
-Fallback implementation of the kernel contract shared with the compiled
-extension ``coaldef._kernels``.  Both backends must produce bit-identical
-output; higher layers pick one via :mod:`coaldef._backend`.
+"""Pure-Python arithmetic kernels behind :class:`coaldef.exactlinalg.Matrix`.
 
 Data layout:
 
@@ -17,8 +13,6 @@ tracks the number of nonzero entries rather than the dense size.
 Rational products run fraction-free: each row of the left factor and
 each column of the right one is brought to its common denominator, the
 entries are integer dot products, and each is reduced once at the end.
-The compiled kernel keeps a per-term loop; the results are the same bit
-for bit, because every entry is stored in lowest terms.
 """
 
 from math import gcd, lcm

@@ -31,9 +31,17 @@ from .problemfile import ProblemFile, ProblemFileError
 # hold dense n-cochains: up to dim C^n representatives of H^n, and an
 # echelon of at most dim C^n rows of that length, hence the bound on
 # dim C^n.  Both admit D_3 of id(dp5) (21,500 terms, dim C^3 = 1375)
-# and D_8 of id(dp2) (19,840 terms, dim C^8 = 1280).
+# and D_8 of id(dp2) (19,840 terms, dim C^8 = 1280).  Over QQ the cost
+# of elimination also grows with the height of the entries, so there
+# the terms times the bit length of the largest int of the assembled
+# operator (structure constants over their common denominator) is
+# bounded too.  D_2 of the identity of a random basis change of
+# grouplike(5) has 27,125 terms; it ran for 0.7 s with 10-bit ints,
+# 1.3 s with 17, 2.9 s with 48 and 51 s with 318, and the bound admits
+# it up to 19 bits.  id(dp5) D_3 has 2-bit ints.
 MAX_DIFFERENTIAL_TERMS = 1 << 15
 MAX_COCHAIN_DIM = 1 << 11
+MAX_DIFFERENTIAL_BITS = 1 << 19
 # cohomology degrees are bounded too: over dimension 0 or 1 the
 # cochains stay small, but assembly still loops over the degree
 MAX_DEGREE = 64
@@ -145,6 +153,14 @@ def _require_budget(comp, n, name):
         raise click.UsageError(
             f"{name}: the degree-{n} differential would be scattered from "
             f"{terms} terms, over the limit of {MAX_DIFFERENTIAL_TERMS}")
+    if comp.field.kind == "rational":
+        entries, _ = comp.operator(n)
+        bits = max((abs(x).bit_length() for x in entries.values()), default=0)
+        if terms * bits > MAX_DIFFERENTIAL_BITS:
+            raise click.UsageError(
+                f"{name}: the degree-{n} differential has {terms} terms "
+                f"with integers of up to {bits} bits over QQ; terms times "
+                f"bits is over the limit of {MAX_DIFFERENTIAL_BITS}")
 
 
 def _lookup(pf: ProblemFile, name, sections):

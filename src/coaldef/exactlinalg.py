@@ -8,8 +8,8 @@ there is no floating point anywhere in this package.
 
 Matrices are immutable and dense in semantics.  Internally an entry is a
 normalized integer pair (rationals) or an int in ``[0, p)`` (prime
-fields); the arithmetic itself lives in the kernel backend selected by
-:mod:`coaldef._backend`.
+fields); the arithmetic itself lives in :mod:`coaldef._kernels_py`,
+fetched through :mod:`coaldef._backend`.
 
 The cochain complexes eliminate their differentials sparsely instead
 (:mod:`coaldef.sparse`); the dense routines here give the same results

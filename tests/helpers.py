@@ -160,6 +160,16 @@ def fresh_rng(seed):
     return random.Random(seed)
 
 
+def tall_grouplike5():
+    """grouplike(5) after a basis change by fractions with numerator and
+    denominator up to 1000: every structure constant is nonzero, and the
+    largest integer of its problem file has 216 bits.  The D_2 of its
+    identity took 50 s over QQ (0.6 s over GF(2^31 - 1)) before the CLI
+    bounded the height of the entries."""
+    return change_basis(grouplike(5),
+                        invertible_matrix(fresh_rng(5), 5, bound=1000))
+
+
 # Problem files that once crashed, hung or flooded the parser: nesting
 # past the JSON decoder's recursion limit, an integer past Python's
 # digit limit, an exponent that Fraction would expand into 30 million

@@ -1,11 +1,12 @@
 import json
+import re
 import time
 
 import pytest
 from click.testing import CliRunner
 
-from coaldef.cli import (MAX_COCHAIN_DIM, MAX_DEGREE, MAX_DIFFERENTIAL_TERMS,
-                         main)
+from coaldef.cli import (MAX_COCHAIN_DIM, MAX_DEGREE, MAX_DIFFERENTIAL_BITS,
+                         MAX_DIFFERENTIAL_TERMS, main)
 from coaldef.coalgebra import change_basis, divided_power, identity_morphism
 from coaldef.cohomology import MorphismComplex
 from coaldef.problemfile import (MAX_DIM, MAX_ORDER, ProblemFile,
@@ -13,7 +14,7 @@ from coaldef.problemfile import (MAX_DIM, MAX_ORDER, ProblemFile,
 
 from helpers import (ALIASED_ISOMORPHISM, DEEP_NESTING, EXPONENT_SCALAR,
                      HUGE_INTEGER, MANY_COALGEBRAS, fresh_rng,
-                     invertible_matrix)
+                     invertible_matrix, tall_grouplike5)
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +395,9 @@ class TestDifferentialBudget:
             comp = MorphismComplex(identity_morphism(divided_power(dim)))
             assert comp.cochain_dim(n) <= MAX_COCHAIN_DIM
             assert comp.scatter_terms(n) <= MAX_DIFFERENTIAL_TERMS
+            entries, _ = comp.operator(n)
+            bits = max(abs(x).bit_length() for x in entries.values())
+            assert comp.scatter_terms(n) * bits <= MAX_DIFFERENTIAL_BITS
 
     def test_third_cohomology_of_divided_power_five(self, tmp_path):
         path = identity_problem(tmp_path / "dp5.json", divided_power(5))
@@ -419,3 +423,20 @@ class TestDifferentialBudget:
         assert time.perf_counter() - started < 1.0
         assert r.exit_code == 2
         assert "the degree-3 differential would be scattered from" in r.output
+
+    def test_tall_structure_constants_over_height_budget_exit_fast(
+            self, tmp_path):
+        # under the term and cochain budgets, but elimination over QQ
+        # grows with the height of the entries; GF(p) has no growth
+        path = identity_problem(tmp_path / "tall_g5.json", tall_grouplike5())
+        assert max(int(x).bit_length()
+                   for x in re.findall(r"\d+", path.read_text())) == 216
+        started = time.perf_counter()
+        r = run("cohomology", path, "morphism", "f", 2)
+        assert time.perf_counter() - started < 1.0
+        assert r.exit_code == 2
+        assert r.output.count("Error:") == 1
+        assert "terms times bits is over the limit" in r.output
+        r = run("--field", "prime:2147483647", "cohomology", path,
+                "morphism", "f", 2)
+        assert r.exit_code == 0, r.output

@@ -1,10 +1,16 @@
+import importlib
+import sys
 import time
+import types
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coaldef
+from coaldef import _backend, _kernels_py
 from coaldef.exactlinalg import (
     QQ,
     DimensionError,
@@ -20,7 +26,7 @@ from coaldef.exactlinalg import (
 )
 from coaldef.sparse import sparse_rref
 
-from helpers import fresh_rng, rational_matrix
+from helpers import fresh_rng, rational, rational_matrix
 
 
 def mat(rows):
@@ -232,6 +238,39 @@ class TestMatrixOps:
     def test_zero_denominator_mod_p(self):
         with pytest.raises(ZeroDivisionError):
             PrimeField(5).coerce("1/5")
+
+
+class TestArithmeticKernel:
+    def test_outputs_stay_normalized(self):
+        rng = fresh_rng(99)
+        an, ad, bn, bd = [], [], [], []
+        for num, den in ((an, ad), (bn, bd)):
+            for _ in range(36):
+                f = rational(rng, 20)
+                num.append(f.numerator)
+                den.append(f.denominator)
+        for out_n, out_d in (
+            _kernels_py.q_matmul(an, ad, bn, bd, 6, 6, 6),
+            _kernels_py.q_add(an, ad, bn, bd),
+            _kernels_py.q_rref(an, ad, 6, 6)[:2],
+        ):
+            for x, y in zip(out_n, out_d):
+                assert y > 0
+                assert gcd(x, y) == 1
+                assert x != 0 or y == 1
+
+    def test_stale_extension_is_ignored(self, monkeypatch):
+        # an extension module left behind by an old build must not
+        # replace the kernel
+        stale = types.ModuleType("coaldef._kernels")
+        monkeypatch.setitem(sys.modules, "coaldef._kernels", stale)
+        monkeypatch.setattr(coaldef, "_kernels", stale, raising=False)
+        try:
+            importlib.reload(_backend)
+            assert _backend.kernel() is _kernels_py
+        finally:
+            monkeypatch.undo()
+            importlib.reload(_backend)
 
 
 def _sparse_operand(rng, field, rows, cols):
