@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 import click
 
 from . import problemfile as pfmod
-from .cohomology import HochschildComplex, MorphismComplex
+from .cohomology import HochschildComplex, d_c, morphism_complex
 from .coalgebra import check_coassociative, check_morphism, regular_bicomodule
 from .deformation import integrate, obstruction, trivialize, verify_deformation
 from .problemfile import ProblemFile, ProblemFileError
@@ -204,8 +204,7 @@ def check(ctx, file, name):
             payload["equation"] = rep.equation
             payload["position"] = list(rep.position)
     else:
-        comp = MorphismComplex(obj.morphism, validate=False)
-        dw = comp.differential(obj)
+        dw = d_c(obj)
         ok = dw.is_zero()
         if ok:
             detail = "ok"
@@ -283,7 +282,7 @@ def _validated_morphism_complex(f):
         rep = check_morphism(f)
     if not rep.ok:
         return Report("", "fail", {"detail": rep.message}, [rep.message])
-    return MorphismComplex(f)
+    return morphism_complex(f)
 
 
 @main.command()
@@ -295,7 +294,7 @@ def obstruct(ctx, file, name):
     """Obstruction cochain and class of a named deformation."""
     pf = _load(file, ctx)
     _, d = _lookup(pf, name, ("deformations",))
-    _require_budget(d.complex(), 3, name)
+    _require_budget(morphism_complex(d.morphism), 3, name)
     command = f"obstruct {file} {name}"
     rep = verify_deformation(d)
     if not rep.ok:
@@ -379,7 +378,7 @@ def trivialize_cmd(ctx, file, name, output):
     """Find a formal isomorphism carrying a deformation to the trivial one."""
     pf = _load(file, ctx)
     _, d = _lookup(pf, name, ("deformations",))
-    _require_budget(d.complex(), 2, name)
+    _require_budget(morphism_complex(d.morphism), 2, name)
     command = f"trivialize {file} {name}"
     rep = verify_deformation(d)
     if not rep.ok:

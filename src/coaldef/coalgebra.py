@@ -83,9 +83,14 @@ class Coalgebra:
 
 
 class CoalgebraMorphism:
-    """A linear map between coalgebras; matrix shape (dim target, dim source)."""
+    """A linear map between coalgebras; matrix shape (dim target, dim source).
 
-    __slots__ = ("source", "target", "matrix")
+    ``_complex`` holds the deformation complex of the map once
+    :func:`coaldef.cohomology.morphism_complex` has built it; nothing
+    else writes it.
+    """
+
+    __slots__ = ("source", "target", "matrix", "_complex")
 
     def __init__(self, source: Coalgebra, target: Coalgebra, matrix: Matrix):
         if matrix.shape != (target.dim, source.dim):
@@ -95,6 +100,7 @@ class CoalgebraMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._complex = None
 
     @property
     def field(self):
@@ -220,10 +226,16 @@ def bicomodule_via(f: CoalgebraMorphism) -> Bicomodule:
     Coactions are (f (x) Id) o delta_source and (Id (x) f) o delta_source.
     Raises InvalidStructureError unless f is a coalgebra morphism.
     """
+    require_morphism(f)
+    return _pushed_forward(f)
+
+
+def require_morphism(f: CoalgebraMorphism):
+    """Raise InvalidStructureError, locating the first failing entry,
+    unless f is a coalgebra morphism."""
     rep = check_morphism(f)
     if not rep.ok:
         raise InvalidStructureError(f"not a coalgebra morphism ({rep.message})")
-    return _pushed_forward(f)
 
 
 def _pushed_forward(f: CoalgebraMorphism) -> Bicomodule:

@@ -16,6 +16,8 @@ matrix form, cocycle/coboundary predicates with canonical cobounding
 solutions, and cohomology reports with quotient representatives.  The
 queries read one sparse elimination record per degree, computed exactly
 from the operator; no dense matrix of a differential is formed.
+:func:`morphism_complex` gives the one deformation complex of a
+morphism object, which every layer holding the morphism shares.
 Cochains flatten to coordinate vectors row-major; morphism cochains
 concatenate their (a, b, ab) blocks in that order.
 """
@@ -32,8 +34,8 @@ from .coalgebra import (
     CoalgebraMorphism,
     InvalidStructureError,
     _pushed_forward,
-    bicomodule_via,
     regular_bicomodule,
+    require_morphism,
 )
 from .exactlinalg import DimensionError, Matrix
 
@@ -274,7 +276,12 @@ class _ComplexBase:
     # subclasses: field, cochain_dim(n), zero(n), from_flat(n, entries),
     # _parts(w) (component matrices in block order), _denominator(n),
     # _scatter(n, acc, row, col, sign, den), and differential(w)
-    # documenting the coboundary it applies
+    # documenting the coboundary it applies; require_valid() where the
+    # queries need a check of the structure
+
+    def require_valid(self):
+        """Raise InvalidStructureError if the structure maps are not what
+        the queries assume; the base class checks nothing."""
 
     def operator(self, n):
         """The degree-n differential as ``({(row, col): int}, den)``.
@@ -370,6 +377,7 @@ class _ComplexBase:
         return x, den
 
     def is_cocycle(self, w) -> bool:
+        self.require_valid()
         return self.differential(w).is_zero()
 
     def is_coboundary(self, w):
@@ -382,6 +390,7 @@ class _ComplexBase:
         D_(n-1) applied to w; an exact residual check through the sparse
         operator decides whether w is a coboundary at all.
         """
+        self.require_valid()
         n = w.degree
         x = self._elimination(n - 1).solve(*self._coordinates(w))
         if x is None:
@@ -392,6 +401,7 @@ class _ComplexBase:
         """Kernel-modulo-image data of the complex in degree n >= 1."""
         if n < 1:
             raise DimensionError("cohomology is exposed for degrees >= 1 only")
+        self.require_valid()
         q = self._quotient(n)
         cochain_reps = tuple(
             self.from_flat(n, entries) for entries in q.representative_entries()
@@ -404,6 +414,7 @@ class _ComplexBase:
 
         Empty list iff w is a coboundary.  Raises if w is not a cocycle.
         """
+        self.require_valid()
         q = self._quotient(w.degree)
         coords = q.coordinates(*self._coordinates(w))
         if coords is None:
@@ -506,20 +517,31 @@ class HochschildComplex(_ComplexBase):
 
 
 class MorphismComplex(_ComplexBase):
-    """The deformation complex of a coalgebra morphism.
+    """The deformation complex C*(f) of a coalgebra morphism f.
 
-    ``validate=False`` skips the morphism-compatibility check of the
-    mixed bicomodule; it exists so that checking tools can hold cochains
-    over structures they are about to report as broken.
+    Building it never checks f: cochains over a map that is not a
+    morphism can be held and differentiated, so checking tools can
+    report what is broken.  The queries -- ``is_cocycle``,
+    ``is_coboundary``, ``cohomology`` and ``class_coordinates`` -- call
+    :meth:`require_valid`, which checks f once per complex.  Direct
+    construction gives a fresh complex; :func:`morphism_complex` gives
+    the one complex shared by every holder of f.
     """
 
-    def __init__(self, f: CoalgebraMorphism, validate=True):
+    def __init__(self, f: CoalgebraMorphism):
         super().__init__()
         self.morphism = f
         self.on_source = HochschildComplex(regular_bicomodule(f.source))
         self.on_target = HochschildComplex(regular_bicomodule(f.target))
-        self.mixed = HochschildComplex(
-            bicomodule_via(f) if validate else _pushed_forward(f))
+        self.mixed = HochschildComplex(_pushed_forward(f))
+        self._valid = False
+
+    def require_valid(self):
+        """Raise InvalidStructureError("not a coalgebra morphism (...)")
+        unless f is a coalgebra morphism; a passed check is kept."""
+        if not self._valid:
+            require_morphism(self.morphism)
+            self._valid = True
 
     @property
     def field(self):
@@ -632,7 +654,17 @@ def hochschild_complex(bicomodule: Bicomodule) -> HochschildComplex:
 
 
 def morphism_complex(f: CoalgebraMorphism) -> MorphismComplex:
-    return MorphismComplex(f)
+    """The one deformation complex of the morphism object f.
+
+    Built on first use and kept on f, so every layer that holds f --
+    its cochains, deformations and formal isomorphisms, problem files
+    and the command line -- shares its assembled differentials, its
+    eliminations and its one morphism check.  Building does not check
+    f; the queries do (see :class:`MorphismComplex`).
+    """
+    if f._complex is None:
+        f._complex = MorphismComplex(f)
+    return f._complex
 
 
 def delta_c(w: Cochain) -> Cochain:
@@ -642,7 +674,7 @@ def delta_c(w: Cochain) -> Cochain:
 
 def d_c(w: MorphismCochain) -> MorphismCochain:
     """Coboundary of a deformation-complex cochain."""
-    return MorphismComplex(w.morphism).differential(w)
+    return morphism_complex(w.morphism).differential(w)
 
 
 def differential_matrix(complex_, n) -> Matrix:

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .coalgebra import CoalgebraMorphism, InvalidStructureError
-from .cohomology import Cochain, MorphismCochain, MorphismComplex
+from .cohomology import Cochain, MorphismCochain, MorphismComplex, \
+    morphism_complex
 from .exactlinalg import DimensionError, ExactLinalgError, Matrix
 
 
@@ -109,7 +110,7 @@ class TruncatedDeformation:
     of the undeformed morphism.
     """
 
-    __slots__ = ("morphism", "order", "coeffs", "_complex")
+    __slots__ = ("morphism", "order", "coeffs")
 
     def __init__(self, morphism: CoalgebraMorphism, coeffs):
         coeffs = tuple(coeffs)
@@ -130,29 +131,18 @@ class TruncatedDeformation:
         self.morphism = morphism
         self.order = len(coeffs) - 1
         self.coeffs = coeffs
-        self._complex = None
 
     @classmethod
     def from_higher_coefficients(cls, morphism, higher, order=None):
-        """Build from the coefficients of t^1.. (zero-padded to ``order``)."""
-        higher = list(higher)
-        if order is None:
-            order = len(higher)
-        comp = MorphismComplex(morphism)
-        while len(higher) < order:
-            higher.append(comp.zero(2))
-        d = cls(morphism, [_structure_coefficient(comp)] + higher)
-        d._complex = comp
-        return d
+        """Build from the coefficients of t^1.. (zero-padded to ``order``;
+        more coefficients than ``order`` raise DimensionError)."""
+        comp = morphism_complex(morphism)
+        return cls(morphism, [_structure_coefficient(comp)]
+                   + _padded(comp, higher, order, 2))
 
     @classmethod
     def trivial(cls, morphism, order):
         return cls.from_higher_coefficients(morphism, [], order)
-
-    def complex(self) -> MorphismComplex:
-        if self._complex is None:
-            self._complex = MorphismComplex(self.morphism)
-        return self._complex
 
     def coefficient(self, n) -> MorphismCochain:
         return self.coeffs[n]
@@ -178,9 +168,9 @@ class TruncatedDeformation:
     def truncate(self, order) -> "TruncatedDeformation":
         if order > self.order:
             raise DimensionError("cannot truncate upward")
-        d = TruncatedDeformation(self.morphism, self.coeffs[:order + 1])
-        d._complex = self._complex
-        return d
+        if order < 0:
+            raise DimensionError(f"cannot truncate to order {order}")
+        return TruncatedDeformation(self.morphism, self.coeffs[:order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedDeformation):
@@ -190,6 +180,18 @@ class TruncatedDeformation:
     def __repr__(self):
         return (f"TruncatedDeformation(order={self.order}, "
                 f"over {self.morphism!r})")
+
+
+def _padded(comp: MorphismComplex, higher, order, degree):
+    """The coefficients of t^1.., zero-padded to ``order`` (by default
+    their count); more coefficients than ``order`` are an error."""
+    higher = list(higher)
+    if order is None:
+        order = len(higher)
+    if len(higher) > order:
+        raise DimensionError(
+            f"{len(higher)} higher coefficients exceed order {order}")
+    return higher + [comp.zero(degree) for _ in range(order - len(higher))]
 
 
 def _structure_coefficient(comp: MorphismComplex) -> MorphismCochain:
@@ -238,13 +240,11 @@ class FormalIsomorphism:
 
     @classmethod
     def from_higher_coefficients(cls, morphism, higher, order=None):
-        higher = list(higher)
-        if order is None:
-            order = len(higher)
-        comp = MorphismComplex(morphism)
-        while len(higher) < order:
-            higher.append(comp.zero(1))
-        return cls(morphism, [_identity_pair(comp)] + higher)
+        """Build from the coefficients of t^1.. (zero-padded to ``order``;
+        more coefficients than ``order`` raise DimensionError)."""
+        comp = morphism_complex(morphism)
+        return cls(morphism, [_identity_pair(comp)]
+                   + _padded(comp, higher, order, 1))
 
     @classmethod
     def identity(cls, morphism, order):
@@ -449,7 +449,8 @@ def infinitesimal(d: TruncatedDeformation) -> InfinitesimalResult:
     the order-l coefficient is a 2-cocycle; ``generalized_order`` is l.
     A deformation with no nonzero coefficient is trivial to this order.
     """
-    comp = d.complex()
+    comp = morphism_complex(d.morphism)
+    comp.require_valid()
     for n in range(1, d.order + 1):
         w = d.coefficient(n)
         if not w.is_zero():
@@ -486,7 +487,7 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     zero order-(N+1) coefficient.  Raises InternalInvariantError if it
     fails to be a 3-cocycle, which the theory rules out for valid input.
     """
-    comp = d.complex()
+    comp = morphism_complex(d.morphism)
     padded = [series + [zero.matrix] for series, zero in zip(
         (d.series_a(), d.series_b(), d.series_f()), comp.zero(2).parts())]
     [(ob_a, ob_b, ob_f)] = _defects(*padded, [d.order + 1])
@@ -501,7 +502,7 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
 def obstruction(d: TruncatedDeformation) -> ObstructionClass:
     """Obstruction cochain of a valid deformation together with its class."""
     ob = _obstruction_cochain(d)
-    comp = d.complex()
+    comp = morphism_complex(d.morphism)
     if comp.is_coboundary(ob) is not None:
         coords = ()
     else:
@@ -517,7 +518,7 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
     Without it, solve for the canonical cobounding coefficient; if none
     exists return the nonzero ObstructionClass instead of a deformation.
     """
-    comp = d.complex()
+    comp = morphism_complex(d.morphism)
     ob = _obstruction_cochain(d)
     if w is not None:
         if w.degree != 2 or w.morphism != d.morphism:
@@ -537,9 +538,7 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
         if w is None:
             return ObstructionClass(ob, tuple(comp.class_coordinates(ob)),
                                     d.order + 1)
-    out = TruncatedDeformation(d.morphism, d.coeffs + (w,))
-    out._complex = comp
-    return out
+    return TruncatedDeformation(d.morphism, d.coeffs + (w,))
 
 
 def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
@@ -554,9 +553,9 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
     if w.degree != 2:
         raise DimensionError("only degree-2 cochains integrate to deformations")
     d = TruncatedDeformation.from_higher_coefficients(w.morphism, [w])
-    comp = d.complex()
-    dw = comp.differential(w)
-    if not dw.is_zero():
+    comp = morphism_complex(w.morphism)
+    if not comp.is_cocycle(w):
+        dw = comp.differential(w)
         for part_name in ("a_part", "b_part", "ab_part"):
             pos = getattr(dw, part_name).matrix.first_nonzero()
             if pos is not None:
@@ -595,7 +594,7 @@ def compose_isomorphisms(outer: FormalIsomorphism,
 
 
 def _isomorphism_from_series(f, series_a, series_b):
-    comp = MorphismComplex(f)
+    comp = morphism_complex(f)
     return FormalIsomorphism(f, [comp.element(a, b, None, 1)
                                  for a, b in zip(series_a, series_b)])
 
@@ -626,15 +625,13 @@ def apply_equivalence(p: FormalIsomorphism,
     new_b = _series(_series(phi_b, phi_b, n, _cauchy_kron),
                     _series(d.series_b(), inv_b, n), n)
     new_f = _series(phi_b, _series(d.series_f(), inv_a, n), n)
-    comp = d.complex()
+    comp = morphism_complex(d.morphism)
     if (new_a[0] != d.comul_a(0) or new_b[0] != d.comul_b(0)
             or new_f[0] != d.map_coeff(0)):
         raise InternalInvariantError(
             "transport moved the order-0 structure maps")
-    out = TruncatedDeformation(d.morphism, [d.coeffs[0]] + [
+    return TruncatedDeformation(d.morphism, [d.coeffs[0]] + [
         comp.element(new_a[i], new_b[i], new_f[i], 2) for i in range(1, n + 1)])
-    out._complex = comp
-    return out
 
 
 def trivialize(d: TruncatedDeformation) -> TrivializationResult:
@@ -646,7 +643,7 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     the steps is returned.  If some leading coefficient is a cocycle but
     not a coboundary, its degree-2 class blocks and is reported.
     """
-    comp = d.complex()
+    comp = morphism_complex(d.morphism)
     current = d
     iso = FormalIsomorphism.identity(d.morphism, d.order)
     while True:

@@ -41,9 +41,8 @@ from math import gcd
 
 from .coalgebra import Coalgebra, CoalgebraMorphism, direct_sum, divided_power, \
     grouplike, zero_comultiplication
-from .cohomology import MorphismCochain, MorphismComplex
-from .deformation import FormalIsomorphism, TruncatedDeformation, \
-    _identity_pair, _structure_coefficient
+from .cohomology import MorphismCochain, morphism_complex
+from .deformation import FormalIsomorphism, TruncatedDeformation
 from .exactlinalg import QQ, Matrix, PrimeField
 
 
@@ -207,21 +206,20 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
         where = f"deformations.{name}"
         f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
         order = _bounded_int(spec, "order", MAX_ORDER, where)
-        comp = MorphismComplex(f, validate=False)
+        comp = morphism_complex(f)
         higher = [comp.zero(2) for _ in range(order)]
         for key, cspec in _section(spec, "coeffs", where).items():
             n = _coeff_order(key, order, where)
             higher[n - 1] = _parse_coefficient(field, f, cspec, 2,
-                                               f"{where}.coeffs.{key}", comp)
-        d = TruncatedDeformation(f, [_structure_coefficient(comp)] + higher)
-        d._complex = comp
-        pf.deformations[name] = d
+                                               f"{where}.coeffs.{key}")
+        pf.deformations[name] = TruncatedDeformation.from_higher_coefficients(
+            f, higher)
 
     for name, spec in _section(obj, "isomorphisms").items():
         where = f"isomorphisms.{name}"
         f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
         order = _bounded_int(spec, "order", MAX_ORDER, where)
-        comp = MorphismComplex(f, validate=False)
+        comp = morphism_complex(f)
         higher = [comp.zero(1) for _ in range(order)]
         for key, cspec in _section(spec, "coeffs", where).items():
             n = _coeff_order(key, order, where)
@@ -232,8 +230,8 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
                                 (f.target.dim, f.target.dim),
                                 f"{where}.coeffs.{key}.B")
             higher[n - 1] = comp.element(a, b, None, 1)
-        pf.isomorphisms[name] = FormalIsomorphism(
-            f, [_identity_pair(comp)] + higher)
+        pf.isomorphisms[name] = FormalIsomorphism.from_higher_coefficients(
+            f, higher)
 
     return pf
 
@@ -365,9 +363,7 @@ def _coeff_order(key, order, where):
     return n
 
 
-def _parse_coefficient(field, f, spec, degree, where, comp=None):
-    if comp is None:
-        comp = MorphismComplex(f, validate=False)
+def _parse_coefficient(field, f, spec, degree, where):
     a = _quadruples_to_matrix(field, spec.get("A", []), f.source.dim,
                               where + ".A")
     b = _quadruples_to_matrix(field, spec.get("B", []), f.target.dim,
@@ -378,7 +374,7 @@ def _parse_coefficient(field, f, spec, degree, where, comp=None):
     else:
         fmat = _rows_to_matrix(field, fm, (f.target.dim, f.source.dim),
                                where + ".F")
-    return comp.element(a, b, fmat, degree)
+    return morphism_complex(f).element(a, b, fmat, degree)
 
 
 def parse_problem_text(text, field_override=None) -> ProblemFile:
@@ -532,19 +528,19 @@ def builtin_corpus(field=QQ) -> dict:
     fixtures.morphisms["include_g1"] = CoalgebraMorphism(g1, s12, incl)
 
     fid = fixtures.morphisms["id_divided_power2"]
-    comp = MorphismComplex(fid)
+    comp = morphism_complex(fid)
     bump = Matrix.zeros(field, 4, 2)
     bump._num[3 * 2 + 1] = 1  # e1 -> e1 (x) e1
     w = comp.element(bump, bump, Matrix.zeros(field, 2, 2), 2)
     fixtures.cocycles["dp2_infinitesimal"] = w
-    fixtures.cocycles["zero_g1"] = MorphismComplex(
+    fixtures.cocycles["zero_g1"] = morphism_complex(
         fixtures.morphisms["id_grouplike1"]).zero(2)
     d = TruncatedDeformation.from_higher_coefficients(fid, [w], 2)
     fixtures.deformations["dp2_deformation"] = d
     fixtures.deformations["trivial_g1"] = TruncatedDeformation.trivial(
         fixtures.morphisms["id_grouplike1"], 3)
 
-    iso_comp = MorphismComplex(fixtures.morphisms["id_grouplike1"])
+    iso_comp = morphism_complex(fixtures.morphisms["id_grouplike1"])
     two = Matrix.from_rows(field, [[2]])
     fixtures.isomorphisms["g1_iso"] = FormalIsomorphism.from_higher_coefficients(
         fixtures.morphisms["id_grouplike1"],
@@ -560,7 +556,7 @@ def builtin_corpus(field=QQ) -> dict:
     obstructed.coalgebras[z2.name] = z2
     fz = CoalgebraMorphism(z2, z2, Matrix.identity(field, 2))
     obstructed.morphisms["id_zero2"] = fz
-    zcomp = MorphismComplex(fz)
+    zcomp = morphism_complex(fz)
     knot = Matrix.zeros(field, 4, 2)
     knot._num[1 * 2 + 0] = 1  # e0 -> e0 (x) e1: not coassociative, yet a cocycle here
     wz = zcomp.element(knot, knot, Matrix.zeros(field, 2, 2), 2)

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from coaldef.coalgebra import (
+    CoalgebraMorphism,
     change_basis,
     change_basis_morphism,
     collapse_morphism,
@@ -24,7 +25,7 @@ from coaldef.coalgebra import (
     zero_comultiplication,
     zero_morphism,
 )
-from coaldef.cohomology import Cochain, MorphismComplex
+from coaldef.cohomology import Cochain, MorphismComplex, morphism_complex
 from coaldef.deformation import FormalIsomorphism, TruncatedDeformation
 from coaldef.exactlinalg import QQ, Matrix, kernel_basis
 
@@ -147,13 +148,23 @@ def random_isomorphism(comp: MorphismComplex, order, rng, bound=4):
 
 def dilate_deformation(d: TruncatedDeformation, k) -> TruncatedDeformation:
     """Substitute t -> t^k: shifts every coefficient from order n to k*n."""
-    comp = d.complex()
+    comp = morphism_complex(d.morphism)
     coeffs = [d.coeffs[0]]
     for n in range(1, d.order * k + 1):
         coeffs.append(d.coefficient(n // k) if n % k == 0 else comp.zero(2))
-    out = TruncatedDeformation(d.morphism, coeffs)
-    out._complex = comp
-    return out
+    return TruncatedDeformation(d.morphism, coeffs)
+
+
+def doubled_dp2():
+    """f = 2 id on divided_power(2): not a coalgebra morphism, since
+    delta(f(e0)) = 2 e0 (x) e0 but (f (x) f)(delta(e0)) = 4 e0 (x) e0."""
+    dp2 = divided_power(2)
+    return CoalgebraMorphism(dp2, dp2, Matrix.from_rows(QQ, [[2, 0], [0, 2]]))
+
+
+# what every query and operation over doubled_dp2() raises
+NOT_A_MORPHISM = ("not a coalgebra morphism (morphism compatibility: "
+                  "first failing entry at (0, 0) with value -2)")
 
 
 def fresh_rng(seed):

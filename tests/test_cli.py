@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -48,6 +49,17 @@ DOUBLED_DP2 = {
     "cocycles": {"w": {"morphism": "double", "A": [], "B": [],
                        "F": [["0", "0"], ["0", "0"]]}},
     "isomorphisms": {"p": {"morphism": "double", "order": 1, "coeffs": {}}},
+    "deformations": {"d": {"morphism": "double", "order": 1, "coeffs": {}}},
+}
+
+
+# dp2 with its identity and the cocycle bump(e1) = e1 (x) e1 on both sides
+DP2_BUMP = {
+    "coalgebras": DOUBLED_DP2["coalgebras"],
+    "morphisms": {"id": {"source": "dp2", "target": "dp2",
+                         "matrix": [["1", "0"], ["0", "1"]]}},
+    "cocycles": {"w": {"morphism": "id", "A": [[1, 1, 1, "1"]],
+                       "B": [[1, 1, 1, "1"]], "F": [["0", "0"], ["0", "0"]]}},
 }
 
 
@@ -216,6 +228,28 @@ class TestIntegrate:
         assert "morphism compatibility" in detail and "(0, 0)" in detail
         assert not out.exists()
 
+    def test_builds_one_complex_and_assembles_d3_once(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "dp2.json"
+        path.write_text(json.dumps(DP2_BUMP))
+        built, scattered = [], []
+        build, scatter = MorphismComplex.__init__, MorphismComplex._scatter
+
+        def counting_build(self, f):
+            built.append(f)
+            build(self, f)
+
+        def counting_scatter(self, n, *args):
+            scattered.append(n)
+            scatter(self, n, *args)
+
+        monkeypatch.setattr(MorphismComplex, "__init__", counting_build)
+        monkeypatch.setattr(MorphismComplex, "_scatter", counting_scatter)
+        r = run("integrate", path, "w", 3, "-o", tmp_path / "out.json")
+        assert r.exit_code == 0, r.output
+        assert len(built) == 1
+        assert scattered.count(3) == 1
+
     def test_order_above_bound_is_usage_error(self, corpus_dir, tmp_path):
         r = run("integrate", corpus_dir / "fixtures.json", "zero_g1",
                 MAX_ORDER + 1, "-o", tmp_path / "x.json")
@@ -256,6 +290,23 @@ class TestTrivialize:
         payload = machine_section(r.output)["payload"]
         assert payload["h2_class"]
         assert not (tmp_path / "iso.json").exists()
+
+
+class TestNonMorphismDeformation:
+    @pytest.mark.parametrize("command", ["obstruct", "trivialize"])
+    def test_fails_at_order_zero_and_writes_nothing(self, tmp_path, command):
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(DOUBLED_DP2))
+        out = tmp_path / "out.json"
+        extra = ["-o", out] if command == "trivialize" else []
+        r = run(command, path, "d", *extra)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "status: fail" in r.output.splitlines()
+        assert len(json_lines(r.output)) == 1
+        assert machine_section(r.output)["payload"]["detail"] == \
+            "morphism condition fails at order 0, entry (0, 0)"
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -440,3 +491,58 @@ class TestDifferentialBudget:
         r = run("--field", "prime:2147483647", "cohomology", path,
                 "morphism", "f", 2)
         assert r.exit_code == 0, r.output
+
+
+# Every check, cohomology (all three complexes, degrees 1-3), obstruct,
+# integrate (order 3) and trivialize command that the three --fixtures
+# files admit, read over each field; one sha256 per field covers the
+# argv, exit code, stdout without its time: line and any output file.
+GOLDEN_DIGESTS = {
+    "rational":
+        "e0be556bfda493de0fce34ccc9eb1ecd6dce548dfa3c935388b198c976310981",
+    "prime:5":
+        "a936c97eb4a44b62ef415bada546dd0bc18d9b4a5f74b466a717c59bb519a91d",
+    "prime:2":
+        "4aed026f19ec50f68cad31abef0fd23e2e4c01d10c5355167611d3b50578b1b4",
+}
+
+
+def golden_commands(corpus):
+    commands = []
+    for fname in ("fixtures.json", "invalid.json", "obstructed.json"):
+        obj = json.loads((corpus / fname).read_text())
+        for section in ("coalgebras", "morphisms", "cocycles",
+                        "deformations", "isomorphisms"):
+            commands += [["check", fname, name]
+                         for name in obj.get(section, {})]
+        for section, kinds in (("morphisms", ("source", "target", "morphism")),
+                               ("coalgebras", ("source", "target"))):
+            commands += [["cohomology", fname, kind, name, str(n)]
+                         for name in obj.get(section, {})
+                         for kind in kinds for n in (1, 2, 3)]
+        for name in obj.get("deformations", {}):
+            commands.append(["obstruct", fname, name])
+            commands.append(["trivialize", fname, name, "-o", "out.json"])
+        commands += [["integrate", fname, name, "3", "-o", "out.json"]
+                     for name in obj.get("cocycles", {})]
+    return commands
+
+
+@pytest.mark.parametrize("field_spec", sorted(GOLDEN_DIGESTS))
+def test_golden_corpus_output(corpus_dir, tmp_path, monkeypatch, field_spec):
+    for path in corpus_dir.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    digest = hashlib.sha256()
+    for argv in golden_commands(tmp_path):
+        if out.exists():
+            out.unlink()
+        argv = ["--field", field_spec] + argv
+        r = CliRunner().invoke(main, argv)
+        assert r.exception is None or isinstance(r.exception, SystemExit), \
+            (argv, r.exception)
+        digest.update(repr((argv, r.exit_code, stable_lines(r.output),
+                            out.read_text() if out.exists() else None))
+                      .encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[field_spec]

@@ -16,11 +16,15 @@ from coaldef.cohomology import (
     HochschildComplex,
     MorphismComplex,
     _ComplexBase,
+    d_c,
     delta_c,
+    morphism_complex,
 )
 from coaldef.exactlinalg import QQ, DimensionError, Matrix, PrimeField
 
 from helpers import (
+    NOT_A_MORPHISM,
+    doubled_dp2,
     fresh_rng,
     invertible_matrix,
     random_bicomodule,
@@ -300,3 +304,34 @@ class TestSparseElimination:
         assert not comp.is_cocycle(v)
         with pytest.raises(InvalidStructureError):
             comp.class_coordinates(v)
+
+
+class TestOneComplexPerMorphism:
+    def test_shared_by_every_caller(self):
+        f = identity_morphism(divided_power(2))
+        comp = morphism_complex(f)
+        assert morphism_complex(f) is comp
+        assert MorphismComplex(f) is not comp
+        w = comp.zero(2)
+        assert d_c(w) == comp.zero(3)
+        assert morphism_complex(w.morphism) is comp
+
+    def test_non_morphism_builds_and_differentiates(self):
+        f = doubled_dp2()
+        comp = MorphismComplex(f)
+        w = comp.from_flat(2, [1] * comp.cochain_dim(2))
+        assert comp.differential(w) == d_c(w)
+        assert comp.differential_matrix(2).shape == (comp.cochain_dim(3),
+                                                     comp.cochain_dim(2))
+
+    def test_non_morphism_queries_refuse(self):
+        for comp in (MorphismComplex(doubled_dp2()),
+                     morphism_complex(doubled_dp2())):
+            w = comp.zero(2)
+            for query in (lambda: comp.is_cocycle(w),
+                          lambda: comp.is_coboundary(w),
+                          lambda: comp.cohomology(2),
+                          lambda: comp.class_coordinates(w)):
+                with pytest.raises(InvalidStructureError) as err:
+                    query()
+                assert str(err.value) == NOT_A_MORPHISM

@@ -7,7 +7,7 @@ from coaldef.coalgebra import (
     regular_bicomodule,
     zero_comultiplication,
 )
-from coaldef.cohomology import Cochain, MorphismComplex
+from coaldef.cohomology import Cochain, MorphismComplex, morphism_complex
 from coaldef.deformation import (
     ExtensionRejected,
     FormalIsomorphism,
@@ -29,7 +29,9 @@ from coaldef.exactlinalg import QQ, DimensionError, Matrix
 from coaldef.coalgebra import InvalidStructureError
 
 from helpers import (
+    NOT_A_MORPHISM,
     dilate_deformation,
+    doubled_dp2,
     fresh_rng,
     random_cocycle,
     random_isomorphism,
@@ -404,3 +406,46 @@ class TestTrivialize:
         d1 = comp.differential_matrix(1)
         stacked = d1.hstack(comp.flatten(res.blocking_cochain))
         assert rank(stacked) == rank(d1) + 1
+
+
+class TestNonMorphism:
+    def test_series_build_and_every_operation_refuses(self):
+        f = doubled_dp2()
+        comp = morphism_complex(f)
+        w = comp.from_flat(2, [1] + [0] * (comp.cochain_dim(2) - 1))
+        d = TruncatedDeformation.from_higher_coefficients(f, [w], 2)
+        trivial = TruncatedDeformation.trivial(f, 2)
+        FormalIsomorphism.identity(f, 2)
+        for operation in (lambda: integrate(w, 2),
+                          lambda: integrate(comp.zero(2), 2),
+                          lambda: obstruction(d),
+                          lambda: obstruction(trivial),
+                          lambda: extend(d),
+                          lambda: extend(trivial, comp.zero(2)),
+                          lambda: trivialize(d),
+                          lambda: trivialize(trivial),
+                          lambda: infinitesimal(d),
+                          lambda: infinitesimal(trivial)):
+            with pytest.raises(InvalidStructureError) as err:
+                operation()
+            assert str(err.value) == NOT_A_MORPHISM
+
+
+class TestSeriesOrders:
+    @pytest.mark.parametrize("cls,degree", [(TruncatedDeformation, 2),
+                                            (FormalIsomorphism, 1)])
+    def test_more_coefficients_than_order_rejected(self, cls, degree):
+        f, comp = scalar_setup()
+        zeros = [comp.zero(degree)] * 3
+        assert cls.from_higher_coefficients(f, zeros, 3).order == 3
+        assert cls.from_higher_coefficients(f, zeros).order == 3
+        with pytest.raises(DimensionError):
+            cls.from_higher_coefficients(f, zeros, 2)
+
+    def test_negative_truncation_rejected(self, dp_setup):
+        f, comp, w = dp_setup
+        d = integrate(w, 3).deformation
+        assert d.truncate(0).order == 0
+        for order in (-1, -2, -4):
+            with pytest.raises(DimensionError):
+                d.truncate(order)

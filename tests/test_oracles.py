@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coaldef.coalgebra import (
+    Bicomodule,
     Coalgebra,
     CoalgebraMorphism,
     InvalidStructureError,
@@ -247,7 +248,7 @@ def test_assembly_matches_reference_over_non_morphism(field):
         f = CoalgebraMorphism(grouplike(2, field), divided_power(2, field),
                               field_matrix(rng, field, 2, 2, 4))
         if not check_morphism(f).ok:
-            _assert_matches_reference(MorphismComplex(f, validate=False), rng)
+            _assert_matches_reference(MorphismComplex(f), rng)
             checked += 1
 
 
@@ -292,7 +293,7 @@ def test_assembly_matches_reference_on_zero_dimensional_pieces():
     g1 = grouplike(1)
     for f in (CoalgebraMorphism(nil, g1, Matrix.zeros(QQ, 1, 0)),
               CoalgebraMorphism(g1, nil, Matrix.zeros(QQ, 0, 1))):
-        comp = MorphismComplex(f, validate=False)
+        comp = MorphismComplex(f)
         for n in range(4):
             assert comp.differential_matrix(n) == \
                 reference_differential_matrix(comp, n)
@@ -461,9 +462,7 @@ def _random_series_deformation(rng, f, comp, order):
     higher = [comp.element(mat(sd * sd, sd), mat(td * td, td),
                            mat(td, sd), 2) for _ in range(order)]
     constant = comp.element(f.source.delta, f.target.delta, f.matrix, 2)
-    d = TruncatedDeformation(f, [constant] + higher)
-    d._complex = comp
-    return d
+    return TruncatedDeformation(f, [constant] + higher)
 
 
 def test_obstruction_matches_reference_sum_on_random_series(monkeypatch):
@@ -484,7 +483,7 @@ def test_obstruction_matches_reference_sum_on_random_series(monkeypatch):
         if field is QQ:
             morphisms.append(random_morphism(rng, max_dim=2))
         for f in morphisms:
-            comp = MorphismComplex(f, validate=False)
+            comp = MorphismComplex(f)
             for order in range(4):
                 d = _random_series_deformation(rng, f, comp, order)
                 ob = _obstruction_cochain(d)
@@ -598,9 +597,7 @@ def _sparse_deformation(rng, comp, order):
                            _sparse_matrix(rng, f.field, t * t, t),
                            _sparse_matrix(rng, f.field, t, s), 2)
               for _ in range(order)]
-    d = TruncatedDeformation(f, [_structure_coefficient(comp)] + higher)
-    d._complex = comp
-    return d
+    return TruncatedDeformation(f, [_structure_coefficient(comp)] + higher)
 
 
 @settings(max_examples=40, deadline=None)
@@ -779,7 +776,7 @@ def _defect_morphisms(field):
 def test_defects_match_kronecker_reference(seed, field, which):
     rng = fresh_rng(seed)
     f = _defect_morphisms(field)[which]
-    comp = MorphismComplex(f, validate=False)
+    comp = MorphismComplex(f)
     order = rng.randint(0, 4)
     d = _sparse_deformation(rng, comp, order)
     series = (d.series_a(), d.series_b(), d.series_f())
@@ -862,20 +859,20 @@ def _assert_record_matches_dense(comp, n, rng):
 
 
 def _record_complex(rng, field, which):
-    """A random morphism or bicomodule complex, a random non-morphism, or
-    one over the triangular dual or a zero-dimensional piece."""
+    """A random morphism or bicomodule complex, one over random coactions,
+    or one over the triangular dual or a zero-dimensional piece."""
     if which == 0:
         return MorphismComplex(random_morphism(rng, max_dim=3, field=field))
     if which == 1:
         return HochschildComplex(random_bicomodule(rng, max_dim=3,
                                                    field=field))
     if which == 2:
-        # almost never a morphism: its differential need not square to zero
-        return MorphismComplex(CoalgebraMorphism(
-            grouplike(2, field), divided_power(2, field),
-            field_matrix(rng, field, 2, 2, 4)), validate=False)
-    return MorphismComplex(_defect_morphisms(field)[which - 3],
-                           validate=False)
+        # almost never a bicomodule: its differential need not square to
+        # zero, which is what exercises QuotientError
+        return HochschildComplex(Bicomodule(
+            divided_power(2, field), 2, field_matrix(rng, field, 4, 2, 4),
+            field_matrix(rng, field, 4, 2, 4)))
+    return MorphismComplex(_defect_morphisms(field)[which - 3])
 
 
 @settings(max_examples=40, deadline=None)
