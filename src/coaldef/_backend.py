@@ -1,6 +1,8 @@
-"""The arithmetic kernel that :class:`coaldef.exactlinalg.Matrix` calls.
+"""The arithmetic kernel behind :mod:`coaldef.exactlinalg`.
 
-There is one kernel, :mod:`coaldef._kernels_py`.  ``Matrix`` fetches it
+There is one kernel, :mod:`coaldef._kernels_py`: integer linear
+combination, matrix product and Kronecker product for both fields, and
+the per-field echelon forms.  ``Matrix`` and the field objects fetch it
 through :func:`kernel` on every operation, so this module is the one
 point where a tracer can substitute a wrapping proxy for ``_active``.
 """

@@ -1,22 +1,19 @@
 """Pure-Python arithmetic kernels behind :class:`coaldef.exactlinalg.Matrix`.
 
-Data layout:
+A matrix travels as one flat row-major list of ints; its common
+denominator and the field's normalization stay with
+:class:`~coaldef.exactlinalg.Matrix`.  So the same three kernels --
+linear combination, matrix product and Kronecker product -- serve QQ
+and GF(p) alike: they do integer arithmetic only, and the caller
+reduces the result once (by the gcd over QQ, modulo p over GF(p)).
+Products skip exact zeros, so their cost tracks the number of nonzero
+entries rather than the dense size.
 
-* rational matrices travel as two flat row-major lists ``(num, den)``;
-  every entry is normalized (lowest terms, positive denominator, zero
-  stored as ``0/1``), which makes list equality semantic equality;
-* prime-field matrices travel as one flat row-major list of ints in
-  ``[0, p)``.
-
-Matrix products and Kronecker products skip exact zeros, so the cost
-tracks the number of nonzero entries rather than the dense size.
-Rational products run fraction-free: each row of the left factor and
-each column of the right one is brought to its common denominator, the
-entries are integer dot products, and each is reduced once at the end.
+The reduced row echelon forms ``q_rref`` (per-entry normalized integer
+pairs) and ``p_rref`` (ints in ``[0, p)``) keep their own entry layouts.
 """
 
-from math import gcd, lcm
-from operator import floordiv, mul
+from math import gcd
 
 # ---------------------------------------------------------------------------
 # scalar helpers (rationals as int pairs, mirroring fractions.Fraction)
@@ -47,127 +44,56 @@ def _q_mul(na, da, nb, db):
 
 
 # ---------------------------------------------------------------------------
-# rational kernels
+# integer kernels (both fields)
 
 
-def q_add(an, ad, bn, bd):
-    cn = []
-    cd = []
-    for i in range(len(an)):
-        n, d = _q_add(an[i], ad[i], bn[i], bd[i])
-        cn.append(n)
-        cd.append(d)
-    return cn, cd
+def lincomb(a, s, b=None, t=0):
+    """The entrywise integer combination s a + t b; without b, just s a."""
+    if b is None:
+        return [s * x for x in a]
+    return [s * x + t * y for x, y in zip(a, b)]
 
 
-def q_sub(an, ad, bn, bd):
-    cn = []
-    cd = []
-    for i in range(len(an)):
-        n, d = _q_add(an[i], ad[i], -bn[i], bd[i])
-        cn.append(n)
-        cd.append(d)
-    return cn, cd
-
-
-def q_neg(an, ad):
-    return [-n for n in an], list(ad)
-
-
-def q_scale(an, ad, sn, sd):
-    if sn == 0:
-        size = len(an)
-        return [0] * size, [1] * size
-    cn = []
-    cd = []
-    for i in range(len(an)):
-        n, d = _q_mul(an[i], ad[i], sn, sd)
-        cn.append(n)
-        cd.append(d)
-    return cn, cd
-
-
-def q_matmul(an, ad, bn, bd, n, k, m):
-    """Fraction-free product of an n x k and a k x m rational matrix.
-
-    Row i of A is scaled by the lcm L_i of its denominators and column j
-    of B by the lcm M_j of its own, so every term is an integer product
-    and entry (i, j) is one integer dot product over L_i M_j, reduced
-    once with one gcd.  Integer matrices skip the scaling and the
-    reduction.
-    """
-    size = n * m
-    a_int = ad.count(1) == len(ad)
-    b_int = bd.count(1) == len(bd)
-    if not b_int:
-        cden = [lcm(*bd[j::m]) for j in range(m)]
-        bn = list(map(mul, bn, map(floordiv, cden * k, bd)))
-    if not a_int:
-        rden = []
-    cn = [0] * size
-    scale = 1
+def matmul(a, b, n, k, m):
+    """Integer product of an n x k and a k x m matrix, skipping zeros."""
+    c = [0] * (n * m)
     for i in range(n):
         ik = i * k
         im = i * m
-        if not a_int:
-            scale = lcm(*ad[ik:ik + k])
-            rden.append(scale)
         for t in range(k):
-            na = an[ik + t]
-            if not na:
+            x = a[ik + t]
+            if not x:
                 continue
-            if scale != 1:
-                na *= scale // ad[ik + t]
             tm = t * m
             for j in range(m):
-                nb = bn[tm + j]
-                if nb:
-                    cn[im + j] += na * nb
-    if a_int:
-        if b_int:
-            return cn, [1] * size
-        cd = cden * n
-    elif b_int:
-        cd = []
-        for ri in rden:
-            cd += [ri] * m
-    else:
-        cd = [ri * cj for ri in rden for cj in cden]
-    for idx in range(size):
-        x = cn[idx]
-        if x:
-            g = gcd(x, cd[idx])
-            if g != 1:
-                cn[idx] = x // g
-                cd[idx] //= g
-        else:
-            cd[idx] = 1
-    return cn, cd
+                y = b[tm + j]
+                if y:
+                    c[im + j] += x * y
+    return c
 
 
-def q_kron(an, ad, ar, ac, bn, bd, br, bc):
+def kron(a, ar, ac, b, br, bc):
+    """Integer Kronecker product of an ar x ac and a br x bc matrix."""
     outc = ac * bc
-    size = ar * br * outc
-    cn = [0] * size
-    cd = [1] * size
+    c = [0] * (ar * br * outc)
     for i in range(ar):
         iac = i * ac
         for j in range(ac):
-            na = an[iac + j]
-            if not na:
+            x = a[iac + j]
+            if not x:
                 continue
-            da = ad[iac + j]
             for s in range(br):
                 base = (i * br + s) * outc + j * bc
                 sbc = s * bc
                 for t in range(bc):
-                    nb = bn[sbc + t]
-                    if not nb:
-                        continue
-                    pn, pd = _q_mul(na, da, nb, bd[sbc + t])
-                    cn[base + t] = pn
-                    cd[base + t] = pd
-    return cn, cd
+                    y = b[sbc + t]
+                    if y:
+                        c[base + t] = x * y
+    return c
+
+
+# ---------------------------------------------------------------------------
+# reduced row echelon forms
 
 
 def q_rref(an, ad, rows, cols):
@@ -229,61 +155,6 @@ def q_rref(an, ad, rows, cols):
         pr += 1
     return rn, rd, pivots
 
-
-# ---------------------------------------------------------------------------
-# prime-field kernels
-
-
-def p_add(a, b, p):
-    return [(a[i] + b[i]) % p for i in range(len(a))]
-
-
-def p_sub(a, b, p):
-    return [(a[i] - b[i]) % p for i in range(len(a))]
-
-
-def p_neg(a, p):
-    return [(-x) % p for x in a]
-
-
-def p_scale(a, s, p):
-    return [(x * s) % p for x in a]
-
-
-def p_matmul(a, b, n, k, m, p):
-    c = [0] * (n * m)
-    for i in range(n):
-        ik = i * k
-        im = i * m
-        for t in range(k):
-            va = a[ik + t]
-            if not va:
-                continue
-            tm = t * m
-            for j in range(m):
-                vb = b[tm + j]
-                if vb:
-                    c[im + j] += va * vb
-    return [x % p for x in c]
-
-
-def p_kron(a, ar, ac, b, br, bc, p):
-    outc = ac * bc
-    c = [0] * (ar * br * outc)
-    for i in range(ar):
-        iac = i * ac
-        for j in range(ac):
-            va = a[iac + j]
-            if not va:
-                continue
-            for s in range(br):
-                base = (i * br + s) * outc + j * bc
-                sbc = s * bc
-                for t in range(bc):
-                    vb = b[sbc + t]
-                    if vb:
-                        c[base + t] = (va * vb) % p
-    return c
 
 
 def p_rref(a, rows, cols, p):

@@ -279,7 +279,7 @@ def _validated_morphism_complex(f):
     if rep.ok:
         rep = check_coassociative(f.target)
     if rep.ok:
-        rep = check_morphism(f)
+        rep = morphism_complex(f).morphism_report()
     if not rep.ok:
         return Report("", "fail", {"detail": rep.message}, [rep.message])
     return morphism_complex(f)

@@ -73,6 +73,8 @@ class Coalgebra:
         return self.delta.field
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Coalgebra):
             return NotImplemented
         return (self.name == other.name and self.dim == other.dim
@@ -107,6 +109,8 @@ class CoalgebraMorphism:
         return self.matrix.field
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, CoalgebraMorphism):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
@@ -141,6 +145,8 @@ class Bicomodule:
         return self.over.field
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Bicomodule):
             return NotImplemented
         return (self.over == other.over and self.dim == other.dim
@@ -226,14 +232,13 @@ def bicomodule_via(f: CoalgebraMorphism) -> Bicomodule:
     Coactions are (f (x) Id) o delta_source and (Id (x) f) o delta_source.
     Raises InvalidStructureError unless f is a coalgebra morphism.
     """
-    require_morphism(f)
+    require_morphism(check_morphism(f))
     return _pushed_forward(f)
 
 
-def require_morphism(f: CoalgebraMorphism):
+def require_morphism(rep: StructureReport):
     """Raise InvalidStructureError, locating the first failing entry,
-    unless f is a coalgebra morphism."""
-    rep = check_morphism(f)
+    unless ``rep``, a report of :func:`check_morphism`, passed."""
     if not rep.ok:
         raise InvalidStructureError(f"not a coalgebra morphism ({rep.message})")
 
@@ -306,18 +311,15 @@ def change_basis_morphism(f: CoalgebraMorphism, p: Matrix, q: Matrix,
 
 def grouplike(n, field=QQ) -> Coalgebra:
     """n grouplike elements: each basis vector e satisfies delta(e) = e (x) e."""
-    delta = Matrix.zeros(field, n * n, n)
-    for i in range(n):
-        delta._num[(i * n + i) * n + i] = 1
+    delta = Matrix.from_sparse(field, n * n, n,
+                               {(i * n + i, i): 1 for i in range(n)})
     return Coalgebra(f"grouplike{n}", n, delta)
 
 
 def divided_power(n, field=QQ) -> Coalgebra:
     """Basis e_0..e_{n-1} with delta(e_k) the sum of e_i (x) e_j over i+j=k."""
-    delta = Matrix.zeros(field, n * n, n)
-    for k in range(n):
-        for i in range(k + 1):
-            delta._num[(i * n + (k - i)) * n + k] = 1
+    delta = Matrix.from_sparse(field, n * n, n, {
+        (i * n + (k - i), k): 1 for k in range(n) for i in range(k + 1)})
     return Coalgebra(f"divided_power{n}", n, delta)
 
 
@@ -366,7 +368,6 @@ def collapse_morphism(n, field=QQ) -> CoalgebraMorphism:
 def inclusion_morphism(a: Coalgebra, b: Coalgebra) -> CoalgebraMorphism:
     """The inclusion of ``a`` as the first summand of direct_sum(a, b)."""
     s = direct_sum(a, b)
-    m = Matrix.zeros(a.field, s.dim, a.dim)
-    for i in range(a.dim):
-        m._num[i * a.dim + i] = 1
+    m = Matrix.from_sparse(a.field, s.dim, a.dim,
+                           {(i, i): 1 for i in range(a.dim)})
     return CoalgebraMorphism(a, s, m)

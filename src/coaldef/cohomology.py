@@ -27,13 +27,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .coalgebra import (
     Bicomodule,
     CoalgebraMorphism,
     InvalidStructureError,
+    StructureReport,
     _pushed_forward,
+    check_morphism,
     regular_bicomodule,
     require_morphism,
 )
@@ -189,23 +191,18 @@ class CohomologyReport:
 
 def _denominator(*matrices):
     """Least common denominator of the entries (1 over GF(p))."""
-    den = 1
-    for m in matrices:
-        if m._den is not None:
-            den = lcm(den, *m._den)
-    return den
+    return lcm(*(m.as_integer_ratio()[1] for m in matrices))
 
 
 def _nonzeros(m: Matrix, den):
     """(row, col, den * entry) of every nonzero entry, row-major.
 
-    ``den`` must be a multiple of every denominator of m, so the scaled
+    ``den`` must be a multiple of the denominator of m, so the scaled
     entries are ints.
     """
-    if m._den is None:
-        return [(*divmod(idx, m.cols), x) for idx, x in enumerate(m._num) if x]
-    return [(*divmod(idx, m.cols), x * (den // d))
-            for idx, (x, d) in enumerate(zip(m._num, m._den)) if x]
+    ints, d = m.as_integer_ratio()
+    s = den // d
+    return [(*divmod(idx, m.cols), x * s) for idx, x in enumerate(ints) if x]
 
 
 def _power_nonzeros(m: Matrix, n, den):
@@ -216,7 +213,7 @@ def _power_nonzeros(m: Matrix, n, den):
     """
     base = _denominator(m)
     factors = _nonzeros(m, base)
-    p = m.field.p if m._den is None else None
+    p = m.field.p if m.field.kind == "prime" else None
     out = [(0, 0, den // base ** n)]
     for _ in range(n):
         out = [(t * m.rows + r, u * m.cols + c, x * y % p if p else x * y)
@@ -225,22 +222,8 @@ def _power_nonzeros(m: Matrix, n, den):
 
 
 def _nnz(m: Matrix):
-    return len(m._num) - m._num.count(0)
-
-
-def _scaled(matrices):
-    """Concatenated row-major entries as ints over a common denominator.
-
-    Returns (ints, den) with entry k equal to ints[k] / den.
-    """
-    den = _denominator(*matrices)
-    ints = []
-    for m in matrices:
-        if m._den is None:
-            ints += m._num
-        else:
-            ints += [x * (den // d) for x, d in zip(m._num, m._den)]
-    return ints, den
+    ints, _ = m.as_integer_ratio()
+    return len(ints) - ints.count(0)
 
 
 def _matrix(field, rows, cols, entries):
@@ -303,11 +286,9 @@ class _ComplexBase:
 
     def flatten(self, w) -> Matrix:
         """Coordinate column vector of a cochain, in the fixed block order."""
-        parts = self._parts(w)
-        num = [x for m in parts for x in m._num]
-        den = None if self.field.kind == "prime" else \
-            [x for m in parts for x in m._den]
-        return Matrix(self.field, len(num), 1, num, den)
+        columns = [m.gather(m.rows * m.cols, 1, range(m.rows * m.cols))
+                   for m in self._parts(w)]
+        return Matrix.zeros(self.field, 0, 1).vstack(*columns)
 
     def _apply(self, w):
         """The image of w under the sparse operator of its degree."""
@@ -332,20 +313,10 @@ class _ComplexBase:
         queries of the complex read the sparse elimination instead.
         """
         if n not in self._dmat_cache:
-            rows, cols = self.cochain_dim(n + 1), self.cochain_dim(n)
-            entries, common = self.operator(n)
-            num = [0] * (rows * cols)
-            if self.field.kind == "prime":
-                den = None
-                for (i, j), x in entries.items():
-                    num[i * cols + j] = x
-            else:
-                den = [1] * (rows * cols)
-                for (i, j), x in entries.items():
-                    g = gcd(x, common)
-                    num[i * cols + j] = x // g
-                    den[i * cols + j] = common // g
-            self._dmat_cache[n] = Matrix(self.field, rows, cols, num, den)
+            entries, den = self.operator(n)
+            self._dmat_cache[n] = Matrix.from_sparse(
+                self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
+                entries, den)
         return self._dmat_cache[n]
 
     def _elimination(self, n):
@@ -369,7 +340,7 @@ class _ComplexBase:
 
     def _coordinates(self, w):
         """(ints, den): the coordinate vector of w is ints / den."""
-        x, den = _scaled(self._parts(w))
+        x, den = self.flatten(w).as_integer_ratio()
         if len(x) != self.cochain_dim(w.degree):
             raise DimensionError(
                 f"degree-{w.degree} cochain has {len(x)} coordinates, "
@@ -523,9 +494,10 @@ class MorphismComplex(_ComplexBase):
     morphism can be held and differentiated, so checking tools can
     report what is broken.  The queries -- ``is_cocycle``,
     ``is_coboundary``, ``cohomology`` and ``class_coordinates`` -- call
-    :meth:`require_valid`, which checks f once per complex.  Direct
-    construction gives a fresh complex; :func:`morphism_complex` gives
-    the one complex shared by every holder of f.
+    :meth:`require_valid`, which reads the one :meth:`morphism_report`
+    of the complex.  Direct construction gives a fresh complex;
+    :func:`morphism_complex` gives the one complex shared by every
+    holder of f.
     """
 
     def __init__(self, f: CoalgebraMorphism):
@@ -534,14 +506,18 @@ class MorphismComplex(_ComplexBase):
         self.on_source = HochschildComplex(regular_bicomodule(f.source))
         self.on_target = HochschildComplex(regular_bicomodule(f.target))
         self.mixed = HochschildComplex(_pushed_forward(f))
-        self._valid = False
+        self._report = None
+
+    def morphism_report(self) -> StructureReport:
+        """The :func:`check_morphism` report of f, checked once per complex."""
+        if self._report is None:
+            self._report = check_morphism(self.morphism)
+        return self._report
 
     def require_valid(self):
         """Raise InvalidStructureError("not a coalgebra morphism (...)")
-        unless f is a coalgebra morphism; a passed check is kept."""
-        if not self._valid:
-            require_morphism(self.morphism)
-            self._valid = True
+        unless the morphism report passed."""
+        require_morphism(self.morphism_report())
 
     @property
     def field(self):

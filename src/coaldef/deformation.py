@@ -502,12 +502,8 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
 def obstruction(d: TruncatedDeformation) -> ObstructionClass:
     """Obstruction cochain of a valid deformation together with its class."""
     ob = _obstruction_cochain(d)
-    comp = morphism_complex(d.morphism)
-    if comp.is_coboundary(ob) is not None:
-        coords = ()
-    else:
-        coords = tuple(comp.class_coordinates(ob))
-    return ObstructionClass(ob, coords, d.order + 1)
+    coords = morphism_complex(d.morphism).class_coordinates(ob)
+    return ObstructionClass(ob, tuple(coords), d.order + 1)
 
 
 def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):

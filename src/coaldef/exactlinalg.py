@@ -6,10 +6,12 @@ products, reduced row echelon form, and the rank / kernel / image /
 solve / quotient family built on top of them.  All arithmetic is exact;
 there is no floating point anywhere in this package.
 
-Matrices are immutable and dense in semantics.  Internally an entry is a
-normalized integer pair (rationals) or an int in ``[0, p)`` (prime
-fields); the arithmetic itself lives in :mod:`coaldef._kernels_py`,
-fetched through :mod:`coaldef._backend`.
+Matrices are immutable and dense in semantics.  Each is stored as one
+canonical pair, row-major integer entries over one positive common
+denominator, the same form in QQ and in GF(p); the field only says how
+to normalize it (divide by the gcd, or reduce modulo p).  The integer
+arithmetic lives in :mod:`coaldef._kernels_py`, fetched through
+:mod:`coaldef._backend`.
 
 The cochain complexes eliminate their differentials sparsely instead
 (:mod:`coaldef.sparse`); the dense routines here give the same results
@@ -19,6 +21,7 @@ and stay as public API and as the tests' reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import _backend
 
@@ -42,6 +45,11 @@ class QuotientError(ExactLinalgError):
 
 # ---------------------------------------------------------------------------
 # fields
+#
+# A field turns scalars into (int, den) pairs, brings a matrix ints / den
+# to its canonical form, reads one entry back as a scalar, and
+# row-reduces through its kernel; nothing else about a matrix depends on
+# the field.
 
 
 class Rationals:
@@ -50,7 +58,8 @@ class Rationals:
     kind = "rational"
 
     def coerce(self, x):
-        """Normalize ``x`` (int, Fraction, or string like '3/7') to an int pair."""
+        """``x`` (int, Fraction, or string like '3/7') as a pair
+        (numerator, denominator) in lowest terms."""
         if isinstance(x, int):
             return x, 1
         if isinstance(x, Fraction):
@@ -59,6 +68,31 @@ class Rationals:
             f = Fraction(x.strip())
             return f.numerator, f.denominator
         raise TypeError(f"cannot coerce {x!r} to a rational scalar")
+
+    def normalize(self, ints, den):
+        """The canonical form of ints / den (den > 0): both divided by
+        gcd(den, *ints), so the zero matrix sits over den 1."""
+        g = gcd(den, *ints)
+        if g == 1:
+            return ints, den
+        return [x // g for x in ints], den // g
+
+    def element(self, x, den):
+        return Fraction(x, den)
+
+    def rref(self, ints, den, rows, cols):
+        """(ints, den, pivots) of the reduced row echelon form of the
+        canonical matrix ints / den, through the per-entry ``q_rref``."""
+        num, dens = [], []
+        for x in ints:
+            g = gcd(x, den)
+            num.append(x // g)
+            dens.append(den // g)
+        num, dens, pivots = _backend.kernel().q_rref(num, dens, rows, cols)
+        # entries in lowest terms over the lcm of their denominators are
+        # already canonical
+        common = lcm(*dens)
+        return [x * (common // d) for x, d in zip(num, dens)], common, pivots
 
     def __repr__(self):
         return "QQ"
@@ -115,21 +149,38 @@ class PrimeField:
         self.p = p
 
     def coerce(self, x):
+        """``x`` (int, Fraction, or string like '3/7') as a pair
+        (residue in [0, p), 1)."""
         if isinstance(x, int):
-            return x % self.p
-        if isinstance(x, Fraction):
-            return self._from_fraction(x)
+            return x % self.p, 1
         if isinstance(x, str):
-            return self._from_fraction(Fraction(x.strip()))
+            x = Fraction(x.strip())
+        if isinstance(x, Fraction):
+            return x.numerator * self._inverse(x.denominator, x) % self.p, 1
         raise TypeError(f"cannot coerce {x!r} to a GF({self.p}) scalar")
 
-    def _from_fraction(self, f):
-        den = f.denominator % self.p
-        if den == 0:
+    def _inverse(self, den, what):
+        if den % self.p == 0:
             raise ZeroDivisionError(
-                f"denominator of {f} vanishes modulo {self.p}"
-            )
-        return (f.numerator % self.p) * pow(den, self.p - 2, self.p) % self.p
+                f"denominator of {what} vanishes modulo {self.p}")
+        return pow(den, self.p - 2, self.p)
+
+    def normalize(self, ints, den):
+        """The canonical form of ints / den: every int in [0, p), den 1."""
+        p = self.p
+        if den != 1:
+            s = self._inverse(den, "the matrix")
+            return [x * s % p for x in ints], 1
+        return [x % p for x in ints], 1
+
+    def element(self, x, den):
+        return x
+
+    def rref(self, ints, den, rows, cols):
+        """(ints, 1, pivots) of the reduced row echelon form, through
+        ``p_rref``."""
+        r, pivots = _backend.kernel().p_rref(ints, rows, cols, self.p)
+        return r, 1, pivots
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -153,36 +204,44 @@ class Matrix:
 
     A linear map V -> W with dim V = cols and dim W = rows; composition
     is the ``@`` operator.  Construct via :meth:`from_rows`,
-    :meth:`zeros`, :meth:`identity`, or :meth:`column`.
+    :meth:`from_sparse`, :meth:`zeros`, :meth:`identity`, or
+    :meth:`column`.
+
+    Storage is one canonical pair: the row-major integer entries and one
+    positive common denominator, with gcd(den, *ints) = 1 and the zero
+    matrix over den 1.  Over GF(p) den is 1 and the ints lie in [0, p).
+    Equal matrices therefore have equal storage, and each operation is
+    one integer kernel followed by the field's ``normalize``.
     """
 
-    __slots__ = ("field", "rows", "cols", "_num", "_den", "_rref")
+    __slots__ = ("field", "rows", "cols", "_num", "_denom", "_rref")
 
-    def __init__(self, field, rows, cols, num, den):
-        # Trusted constructor: num/den are flat row-major lists already in
-        # canonical form (den is None for prime fields).  Takes ownership.
+    def __init__(self, field, rows, cols, ints, den):
+        # Trusted constructor: (ints, den) is already canonical.  Takes
+        # ownership of the list.
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._num = num
-        self._den = den
+        self._num = ints
+        self._denom = den
         self._rref = None
+
+    @classmethod
+    def _reduced(cls, field, rows, cols, ints, den):
+        """The matrix ints / den, brought to canonical form."""
+        return cls(field, rows, cols, *field.normalize(ints, den))
 
     # -- construction
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        size = rows * cols
-        if field.kind == "rational":
-            return cls(field, rows, cols, [0] * size, [1] * size)
-        return cls(field, rows, cols, [0] * size, None)
+        return cls(field, rows, cols, [0] * (rows * cols), 1)
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m._num[i * n + i] = 1
-        return m
+        ints = [0] * (n * n)
+        ints[::n + 1] = [1] * n
+        return cls(field, n, n, ints, 1)
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -193,17 +252,23 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionError("ragged rows")
-        if field.kind == "rational":
-            num = []
-            den = []
-            for r in rows:
-                for x in r:
-                    n, d = field.coerce(x)
-                    num.append(n)
-                    den.append(d)
-            return cls(field, nrows, ncols, num, den)
-        vals = [field.coerce(x) for r in rows for x in r]
-        return cls(field, nrows, ncols, vals, None)
+        pairs = [field.coerce(x) for r in rows for x in r]
+        # entries in lowest terms over the lcm of their denominators are
+        # already canonical
+        den = lcm(*(d for _, d in pairs))
+        return cls(field, nrows, ncols, [x * (den // d) for x, d in pairs],
+                   den)
+
+    @classmethod
+    def from_sparse(cls, field, rows, cols, entries, den=1):
+        """The matrix whose entry (i, j) is entries[(i, j)] / den and
+        zero where ``entries`` (a dict of ints) has no key."""
+        ints = [0] * (rows * cols)
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError((i, j))
+            ints[i * cols + j] = x
+        return cls._reduced(field, rows, cols, ints, den)
 
     @classmethod
     def column(cls, field, entries):
@@ -219,14 +284,19 @@ class Matrix:
     def shape(self):
         return self.rows, self.cols
 
+    def as_integer_ratio(self):
+        """(ints, den): entry k in row-major order is ints[k] / den.
+
+        The canonical storage itself (see the class docstring); the list
+        is shared with the matrix and must not be modified.
+        """
+        return self._num, self._denom
+
     def __getitem__(self, key):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        idx = i * self.cols + j
-        if self._den is None:
-            return self._num[idx]
-        return Fraction(self._num[idx], self._den[idx])
+        return self.field.element(self._num[i * self.cols + j], self._denom)
 
     def to_rows(self):
         return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
@@ -251,8 +321,8 @@ class Matrix:
             self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
+            and self._denom == other._denom
             and self._num == other._num
-            and self._den == other._den
         )
 
     def __repr__(self):
@@ -266,41 +336,29 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
         self._require_same_shape(other)
-        k = _backend.kernel()
-        if self._den is None:
-            return Matrix(self.field, self.rows, self.cols,
-                          k.p_add(self._num, other._num, self.field.p), None)
-        n, d = k.q_add(self._num, self._den, other._num, other._den)
-        return Matrix(self.field, self.rows, self.cols, n, d)
+        a, b = self._denom, other._denom
+        den = lcm(a, b)
+        ints = _backend.kernel().lincomb(self._num, den // a,
+                                         other._num, sign * (den // b))
+        return Matrix._reduced(self.field, self.rows, self.cols, ints, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._require_same_shape(other)
-        k = _backend.kernel()
-        if self._den is None:
-            return Matrix(self.field, self.rows, self.cols,
-                          k.p_sub(self._num, other._num, self.field.p), None)
-        n, d = k.q_sub(self._num, self._den, other._num, other._den)
-        return Matrix(self.field, self.rows, self.cols, n, d)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        k = _backend.kernel()
-        if self._den is None:
-            return Matrix(self.field, self.rows, self.cols,
-                          k.p_neg(self._num, self.field.p), None)
-        n, d = k.q_neg(self._num, self._den)
-        return Matrix(self.field, self.rows, self.cols, n, d)
+        return self.scale(-1)
 
     def scale(self, s):
-        k = _backend.kernel()
-        if self._den is None:
-            return Matrix(self.field, self.rows, self.cols,
-                          k.p_scale(self._num, self.field.coerce(s), self.field.p),
-                          None)
-        sn, sd = self.field.coerce(s)
-        n, d = k.q_scale(self._num, self._den, sn, sd)
-        return Matrix(self.field, self.rows, self.cols, n, d)
+        n, d = self.field.coerce(s)
+        ints = _backend.kernel().lincomb(self._num, n)
+        return Matrix._reduced(self.field, self.rows, self.cols, ints,
+                               self._denom * d)
 
     def __matmul__(self, other):
         if self.field != other.field:
@@ -308,14 +366,10 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot compose {self.shape} with {other.shape}")
-        k = _backend.kernel()
-        if self._den is None:
-            c = k.p_matmul(self._num, other._num,
-                           self.rows, self.cols, other.cols, self.field.p)
-            return Matrix(self.field, self.rows, other.cols, c, None)
-        n, d = k.q_matmul(self._num, self._den, other._num, other._den,
-                          self.rows, self.cols, other.cols)
-        return Matrix(self.field, self.rows, other.cols, n, d)
+        ints = _backend.kernel().matmul(self._num, other._num,
+                                        self.rows, self.cols, other.cols)
+        return Matrix._reduced(self.field, self.rows, other.cols, ints,
+                               self._denom * other._denom)
 
     def kron(self, other):
         """Kronecker product; the matrix of the tensor product of two maps.
@@ -325,27 +379,27 @@ class Matrix:
         """
         if self.field != other.field:
             raise DimensionError("field mismatch")
-        k = _backend.kernel()
-        if self._den is None:
-            c = k.p_kron(self._num, self.rows, self.cols,
-                         other._num, other.rows, other.cols, self.field.p)
-        else:
-            c, d = k.q_kron(self._num, self._den, self.rows, self.cols,
-                            other._num, other._den, other.rows, other.cols)
-            return Matrix(self.field, self.rows * other.rows,
-                          self.cols * other.cols, c, d)
-        return Matrix(self.field, self.rows * other.rows,
-                      self.cols * other.cols, c, None)
+        ints = _backend.kernel().kron(self._num, self.rows, self.cols,
+                                      other._num, other.rows, other.cols)
+        return Matrix._reduced(self.field, self.rows * other.rows,
+                               self.cols * other.cols, ints,
+                               self._denom * other._denom)
 
     def transpose(self):
-        num = [0] * (self.rows * self.cols)
-        den = None if self._den is None else [1] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                num[j * self.rows + i] = self._num[i * self.cols + j]
-                if den is not None:
-                    den[j * self.rows + i] = self._den[i * self.cols + j]
-        return Matrix(self.field, self.cols, self.rows, num, den)
+        return self.gather(self.cols, self.rows,
+                           [i * self.cols + j for j in range(self.cols)
+                            for i in range(self.rows)])
+
+    @staticmethod
+    def _over_common(parts):
+        """(den, ints per part): every part's entries over the lcm den of
+        their denominators.  Canonical parts stay canonical together: a
+        prime power dividing den exactly divides some part's own
+        denominator, and that part has an int it does not divide."""
+        den = lcm(*(m._denom for m in parts))
+        k = _backend.kernel()
+        return den, [m._num if m._denom == den
+                     else k.lincomb(m._num, den // m._denom) for m in parts]
 
     def hstack(self, *others):
         """The block row [self | others...]."""
@@ -355,18 +409,13 @@ class Matrix:
         for m in others:
             if m.field != self.field or m.rows != self.rows:
                 raise DimensionError("hstack shape mismatch")
-        cols = sum(m.cols for m in parts)
-        num = [0] * (self.rows * cols)
-        den = None if self._den is None else [1] * (self.rows * cols)
-        offset = 0
-        for m in parts:
-            for i in range(self.rows):
-                at, lo = i * cols + offset, i * m.cols
-                num[at:at + m.cols] = m._num[lo:lo + m.cols]
-                if den is not None:
-                    den[at:at + m.cols] = m._den[lo:lo + m.cols]
-            offset += m.cols
-        return Matrix(self.field, self.rows, cols, num, den)
+        den, blocks = Matrix._over_common(parts)
+        ints = []
+        for i in range(self.rows):
+            for m, block in zip(parts, blocks):
+                ints += block[i * m.cols:(i + 1) * m.cols]
+        return Matrix(self.field, self.rows, sum(m.cols for m in parts),
+                      ints, den)
 
     def vstack(self, *others):
         """The block column [self; others...]."""
@@ -376,46 +425,35 @@ class Matrix:
         for m in others:
             if m.field != self.field or m.cols != self.cols:
                 raise DimensionError("vstack shape mismatch")
-        num = []
-        den = [] if self._den is not None else None
-        for m in parts:
-            num += m._num
-            if den is not None:
-                den += m._den
+        den, blocks = Matrix._over_common(parts)
+        ints = []
+        for block in blocks:
+            ints += block
         return Matrix(self.field, sum(m.rows for m in parts), self.cols,
-                      num, den)
+                      ints, den)
 
     def gather(self, rows, cols, index):
         """The rows x cols matrix whose row-major entry t is this matrix's
-        row-major entry index[t]: a reshape or a permutation of entries."""
+        row-major entry index[t]: a reshape, a permutation or a selection
+        of entries."""
         num = self._num
-        den = None if self._den is None else [self._den[t] for t in index]
-        return Matrix(self.field, rows, cols, [num[t] for t in index], den)
+        return Matrix._reduced(self.field, rows, cols,
+                               [num[t] for t in index], self._denom)
 
     def submatrix_columns(self, col_indices):
-        num = []
-        den = [] if self._den is not None else None
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in col_indices:
-                num.append(self._num[base + j])
-                if den is not None:
-                    den.append(self._den[base + j])
-        return Matrix(self.field, self.rows, len(col_indices), num, den)
+        return self.gather(self.rows, len(col_indices),
+                           [i * self.cols + j for i in range(self.rows)
+                            for j in col_indices])
 
     # -- elimination
 
     def rref(self):
         """(reduced row echelon form, pivot column tuple); cached."""
         if self._rref is None:
-            k = _backend.kernel()
-            if self._den is None:
-                r, piv = k.p_rref(self._num, self.rows, self.cols, self.field.p)
-                m = Matrix(self.field, self.rows, self.cols, r, None)
-            else:
-                rn, rd, piv = k.q_rref(self._num, self._den, self.rows, self.cols)
-                m = Matrix(self.field, self.rows, self.cols, rn, rd)
-            self._rref = (m, tuple(piv))
+            ints, den, piv = self.field.rref(self._num, self._denom,
+                                             self.rows, self.cols)
+            self._rref = (Matrix(self.field, self.rows, self.cols, ints, den),
+                          tuple(piv))
         return self._rref
 
     def inverse(self):
@@ -451,14 +489,7 @@ class Subspace:
     def from_columns(cls, mat: Matrix) -> "Subspace":
         """Canonicalize the span of the columns of ``mat``."""
         r, piv = mat.transpose().rref()
-        rank = len(piv)
-        num = []
-        den = [] if r._den is not None else None
-        for i in range(rank):
-            num.extend(r._num[i * r.cols:(i + 1) * r.cols])
-            if den is not None:
-                den.extend(r._den[i * r.cols:(i + 1) * r.cols])
-        rows_mat = Matrix(mat.field, rank, mat.rows, num, den)
+        rows_mat = r.gather(len(piv), r.cols, range(len(piv) * r.cols))
         return cls(mat.rows, rows_mat.transpose())
 
     @classmethod

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .coalgebra import Coalgebra, CoalgebraMorphism, direct_sum, divided_power, \
     grouplike, zero_comultiplication
@@ -59,6 +59,15 @@ class ProblemFileError(Exception):
 MAX_DIM = 16
 MAX_ORDER = 64
 MAX_ENTRIES = 1 << 20
+
+# A matrix is stored as ints over one common denominator, so distinct
+# denominators within one matrix multiply, and each entry then carries
+# their product: a comultiplication of dimension 16 with 1024 distinct
+# 80-bit denominators needs ints of 82,000 bits, and checking it ran for
+# more than 5 minutes on a 2-vCPU host.  For each matrix of a file, the
+# number of entries given times the bits of their common denominator is
+# bounded.
+MAX_SCALED_BITS = 1 << 22
 
 # What str(Fraction) writes: an optional sign, digits, optionally /digits.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -116,9 +125,7 @@ def _quadruples_to_matrix(field, quads, dim, where):
     """
     if not isinstance(quads, list):
         raise ProblemFileError(f"{where}: expected a list of quadruples")
-    rational = field.kind == "rational"
-    num = [0] * dim ** 3
-    den = [1] * dim ** 3 if rational else None
+    values = []
     for q in quads:
         if not (isinstance(q, list) and len(q) == 4):
             raise ProblemFileError(f"{where}: quadruple must be [a, b, c, coeff]")
@@ -127,16 +134,26 @@ def _quadruples_to_matrix(field, quads, dim, where):
             if not _is_int(idx) or not 0 <= idx < dim:
                 raise ProblemFileError(
                     f"{where}: basis index {idx} out of range for dim {dim}")
-        value = _parse_scalar(field, coeff, where)
-        at = (b * dim + c) * dim + a
-        if rational:
-            n = num[at] * value[1] + value[0] * den[at]
-            d = den[at] * value[1]
-            g = gcd(n, d)
-            num[at], den[at] = n // g, d // g
-        else:
-            num[at] = (num[at] + value) % field.p
-    return Matrix(field, dim * dim, dim, num, den)
+        values.append(((b * dim + c, a), _parse_scalar(field, coeff, where)))
+    return _summed(field, dim * dim, dim, values, where)
+
+
+def _summed(field, rows, cols, values, where):
+    """The rows x cols matrix with the sum of the parsed scalars of the
+    ``((row, col), scalar)`` pairs ``values`` at each position."""
+    limit = MAX_SCALED_BITS // max(len(values), 1)
+    den = 1
+    for _, (_, d) in values:
+        den = lcm(den, d)
+        if den.bit_length() > limit:
+            raise ProblemFileError(
+                f"{where}: {len(values)} entries over a common denominator "
+                f"of more than {limit} bits exceed the limit of "
+                f"{MAX_SCALED_BITS} bits")
+    entries = defaultdict(int)
+    for key, (x, d) in values:
+        entries[key] += x * (den // d)
+    return Matrix.from_sparse(field, rows, cols, entries, den)
 
 
 def _matrix_to_quadruples(m: Matrix, dim):
@@ -155,11 +172,9 @@ def _rows_to_matrix(field, rows, shape, where):
             or any(not isinstance(r, list) or len(r) != shape[1] for r in rows):
         raise ProblemFileError(
             f"{where}: expected a {shape[0]}x{shape[1]} row list")
-    values = [_parse_scalar(field, x, where) for r in rows for x in r]
-    if field.kind == "rational":
-        return Matrix(field, *shape, [n for n, _ in values],
-                      [d for _, d in values])
-    return Matrix(field, *shape, values, None)
+    return _summed(field, *shape, [
+        ((i, j), _parse_scalar(field, x, where))
+        for i, r in enumerate(rows) for j, x in enumerate(r)], where)
 
 
 def _matrix_to_rows(m: Matrix):
@@ -523,14 +538,12 @@ def builtin_corpus(field=QQ) -> dict:
     fixtures.morphisms["id_divided_power2"] = ident(dp2)
     fixtures.morphisms["collapse2"] = CoalgebraMorphism(
         g2, g1, Matrix.from_rows(field, [[1, 1]]))
-    incl = Matrix.zeros(field, 3, 1)
-    incl._num[0] = 1
+    incl = Matrix.from_sparse(field, 3, 1, {(0, 0): 1})
     fixtures.morphisms["include_g1"] = CoalgebraMorphism(g1, s12, incl)
 
     fid = fixtures.morphisms["id_divided_power2"]
     comp = morphism_complex(fid)
-    bump = Matrix.zeros(field, 4, 2)
-    bump._num[3 * 2 + 1] = 1  # e1 -> e1 (x) e1
+    bump = Matrix.from_sparse(field, 4, 2, {(3, 1): 1})  # e1 -> e1 (x) e1
     w = comp.element(bump, bump, Matrix.zeros(field, 2, 2), 2)
     fixtures.cocycles["dp2_infinitesimal"] = w
     fixtures.cocycles["zero_g1"] = morphism_complex(
@@ -547,8 +560,8 @@ def builtin_corpus(field=QQ) -> dict:
         [iso_comp.element(two, two, None, 1)], 2)
 
     invalid = ProblemFile(field=field)
-    broken_delta = Matrix.zeros(field, 4, 2)
-    broken_delta._num[1 * 2 + 0] = 1  # e0 -> e0 (x) e1: not coassociative
+    # e0 -> e0 (x) e1: not coassociative
+    broken_delta = Matrix.from_sparse(field, 4, 2, {(1, 0): 1})
     invalid.coalgebras["broken"] = Coalgebra("broken", 2, broken_delta)
 
     obstructed = ProblemFile(field=field)
@@ -557,8 +570,8 @@ def builtin_corpus(field=QQ) -> dict:
     fz = CoalgebraMorphism(z2, z2, Matrix.identity(field, 2))
     obstructed.morphisms["id_zero2"] = fz
     zcomp = morphism_complex(fz)
-    knot = Matrix.zeros(field, 4, 2)
-    knot._num[1 * 2 + 0] = 1  # e0 -> e0 (x) e1: not coassociative, yet a cocycle here
+    # e0 -> e0 (x) e1: not coassociative, yet a cocycle here
+    knot = Matrix.from_sparse(field, 4, 2, {(1, 0): 1})
     wz = zcomp.element(knot, knot, Matrix.zeros(field, 2, 2), 2)
     obstructed.cocycles["stuck_cocycle"] = wz
     obstructed.deformations["stuck_deformation"] = \

@@ -30,6 +30,12 @@ from coaldef.deformation import FormalIsomorphism, TruncatedDeformation
 from coaldef.exactlinalg import QQ, Matrix, kernel_basis
 
 
+# pairwise coprime denominators, some past a machine word, so that
+# common denominators grow
+LARGE_PRIMES = (2, 3, 5, 7, 1000003, 998244353, 2 ** 31 - 1, 2 ** 61 - 1,
+                2 ** 89 - 1, 2 ** 127 - 1)
+
+
 def rational(rng, bound=9):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
@@ -192,6 +198,15 @@ EXPONENT_SCALAR = ('{"coalgebras": {"c": {"dim": 2, '
                    '"delta": [[0,0,0,"1e30000000"]]}}}')
 MANY_COALGEBRAS = json.dumps({"coalgebras": {
     f"c{i}": {"dim": 16, "delta": []} for i in range(1000)}})
+
+# a comultiplication of dimension 16 whose first 1024 structure
+# constants are 1/q for the first 1024 primes q: over one common
+# denominator every entry would carry a 12,000-bit int
+_PRIMES = [q for q in range(2, 8200)
+           if all(q % r for r in range(2, int(q ** 0.5) + 1))][:1024]
+DISTINCT_DENOMINATORS = json.dumps({"coalgebras": {"c": {"dim": 16, "delta": [
+    [k // 256, k // 16 % 16, k % 16, f"1/{q}"]
+    for k, q in enumerate(_PRIMES)]}}})
 
 # one coefficient spelled twice: "1" and "01" both read as order 1 under
 # int(), and the later one silently replaced the earlier

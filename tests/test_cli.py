@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import re
 import time
@@ -13,9 +14,10 @@ from coaldef.cohomology import MorphismComplex
 from coaldef.problemfile import (MAX_DIM, MAX_ORDER, ProblemFile,
                                  write_problem)
 
-from helpers import (ALIASED_ISOMORPHISM, DEEP_NESTING, EXPONENT_SCALAR,
-                     HUGE_INTEGER, MANY_COALGEBRAS, fresh_rng,
-                     invertible_matrix, tall_grouplike5)
+from helpers import (ALIASED_ISOMORPHISM, DEEP_NESTING,
+                     DISTINCT_DENOMINATORS, EXPONENT_SCALAR, HUGE_INTEGER,
+                     MANY_COALGEBRAS, fresh_rng, invertible_matrix,
+                     tall_grouplike5)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +252,32 @@ class TestIntegrate:
         assert len(built) == 1
         assert scattered.count(3) == 1
 
+    @pytest.mark.parametrize("command", [
+        ("cohomology", "FILE", "morphism", "id", 2),
+        ("integrate", "FILE", "w", 3, "-o", "OUT")])
+    def test_checks_the_morphism_once(self, tmp_path, monkeypatch, command):
+        # the located report of the command and the complex's own check
+        # are one check_morphism call
+        path = tmp_path / "dp2.json"
+        path.write_text(json.dumps(DP2_BUMP))
+        checked = []
+        check = importlib.import_module("coaldef.coalgebra").check_morphism
+
+        def counting_check(f):
+            checked.append(f)
+            return check(f)
+
+        # coaldef.cohomology is also the name of a function, so the
+        # modules are fetched by name
+        for name in ("coalgebra", "cohomology", "cli"):
+            module = importlib.import_module("coaldef." + name)
+            if getattr(module, "check_morphism", None) is check:
+                monkeypatch.setattr(module, "check_morphism", counting_check)
+        files = {"FILE": path, "OUT": tmp_path / "out.json"}
+        r = run(*(files.get(a, a) for a in command))
+        assert r.exit_code == 0, r.output
+        assert len(checked) == 1
+
     def test_order_above_bound_is_usage_error(self, corpus_dir, tmp_path):
         r = run("integrate", corpus_dir / "fixtures.json", "zero_g1",
                 MAX_ORDER + 1, "-o", tmp_path / "x.json")
@@ -372,6 +400,8 @@ class TestHostileInput:
         (MANY_COALGEBRAS, "coalgebras.c256: the file declares more than"),
         (ALIASED_ISOMORPHISM,
          "isomorphisms.p: coefficient key '01' is not an order"),
+        (DISTINCT_DENOMINATORS,
+         "coalgebras.c: 1024 entries over a common denominator"),
     ])
     def test_one_located_message_and_exit_two(self, tmp_path, text,
                                               fragment):

@@ -25,6 +25,8 @@ from coaldef.deformation import (
     verify_deformation,
 )
 from coaldef.exactlinalg import QQ, DimensionError, Matrix
+from coaldef.problemfile import builtin_corpus
+from coaldef.sparse import Elimination
 
 from coaldef.coalgebra import InvalidStructureError
 
@@ -157,6 +159,25 @@ class TestObstruction:
         ob = obstruction(TruncatedDeformation.from_higher_coefficients(f, [w], 1))
         assert ob.cochain.is_zero()
         assert ob.h3_class == ()
+
+    @pytest.mark.parametrize("corpus, name", [
+        ("fixtures", "dp2_deformation"), ("obstructed", "stuck_deformation")])
+    def test_classifies_without_building_the_solver(self, monkeypatch,
+                                                    corpus, name):
+        # class_coordinates alone tells a coboundary (empty coordinates)
+        # from a nonzero class; the [D_2 | I] solver is only for preimages
+        builds = []
+        build = Elimination.solver.func
+
+        def counting_solver(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(Elimination, "solver", property(counting_solver))
+        d = builtin_corpus(QQ)[corpus].deformations[name]
+        ob = obstruction(d)
+        assert builds == []
+        assert ob.is_trivial == (name == "dp2_deformation")
 
     def test_obstruction_is_cocycle_on_random_deformations(self):
         rng = fresh_rng(17)

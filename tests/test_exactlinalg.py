@@ -243,21 +243,26 @@ class TestMatrixOps:
 class TestArithmeticKernel:
     def test_outputs_stay_normalized(self):
         rng = fresh_rng(99)
-        an, ad, bn, bd = [], [], [], []
-        for num, den in ((an, ad), (bn, bd)):
-            for _ in range(36):
-                f = rational(rng, 20)
-                num.append(f.numerator)
-                den.append(f.denominator)
-        for out_n, out_d in (
-            _kernels_py.q_matmul(an, ad, bn, bd, 6, 6, 6),
-            _kernels_py.q_add(an, ad, bn, bd),
-            _kernels_py.q_rref(an, ad, 6, 6)[:2],
-        ):
-            for x, y in zip(out_n, out_d):
-                assert y > 0
-                assert gcd(x, y) == 1
-                assert x != 0 or y == 1
+        a, b = (Matrix.from_rows(QQ, [[rational(rng, 20) for _ in range(6)]
+                                      for _ in range(6)]) for _ in range(2))
+        # Matrix results: one canonical (ints, den) pair each
+        for out in (a @ b, a + b, a - b, -a, a.scale(Fraction(-4, 6)),
+                    a.kron(b), a.rref()[0], a - a):
+            ints, den = out.as_integer_ratio()
+            assert den > 0
+            assert gcd(den, *ints) == 1
+        assert (a - a).as_integer_ratio()[1] == 1
+        # the per-entry layout of the echelon oracle
+        an, ad = [], []
+        for i in range(6):
+            for j in range(6):
+                an.append(a[i, j].numerator)
+                ad.append(a[i, j].denominator)
+        out_n, out_d, _ = _kernels_py.q_rref(an, ad, 6, 6)
+        for x, y in zip(out_n, out_d):
+            assert y > 0
+            assert gcd(x, y) == 1
+            assert x != 0 or y == 1
 
     def test_stale_extension_is_ignored(self, monkeypatch):
         # an extension module left behind by an old build must not

@@ -18,6 +18,7 @@ Hochschild complexes and the connecting map, without MorphismComplex.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,6 @@ from coaldef.cohomology import (
     MorphismCochain,
     MorphismComplex,
 )
-from coaldef import _kernels_py as pure_kernel
 from coaldef._kernels_py import _q_add, _q_mul
 from coaldef.deformation import (
     FormalIsomorphism,
@@ -77,6 +77,7 @@ from coaldef.exactlinalg import (
 )
 
 from helpers import (
+    LARGE_PRIMES,
     field_matrix,
     fresh_rng,
     invertible_matrix,
@@ -260,9 +261,8 @@ def triangular(field=QQ):
     factors of delta apart.
     """
     quads = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (2, 2, 2)]
-    delta = Matrix.zeros(field, 9, 3)
-    for a, b, c in quads:
-        delta._num[(b * 3 + c) * 3 + a] = 1
+    delta = Matrix.from_sparse(field, 9, 3,
+                               {(b * 3 + c, a): 1 for a, b, c in quads})
     return Coalgebra("triangular", 3, delta)
 
 
@@ -652,8 +652,9 @@ def test_equivalence_operations_match_dense_reference(seed, field, which):
 
 
 # ---------------------------------------------------------------------------
-# the fraction-free rational product: the per-term loop it replaced, one
-# _q_mul and one _q_add per pair of nonzero entries, is the reference
+# the rational product over common denominators: the per-term loop of
+# per-entry fractions, one _q_mul and one _q_add per pair of nonzero
+# entries, is the reference
 
 
 def reference_q_matmul(an, ad, bn, bd, n, k, m):
@@ -674,10 +675,18 @@ def reference_q_matmul(an, ad, bn, bd, n, k, m):
     return cn, cd
 
 
-# pairwise coprime denominators, some past a machine word, so that the
-# common denominators of rows and columns grow
-LARGE_PRIMES = (2, 3, 5, 7, 1000003, 998244353, 2 ** 31 - 1, 2 ** 61 - 1,
-                2 ** 89 - 1, 2 ** 127 - 1)
+def common_denominator_product(an, ad, bn, bd, n, k, m):
+    """Matrix product of two per-entry (num, den) operands, read back in
+    per-entry lowest terms."""
+    def operand(num, den, rows, cols):
+        common = lcm(*den)
+        return Matrix.from_sparse(QQ, rows, cols, {
+            divmod(idx, cols): x * (common // d)
+            for idx, (x, d) in enumerate(zip(num, den))}, common)
+
+    ints, den = (operand(an, ad, n, k) @ operand(bn, bd, k, m)) \
+        .as_integer_ratio()
+    return [x // gcd(x, den) for x in ints], [den // gcd(x, den) for x in ints]
 
 
 def _kernel_operand(rng, rows, cols, mode):
@@ -719,7 +728,7 @@ def test_fraction_free_matmul_matches_per_term_reference(seed, mode_a,
     n, k, m = (rng.choice((0, 1, 2, 3, rng.randint(4, 12))) for _ in range(3))
     an, ad = _kernel_operand(rng, n, k, mode_a)
     bn, bd = _kernel_operand(rng, k, m, mode_b)
-    assert pure_kernel.q_matmul(an, ad, bn, bd, n, k, m) == \
+    assert common_denominator_product(an, ad, bn, bd, n, k, m) == \
         reference_q_matmul(an, ad, bn, bd, n, k, m)
 
 
@@ -731,7 +740,8 @@ def test_fraction_free_matmul_on_fused_shapes():
         for mode in ("integer", "small", "primes"):
             an, ad = _kernel_operand(rng, 9, 3 * terms, mode)
             bn, bd = _kernel_operand(rng, 3 * terms, 18, mode)
-            assert pure_kernel.q_matmul(an, ad, bn, bd, 9, 3 * terms, 18) \
+            assert common_denominator_product(an, ad, bn, bd, 9, 3 * terms,
+                                              18) \
                 == reference_q_matmul(an, ad, bn, bd, 9, 3 * terms, 18)
 
 
