@@ -9,6 +9,14 @@ reduces the result once (by the gcd over QQ, modulo p over GF(p)).
 Products skip exact zeros, so their cost tracks the number of nonzero
 entries rather than the dense size.
 
+``pack`` and ``unpack`` carry a whole truncated matrix power series
+through the same kernels (Kronecker substitution): each entry of the
+series sum_i x_i t^i becomes the one int sum_i x_i 2^(i w), so one
+integer product of packed matrices forms every Cauchy coefficient at
+once, and ``unpack`` reads the coefficients back exactly as long as
+each one it reads, and every lower one, lies strictly between
+-2^(w-1) and 2^(w-1).
+
 The reduced row echelon forms ``q_rref`` (per-entry normalized integer
 pairs) and ``p_rref`` (ints in ``[0, p)``) keep their own entry layouts.
 """
@@ -90,6 +98,37 @@ def kron(a, ar, ac, b, br, bc):
                     if y:
                         c[base + t] = x * y
     return c
+
+
+def pack(series, w):
+    """The entrywise ints sum_i x_i 2^(i w) of the int lists ``series[i]``
+    (one per power of t, all of one length)."""
+    out = [0] * len(series[0])
+    for ints in reversed(series):
+        out = [(v << w) + x for v, x in zip(out, ints)]
+    return out
+
+
+def unpack(packed, w, slots):
+    """For each n in ``slots``, the list of the signed slot-n ints of the
+    packed entries (see the module docstring for the bound they need).
+
+    Adding 2^(w-1) to every slot up to the highest one read makes each
+    of them a w-bit field with no borrow between them, so the bits
+    above the highest slot can be dropped and one shift and one mask
+    read slot n.
+    """
+    half = 1 << (w - 1)
+    low = (1 << (max(slots) + 1) * w) - 1
+    bias = half * low // ((1 << w) - 1)
+    mask = (1 << w) - 1
+    shifts = [n * w for n in slots]
+    out = [[] for _ in slots]
+    for v in packed:
+        u = (v + bias) & low
+        for ints, shift in zip(out, shifts):
+            ints.append(((u >> shift) & mask) - half)
+    return out
 
 
 # ---------------------------------------------------------------------------

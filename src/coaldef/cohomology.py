@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .coalgebra import (
@@ -226,14 +225,6 @@ def _nnz(m: Matrix):
     return len(ints) - ints.count(0)
 
 
-def _matrix(field, rows, cols, entries):
-    """The rows x cols matrix with the row-major scalar list ``entries``."""
-    if not rows or not cols:
-        return Matrix.zeros(field, rows, cols)
-    return Matrix.from_rows(
-        field, (entries[i * cols:(i + 1) * cols] for i in range(rows)))
-
-
 class _ComplexBase:
     """Shared machinery: the sparse differentials and cohomology.
 
@@ -256,7 +247,8 @@ class _ComplexBase:
         self._eliminations = {}
         self._quotients = {}
 
-    # subclasses: field, cochain_dim(n), zero(n), from_flat(n, entries),
+    # subclasses: field, cochain_dim(n), zero(n),
+    # from_integer_ratio(n, ints, den),
     # _parts(w) (component matrices in block order), _denominator(n),
     # _scatter(n, acc, row, col, sign, den), and differential(w)
     # documenting the coboundary it applies; require_valid() where the
@@ -284,6 +276,12 @@ class _ComplexBase:
             self._operators[n] = ({key: x for key, x in acc.items() if x}, den)
         return self._operators[n]
 
+    def from_flat(self, n, entries):
+        """The degree-n cochain with the coordinate list ``entries`` of
+        scalars (ints, Fractions or strings)."""
+        return self.from_integer_ratio(
+            n, *Matrix.column(self.field, entries).as_integer_ratio())
+
     def flatten(self, w) -> Matrix:
         """Coordinate column vector of a cochain, in the fixed block order."""
         columns = [m.gather(m.rows * m.cols, 1, range(m.rows * m.cols))
@@ -299,10 +297,7 @@ class _ComplexBase:
         for (row, col), value in entries.items():
             if x[col]:
                 out[row] += value * x[col]
-        den *= x_den
-        if den != 1:
-            out = [Fraction(y, den) if y else 0 for y in out]
-        return self.from_flat(n + 1, out)
+        return self.from_integer_ratio(n + 1, out, den * x_den)
 
     def differential_matrix(self, n) -> Matrix:
         """The matrix D_n of the degree-n differential on coordinate vectors.
@@ -366,7 +361,7 @@ class _ComplexBase:
         x = self._elimination(n - 1).solve(*self._coordinates(w))
         if x is None:
             return None
-        return self.from_flat(n - 1, x)
+        return self.from_integer_ratio(n - 1, *x)
 
     def cohomology(self, n) -> CohomologyReport:
         """Kernel-modulo-image data of the complex in degree n >= 1."""
@@ -375,7 +370,8 @@ class _ComplexBase:
         self.require_valid()
         q = self._quotient(n)
         cochain_reps = tuple(
-            self.from_flat(n, entries) for entries in q.representative_entries()
+            self.from_integer_ratio(n, ints, den)
+            for ints, den in q.representative_ratios()
         )
         return CohomologyReport(n, q.kernel_dim, q.image_dim,
                                 len(cochain_reps), cochain_reps)
@@ -414,12 +410,13 @@ class HochschildComplex(_ComplexBase):
     def zero(self, n):
         return Cochain.zero(self.bicomodule, n)
 
-    def from_flat(self, n, entries):
+    def from_integer_ratio(self, n, ints, den):
+        """The degree-n cochain with coordinate vector ints / den."""
         if n <= 0:
             return Cochain.zero(self.bicomodule, 0)
-        return Cochain(self.bicomodule, n, _matrix(
+        return Cochain(self.bicomodule, n, Matrix.from_integer_ratio(
             self.field, self.bicomodule.over.dim ** n, self.bicomodule.dim,
-            entries))
+            ints, den))
 
     def _parts(self, w: Cochain):
         return [w.matrix] if w.degree else []
@@ -547,15 +544,16 @@ class MorphismComplex(_ComplexBase):
             ab = Cochain(self.mixed.bicomodule, degree - 1, ab_matrix)
         return MorphismCochain(self.morphism, degree, a, b, ab)
 
-    def from_flat(self, n, entries):
+    def from_integer_ratio(self, n, ints, den):
+        """The degree-n cochain with coordinate vector ints / den."""
         if n <= 0:
             return MorphismCochain(self.morphism, 0, self.on_source.zero(0),
                                    self.on_target.zero(0), None)
         na = self.on_source.cochain_dim(n)
         nb = self.on_target.cochain_dim(n)
-        a = self.on_source.from_flat(n, entries[:na])
-        b = self.on_target.from_flat(n, entries[na:na + nb])
-        ab = self.mixed.from_flat(n - 1, entries[na + nb:])
+        a = self.on_source.from_integer_ratio(n, ints[:na], den)
+        b = self.on_target.from_integer_ratio(n, ints[na:na + nb], den)
+        ab = self.mixed.from_integer_ratio(n - 1, ints[na + nb:], den)
         return MorphismCochain(self.morphism, n, a, b, ab)
 
     def _parts(self, w: MorphismCochain):

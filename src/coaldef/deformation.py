@@ -26,9 +26,10 @@ Everything is exact; truncation order is part of every object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import gcd, lcm
 
-from .coalgebra import CoalgebraMorphism, InvalidStructureError
+from . import _backend
+from .coalgebra import CoalgebraMorphism, InvalidStructureError, bar_pairing
 from .cohomology import Cochain, MorphismCochain, MorphismComplex, \
     morphism_complex
 from .exactlinalg import DimensionError, ExactLinalgError, Matrix
@@ -48,8 +49,10 @@ class ExtensionRejected(ExactLinalgError):
 
 def _terms(a, b, n):
     """The pairs (a_i, b_(n-i)), i = 0..n, of the order-n coefficient of
-    a product of two series, less every pair with a zero factor."""
-    return [(a[i], b[n - i]) for i in range(n + 1)
+    a product of two series, less every pair with a zero factor (a
+    coefficient past the end of a series is zero)."""
+    return [(a[i], b[n - i])
+            for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)
             if not (a[i].is_zero() or b[n - i].is_zero())]
 
 
@@ -349,44 +352,11 @@ class TrivializationResult:
 # verification
 
 
-@lru_cache(maxsize=64)
-def _bar_indices(d):
-    """Entry positions of the fused form of s (x) Id - Id (x) s.
-
-    For maps s, x: X -> X (x) X with dim X = d and row-major flattening,
-    (s (x) Id) o x is s @ R(x) read as a d^3 x d matrix, where R(x) is x
-    read as a d x d^2 matrix (the same flat list), and (Id (x) s) o x is
-    a fixed permutation of s @ S(x), where S(x)[q, p d + k] =
-    x[p d + q, k].  Returns the positions that read [R(x) | S(x)] off x,
-    and the two that read (s (x) Id) o x and (Id (x) s) o x off
-    s @ [R(x) | S(x)].
-    """
-    w = d * d
-    split, left, right = [], [], []
-    for q in range(d):
-        split += range(q * w, q * w + w)
-        split += [(p * d + q) * d + k for p in range(d) for k in range(d)]
-    for r in range(w):
-        left += range(2 * r * w, 2 * r * w + w)
-    for p in range(d):
-        for r in range(w):
-            right += range(2 * r * w + w + p * d, 2 * r * w + w + p * d + d)
-    return tuple(split), tuple(left), tuple(right)
-
-
-def _split(x):
-    """[R(x) | S(x)] for a map x: X -> X (x) X (see _bar_indices)."""
-    d = x.cols
-    return x.gather(d, 2 * d * d, _bar_indices(d)[0])
-
-
-def _bar_cauchy(s, xs, n):
-    """Order-n coefficient sum_i (s_i (x) Id - Id (x) s_i) o x_(n-i) of
-    maps X -> X (x) X, from one product; ``xs[j]`` is ``_split(x_j)``."""
-    d = s[0].cols
-    _, left, right = _bar_indices(d)
-    fused = _cauchy(s, xs, n)
-    return fused.gather(d ** 3, d, left) - fused.gather(d ** 3, d, right)
+def _swap(x, n1, n2, n3):
+    """The row-major entries x[i1, i2, i3] of an n1 x n2 x n3 array,
+    reordered as x[i2, i1, i3]."""
+    return [x[(i1 * n2 + i2) * n3 + i3]
+            for i2 in range(n2) for i1 in range(n1) for i3 in range(n3)]
 
 
 def _defects(series_a, series_b, series_f, orders):
@@ -400,19 +370,143 @@ def _defects(series_a, series_b, series_f, orders):
     * D_f = sum_(i+j+k=n) (f_j (x) f_k) o a_i - sum_i b_i o f_(n-i),
 
     and the series form a deformation through order N exactly when all
-    three vanish for every n <= N.  Each defect is one product.  Returns
-    one (D_a, D_b, D_f) triple per requested order; every series must
-    reach the largest one.
+    three vanish for every n <= N.  Coefficients past the end of a
+    series count as zero.  Returns one (D_a, D_b, D_f) triple per
+    requested order.  A single requested order (the obstruction) is
+    summed pair by pair, by :func:`_defects_at`.
+
+    Several orders (verification) are evaluated together by Kronecker
+    substitution.  Every order-i
+    coefficient is written as ints over L D^i (``unit`` L and ``step``
+    D, chosen by :func:`_scales`), that is, each series in t becomes an
+    integer series in u = t / D.  Each entry of it is packed into the
+    one int sum_i x_i 2^(i w), so each equation is a fixed set of
+    integer products (``bar_pairing`` on a and on b, three products for
+    D_f) whatever the order, and the requested orders are the slots of
+    the packed results, over L^2 D^n (D_a, D_b) and L^3 D^n (D_f).
+    Transport, composition and inversion keep the per-order, zero-
+    skipping ``_series``: a staircase step I - chi t^l is zero at every
+    order but 0 and l, and packing it would multiply the zero orders in
+    between.  A slot is read exactly when
+    it and every lower slot lie strictly within 2^(w-1) in absolute
+    value.  With M_a(i), M_b(i), M_f(i) the largest scaled entry of
+    each order-i coefficient, (x * y)(n) = sum_i x(i) y(n-i), d and e
+    the source and target dimensions and K the highest order read, the
+    order-n slots obey, for n <= K,
+
+    * |D_a| <= 2 d (M_a * M_a)(n) and |D_b| <= 2 e (M_b * M_b)(n),
+    * |D_f| <= d^2 (M_f * M_f * M_a)(n) + e L (M_b * M_f)(n),
+
+    and each equation packs its series with w one bit longer than its
+    largest bound.  With M_a, M_b, M_f the largest entries over all
+    orders these are at most 2 (K+1) d M_a^2, 2 (K+1) e M_b^2 and
+    (K+1)^2 d^2 M_f^2 M_a + (K+1) e L M_b M_f; the convolutions are
+    tighter when the coefficients grow with the order, as they do under
+    transport and integration.
     """
-    split_a = [_split(x) for x in series_a]
-    split_b = [_split(x) for x in series_b]
-    ff = _series(series_f, series_f, max(orders), _cauchy_kron)
+    if len(orders) == 1:
+        return [_defects_at(series_a, series_b, series_f, orders[0])]
+    k = max(orders) + 1
+    field = series_a[0].field
+    d, e = series_a[0].cols, series_b[0].cols
+    ratios = [[m.as_integer_ratio() for m in s[:k]]
+              for s in (series_a, series_b, series_f)]
+    dens = [lcm(*(r[i][1] for r in ratios if i < len(r))) for i in range(k)]
+    peaks = [[(max(map(abs, ints), default=0), q) for ints, q in r]
+             + [(0, 1)] * (k - len(r)) for r in ratios]
+
+    def conv(x, y):
+        return [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(k)]
+
+    def widths(unit, step):
+        m_a, m_b, m_f = ([peak * (unit * step ** i // q)
+                          for i, (peak, q) in enumerate(p)] for p in peaks)
+        return [max(bounds).bit_length() + 1 for bounds in (
+            [2 * d * x for x in conv(m_a, m_a)],
+            [2 * e * x for x in conv(m_b, m_b)],
+            [d * d * x + e * unit * y
+             for x, y in zip(conv(conv(m_f, m_f), m_a), conv(m_b, m_f))])]
+
+    unit, step, (w_a, w_b, w) = min(
+        ((unit, step, widths(unit, step)) for unit, step in _scales(dens)),
+        key=lambda choice: sum(choice[2]))
+    kern = _backend.kernel()
+
+    def packed(r, w):
+        return kern.pack([kern.lincomb(ints, unit * step ** i // q)
+                          for i, (ints, q) in enumerate(r)], w)
+
+    def read(slots, rows, cols, power):
+        return [Matrix.from_integer_ratio(field, rows, cols, ints,
+                                          unit ** power * step ** n)
+                for n, ints in zip(orders, slots)]
+
+    def low(w):
+        # slots above K only reach slots above K of a product, so
+        # dropping them (a multiple of 2^(k w)) leaves every read slot
+        return (1 << k * w) - 1
+
+    def bar(r, w, dim):
+        x = packed(r, w)
+        return read(kern.unpack(bar_pairing(x, x, dim, low(w)), w, orders),
+                    dim ** 3, dim, 2)
+
+    defects_a = bar(ratios[0], w_a, d)
+    defects_b = bar(ratios[1], w_b, e)
+    a, b, f = (packed(r, w) for r in ratios)
+    # (f (x) f) o a one tensor factor at a time: a with its two leading
+    # factors swapped is a d x d^2 matrix, and f @ it is (Id (x) f) o a
+    # with swapped leading factors; swapped back, that is a d x ed
+    # matrix, and f @ it is (f (x) f) o a
+    mask = low(w)
+    fa = [x & mask for x in kern.matmul(f, _swap(a, d, d, d), e, d, d * d)]
+    ffa = kern.matmul(f, _swap(fa, e, d, d), e, d, e * d)
+    map_defect = kern.lincomb(ffa, 1, kern.matmul(b, f, e * e, e, d), -unit)
+    defects_f = read(kern.unpack(map_defect, w, orders), e * e, d, 3)
+    return list(zip(defects_a, defects_b, defects_f))
+
+
+def _defects_at(series_a, series_b, series_f, n):
+    """The order-n defects (D_a, D_b, D_f) of :func:`_defects` as sums
+    over the pairs of nonzero coefficients, each sum one product of
+    stacked factors.
+
+    One order is one slot of a packed product, which forms all 2n + 1
+    slots at the width of the largest: once entries span several machine
+    words, that costs more than the n + 1 products of the pairs, and
+    integration to a high order obstructs at every order on the way.
+    """
+    def bar(s):
+        pairs = _terms(s, s, n)
+        d = s[0].cols
+        if not pairs:
+            return Matrix.zeros(s[0].field, d ** 3, d)
+        left, den_l = Matrix.hstack(*[l for l, _ in pairs]).as_integer_ratio()
+        right, den_r = Matrix.vstack(*[r for _, r in pairs]).as_integer_ratio()
+        return Matrix.from_integer_ratio(
+            s[0].field, d ** 3, d,
+            bar_pairing(left, right, d, terms=len(pairs)), den_l * den_r)
+
+    ff = _series(series_f, series_f, n, _cauchy_kron)
     neg_f = [-x for x in series_f]
-    return [(_bar_cauchy(series_a, split_a, n),
-             _bar_cauchy(series_b, split_b, n),
-             _product_sum(_terms(ff, series_a, n)
-                          + _terms(series_b, neg_f, n), ff[0], series_a[0]))
-            for n in orders]
+    return (bar(series_a), bar(series_b),
+            _product_sum(_terms(ff, series_a, n) + _terms(series_b, neg_f, n),
+                         ff[0], series_a[0]))
+
+
+def _scales(dens):
+    """Candidate (L, D) with every dens[i] dividing L D^i: D = 1 with L
+    the lcm of dens, and D = dens[1] with the least such L.
+
+    Transport and integration give order-i denominators that grow like
+    a power of the order-1 one, so the second choice keeps the packed
+    slots of the low orders from being padded with the denominators of
+    the high ones.
+    """
+    step = dens[1] if len(dens) > 1 else 1
+    return [(lcm(*dens), 1),
+            (lcm(*(q // gcd(q, step ** i) for i, q in enumerate(dens))),
+             step)]
 
 
 _EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
@@ -477,7 +571,11 @@ def comp_bar(s: Cochain, t: Cochain) -> Cochain:
     m = s.bicomodule
     if m.psi_l != m.over.delta or m.psi_r != m.over.delta:
         raise InvalidStructureError("comp_bar requires the regular bicomodule")
-    return Cochain(m, 3, _bar_cauchy([s.matrix], [_split(t.matrix)], 0))
+    ints_s, den_s = s.matrix.as_integer_ratio()
+    ints_t, den_t = t.matrix.as_integer_ratio()
+    d = m.dim
+    return Cochain(m, 3, Matrix.from_integer_ratio(
+        m.field, d ** 3, d, bar_pairing(ints_s, ints_t, d), den_s * den_t))
 
 
 def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
@@ -488,9 +586,8 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     fails to be a 3-cocycle, which the theory rules out for valid input.
     """
     comp = morphism_complex(d.morphism)
-    padded = [series + [zero.matrix] for series, zero in zip(
-        (d.series_a(), d.series_b(), d.series_f()), comp.zero(2).parts())]
-    [(ob_a, ob_b, ob_f)] = _defects(*padded, [d.order + 1])
+    [(ob_a, ob_b, ob_f)] = _defects(d.series_a(), d.series_b(),
+                                    d.series_f(), [d.order + 1])
     ob = comp.element(ob_a, ob_b, ob_f, 3)
     if not comp.is_cocycle(ob):
         raise InternalInvariantError(

@@ -204,8 +204,8 @@ class Matrix:
 
     A linear map V -> W with dim V = cols and dim W = rows; composition
     is the ``@`` operator.  Construct via :meth:`from_rows`,
-    :meth:`from_sparse`, :meth:`zeros`, :meth:`identity`, or
-    :meth:`column`.
+    :meth:`from_sparse`, :meth:`from_integer_ratio`, :meth:`zeros`,
+    :meth:`identity`, or :meth:`column`.
 
     Storage is one canonical pair: the row-major integer entries and one
     positive common denominator, with gcd(den, *ints) = 1 and the zero
@@ -227,8 +227,20 @@ class Matrix:
         self._rref = None
 
     @classmethod
-    def _reduced(cls, field, rows, cols, ints, den):
-        """The matrix ints / den, brought to canonical form."""
+    def from_integer_ratio(cls, field, rows, cols, ints, den):
+        """The rows x cols matrix whose row-major entry k is ints[k] / den,
+        brought to canonical form (the inverse of :meth:`as_integer_ratio`).
+
+        ``den`` is a nonzero int; the list ``ints`` is taken over, not
+        copied.
+        """
+        if len(ints) != rows * cols:
+            raise DimensionError(
+                f"{len(ints)} entries for a {rows}x{cols} matrix")
+        if den < 0:
+            ints, den = [-x for x in ints], -den
+        elif not den:
+            raise ZeroDivisionError("zero common denominator")
         return cls(field, rows, cols, *field.normalize(ints, den))
 
     # -- construction
@@ -268,7 +280,7 @@ class Matrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError((i, j))
             ints[i * cols + j] = x
-        return cls._reduced(field, rows, cols, ints, den)
+        return cls.from_integer_ratio(field, rows, cols, ints, den)
 
     @classmethod
     def column(cls, field, entries):
@@ -343,7 +355,8 @@ class Matrix:
         den = lcm(a, b)
         ints = _backend.kernel().lincomb(self._num, den // a,
                                          other._num, sign * (den // b))
-        return Matrix._reduced(self.field, self.rows, self.cols, ints, den)
+        return Matrix.from_integer_ratio(self.field, self.rows, self.cols,
+                                         ints, den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -357,8 +370,8 @@ class Matrix:
     def scale(self, s):
         n, d = self.field.coerce(s)
         ints = _backend.kernel().lincomb(self._num, n)
-        return Matrix._reduced(self.field, self.rows, self.cols, ints,
-                               self._denom * d)
+        return Matrix.from_integer_ratio(self.field, self.rows, self.cols,
+                                         ints, self._denom * d)
 
     def __matmul__(self, other):
         if self.field != other.field:
@@ -368,8 +381,8 @@ class Matrix:
                 f"cannot compose {self.shape} with {other.shape}")
         ints = _backend.kernel().matmul(self._num, other._num,
                                         self.rows, self.cols, other.cols)
-        return Matrix._reduced(self.field, self.rows, other.cols, ints,
-                               self._denom * other._denom)
+        return Matrix.from_integer_ratio(self.field, self.rows, other.cols,
+                                         ints, self._denom * other._denom)
 
     def kron(self, other):
         """Kronecker product; the matrix of the tensor product of two maps.
@@ -381,9 +394,9 @@ class Matrix:
             raise DimensionError("field mismatch")
         ints = _backend.kernel().kron(self._num, self.rows, self.cols,
                                       other._num, other.rows, other.cols)
-        return Matrix._reduced(self.field, self.rows * other.rows,
-                               self.cols * other.cols, ints,
-                               self._denom * other._denom)
+        return Matrix.from_integer_ratio(self.field, self.rows * other.rows,
+                                         self.cols * other.cols, ints,
+                                         self._denom * other._denom)
 
     def transpose(self):
         return self.gather(self.cols, self.rows,
@@ -437,8 +450,8 @@ class Matrix:
         row-major entry index[t]: a reshape, a permutation or a selection
         of entries."""
         num = self._num
-        return Matrix._reduced(self.field, rows, cols,
-                               [num[t] for t in index], self._denom)
+        return Matrix.from_integer_ratio(self.field, rows, cols,
+                                         [num[t] for t in index], self._denom)
 
     def submatrix_columns(self, col_indices):
         return self.gather(self.rows, len(col_indices),

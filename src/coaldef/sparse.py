@@ -242,11 +242,11 @@ class Elimination:
     def solve(self, b, b_den):
         """The canonical solution of D x = b / b_den, or None.
 
-        b is an int list; the solution is an entry list (Fractions over
-        QQ).  Its pivot entries are the recorded row combinations
-        applied to b and its free entries are zero, which solves the
-        system whenever it is solvable; an exact residual check through
-        the operator decides whether it is.
+        b is an int list; the solution is a pair (ints, den), the
+        entries ints / den.  Its pivot entries are the recorded row
+        combinations applied to b and its free entries are zero, which
+        solves the system whenever it is solvable; an exact residual
+        check through the operator decides whether it is.
         """
         cols = self.cols
         x = [0] * cols
@@ -267,11 +267,10 @@ class Elimination:
             p = self.field.p
             if any((y - z) % p for y, z in zip(out, b)):
                 return None
-            return x
+            return x, 1
         if any(y != z * x_den for y, z in zip(out, b)):
             return None
-        x_den *= b_den
-        return [Fraction(y * self.den, x_den) if y else 0 for y in x]
+        return [y * self.den for y in x], x_den * b_den
 
 
 class Quotient:
@@ -309,15 +308,16 @@ class Quotient:
         self.kernel_dim = len(kernel)
         self.image_dim = image.rank
 
-    def representative_entries(self):
-        """The representatives as entry lists (Fractions over QQ)."""
+    def representative_ratios(self):
+        """The representatives as pairs (ints, den), the entries
+        ints / den."""
         prime = self.echelon.field.kind == "prime"
         out = []
         for v, scale in self.representatives:
-            entries = [0] * self.echelon.width
+            ints = [0] * self.echelon.width
             for k, x in v.items():
-                entries[k] = x if prime else Fraction(x, scale)
-            out.append(entries)
+                ints[k] = x
+            out.append((ints, 1 if prime else scale))
         return out
 
     def coordinates(self, b, b_den):

@@ -88,6 +88,28 @@ class TestVerify:
         assert rep.equation == "coassociativity[source]"
         assert rep.order == 1
 
+    def test_kernel_products_do_not_grow_with_the_order(self, monkeypatch):
+        # the equations are evaluated on packed series, so an order-12
+        # deformation costs as many integer products as an order-2 one
+        from coaldef import _kernels_py
+        f = identity_morphism(divided_power(3))
+        comp = MorphismComplex(f)
+        d = apply_equivalence(random_isomorphism(comp, 12, fresh_rng(12)),
+                              TruncatedDeformation.trivial(f, 12))
+        calls = []
+        for name in ("matmul", "kron"):
+            real = getattr(_kernels_py, name)
+            monkeypatch.setattr(_kernels_py, name,
+                                lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
+        counts = {}
+        for order in (2, 12):
+            calls.clear()
+            assert verify_deformation(d.truncate(order)).ok
+            counts[order] = (calls.count("matmul"), calls.count("kron"))
+        assert counts[2] == counts[12]
+        assert counts[12][0]
+
     def test_wrong_order_zero_rejected(self, dp_setup):
         f, comp, w = dp_setup
         with pytest.raises(InvalidStructureError):

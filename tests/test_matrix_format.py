@@ -140,6 +140,19 @@ def test_constructors(seed, field):
         assert sparse.as_integer_ratio()[1] == 1
     with pytest.raises(IndexError):
         Matrix.from_sparse(field, rows, cols, {(rows, 0): 1})
+    # the dense constructor from ints over one (possibly negative)
+    # denominator normalizes, and inverts as_integer_ratio
+    flat = [ints.get((i, j), 0) for i in range(rows) for j in range(cols)]
+    sign = rng.choice((1, -1))
+    assert Matrix.from_integer_ratio(field, rows, cols,
+                                     [sign * x for x in flat],
+                                     sign * den) == sparse
+    assert Matrix.from_integer_ratio(field, rows, cols,
+                                     *m.as_integer_ratio()) == m
+    with pytest.raises(DimensionError):
+        Matrix.from_integer_ratio(field, rows, cols, flat + [0], den)
+    with pytest.raises(ZeroDivisionError):
+        Matrix.from_integer_ratio(field, rows, cols, flat, 0)
 
 
 @settings(max_examples=100, deadline=None)

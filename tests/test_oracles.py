@@ -31,7 +31,9 @@ from coaldef.coalgebra import (
     InvalidStructureError,
     bicomodule_via,
     change_basis,
+    _difference_report,
     change_basis_morphism,
+    check_coassociative,
     check_morphism,
     divided_power,
     grouplike,
@@ -792,6 +794,85 @@ def test_defects_match_kronecker_reference(seed, field, which):
     series = (d.series_a(), d.series_b(), d.series_f())
     orders = range(order + 1)
     assert _defects(*series, orders) == reference_defects(*series, orders)
+
+
+# The packed evaluation reads each order as one slot of 2^w-adic ints;
+# the draws below sit at its slot bound: every entry of a series is
+# +-(2^k - 1) (residue p - 1 over GF(p)), with one sign per series, or
+# signs drawn per entry, so the sums the bound covers add up, and the
+# orders reach 12.  The denominators are 1, one prime, a prime per
+# coefficient, or the powers of one prime.
+
+EXTREMAL_FIELDS = (QQ, PrimeField(2), PrimeField(101),
+                   PrimeField(2 ** 31 - 1))
+
+
+def _extremal_series(rng, field, rows, cols, length, bits, signs, dens):
+    """``length`` coefficients, each with every entry at full size."""
+    size = rows * cols
+    if field.kind == "prime":
+        return [Matrix.from_integer_ratio(field, rows, cols,
+                                          [field.p - 1] * size, 1)
+                for _ in range(length)]
+    top = (1 << bits) - 1
+    sign = rng.choice((1, -1))
+    out = []
+    for i in range(length):
+        ints = [top * (sign if signs == "equal" else rng.choice((1, -1)))
+                for _ in range(size)]
+        out.append(Matrix.from_integer_ratio(field, rows, cols, ints,
+                                             dens(i)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(EXTREMAL_FIELDS),
+       st.integers(0, 6), st.integers(0, 12), st.booleans(),
+       st.integers(1, 64), st.sampled_from(("equal", "mixed")),
+       st.sampled_from(("one", "shared", "distinct", "powers")))
+def test_defects_match_kronecker_reference_at_the_slot_bound(
+        seed, field, which, order, next_order, bits, signs, den_mode):
+    rng = fresh_rng(seed)
+    f = _defect_morphisms(field)[which]
+    d, e = f.source.dim, f.target.dim
+    shared = rng.choice(LARGE_PRIMES)
+
+    def dens(i):
+        # "powers" puts order i over shared^i, as transport and
+        # integration do, so the series are packed in t / shared
+        if den_mode == "one":
+            return 1
+        if den_mode == "powers":
+            return shared ** i
+        return shared if den_mode == "shared" else rng.choice(LARGE_PRIMES)
+
+    series = [_extremal_series(rng, field, rows, cols, order + 1, bits,
+                               signs, dens)
+              for rows, cols in ((d * d, d), (e * e, e), (e, d))]
+    # the obstruction reads order N+1 of a series that stops at N; the
+    # reference needs that coefficient written out as zero
+    orders = [order + 1] if next_order else range(order + 1)
+    padded = [s + [Matrix.zeros(field, s[0].rows, s[0].cols)]
+              for s in series]
+    assert _defects(*series, orders) == reference_defects(*padded, orders)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_check_coassociative_matches_kronecker_reference(seed, field):
+    rng = fresh_rng(seed)
+    if rng.random() < 0.5:
+        d = rng.randint(0, 3)
+        c = Coalgebra("c", d, _sparse_matrix(rng, field, d * d, d))
+    else:
+        c = rng.choice([grouplike(2, field), divided_power(3, field),
+                        triangular(field)])
+    d = c.dim
+    ident = Matrix.identity(field, d)
+    lhs = ident.kron(c.delta) @ c.delta
+    rhs = c.delta.kron(ident) @ c.delta
+    assert check_coassociative(c) == _difference_report(
+        lhs - rhs, f"coassociativity of {c.name!r}")
 
 
 @settings(max_examples=40, deadline=None)
