@@ -13,9 +13,14 @@ to normalize it (divide by the gcd, or reduce modulo p).  The integer
 arithmetic lives in :mod:`coaldef._kernels_py`, fetched through
 :mod:`coaldef._backend`.
 
-The cochain complexes eliminate their differentials sparsely instead
-(:mod:`coaldef.sparse`); the dense routines here give the same results
-and stay as public API and as the tests' reference.
+Elimination has one engine, :mod:`coaldef.sparse`.  ``Matrix.rref``,
+``Matrix.inverse``, ``Subspace.from_columns`` and the rank / kernel /
+image / solve / quotient family hand it a matrix's nonzero ints over
+the common denominator and read the canonical result back as
+matrices; reduced echelon forms are unique, so the dense API and the
+sparse queries of the cochain complexes agree entry for entry.  Each
+imports that module on first use, so ``import coaldef`` does not load
+it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class DimensionError(ExactLinalgError):
 
 
 class QuotientError(ExactLinalgError):
-    """quotient_data called with a subspace that is not contained in the other.
+    """A quotient ker / im was asked for with im not contained in ker.
 
     In cohomology computations this signals a broken complex (a
     differential whose square is not zero), so it is never expected on
@@ -47,9 +52,8 @@ class QuotientError(ExactLinalgError):
 # fields
 #
 # A field turns scalars into (int, den) pairs, brings a matrix ints / den
-# to its canonical form, reads one entry back as a scalar, and
-# row-reduces through its kernel; nothing else about a matrix depends on
-# the field.
+# to its canonical form and reads one entry back as a scalar; nothing
+# else about a matrix depends on the field.
 
 
 class Rationals:
@@ -79,20 +83,6 @@ class Rationals:
 
     def element(self, x, den):
         return Fraction(x, den)
-
-    def rref(self, ints, den, rows, cols):
-        """(ints, den, pivots) of the reduced row echelon form of the
-        canonical matrix ints / den, through the per-entry ``q_rref``."""
-        num, dens = [], []
-        for x in ints:
-            g = gcd(x, den)
-            num.append(x // g)
-            dens.append(den // g)
-        num, dens, pivots = _backend.kernel().q_rref(num, dens, rows, cols)
-        # entries in lowest terms over the lcm of their denominators are
-        # already canonical
-        common = lcm(*dens)
-        return [x * (common // d) for x, d in zip(num, dens)], common, pivots
 
     def __repr__(self):
         return "QQ"
@@ -176,12 +166,6 @@ class PrimeField:
     def element(self, x, den):
         return x
 
-    def rref(self, ints, den, rows, cols):
-        """(ints, 1, pivots) of the reduced row echelon form, through
-        ``p_rref``."""
-        r, pivots = _backend.kernel().p_rref(ints, rows, cols, self.p)
-        return r, 1, pivots
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -214,7 +198,7 @@ class Matrix:
     one integer kernel followed by the field's ``normalize``.
     """
 
-    __slots__ = ("field", "rows", "cols", "_num", "_denom", "_rref")
+    __slots__ = ("field", "rows", "cols", "_num", "_denom")
 
     def __init__(self, field, rows, cols, ints, den):
         # Trusted constructor: (ints, den) is already canonical.  Takes
@@ -224,7 +208,6 @@ class Matrix:
         self.cols = cols
         self._num = ints
         self._denom = den
-        self._rref = None
 
     @classmethod
     def from_integer_ratio(cls, field, rows, cols, ints, den):
@@ -461,23 +444,64 @@ class Matrix:
     # -- elimination
 
     def rref(self):
-        """(reduced row echelon form, pivot column tuple); cached."""
-        if self._rref is None:
-            ints, den, piv = self.field.rref(self._num, self._denom,
-                                             self.rows, self.cols)
-            self._rref = (Matrix(self.field, self.rows, self.cols, ints, den),
-                          tuple(piv))
-        return self._rref
+        """(reduced row echelon form, pivot column tuple), read off the
+        image echelon of the transpose, whose columns are these rows."""
+        echelon = _elimination(self.transpose()).image
+        r = _pivot_rows(echelon).transpose()
+        zeros = Matrix.zeros(self.field, self.rows - r.rows, self.cols)
+        return r.vstack(zeros), tuple(sorted(echelon.rows))
 
     def inverse(self):
-        """Inverse of a square matrix, or None if singular."""
+        """Inverse of a square matrix, or None if singular.
+
+        Column j is the canonical solution of self x = e_j, and some
+        e_j has none exactly when self is singular.
+        """
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        aug, piv = self.hstack(Matrix.identity(self.field, n)).rref()
-        if len([p for p in piv if p < n]) != n:
-            return None
-        return aug.submatrix_columns(range(n, 2 * n))
+        elimination = _elimination(self)
+        columns = []
+        for j in range(n):
+            x = elimination.solve([int(i == j) for i in range(n)], 1)
+            if x is None:
+                return None
+            columns.append((dict(enumerate(x[0])), x[1]))
+        return _column_matrix(self.field, n, columns)
+
+
+# ---------------------------------------------------------------------------
+# elimination, through coaldef.sparse (imported on first use)
+
+
+def _elimination(m):
+    """The :class:`coaldef.sparse.Elimination` of m: its nonzero ints as
+    a dict {(row, col): int} over the common denominator."""
+    from .sparse import Elimination
+    ints, den = m.as_integer_ratio()
+    return Elimination(m.field, m.rows, m.cols,
+                       {divmod(k, m.cols): x for k, x in enumerate(ints) if x},
+                       den)
+
+
+def _column_matrix(field, rows, columns):
+    """The matrix whose column t is v / scale for the pair (v, scale) =
+    columns[t], with v a dict {row: int}."""
+    k = len(columns)
+    den = lcm(*(scale for _, scale in columns))
+    ints = [0] * (rows * k)
+    for t, (v, scale) in enumerate(columns):
+        for i, x in v.items():
+            ints[i * k + t] = x * (den // scale)
+    return Matrix.from_integer_ratio(field, rows, k, ints, den)
+
+
+def _pivot_rows(echelon):
+    """The reduced rows of a SparseEchelon, by pivot column, as columns:
+    a pivot row stands for itself divided by its pivot entry."""
+    return _column_matrix(echelon.field, echelon.width,
+                          [(echelon.rows[p], echelon.rows[p][p])
+                           for p in sorted(echelon.rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +524,9 @@ class Subspace:
 
     @classmethod
     def from_columns(cls, mat: Matrix) -> "Subspace":
-        """Canonicalize the span of the columns of ``mat``."""
-        r, piv = mat.transpose().rref()
-        rows_mat = r.gather(len(piv), r.cols, range(len(piv) * r.cols))
-        return cls(mat.rows, rows_mat.transpose())
+        """Canonicalize the span of the columns of ``mat``: the reduced
+        echelon rows of its columns, as columns."""
+        return cls(mat.rows, _pivot_rows(_elimination(mat).image))
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -532,27 +555,17 @@ class Subspace:
 
 def rank(m: Matrix) -> int:
     """Exact rank over the matrix's field."""
-    return len(m.rref()[1])
+    return _elimination(m).image.rank
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the null space {v : m @ v = 0}."""
-    r, piv = m.rref()
-    pivset = set(piv)
-    free = [c for c in range(m.cols) if c not in pivset]
-    if not free:
-        return Subspace.zero(m.field, m.cols)
-    cols = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for row_idx, p in enumerate(piv):
-            x = r[row_idx, f]
-            if x:
-                v[p] = -x
-        cols.append(v)
-    spanning = Matrix.from_rows(m.field, list(map(list, zip(*cols))))
-    return Subspace.from_columns(spanning)
+    """Canonical basis of the null space {v : m @ v = 0}.
+
+    The kernel vectors of :class:`coaldef.sparse.Elimination` are the
+    reduced column echelon form already.
+    """
+    return Subspace(m.cols, _column_matrix(m.field, m.cols,
+                                           _elimination(m).kernel))
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -569,13 +582,10 @@ def solve(m: Matrix, b: Matrix):
     """
     if b.rows != m.rows or b.cols != 1:
         raise DimensionError(f"rhs must be a {m.rows}-row column vector")
-    aug, piv = m.hstack(b).rref()
-    if piv and piv[-1] == m.cols:
+    x = _elimination(m).solve(*b.as_integer_ratio())
+    if x is None:
         return None
-    entries = [0] * m.cols
-    for row_idx, p in enumerate(piv):
-        entries[p] = aug[row_idx, m.cols]
-    return Matrix.column(m.field, entries)
+    return Matrix.from_integer_ratio(m.field, m.cols, 1, *x)
 
 
 def quotient_data(ker: Subspace, im: Subspace):
@@ -587,17 +597,13 @@ def quotient_data(ker: Subspace, im: Subspace):
     """
     if ker.ambient_dim != im.ambient_dim:
         raise DimensionError("ambient dimension mismatch")
-    # both bases are independent, so the rank of [im | ker] is ker.dim
-    # exactly when im lies in ker
-    _, piv = im.basis.hstack(ker.basis).rref()
-    if len(piv) != ker.dim:
-        raise QuotientError(
-            "second subspace is not contained in the first; "
-            "if these came from a cochain complex its differential is broken"
-        )
-    reps = [
-        ker.basis.submatrix_columns([p - im.dim])
-        for p in piv
-        if p >= im.dim
-    ]
+    from .sparse import Quotient
+    ints, den = ker.basis.as_integer_ratio()
+    columns = [{} for _ in range(ker.dim)]
+    for k, x in enumerate(ints):
+        if x:
+            columns[k % ker.dim][k // ker.dim] = x
+    q = Quotient(_elimination(im.basis).image, [(v, den) for v in columns])
+    reps = [Matrix.from_integer_ratio(ker.field, ker.ambient_dim, 1, *r)
+            for r in q.representative_ratios()]
     return ker.dim - im.dim, reps

@@ -5,15 +5,19 @@ QQ the ints share one denominator, which only scales rows, so only the
 solve needs it, and over GF(p) they lie in [1, p).  :func:`sparse_rref`
 brings dict rows to reduced row echelon form, fraction-free over QQ.
 Reduced echelon forms are unique, so every result agrees entry for
-entry with the dense routines of :mod:`coaldef.exactlinalg`
-(``Matrix.rref``, ``kernel_basis``, ``image_basis``, ``solve``,
-``quotient_data``), which the tests keep as the reference.
+entry with a dense Gauss-Jordan elimination, which the tests keep as
+the reference.
 
+This is the one elimination engine of the package.
 :class:`Elimination` holds what the cochain complexes ask of one
 differential (canonical kernel and image bases and the canonical
-solve), and :class:`Quotient` the cohomology of one degree.
-:mod:`coaldef.cohomology` imports this module on its first query, so
-a process that never eliminates does not load it.
+solve), and :class:`Quotient` the cohomology of one degree; the dense
+API of :mod:`coaldef.exactlinalg` (``Matrix.rref``, ``Matrix.inverse``,
+``rank``, ``kernel_basis``, ``image_basis``, ``solve``,
+``quotient_data``) is a thin layer over the same three.
+:mod:`coaldef.cohomology` and :mod:`coaldef.exactlinalg` import this
+module on first use, so a process that never eliminates does not load
+it.
 """
 
 from __future__ import annotations
@@ -279,7 +283,8 @@ class Quotient:
     The image rows (a SparseEchelon) go in first, then the kernel
     vectors in order.  A kernel vector independent of all rows before it
     is a representative, so the representatives are the pivots of
-    [im | ker], as :func:`coaldef.exactlinalg.quotient_data` picks them.
+    [im | ker], the canonical choice of
+    :func:`coaldef.exactlinalg.quotient_data`.
     The bookkeeping columns of each row hold its coordinates in the
     basis [im | representatives], so reducing a vector by the echelon
     reads off its class.
@@ -301,8 +306,9 @@ class Quotient:
                 reps.append((v, scale))
         if echelon.rank != len(kernel):
             raise QuotientError(
-                "the image of the previous differential is not contained in "
-                "the kernel; the differential of this complex is broken")
+                "the image is not contained in the kernel; if they come "
+                "from a cochain complex, its differential does not square "
+                "to zero")
         self.echelon = echelon
         self.representatives = reps
         self.kernel_dim = len(kernel)

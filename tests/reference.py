@@ -1,0 +1,124 @@
+"""The dense reference for exact elimination: one Gauss-Jordan.
+
+``ref_rref`` row-reduces plain lists of field elements (Fractions over
+QQ, ints in [0, p) over GF(p)) with leftmost pivots, taking the first
+nonzero row at or below the pivot row.  The dense ``rank``,
+``kernel_basis``, ``image_basis``, ``solve`` and ``quotient_data``
+below are built on it: they take and return the same ``Matrix`` and
+``Subspace`` objects as the functions of the same names in
+:mod:`coaldef.exactlinalg`, which eliminate sparsely through
+:mod:`coaldef.sparse`.  Reduced echelon forms are unique, so the two
+must agree entry for entry.
+"""
+
+from fractions import Fraction
+
+from coaldef.exactlinalg import DimensionError, Matrix, QuotientError, Subspace
+
+
+def reduce(field, x):
+    """The scalar x (int or Fraction) as an element of the field."""
+    if field.kind == "rational":
+        return Fraction(x)
+    if isinstance(x, int):
+        return x % field.p
+    return x.numerator * pow(x.denominator, field.p - 2, field.p) % field.p
+
+
+def ref_rref(field, rows, cols):
+    """Gauss-Jordan on rows of scalars: (reduced rows, pivots)."""
+    p = field.p if field.kind == "prime" else None
+
+    def norm(x):
+        return x % p if p else x
+
+    a = [[reduce(field, x) if x else 0 for x in r] for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        s = pow(a[r][c], p - 2, p) if p else 1 / a[r][c]
+        a[r] = [norm(x * s) if x else x for x in a[r]]
+        # the row update skips the zero entries of the pivot row
+        nonzero = [(k, y) for k, y in enumerate(a[r]) if y]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f:
+                for k, y in nonzero:
+                    row[k] = norm(row[k] - f * y)
+        pivots.append(c)
+    return a, pivots
+
+
+def span(field, ambient_dim, vectors):
+    """The canonical Subspace spanned by vectors (lists of field
+    elements): the nonzero rows of their reduced echelon form, as
+    columns."""
+    reduced, pivots = ref_rref(field, vectors, ambient_dim)
+    return Subspace(ambient_dim, Matrix.from_rows(
+        field, [[reduced[t][i] for t in range(len(pivots))]
+                for i in range(ambient_dim)]))
+
+
+def rows_of(m):
+    """The rows of m as lists of field elements, with int zeros."""
+    ints, den = m.as_integer_ratio()
+    flat = [m.field.element(x, den) if x else 0 for x in ints]
+    return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+
+
+def rank(m):
+    return len(ref_rref(m.field, rows_of(m), m.cols)[1])
+
+
+def image_basis(m):
+    return span(m.field, m.rows, rows_of(m.transpose()))
+
+
+def kernel_basis(m):
+    """e_f - sum_p r_p[f] e_p for each free column f, canonicalized."""
+    reduced, pivots = ref_rref(m.field, rows_of(m), m.cols)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [0] * m.cols
+        v[f] = 1
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                v[p] = reduce(m.field, -row[f])
+        vectors.append(v)
+    return span(m.field, m.cols, vectors)
+
+
+def solve(m, b):
+    """The canonical solution of m @ x = b (pivot entries read off the
+    reduced [m | b], free entries zero), or None if inconsistent."""
+    if b.rows != m.rows or b.cols != 1:
+        raise DimensionError(f"rhs must be a {m.rows}-row column vector")
+    reduced, pivots = ref_rref(m.field, rows_of(m.hstack(b)), m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    entries = [0] * m.cols
+    for row, p in zip(reduced, pivots):
+        entries[p] = row[m.cols]
+    return Matrix.column(m.field, entries)
+
+
+def quotient_data(ker, im):
+    """(dim ker / im, the ker-basis columns that are pivots of
+    [im | ker]); QuotientError unless im lies in ker."""
+    if ker.ambient_dim != im.ambient_dim:
+        raise DimensionError("ambient dimension mismatch")
+    # both bases are independent, so the rank of [im | ker] is ker.dim
+    # exactly when im lies in ker
+    _, pivots = ref_rref(ker.field, rows_of(im.basis.hstack(ker.basis)),
+                         im.dim + ker.dim)
+    if len(pivots) != ker.dim:
+        raise QuotientError("the image is not contained in the kernel")
+    reps = [ker.basis.submatrix_columns([p - im.dim])
+            for p in pivots if p >= im.dim]
+    return ker.dim - im.dim, reps

@@ -1,9 +1,12 @@
 import importlib
+import os
+import subprocess
 import sys
 import time
 import types
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from coaldef.exactlinalg import (
 from coaldef.sparse import sparse_rref
 
 from helpers import fresh_rng, rational, rational_matrix
+from reference import ref_rref
 
 
 def mat(rows):
@@ -252,17 +256,6 @@ class TestArithmeticKernel:
             assert den > 0
             assert gcd(den, *ints) == 1
         assert (a - a).as_integer_ratio()[1] == 1
-        # the per-entry layout of the echelon oracle
-        an, ad = [], []
-        for i in range(6):
-            for j in range(6):
-                an.append(a[i, j].numerator)
-                ad.append(a[i, j].denominator)
-        out_n, out_d, _ = _kernels_py.q_rref(an, ad, 6, 6)
-        for x, y in zip(out_n, out_d):
-            assert y > 0
-            assert gcd(x, y) == 1
-            assert x != 0 or y == 1
 
     def test_stale_extension_is_ignored(self, monkeypatch):
         # an extension module left behind by an old build must not
@@ -276,6 +269,19 @@ class TestArithmeticKernel:
         finally:
             monkeypatch.undo()
             importlib.reload(_backend)
+
+
+def test_import_does_not_load_the_elimination_engine():
+    # the dense API imports coaldef.sparse on first use, so a process
+    # that never eliminates does not pay its import time and memory
+    path = [str(Path(coaldef.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coaldef; print('coaldef.sparse' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def _sparse_operand(rng, field, rows, cols):
@@ -313,19 +319,17 @@ class TestSparseRref:
         rng = fresh_rng(seed)
         rows, cols = rng.randint(0, 9), rng.randint(0, 9)
         m, sparse = _sparse_operand(rng, field, rows, cols)
-        r, piv = m.rref()
+        r, piv = ref_rref(field, m.to_rows(), cols)
         echelon = sparse_rref(field, [dict(x) for x in sparse], cols)
-        assert sorted(echelon.rows) == list(piv)
-        assert _reduced_rows(echelon, field, piv) == r.to_rows()[:len(piv)]
-        # rightmost pivots: the dense rref of the mirrored matrix
-        mirrored = Matrix.from_rows(field, [row[::-1] for row in m.to_rows()]) \
-            if rows else m
-        r, piv = mirrored.rref()
+        assert sorted(echelon.rows) == piv
+        assert _reduced_rows(echelon, field, piv) == r[:len(piv)]
+        # rightmost pivots: the reference rref of the mirrored matrix
+        r, piv = ref_rref(field, [row[::-1] for row in m.to_rows()], cols)
         echelon = sparse_rref(field, sparse, cols, reverse=True)
         pivots = [cols - 1 - p for p in piv]
         assert sorted(echelon.rows, reverse=True) == pivots
         assert _reduced_rows(echelon, field, pivots) == \
-            [row[::-1] for row in r.to_rows()[:len(piv)]]
+            [row[::-1] for row in r[:len(piv)]]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6),

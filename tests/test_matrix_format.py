@@ -16,9 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coaldef.exactlinalg import QQ, DimensionError, Matrix, PrimeField
+from coaldef.exactlinalg import (QQ, DimensionError, Matrix, PrimeField,
+                                 QuotientError, Subspace, image_basis,
+                                 kernel_basis, quotient_data, rank, solve)
 
+import reference
 from helpers import LARGE_PRIMES, fresh_rng
+from reference import reduce, ref_rref
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101), PrimeField(2 ** 31 - 1))
 SIZES = (0, 1, 2, 3, 4)
@@ -33,14 +37,6 @@ def canonical(m):
     if m.field.kind == "prime":
         assert den == 1 and all(0 <= x < m.field.p for x in ints)
     return m
-
-
-def reduce(field, x):
-    """The scalar x (int or Fraction) as an element of the field."""
-    x = Fraction(x)
-    if field.kind == "rational":
-        return x
-    return x.numerator * pow(x.denominator, field.p - 2, field.p) % field.p
 
 
 def entries(m):
@@ -85,31 +81,6 @@ def operand(rng, field, rows, cols):
 def ref_matmul(field, a, b, inner, cols):
     return [[reduce(field, sum(r[t] * b[t][j] for t in range(inner)))
              for j in range(cols)] for r in a]
-
-
-def ref_rref(field, rows, cols):
-    """Gauss-Jordan on the reference rows: (reduced rows, pivots)."""
-    p = field.p if field.kind == "prime" else None
-
-    def inv(x):
-        return pow(x, p - 2, p) if p else 1 / x
-
-    a = [list(r) for r in rows]
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        s = inv(a[r][c])
-        a[r] = [reduce(field, x * s) for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [reduce(field, x - f * y) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
 
 
 def check(m, ref, shape):
@@ -264,3 +235,27 @@ def test_elimination(seed, field):
                                 2 * n)
         check(inv, [row[n:] for row in augmented], (n, n))
         assert s @ inv == Matrix.identity(field, n)
+    # the derived operations, against the same ones built on ref_rref
+    assert rank(a) == reference.rank(a) == len(ref_pivots)
+    image = image_basis(a)
+    assert image == Subspace.from_columns(a) == reference.image_basis(a)
+    assert kernel_basis(a) == reference.kernel_basis(a)
+    y, _ = operand(rng, field, cols, 1)
+    b, _ = operand(rng, field, rows, 1)
+    for rhs in (a @ y, b):
+        x = solve(a, rhs)
+        assert x == reference.solve(a, rhs)
+        assert x is None or a @ x == rhs
+    # a contained pair, and one that need not be
+    t, _ = operand(rng, field, cols, rng.choice(SIZES))
+    im = image_basis(a @ t)
+    assert quotient_data(image, im) == reference.quotient_data(image, im)
+    u, _ = operand(rng, field, rows, rng.choice(SIZES))
+    im = image_basis(u)
+    try:
+        expected = reference.quotient_data(image, im)
+    except QuotientError:
+        with pytest.raises(QuotientError):
+            quotient_data(image, im)
+    else:
+        assert quotient_data(image, im) == expected

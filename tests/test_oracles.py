@@ -10,9 +10,10 @@ Cauchy loops of the matrix power series as the reference for the
 zero-skipping series product, the per-term rational matrix product as
 the reference for the fraction-free one, and s (x) Id - Id (x) s as the
 reference for the fused coassociativity defect.  The dense routines of
-exactlinalg (kernel_basis, image_basis, quotient_data, solve) applied to
-the dense differential_matrix are the reference for the sparse
-elimination behind cohomology, is_coboundary and class_coordinates.
+reference.py (kernel_basis, image_basis, quotient_data, solve on one
+Gauss-Jordan) applied to the dense differential_matrix are the
+reference for the sparse elimination behind cohomology, is_coboundary
+and class_coordinates.
 The long exact sequence of the mapping cone gives dim H^n(f) from three
 Hochschild complexes and the connecting map, without MorphismComplex.
 """
@@ -52,7 +53,6 @@ from coaldef.cohomology import (
     MorphismCochain,
     MorphismComplex,
 )
-from coaldef._kernels_py import _q_add, _q_mul
 from coaldef.deformation import (
     FormalIsomorphism,
     TruncatedDeformation,
@@ -66,17 +66,7 @@ from coaldef.deformation import (
     compose_isomorphisms,
     invert_formal,
 )
-from coaldef.exactlinalg import (
-    QQ,
-    Matrix,
-    PrimeField,
-    QuotientError,
-    image_basis,
-    kernel_basis,
-    quotient_data,
-    rank,
-    solve,
-)
+from coaldef.exactlinalg import QQ, Matrix, PrimeField, QuotientError
 
 from helpers import (
     LARGE_PRIMES,
@@ -91,6 +81,7 @@ from helpers import (
     seed_coalgebras,
     seed_morphisms,
 )
+from reference import image_basis, kernel_basis, quotient_data, rank, solve
 
 
 def naive_delta(bicomodule, cochain, degree):
@@ -655,13 +646,12 @@ def test_equivalence_operations_match_dense_reference(seed, field, which):
 
 # ---------------------------------------------------------------------------
 # the rational product over common denominators: the per-term loop of
-# per-entry fractions, one _q_mul and one _q_add per pair of nonzero
+# per-entry Fractions, one product and one sum per pair of nonzero
 # entries, is the reference
 
 
 def reference_q_matmul(an, ad, bn, bd, n, k, m):
-    cn = [0] * (n * m)
-    cd = [1] * (n * m)
+    c = [Fraction(0)] * (n * m)
     for i in range(n):
         for t in range(k):
             na = an[i * k + t]
@@ -671,10 +661,9 @@ def reference_q_matmul(an, ad, bn, bd, n, k, m):
                 nb = bn[t * m + j]
                 if not nb:
                     continue
-                pn, pd = _q_mul(na, ad[i * k + t], nb, bd[t * m + j])
-                cn[i * m + j], cd[i * m + j] = _q_add(
-                    cn[i * m + j], cd[i * m + j], pn, pd)
-    return cn, cd
+                c[i * m + j] += (Fraction(na, ad[i * k + t])
+                                 * Fraction(nb, bd[t * m + j]))
+    return [x.numerator for x in c], [x.denominator for x in c]
 
 
 def common_denominator_product(an, ad, bn, bd, n, k, m):
@@ -892,8 +881,9 @@ def test_comp_bar_matches_kronecker_reference(seed, field):
 
 
 # ---------------------------------------------------------------------------
-# the sparse elimination record: kernel_basis, image_basis, quotient_data
-# and solve on the dense differential_matrix are the reference
+# the sparse elimination record: the dense kernel_basis, image_basis,
+# quotient_data and solve of reference.py on the dense
+# differential_matrix are the reference
 
 
 def _reference_class(basis, im_dim, vector):
