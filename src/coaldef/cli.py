@@ -184,6 +184,10 @@ def check(ctx, file, name):
                                    "isomorphisms", "cocycles"))
     command = f"check {file} {name}"
     payload = {"name": name, "kind": kind}
+    if kind in ("deformations", "cocycles"):
+        # verifying a deformation and d_c of a cocycle both work in the
+        # degrees up to D_2 of the morphism's complex
+        _require_budget(morphism_complex(obj.morphism), 2, name)
     if kind == "coalgebras":
         rep = check_coassociative(obj)
         ok, detail = rep.ok, rep.message

@@ -5,7 +5,9 @@ stored as a (dim^2 x dim) structure-constant matrix.  Tensor powers use
 one fixed flattening throughout the package: the basis vector
 e_{i1} (x) ... (x) e_{in} of A^(x)n has flat index sum(i_k * d^(n-k)),
 i.e. row-major with the leftmost factor most significant.  Kronecker
-products of matrices agree with this convention.
+products of matrices agree with this convention, and a map acting on one
+tensor factor is one product of a reshaped operand
+(:func:`factor_product`), with no Kronecker matrix formed.
 
 Validity (coassociativity, morphism compatibility, the bicomodule
 diagrams) is checked by explicit report-returning functions rather than
@@ -48,53 +50,72 @@ def unpack_index(flat, dim, n):
 
 
 # ---------------------------------------------------------------------------
-# the fused bar product (shared with the deformation equations)
+# maps acting on one tensor factor
 
 
 @lru_cache(maxsize=64)
-def _split_indices(d):
-    """The positions that read [R(x) | S(x)] off the row-major entries of
-    a map x: X -> X (x) X with dim X = d (see :func:`bar_pairing`)."""
-    w = d * d
-    split = []
-    for q in range(d):
-        split += range(q * w, q * w + w)
-        split += [(p * d + q) * d + k for p in range(d) for k in range(d)]
-    return tuple(split)
+def _swap_index(n1, n2, n3):
+    """Positions reordering the row-major entries of an n1 x n2 x n3
+    array as n2 x n1 x n3."""
+    return tuple((i1 * n2 + i2) * n3 + i3
+                 for i2 in range(n2) for i1 in range(n1) for i3 in range(n3))
 
 
-def bar_pairing(s, x, d, low=-1, terms=1):
-    """Row-major ints of (s (x) Id) o x - (Id (x) s) o x, a d^3 x d map,
-    for the row-major ints of two d^2 x d maps s and x; with ``terms``
-    = m, of the sum of those pairings over the m blocks of the block row
-    s = [s_1 | ... | s_m] and the block column x = [x_1; ...; x_m].
+def factor_read(x, o, dim, cols):
+    """The ints of a block column of maps N -> O (x) X (dim X = ``dim``,
+    dim N = ``cols``), each block with its two leading factors swapped:
+    the operand of a right factor product."""
+    index = _swap_index(o, dim, cols)
+    return [x[b + t] for b in range(0, len(x), len(index) or 1)
+            for t in index]
 
-    With row-major flattening, (s (x) Id) o x is s @ R(x) read as a
-    d^3 x d matrix, where R(x) is x read as a d x d^2 matrix (the same
-    flat list), and (Id (x) s) o x is a fixed permutation of s @ S(x),
-    where S(x)[q, p d + k] = x[p d + q, k].  So each row of s takes one
-    integer product with the stacked [R(x_j) | S(x_j)], and no
-    Kronecker product with the identity is formed.  Every entry is
-    reduced with ``& low`` as it accumulates (no reduction by default),
-    which keeps packed power series to the slots that are read.  The
-    entries are field-free ints: the denominator of the result is the
-    product of those of s and x.
+
+def factor_ints(m, x, rows, inner, o, cols, right=False):
+    """Row-major ints of sum_j (m_j (x) Id_O) o x_j, with ``right`` of
+    sum_j (Id_O (x) m_j) o x_j, for the ints of the block row
+    m = [m_1 | ... | m_t] (rows x inner) and of the block column
+    x = [x_1; ...; x_t] (read by :func:`factor_read` for the right
+    factor); the denominator is the product of theirs.
+
+    With row-major flattening, (m (x) Id_O) o x is m @ x with x read as
+    an inner x (o cols) matrix, which is the same list, so no Kronecker
+    product is formed (the Kronecker-vec identity); on the right factor
+    the two leading tensor factors of x and of the result are swapped.
     """
-    w = d * d
-    split = _split_indices(d)
-    rs = [x[j * w * d + t] for j in range(terms) for t in split]
-    matmul = _backend.kernel().matmul
-    out = [0] * (w * w)
-    span = d * terms
-    for r in range(w):
-        row = matmul(s[r * span:(r + 1) * span], rs, 1, span, 2 * w)
-        for c in range(w):
-            out[r * w + c] = (out[r * w + c] + row[c]) & low
-        for c in range(w):
-            p, k = divmod(c, d)
-            t = (p * w + r) * d + k
-            out[t] = (out[t] - row[w + c]) & low
-    return out
+    out = _backend.kernel().matmul(m, x, rows, inner, o * cols)
+    return [out[t] for t in _swap_index(rows, o, cols)] if right else out
+
+
+def factor_operand(x: Matrix, o, dim, right=False) -> Matrix:
+    """x: N -> X (x) O as :func:`factor_product` reads it: x itself, or
+    for the right factor, x: N -> O (x) X with dim X = ``dim``, with its
+    two leading factors swapped (a series reads each coefficient once)."""
+    return x.gather(x.rows, x.cols, _swap_index(o, dim, x.cols)) \
+        if right else x
+
+
+def factor_product(pairs, o=1, right=False) -> Matrix:
+    """sum_j (m_j (x) Id_O) o x_j, or with ``right`` sum_j (Id_O (x) m_j)
+    o x_j, over a nonempty list of pairs of maps m_j: X_j -> X' and x_j
+    (read by :func:`factor_operand`), with dim O = ``o``: one product of
+    the block row of the m_j with the block column of the x_j.  With
+    o = 1 it is the stacked composition [m_1 | ...] @ [x_1; ...]."""
+    m = Matrix.hstack(*[m for m, _ in pairs])
+    x = Matrix.vstack(*[x for _, x in pairs])
+    if m.field != x.field or x.rows != m.cols * o:
+        raise DimensionError(f"cannot apply {m!r} to a factor of {x!r}")
+    m_ints, m_den = m.as_integer_ratio()
+    x_ints, x_den = x.as_integer_ratio()
+    return Matrix.from_integer_ratio(
+        m.field, m.rows * o, x.cols,
+        factor_ints(m_ints, x_ints, m.rows, m.cols, o, x.cols, right),
+        m_den * x_den)
+
+
+def _on_factor(m: Matrix, x: Matrix, o, right=False) -> Matrix:
+    """(m (x) Id_O) o x, or (Id_O (x) m) o x with ``right``."""
+    return factor_product([(m, factor_operand(x, o, m.cols, right))], o,
+                          right)
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +259,37 @@ def _difference_report(diff: Matrix, what: str) -> StructureReport:
 
 def check_coassociative(coalg: Coalgebra) -> StructureReport:
     """Whether (Id (x) delta) o delta equals (delta (x) Id) o delta exactly."""
-    d = coalg.dim
-    ints, den = coalg.delta.as_integer_ratio()
-    # bar_pairing gives (delta (x) Id) o delta - (Id (x) delta) o delta
-    diff = [-x for x in bar_pairing(ints, ints, d)]
+    delta, d = coalg.delta, coalg.dim
     return _difference_report(
-        Matrix.from_integer_ratio(coalg.field, d ** 3, d, diff, den * den),
+        _on_factor(delta, delta, d, right=True) - _on_factor(delta, delta, d),
         f"coassociativity of {coalg.name!r}")
 
 
 def check_morphism(f: CoalgebraMorphism) -> StructureReport:
     """Whether delta_target o f equals (f (x) f) o delta_source exactly."""
     lhs = f.target.delta @ f.matrix
-    rhs = f.matrix.kron(f.matrix) @ f.source.delta
+    # (f (x) f) = (f (x) Id) o (Id (x) f)
+    rhs = _on_factor(f.matrix, _on_factor(f.matrix, f.source.delta,
+                                          f.source.dim, right=True),
+                     f.target.dim)
     return _difference_report(lhs - rhs, "morphism compatibility")
 
 
 def check_bicomodule(m: Bicomodule) -> StructureReport:
     """The two coaction coassociativity diagrams plus their compatibility."""
-    c = m.over
-    id_c = Matrix.identity(c.field, c.dim)
-    id_m = Matrix.identity(c.field, m.dim)
-    left = id_c.kron(m.psi_l) @ m.psi_l - c.delta.kron(id_m) @ m.psi_l
+    c, psi_l, psi_r = m.over, m.psi_l, m.psi_r
+    left = (_on_factor(psi_l, psi_l, c.dim, right=True)
+            - _on_factor(c.delta, psi_l, m.dim))
     rep = _difference_report(left, "left coaction coassociativity")
     if not rep.ok:
         return rep
-    right = m.psi_r.kron(id_c) @ m.psi_r - id_m.kron(c.delta) @ m.psi_r
+    right = (_on_factor(psi_r, psi_r, c.dim)
+             - _on_factor(c.delta, psi_r, m.dim, right=True))
     rep = _difference_report(right, "right coaction coassociativity")
     if not rep.ok:
         return rep
-    compat = id_c.kron(m.psi_r) @ m.psi_l - m.psi_l.kron(id_c) @ m.psi_r
+    compat = (_on_factor(psi_r, psi_l, c.dim, right=True)
+              - _on_factor(psi_l, psi_r, c.dim))
     return _difference_report(compat, "left/right coaction compatibility")
 
 
@@ -300,9 +322,8 @@ def require_morphism(rep: StructureReport):
 def _pushed_forward(f: CoalgebraMorphism) -> Bicomodule:
     """The coactions of :func:`bicomodule_via`, without the morphism check."""
     a = f.source
-    ident = Matrix.identity(a.field, a.dim)
-    psi_l = f.matrix.kron(ident) @ a.delta
-    psi_r = ident.kron(f.matrix) @ a.delta
+    psi_l = _on_factor(f.matrix, a.delta, a.dim)
+    psi_r = _on_factor(f.matrix, a.delta, a.dim, right=True)
     return Bicomodule(f.target, a.dim, psi_l, psi_r)
 
 
@@ -344,7 +365,9 @@ def change_basis(coalg: Coalgebra, p: Matrix, name=None) -> Coalgebra:
     p_inv = p.inverse()
     if p_inv is None:
         raise InvalidStructureError("change-of-basis matrix is singular")
-    delta = p.kron(p) @ coalg.delta @ p_inv
+    d = coalg.dim
+    delta = _on_factor(p, _on_factor(p, coalg.delta @ p_inv, d, right=True),
+                       d)
     return Coalgebra(name or f"{coalg.name}'", coalg.dim, delta)
 
 

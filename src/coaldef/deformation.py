@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from . import _backend
-from .coalgebra import CoalgebraMorphism, InvalidStructureError, bar_pairing
+from .coalgebra import CoalgebraMorphism, InvalidStructureError, \
+    factor_ints, factor_operand, factor_product, factor_read
 from .cohomology import Cochain, MorphismCochain, MorphismComplex, \
     morphism_complex
 from .exactlinalg import DimensionError, ExactLinalgError, Matrix
@@ -47,56 +48,52 @@ class ExtensionRejected(ExactLinalgError):
 # truncated matrix power series (coefficient lists of fixed length)
 
 
-def _terms(a, b, n):
-    """The pairs (a_i, b_(n-i)), i = 0..n, of the order-n coefficient of
-    a product of two series, less every pair with a zero factor (a
-    coefficient past the end of a series is zero)."""
-    return [(a[i], b[n - i])
-            for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)
-            if not (a[i].is_zero() or b[n - i].is_zero())]
+def _nonzero(s, order):
+    """The nonzero coefficients of a series through ``order``, by order
+    (a coefficient past the end of a series is zero)."""
+    return {i: x for i, x in enumerate(s[:order + 1]) if not x.is_zero()}
 
 
-def _product_sum(pairs, left, right):
-    """sum_i l_i @ r_i over the (l_i, r_i) pairs, as the one product
-    [l_1 | l_2 | ...] @ [r_1; r_2; ...]; with no pairs, the zero matrix
-    of the shape of left @ right."""
-    if not pairs:
-        return Matrix.zeros(left.field, left.rows, right.cols)
-    return Matrix.hstack(*[l for l, _ in pairs]) @ \
-        Matrix.vstack(*[r for _, r in pairs])
+def _pairs(a, b, n):
+    """The pairs (a_i, b_(n-i)) of the order-n coefficient of a product,
+    for two series given by their :func:`_nonzero` coefficients."""
+    return [(x, b[n - i]) for i, x in a.items() if n - i in b]
 
 
-def _cauchy(a, b, n):
-    """Order-n coefficient sum_i a_i @ b_(n-i) of two matrix series."""
-    return _product_sum(_terms(a, b, n), a[0], b[0])
+def _series(a, b, order, o=1, right=False):
+    """Product of two truncated matrix series, truncated at ``order``:
+    the order-n coefficient is sum_i a_i o b_(n-i), or with ``o`` and
+    ``right`` the :func:`factor_product` of those pairs.  Every
+    coefficient is tested for zero, and read, once."""
+    zero = Matrix.zeros(a[0].field, a[0].rows * o, b[0].cols)
+    ms = _nonzero(a, order)
+    xs = {j: factor_operand(x, o, a[0].cols, right)
+          for j, x in _nonzero(b, order).items()}
+    return [factor_product(p, o, right) if p else zero
+            for p in (_pairs(ms, xs, n) for n in range(order + 1))]
 
 
-def _cauchy_kron(a, b, n):
-    """Order-n coefficient sum_i a_i (x) b_(n-i) of the tensor product."""
-    pairs = _terms(a, b, n)
-    if not pairs:
-        return Matrix.zeros(a[0].field, a[0].rows * b[0].rows,
-                            a[0].cols * b[0].cols)
-    acc = pairs[0][0].kron(pairs[0][1])
-    for l, r in pairs[1:]:
-        acc = acc + l.kron(r)
-    return acc
-
-
-def _series(a, b, order, cauchy=_cauchy):
-    """Product of two truncated matrix series, truncated at ``order``.
-
-    ``cauchy`` forms the coefficients: composition by default,
-    ``_cauchy_kron`` for the coefficientwise tensor product.
-    """
-    return [cauchy(a, b, n) for n in range(order + 1)]
+def _cauchy_kron(a, b, order):
+    """The coefficientwise tensor product of two series: the order-n
+    coefficient is sum_i a_i (x) b_(n-i)."""
+    zero = Matrix.zeros(a[0].field, a[0].rows * b[0].rows,
+                        a[0].cols * b[0].cols)
+    x, y = _nonzero(a, order), _nonzero(b, order)
+    terms = [[l.kron(r) for l, r in _pairs(x, y, n)]
+             for n in range(order + 1)]
+    return [sum(t[1:], t[0]) if t else zero for t in terms]
 
 
 def _series_inverse(a, order):
     """Inverse of a truncated series whose constant term is the identity."""
-    inv = [a[0]]
+    higher = {i: x for i, x in _nonzero(a, order).items() if i}
+    zero = Matrix.zeros(a[0].field, a[0].rows, a[0].cols)
+    inv, live = [a[0]], {0: a[0]}
     for n in range(1, order + 1):
-        inv.append(-_cauchy(a[1:], inv, n - 1))
+        pairs = _pairs(higher, live, n)
+        inv.append(-factor_product(pairs) if pairs else zero)
+        if pairs and not inv[n].is_zero():
+            live[n] = inv[n]
     return inv
 
 
@@ -352,11 +349,15 @@ class TrivializationResult:
 # verification
 
 
-def _swap(x, n1, n2, n3):
-    """The row-major entries x[i1, i2, i3] of an n1 x n2 x n3 array,
-    reordered as x[i2, i1, i3]."""
-    return [x[(i1 * n2 + i2) * n3 + i3]
-            for i2 in range(n2) for i1 in range(n1) for i3 in range(n3)]
+def _bar(s, x, d, inner):
+    """Row-major ints of sum_j (s_j (x) Id - Id (x) s_j) o x_j, a d^3 x d
+    map, for the ints of the block row s = [s_1 | ... | s_t] (d^2 x
+    ``inner``) of maps X -> X (x) X, dim X = d, and of the block column
+    x = [x_1; ...; x_t]; both factor products use the same stacks."""
+    left = factor_ints(s, x, d * d, inner, d, d)
+    right = factor_ints(s, factor_read(x, d, d, d), d * d, inner,
+                        d, d, right=True)
+    return _backend.kernel().lincomb(left, 1, right, -1)
 
 
 def _defects(series_a, series_b, series_f, orders):
@@ -381,9 +382,10 @@ def _defects(series_a, series_b, series_f, orders):
     D, chosen by :func:`_scales`), that is, each series in t becomes an
     integer series in u = t / D.  Each entry of it is packed into the
     one int sum_i x_i 2^(i w), so each equation is a fixed set of
-    integer products (``bar_pairing`` on a and on b, three products for
-    D_f) whatever the order, and the requested orders are the slots of
-    the packed results, over L^2 D^n (D_a, D_b) and L^3 D^n (D_f).
+    integer products (the two factor products of :func:`_bar` on a and
+    on b, three for D_f) whatever the order, and the requested orders
+    are the slots of the packed results, over L^2 D^n (D_a, D_b) and
+    L^3 D^n (D_f).
     Transport, composition and inversion keep the per-order, zero-
     skipping ``_series``: a staircase step I - chi t^l is zero at every
     order but 0 and l, and packing it would multiply the zero orders in
@@ -441,27 +443,22 @@ def _defects(series_a, series_b, series_f, orders):
                                           unit ** power * step ** n)
                 for n, ints in zip(orders, slots)]
 
-    def low(w):
-        # slots above K only reach slots above K of a product, so
-        # dropping them (a multiple of 2^(k w)) leaves every read slot
-        return (1 << k * w) - 1
-
     def bar(r, w, dim):
         x = packed(r, w)
-        return read(kern.unpack(bar_pairing(x, x, dim, low(w)), w, orders),
+        return read(kern.unpack(_bar(x, x, dim, dim), w, orders),
                     dim ** 3, dim, 2)
 
     defects_a = bar(ratios[0], w_a, d)
     defects_b = bar(ratios[1], w_b, e)
     a, b, f = (packed(r, w) for r in ratios)
-    # (f (x) f) o a one tensor factor at a time: a with its two leading
-    # factors swapped is a d x d^2 matrix, and f @ it is (Id (x) f) o a
-    # with swapped leading factors; swapped back, that is a d x ed
-    # matrix, and f @ it is (f (x) f) o a
-    mask = low(w)
-    fa = [x & mask for x in kern.matmul(f, _swap(a, d, d, d), e, d, d * d)]
-    ffa = kern.matmul(f, _swap(fa, e, d, d), e, d, e * d)
-    map_defect = kern.lincomb(ffa, 1, kern.matmul(b, f, e * e, e, d), -unit)
+    # (f (x) f) o a = (f (x) Id) o (Id (x) f) o a; slots above K only
+    # reach slots above K of a product, so dropping them from the inner
+    # product (a multiple of 2^(k w)) leaves every read slot
+    low = (1 << k * w) - 1
+    fa = [x & low for x in factor_ints(f, factor_read(a, d, d, d),
+                                       e, d, d, d, right=True)]
+    map_defect = kern.lincomb(factor_ints(f, fa, e, d, e, d), 1,
+                              factor_ints(b, f, e * e, e, 1, d), -unit)
     defects_f = read(kern.unpack(map_defect, w, orders), e * e, d, 3)
     return list(zip(defects_a, defects_b, defects_f))
 
@@ -476,22 +473,27 @@ def _defects_at(series_a, series_b, series_f, n):
     words, that costs more than the n + 1 products of the pairs, and
     integration to a high order obstructs at every order on the way.
     """
-    def bar(s):
-        pairs = _terms(s, s, n)
-        d = s[0].cols
+    field = series_a[0].field
+    a, b, f = (_nonzero(s, n) for s in (series_a, series_b, series_f))
+
+    def bar(s, d):
+        pairs = _pairs(s, s, n)
         if not pairs:
-            return Matrix.zeros(s[0].field, d ** 3, d)
+            return Matrix.zeros(field, d ** 3, d)
         left, den_l = Matrix.hstack(*[l for l, _ in pairs]).as_integer_ratio()
         right, den_r = Matrix.vstack(*[r for _, r in pairs]).as_integer_ratio()
-        return Matrix.from_integer_ratio(
-            s[0].field, d ** 3, d,
-            bar_pairing(left, right, d, terms=len(pairs)), den_l * den_r)
+        return Matrix.from_integer_ratio(field, d ** 3, d,
+                                         _bar(left, right, d, d * len(pairs)),
+                                         den_l * den_r)
 
-    ff = _series(series_f, series_f, n, _cauchy_kron)
-    neg_f = [-x for x in series_f]
-    return (bar(series_a), bar(series_b),
-            _product_sum(_terms(ff, series_a, n) + _terms(series_b, neg_f, n),
-                         ff[0], series_a[0]))
+    # f (x) f stays a Kronecker series here: for one order its pairs
+    # multiply only the small f coefficients, where two factor products
+    # would multiply the entries of a
+    ff = _nonzero(_cauchy_kron(series_f, series_f, n), n)
+    d, e = series_a[0].cols, series_b[0].cols
+    pairs = _pairs(ff, a, n) + [(x, -y) for x, y in _pairs(b, f, n)]
+    return (bar(a, d), bar(b, e),
+            factor_product(pairs) if pairs else Matrix.zeros(field, e * e, d))
 
 
 def _scales(dens):
@@ -575,7 +577,7 @@ def comp_bar(s: Cochain, t: Cochain) -> Cochain:
     ints_t, den_t = t.matrix.as_integer_ratio()
     d = m.dim
     return Cochain(m, 3, Matrix.from_integer_ratio(
-        m.field, d ** 3, d, bar_pairing(ints_s, ints_t, d), den_s * den_t))
+        m.field, d ** 3, d, _bar(ints_s, ints_t, d, d), den_s * den_t))
 
 
 def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
@@ -712,11 +714,16 @@ def apply_equivalence(p: FormalIsomorphism,
     n = d.order
     phi_a, phi_b = p.series_a(), p.series_b()
     inv_a = _series_inverse(phi_a, n)
-    inv_b = _series_inverse(phi_b, n)
-    new_a = _series(_series(phi_a, phi_a, n, _cauchy_kron),
-                    _series(d.series_a(), inv_a, n), n)
-    new_b = _series(_series(phi_b, phi_b, n, _cauchy_kron),
-                    _series(d.series_b(), inv_b, n), n)
+
+    def conjugated(phi, comul, inv):
+        # (phi (x) phi) o comul o inv, with phi (x) phi applied as
+        # (phi (x) Id) o (Id (x) phi)
+        dim = phi[0].rows
+        y = _series(comul, inv, n)
+        return _series(phi, _series(phi, y, n, dim, right=True), n, dim)
+
+    new_a = conjugated(phi_a, d.series_a(), inv_a)
+    new_b = conjugated(phi_b, d.series_b(), _series_inverse(phi_b, n))
     new_f = _series(phi_b, _series(d.series_f(), inv_a, n), n)
     comp = morphism_complex(d.morphism)
     if (new_a[0] != d.comul_a(0) or new_b[0] != d.comul_b(0)

@@ -456,6 +456,8 @@ class TestDifferentialBudget:
         (("obstruct", "d"), 3),
         (("trivialize", "d", "-o", "OUT"), 2),
         (("integrate", "w", 2, "-o", "OUT"), 3),
+        (("check", "w"), 2),
+        (("check", "d"), 2),
     ])
     def test_commands_check_their_largest_differential(self, tmp_path, args,
                                                        degree):

@@ -13,6 +13,7 @@ from coaldef.deformation import (
     FormalIsomorphism,
     ObstructionClass,
     TruncatedDeformation,
+    _series,
     apply_equivalence,
     comp_bar,
     compose_isomorphisms,
@@ -38,6 +39,7 @@ from helpers import (
     random_cocycle,
     random_isomorphism,
     random_morphism,
+    rational_matrix,
 )
 
 
@@ -355,6 +357,25 @@ class TestFormalIsomorphisms:
         two = Matrix.from_rows(QQ, [[2]])
         with pytest.raises(InvalidStructureError):
             FormalIsomorphism(f, [comp.element(two, two, None, 1)])
+
+    def test_series_product_tests_each_coefficient_once(self, monkeypatch):
+        # the nonzero orders of each operand are listed once per product,
+        # not once per order of the result
+        rng = fresh_rng(4)
+        order = 12
+        a, b = ([rational_matrix(rng, 2, 2) if n % 3 else
+                 Matrix.zeros(QQ, 2, 2) for n in range(order + 1)]
+                for _ in range(2))
+        calls = []
+        real = Matrix.is_zero
+        monkeypatch.setattr(Matrix, "is_zero",
+                            lambda m: calls.append(1) or real(m))
+        product = _series(a, b, order)
+        assert len(calls) <= 2 * (order + 1)
+        monkeypatch.undo()
+        assert product[order] == sum(
+            (a[i] @ b[order - i] for i in range(1, order + 1)),
+            a[0] @ b[order])
 
     def test_compose_with_inverse_is_identity(self):
         rng = fresh_rng(9)

@@ -8,12 +8,14 @@ coboundaries, with its column-probing matrix assembly, is kept here as
 the reference for the sparse assembly of the differentials, the dense
 Cauchy loops of the matrix power series as the reference for the
 zero-skipping series product, the per-term rational matrix product as
-the reference for the fraction-free one, and s (x) Id - Id (x) s as the
-reference for the fused coassociativity defect.  The dense routines of
-reference.py (kernel_basis, image_basis, quotient_data, solve on one
-Gauss-Jordan) applied to the dense differential_matrix are the
-reference for the sparse elimination behind cohomology, is_coboundary
-and class_coordinates.
+the reference for the fraction-free one, s (x) Id - Id (x) s as the
+reference for the fused coassociativity defect, and Kronecker products
+with identity matrices as the reference for the tensor-factor products
+of the structure checks, the push-forward and the change of basis.
+The dense routines of reference.py (kernel_basis, image_basis,
+quotient_data, solve on one Gauss-Jordan) applied to the dense
+differential_matrix are the reference for the sparse elimination behind
+cohomology, is_coboundary and class_coordinates.
 The long exact sequence of the mapping cone gives dim H^n(f) from three
 Hochschild complexes and the connecting map, without MorphismComplex.
 """
@@ -33,7 +35,9 @@ from coaldef.coalgebra import (
     bicomodule_via,
     change_basis,
     _difference_report,
+    _pushed_forward,
     change_basis_morphism,
+    check_bicomodule,
     check_coassociative,
     check_morphism,
     divided_power,
@@ -604,12 +608,21 @@ def test_series_products_match_dense_reference(seed, field):
     a = _sparse_series(rng, field, r, k, order)
     b = _sparse_series(rng, field, k, c, order)
     assert _series(a, b, order) == reference_series_mul(a, b, order)
-    assert _series(a, b, order, _cauchy_kron) == \
+    assert _cauchy_kron(a, b, order) == \
         reference_series_kron(a, b, order)
     unit = [Matrix.identity(field, k)] + _sparse_series(rng, field, k, k,
                                                         order)[1:]
     assert _series_inverse(unit, order) == \
         reference_series_inverse(unit, order)
+    # the factor series (a_i (x) Id_O) o x_(n-i) and (Id_O (x) a_i) o x_(n-i)
+    o = rng.randint(0, 3)
+    ident = [Matrix.identity(field, o)] + [Matrix.zeros(field, o, o)] * order
+    x = _sparse_series(rng, field, k * o, c, order)
+    assert _series(a, x, order, o) == reference_series_mul(
+        reference_series_kron(a, ident, order), x, order)
+    y = _sparse_series(rng, field, o * k, c, order)
+    assert _series(a, y, order, o, right=True) == reference_series_mul(
+        reference_series_kron(ident, a, order), y, order)
 
 
 def _transport_morphisms(field):
@@ -878,6 +891,185 @@ def test_comp_bar_matches_kronecker_reference(seed, field):
     s, t = (Cochain(reg, 2, _sparse_matrix(rng, field, c.dim ** 2, c.dim))
             for _ in range(2))
     assert comp_bar(s, t).matrix == reference_bar(s.matrix) @ t.matrix
+
+
+# ---------------------------------------------------------------------------
+# maps acting on one tensor factor: the Kronecker formulas with identity
+# matrices are the reference for the morphism and bicomodule checks, the
+# push-forward of a morphism's source and the change of basis
+
+
+def reference_check_morphism(f):
+    return _difference_report(
+        f.target.delta @ f.matrix
+        - f.matrix.kron(f.matrix) @ f.source.delta, "morphism compatibility")
+
+
+def reference_check_bicomodule(m):
+    c = m.over
+    id_c = Matrix.identity(c.field, c.dim)
+    id_m = Matrix.identity(c.field, m.dim)
+    for what, lhs, rhs in (
+            ("left coaction coassociativity",
+             id_c.kron(m.psi_l) @ m.psi_l, c.delta.kron(id_m) @ m.psi_l),
+            ("right coaction coassociativity",
+             m.psi_r.kron(id_c) @ m.psi_r, id_m.kron(c.delta) @ m.psi_r),
+            ("left/right coaction compatibility",
+             id_c.kron(m.psi_r) @ m.psi_l, m.psi_l.kron(id_c) @ m.psi_r)):
+        rep = _difference_report(lhs - rhs, what)
+        if not rep.ok:
+            return rep
+    return rep
+
+
+def reference_pushed_forward(f):
+    a = f.source
+    ident = Matrix.identity(a.field, a.dim)
+    return Bicomodule(f.target, a.dim, f.matrix.kron(ident) @ a.delta,
+                      ident.kron(f.matrix) @ a.delta)
+
+
+def reference_change_basis(c, p):
+    return Coalgebra(f"{c.name}'", c.dim, p.kron(p) @ c.delta @ p.inverse())
+
+
+def _structure_matrix(rng, field, rows, cols):
+    """Random entries, over QQ over a denominator drawn from LARGE_PRIMES."""
+    if not rows or not cols or rng.random() < 0.2:
+        return Matrix.zeros(field, rows, cols)
+    if field.kind != "rational":
+        return field_matrix(rng, field, rows, cols, bound=5)
+    den = rng.choice(LARGE_PRIMES) * rng.choice((1,) + LARGE_PRIMES)
+    return Matrix.from_integer_ratio(
+        field, rows, cols,
+        [rng.randint(-4, 4) if rng.random() < 0.6 else 0
+         for _ in range(rows * cols)], den)
+
+
+def _basis_change(rng, field, n):
+    """An invertible n x n matrix, over QQ with entries over a large
+    prime; a singular one a tenth of the time."""
+    if n and rng.random() < 0.1:
+        return Matrix.zeros(field, n, n)
+    p = invertible_matrix(rng, n, bound=4, field=field)
+    if field.kind == "rational":
+        p = p.scale(Fraction(1, rng.choice(LARGE_PRIMES)))
+    return p
+
+
+def _idempotent(rng, field, n):
+    s = _basis_change(rng, field, n)
+    while s.inverse() is None:
+        s = _basis_change(rng, field, n)
+    diagonal = Matrix.from_sparse(field, n, n, {
+        (i, i): 1 for i in range(n) if rng.random() < 0.5})
+    return s @ diagonal @ s.inverse()
+
+
+def _grouplike_map(rng, field, k, j):
+    """grouplike(k) -> grouplike(j) sending each basis vector to one of
+    the target: always a coalgebra morphism (j > 0 unless k = 0)."""
+    return CoalgebraMorphism(grouplike(k, field), grouplike(j, field),
+                             Matrix.from_sparse(field, j, k, {
+                                 (rng.randrange(j), i): 1
+                                 for i in range(k)}))
+
+
+def _factor_morphism(rng, field):
+    """A morphism, a basis change of one, or a map that fails the check:
+    dimensions 0 to 3, non-cocommutative coalgebras included."""
+    which = rng.randrange(4)
+    if which == 0:
+        k = rng.randint(0, 3)
+        f = _grouplike_map(rng, field, k, rng.randint(1 if k else 0, 3))
+    elif which == 1:
+        f = rng.choice(_defect_morphisms(field))
+    elif which == 2:
+        src, tgt = (rng.choice(_defect_morphisms(field)).source
+                    for _ in range(2))
+        f = CoalgebraMorphism(src, tgt, _structure_matrix(
+            rng, field, tgt.dim, src.dim))
+    else:
+        src, tgt = (Coalgebra("c", n, _structure_matrix(rng, field, n * n, n))
+                    for n in (rng.randint(0, 3), rng.randint(0, 3)))
+        f = CoalgebraMorphism(src, tgt, _structure_matrix(
+            rng, field, tgt.dim, src.dim))
+    if rng.random() < 0.5:
+        p = _basis_change(rng, field, f.source.dim)
+        q = _basis_change(rng, field, f.target.dim)
+        if p.inverse() is not None and q.inverse() is not None:
+            f = change_basis_morphism(f, p, q)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_morphism_maps_match_kronecker_reference(seed, field):
+    rng = fresh_rng(seed)
+    f = _factor_morphism(rng, field)
+    rep = check_morphism(f)
+    assert rep == reference_check_morphism(f)
+    # every deformation complex pushes its source forward along f,
+    # whether or not f passes the check
+    assert _pushed_forward(f) == reference_pushed_forward(f)
+    if rep.ok:
+        assert bicomodule_via(f) == reference_pushed_forward(f)
+    else:
+        with pytest.raises(InvalidStructureError) as err:
+            bicomodule_via(f)
+        assert str(err.value) == f"not a coalgebra morphism ({rep.message})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_check_bicomodule_matches_kronecker_reference(seed, field):
+    rng = fresh_rng(seed)
+    # the coactions pushed forward along two maps into one coalgebra: two
+    # morphisms give a bicomodule when they agree, and otherwise one
+    # that passes both coassociativity checks and fails compatibility
+    k, j = rng.randint(0, 3), rng.randint(1, 3)
+    pair = [_grouplike_map(rng, field, k, j) for _ in range(2)]
+    if rng.random() < 0.3:
+        pair = [rng.choice(_defect_morphisms(field))] * 2
+    f, g = pair
+    if rng.random() < 0.3:
+        # one coaction, or both, any matrix at all
+        g = CoalgebraMorphism(g.source, g.target, _structure_matrix(
+            rng, field, g.target.dim, g.source.dim))
+        if rng.random() < 0.5:
+            f, g = g, f
+    psi_l = reference_pushed_forward(f).psi_l
+    psi_r = reference_pushed_forward(g).psi_r
+    c, n = f.target, f.source.dim
+    if rng.random() < 0.2:
+        psi_l = _structure_matrix(rng, field, c.dim * n, n)
+    if rng.random() < 0.2:
+        psi_r = _structure_matrix(rng, field, n * c.dim, n)
+    if rng.random() < 0.25:
+        # over grouplike(1) a coaction is an idempotent and compatibility
+        # says the two commute; conjugates of diagonal 0/1 matrices are
+        # idempotents that mostly do not
+        c, n = grouplike(1, field), rng.randint(0, 3)
+        psi_l, psi_r = (_idempotent(rng, field, n) for _ in range(2))
+    m = Bicomodule(c, n, psi_l, psi_r)
+    assert check_bicomodule(m) == reference_check_bicomodule(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
+def test_change_basis_matches_kronecker_reference(seed, field):
+    rng = fresh_rng(seed)
+    f = _factor_morphism(rng, field)
+    p = _basis_change(rng, field, f.source.dim)
+    q = _basis_change(rng, field, f.target.dim)
+    if p.inverse() is None or q.inverse() is None:
+        with pytest.raises(InvalidStructureError):
+            change_basis_morphism(f, p, q)
+        return
+    assert change_basis(f.source, p) == reference_change_basis(f.source, p)
+    assert change_basis_morphism(f, p, q) == CoalgebraMorphism(
+        reference_change_basis(f.source, p),
+        reference_change_basis(f.target, q), q @ f.matrix @ p.inverse())
 
 
 # ---------------------------------------------------------------------------
