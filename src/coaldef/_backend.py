@@ -3,7 +3,8 @@
 There is one kernel, :mod:`coaldef._kernels_py`: integer linear
 combination, matrix product and Kronecker product for both fields, and
 series packing.  ``Matrix``, the tensor-factor product
-``coalgebra.factor_ints`` and the deformation equations fetch it
+``coalgebra.factor_ints``, series packing and the deformation equations
+fetch it
 through :func:`kernel` on every operation, so this module is the one
 point where a tracer can substitute a wrapping proxy for ``_active``."""
 

@@ -20,17 +20,17 @@ through order N.  This module implements:
   trivialization (staircase) that either exhibits an equivalence with
   the trivial deformation or returns the blocking degree-2 class.
 
-Everything is exact; truncation order is part of every object.
+Everything is exact; truncation order is part of every object.  The
+arithmetic of the coefficient series is :mod:`coaldef.series`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
 
-from . import _backend
+from . import _backend, series
 from .coalgebra import CoalgebraMorphism, InvalidStructureError, \
-    factor_ints, factor_operand, factor_product, factor_read
+    factor_ints, factor_product, factor_read
 from .cohomology import Cochain, MorphismCochain, MorphismComplex, \
     morphism_complex
 from .exactlinalg import DimensionError, ExactLinalgError, Matrix
@@ -42,59 +42,6 @@ class InternalInvariantError(ExactLinalgError):
 
 class ExtensionRejected(ExactLinalgError):
     """A supplied extension coefficient does not cobound the obstruction."""
-
-
-# ---------------------------------------------------------------------------
-# truncated matrix power series (coefficient lists of fixed length)
-
-
-def _nonzero(s, order):
-    """The nonzero coefficients of a series through ``order``, by order
-    (a coefficient past the end of a series is zero)."""
-    return {i: x for i, x in enumerate(s[:order + 1]) if not x.is_zero()}
-
-
-def _pairs(a, b, n):
-    """The pairs (a_i, b_(n-i)) of the order-n coefficient of a product,
-    for two series given by their :func:`_nonzero` coefficients."""
-    return [(x, b[n - i]) for i, x in a.items() if n - i in b]
-
-
-def _series(a, b, order, o=1, right=False):
-    """Product of two truncated matrix series, truncated at ``order``:
-    the order-n coefficient is sum_i a_i o b_(n-i), or with ``o`` and
-    ``right`` the :func:`factor_product` of those pairs.  Every
-    coefficient is tested for zero, and read, once."""
-    zero = Matrix.zeros(a[0].field, a[0].rows * o, b[0].cols)
-    ms = _nonzero(a, order)
-    xs = {j: factor_operand(x, o, a[0].cols, right)
-          for j, x in _nonzero(b, order).items()}
-    return [factor_product(p, o, right) if p else zero
-            for p in (_pairs(ms, xs, n) for n in range(order + 1))]
-
-
-def _cauchy_kron(a, b, order):
-    """The coefficientwise tensor product of two series: the order-n
-    coefficient is sum_i a_i (x) b_(n-i)."""
-    zero = Matrix.zeros(a[0].field, a[0].rows * b[0].rows,
-                        a[0].cols * b[0].cols)
-    x, y = _nonzero(a, order), _nonzero(b, order)
-    terms = [[l.kron(r) for l, r in _pairs(x, y, n)]
-             for n in range(order + 1)]
-    return [sum(t[1:], t[0]) if t else zero for t in terms]
-
-
-def _series_inverse(a, order):
-    """Inverse of a truncated series whose constant term is the identity."""
-    higher = {i: x for i, x in _nonzero(a, order).items() if i}
-    zero = Matrix.zeros(a[0].field, a[0].rows, a[0].cols)
-    inv, live = [a[0]], {0: a[0]}
-    for n in range(1, order + 1):
-        pairs = _pairs(higher, live, n)
-        inv.append(-factor_product(pairs) if pairs else zero)
-        if pairs and not inv[n].is_zero():
-            live[n] = inv[n]
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +326,7 @@ def _defects(series_a, series_b, series_f, orders):
     Several orders (verification) are evaluated together by Kronecker
     substitution.  Every order-i
     coefficient is written as ints over L D^i (``unit`` L and ``step``
-    D, chosen by :func:`_scales`), that is, each series in t becomes an
+    D, chosen by :func:`series.packing`), that is, each series in t becomes an
     integer series in u = t / D.  Each entry of it is packed into the
     one int sum_i x_i 2^(i w), so each equation is a fixed set of
     integer products (the two factor products of :func:`_bar` on a and
@@ -387,9 +334,10 @@ def _defects(series_a, series_b, series_f, orders):
     are the slots of the packed results, over L^2 D^n (D_a, D_b) and
     L^3 D^n (D_f).
     Transport, composition and inversion keep the per-order, zero-
-    skipping ``_series``: a staircase step I - chi t^l is zero at every
-    order but 0 and l, and packing it would multiply the zero orders in
-    between.  A slot is read exactly when
+    skipping :func:`series.product`, whose identity order-0 pairs cost
+    no product; :func:`trivialize` forms one order at a time and checks
+    its result packed, by :func:`series.intertwining_failure`.  A slot
+    is read exactly when
     it and every lower slot lie strictly within 2^(w-1) in absolute
     value.  With M_a(i), M_b(i), M_f(i) the largest scaled entry of
     each order-i coefficient, (x * y)(n) = sum_i x(i) y(n-i), d and e
@@ -413,30 +361,20 @@ def _defects(series_a, series_b, series_f, orders):
     d, e = series_a[0].cols, series_b[0].cols
     ratios = [[m.as_integer_ratio() for m in s[:k]]
               for s in (series_a, series_b, series_f)]
-    dens = [lcm(*(r[i][1] for r in ratios if i < len(r))) for i in range(k)]
-    peaks = [[(max(map(abs, ints), default=0), q) for ints, q in r]
-             + [(0, 1)] * (k - len(r)) for r in ratios]
 
-    def conv(x, y):
-        return [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(k)]
+    def bounds(peaks, unit):
+        m_a, m_b, m_f = peaks
+        return [[2 * d * x for x in series.convolve(m_a, m_a)],
+                [2 * e * x for x in series.convolve(m_b, m_b)],
+                [d * d * x + e * unit * y for x, y in
+                 zip(series.convolve(series.convolve(m_f, m_f), m_a),
+                     series.convolve(m_b, m_f))]]
 
-    def widths(unit, step):
-        m_a, m_b, m_f = ([peak * (unit * step ** i // q)
-                          for i, (peak, q) in enumerate(p)] for p in peaks)
-        return [max(bounds).bit_length() + 1 for bounds in (
-            [2 * d * x for x in conv(m_a, m_a)],
-            [2 * e * x for x in conv(m_b, m_b)],
-            [d * d * x + e * unit * y
-             for x, y in zip(conv(conv(m_f, m_f), m_a), conv(m_b, m_f))])]
-
-    unit, step, (w_a, w_b, w) = min(
-        ((unit, step, widths(unit, step)) for unit, step in _scales(dens)),
-        key=lambda choice: sum(choice[2]))
+    unit, step, (w_a, w_b, w) = series.packing(ratios, k, bounds)
     kern = _backend.kernel()
 
     def packed(r, w):
-        return kern.pack([kern.lincomb(ints, unit * step ** i // q)
-                          for i, (ints, q) in enumerate(r)], w)
+        return series.packed(r, w, unit, step)
 
     def read(slots, rows, cols, power):
         return [Matrix.from_integer_ratio(field, rows, cols, ints,
@@ -463,6 +401,17 @@ def _defects(series_a, series_b, series_f, orders):
     return list(zip(defects_a, defects_b, defects_f))
 
 
+def _cauchy_kron(a, b, order):
+    """The coefficientwise tensor product of two series: the order-n
+    coefficient is sum_i a_i (x) b_(n-i)."""
+    zero = Matrix.zeros(a[0].field, a[0].rows * b[0].rows,
+                        a[0].cols * b[0].cols)
+    x, y = series.nonzero(a, order), series.nonzero(b, order)
+    terms = [[l.kron(r) for l, r in series.pairs(x, y, n)]
+             for n in range(order + 1)]
+    return [sum(t[1:], t[0]) if t else zero for t in terms]
+
+
 def _defects_at(series_a, series_b, series_f, n):
     """The order-n defects (D_a, D_b, D_f) of :func:`_defects` as sums
     over the pairs of nonzero coefficients, each sum one product of
@@ -474,10 +423,10 @@ def _defects_at(series_a, series_b, series_f, n):
     integration to a high order obstructs at every order on the way.
     """
     field = series_a[0].field
-    a, b, f = (_nonzero(s, n) for s in (series_a, series_b, series_f))
+    a, b, f = (series.nonzero(s, n) for s in (series_a, series_b, series_f))
 
     def bar(s, d):
-        pairs = _pairs(s, s, n)
+        pairs = series.pairs(s, s, n)
         if not pairs:
             return Matrix.zeros(field, d ** 3, d)
         left, den_l = Matrix.hstack(*[l for l, _ in pairs]).as_integer_ratio()
@@ -489,26 +438,12 @@ def _defects_at(series_a, series_b, series_f, n):
     # f (x) f stays a Kronecker series here: for one order its pairs
     # multiply only the small f coefficients, where two factor products
     # would multiply the entries of a
-    ff = _nonzero(_cauchy_kron(series_f, series_f, n), n)
+    ff = series.nonzero(_cauchy_kron(series_f, series_f, n), n)
     d, e = series_a[0].cols, series_b[0].cols
-    pairs = _pairs(ff, a, n) + [(x, -y) for x, y in _pairs(b, f, n)]
+    pairs = series.pairs(ff, a, n) + [(x, -y)
+                                      for x, y in series.pairs(b, f, n)]
     return (bar(a, d), bar(b, e),
             factor_product(pairs) if pairs else Matrix.zeros(field, e * e, d))
-
-
-def _scales(dens):
-    """Candidate (L, D) with every dens[i] dividing L D^i: D = 1 with L
-    the lcm of dens, and D = dens[1] with the least such L.
-
-    Transport and integration give order-i denominators that grow like
-    a power of the order-1 one, so the second choice keeps the packed
-    slots of the low orders from being padded with the denominators of
-    the high ones.
-    """
-    step = dens[1] if len(dens) > 1 else 1
-    return [(lcm(*dens), 1),
-            (lcm(*(q // gcd(q, step ** i) for i, q in enumerate(dens))),
-             step)]
 
 
 _EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
@@ -672,8 +607,8 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
 def invert_formal(p: FormalIsomorphism) -> FormalIsomorphism:
     """Componentwise truncated inverse; composing with p gives the identity
     modulo t^(order+1)."""
-    inv_a = _series_inverse(p.series_a(), p.order)
-    inv_b = _series_inverse(p.series_b(), p.order)
+    inv_a = series.inverse(p.series_a(), p.order)
+    inv_b = series.inverse(p.series_b(), p.order)
     return _isomorphism_from_series(p.morphism, inv_a, inv_b)
 
 
@@ -683,8 +618,8 @@ def compose_isomorphisms(outer: FormalIsomorphism,
     if outer.morphism != inner.morphism or outer.order != inner.order:
         raise DimensionError("isomorphism mismatch")
     n = outer.order
-    series_a = _series(outer.series_a(), inner.series_a(), n)
-    series_b = _series(outer.series_b(), inner.series_b(), n)
+    series_a = series.product(outer.series_a(), inner.series_a(), n)
+    series_b = series.product(outer.series_b(), inner.series_b(), n)
     return _isomorphism_from_series(outer.morphism, series_a, series_b)
 
 
@@ -713,18 +648,19 @@ def apply_equivalence(p: FormalIsomorphism,
             f"deformation has order {d.order}")
     n = d.order
     phi_a, phi_b = p.series_a(), p.series_b()
-    inv_a = _series_inverse(phi_a, n)
+    inv_a = series.inverse(phi_a, n)
 
     def conjugated(phi, comul, inv):
         # (phi (x) phi) o comul o inv, with phi (x) phi applied as
         # (phi (x) Id) o (Id (x) phi)
         dim = phi[0].rows
-        y = _series(comul, inv, n)
-        return _series(phi, _series(phi, y, n, dim, right=True), n, dim)
+        y = series.product(comul, inv, n)
+        return series.product(
+            phi, series.product(phi, y, n, dim, right=True), n, dim)
 
     new_a = conjugated(phi_a, d.series_a(), inv_a)
-    new_b = conjugated(phi_b, d.series_b(), _series_inverse(phi_b, n))
-    new_f = _series(phi_b, _series(d.series_f(), inv_a, n), n)
+    new_b = conjugated(phi_b, d.series_b(), series.inverse(phi_b, n))
+    new_f = series.product(phi_b, series.product(d.series_f(), inv_a, n), n)
     comp = morphism_complex(d.morphism)
     if (new_a[0] != d.comul_a(0) or new_b[0] != d.comul_b(0)
             or new_f[0] != d.map_coeff(0)):
@@ -737,35 +673,54 @@ def apply_equivalence(p: FormalIsomorphism,
 def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     """Find a formal isomorphism carrying ``d`` to the trivial deformation.
 
-    Staircase construction: repeatedly cobound the leading nonzero
-    coefficient w at order l and transport by (identity - preimage * t^l),
-    which clears order l without touching lower orders; the composite of
-    the steps is returned.  If some leading coefficient is a cocycle but
-    not a coboundary, its degree-2 class blocks and is reported.
+    Staircase construction: the leading nonzero coefficient w of the
+    transported deformation, at order m, is cobounded by chi, and the
+    step I - chi t^m, which clears order m without touching lower
+    orders, is composed onto the isomorphism phi found so far; the
+    composite of the steps is returned.  If some leading coefficient is
+    a cocycle but not a coboundary, its degree-2 class blocks and is
+    reported.
+
+    The steps are taken incrementally.  Transport is a group action
+    modulo t^(N+1), and a step at order m changes phi only at orders
+    >= m, so the transport of d by phi is never formed: only its
+    order-m coefficient, from the kept prefixes of a
+    :class:`series.Conjugation` per side, at O(m) coefficient pairs.  For
+    the map, F' o phi_A = phi_B o F gives F'_m = (phi_B o F)_m - F_0 o
+    phi_A,m the same way.  One packed check of the final phi
+    (:func:`series.intertwining_failure`) replaces a check per step.
     """
     comp = morphism_complex(d.morphism)
-    current = d
-    iso = FormalIsomorphism.identity(d.morphism, d.order)
-    while True:
-        lead = infinitesimal(current)
-        if lead.trivial:
-            return TrivializationResult(True, iso)
-        l = lead.generalized_order
-        w = lead.coefficient
-        if not lead.is_cocycle:
+    comp.require_valid()
+    n = d.order
+    source = series.Conjugation(d.series_a(), n)
+    target = series.Conjugation(d.series_b(), n)
+    series_f = d.series_f()
+    f_live = series.nonzero(series_f, n)
+    zero = Matrix.zeros(d.morphism.field, *series_f[0].shape)
+    for m in range(1, n + 1):
+        a_m, b_m = source.advance(m), target.advance(m)
+        f_m = [series_f[m]] if m in f_live else []
+        w = comp.element(a_m, b_m, series.summed(
+            series.pairs(target.live, f_live, m), f_m, zero)
+            - series_f[0] @ source.phi[m], 2)
+        if w.is_zero():
+            continue
+        if not comp.is_cocycle(w):
             raise InternalInvariantError(
                 "leading coefficient of a valid deformation must be a "
                 "2-cocycle")
         chi = comp.is_coboundary(w)
         if chi is None:
             return TrivializationResult(
-                False, None, l, w, tuple(comp.class_coordinates(w)))
-        step_higher = [comp.zero(1)] * (l - 1) + [-chi]
-        step = FormalIsomorphism.from_higher_coefficients(
-            d.morphism, step_higher, d.order)
-        current = apply_equivalence(step, current)
-        for i in range(1, l + 1):
-            if not current.coefficient(i).is_zero():
-                raise InternalInvariantError(
-                    "staircase step failed to clear its order")
-        iso = compose_isomorphisms(step, iso)
+                False, None, m, w, tuple(comp.class_coordinates(w)))
+        source.step(m, chi.a_part.matrix)
+        target.step(m, chi.b_part.matrix)
+    failure = series.intertwining_failure(
+        source.phi, target.phi, d.series_a(), d.series_b(), series_f)
+    if failure is not None:
+        raise InternalInvariantError(
+            "the trivializing isomorphism fails on the %s at order %d; this "
+            "indicates a bug, not a property of the input" % failure)
+    return TrivializationResult(
+        True, _isomorphism_from_series(d.morphism, source.phi, target.phi))

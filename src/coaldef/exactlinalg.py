@@ -73,6 +73,11 @@ class Rationals:
             return f.numerator, f.denominator
         raise TypeError(f"cannot coerce {x!r} to a rational scalar")
 
+    def ratio(self, num, den):
+        """The scalar num / den, given in lowest terms with den > 0, as
+        :meth:`coerce` gives it."""
+        return num, den
+
     def normalize(self, ints, den):
         """The canonical form of ints / den (den > 0): both divided by
         gcd(den, *ints), so the zero matrix sits over den 1."""
@@ -146,8 +151,13 @@ class PrimeField:
         if isinstance(x, str):
             x = Fraction(x.strip())
         if isinstance(x, Fraction):
-            return x.numerator * self._inverse(x.denominator, x) % self.p, 1
+            return self.ratio(x.numerator, x.denominator)
         raise TypeError(f"cannot coerce {x!r} to a GF({self.p}) scalar")
+
+    def ratio(self, num, den):
+        """The scalar num / den, given in lowest terms with den > 0, as
+        :meth:`coerce` gives it; ZeroDivisionError if p divides den."""
+        return num * self._inverse(den, f"{num}/{den}") % self.p, 1
 
     def _inverse(self, den, what):
         if den % self.p == 0:

@@ -36,8 +36,7 @@ import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .coalgebra import Coalgebra, CoalgebraMorphism, direct_sum, divided_power, \
     grouplike, zero_comultiplication
@@ -72,15 +71,13 @@ MAX_SCALED_BITS = 1 << 22
 # What str(Fraction) writes: an optional sign, digits, optionally /digits.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-
-def _is_int(x):
-    # JSON true/false arrive as bool, which is a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
+# Integers of the file are tested with ``type(x) is int``: JSON gives
+# exact ints, and true and false arrive as bool, a subclass of int.
 
 
 def _bounded_int(spec, key, bound, where):
     value = spec.get(key)
-    if not _is_int(value) or not 0 <= value <= bound:
+    if type(value) is not int or not 0 <= value <= bound:
         raise ProblemFileError(
             f"{where}: {key} must be an int in 0..{bound}, got {value!r}")
     return value
@@ -101,8 +98,10 @@ class ProblemFile:
 
 
 def _parse_scalar(field, x, where):
-    """Validate a scalar and coerce it, once, to the field's normal form."""
-    if _is_int(x):
+    """Validate a scalar and bring it, once, to the field's normal form,
+    the pair of ints that ``field.coerce`` gives (over QQ the reduced
+    numerator and denominator)."""
+    if type(x) is int:
         return field.coerce(x)
     if not isinstance(x, str):
         raise ProblemFileError(f"{where}: scalar must be an int or string, got {x!r}")
@@ -113,7 +112,14 @@ def _parse_scalar(field, x, where):
     num, den = match.groups()
     try:
         num = int(num)
-        return field.coerce(num if den is None else Fraction(num, int(den)))
+        if den is None:
+            return field.coerce(num)
+        den = int(den)
+        if not den:
+            # worded as Fraction(num, 0) words it
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        g = gcd(num, den)
+        return field.ratio(num // g, den // g)
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(f"{where}: bad scalar {x!r} ({exc})") from None
 
@@ -130,10 +136,12 @@ def _quadruples_to_matrix(field, quads, dim, where):
         if not (isinstance(q, list) and len(q) == 4):
             raise ProblemFileError(f"{where}: quadruple must be [a, b, c, coeff]")
         a, b, c, coeff = q
-        for idx in (a, b, c):
-            if not _is_int(idx) or not 0 <= idx < dim:
-                raise ProblemFileError(
-                    f"{where}: basis index {idx} out of range for dim {dim}")
+        if not (type(a) is int and type(b) is int and type(c) is int
+                and 0 <= a < dim and 0 <= b < dim and 0 <= c < dim):
+            idx = next(i for i in (a, b, c)
+                       if type(i) is not int or not 0 <= i < dim)
+            raise ProblemFileError(
+                f"{where}: basis index {idx} out of range for dim {dim}")
         values.append(((b * dim + c, a), _parse_scalar(field, coeff, where)))
     return _summed(field, dim * dim, dim, values, where)
 
@@ -143,7 +151,9 @@ def _summed(field, rows, cols, values, where):
     ``((row, col), scalar)`` pairs ``values`` at each position."""
     limit = MAX_SCALED_BITS // max(len(values), 1)
     den = 1
-    for _, (_, d) in values:
+    # each distinct denominator once: the lcm of a prefix divides the lcm
+    # of all, so some prefix exceeds the bound exactly when the whole does
+    for d in {d for _, (_, d) in values}:
         den = lcm(den, d)
         if den.bit_length() > limit:
             raise ProblemFileError(
@@ -297,7 +307,7 @@ def _parse_field(spec):
     if isinstance(spec, dict) and set(spec) == {"prime"}:
         _reject_duplicates(spec, "field")
         p = spec["prime"]
-        if not _is_int(p):
+        if type(p) is not int:
             raise ProblemFileError("field.prime must be an int")
         try:
             return PrimeField(p)

@@ -1,0 +1,285 @@
+"""Truncated power series in t with matrix coefficients.
+
+A series is a list of :class:`~coaldef.exactlinalg.Matrix` coefficients
+indexed by the power of t; a coefficient past the end of a list counts
+as zero.  This is the arithmetic that :mod:`coaldef.deformation` builds
+deformations, formal isomorphisms and their transport on:
+
+* the per-order Cauchy product (:func:`product`), each coefficient one
+  stacked :func:`~coaldef.coalgebra.factor_product` of its nonzero
+  pairs, and the inverse of a series with identity constant term
+  (:func:`inverse`); a pair with an identity order-0 factor adds the
+  other factor instead of multiplying;
+* Kronecker substitution: one scale (L, D) and one slot width per
+  packed equation for several series, from stated bounds on the slots
+  (:func:`packing`, :func:`packed`);
+* the staircase of ``deformation.trivialize``: a comultiplication series
+  transported by a growing composite of steps, one order at a time
+  (:class:`Conjugation`), and the packed check that the final composite
+  intertwines a deformation with its order-0 terms
+  (:func:`intertwining_failure`).
+"""
+
+from __future__ import annotations
+
+from math import gcd, lcm
+
+from . import _backend
+from .coalgebra import factor_ints, factor_operand, factor_product, \
+    factor_read
+from .exactlinalg import Matrix
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+def nonzero(s, order):
+    """The nonzero coefficients of a series through ``order``, by order
+    (a coefficient past the end of a series is zero)."""
+    return {i: x for i, x in enumerate(s[:order + 1]) if not x.is_zero()}
+
+
+def pairs(a, b, n):
+    """The pairs (a_i, b_(n-i)) of the order-n coefficient of a product,
+    for two series given by their :func:`nonzero` coefficients."""
+    return [(x, b[n - i]) for i, x in a.items() if n - i in b]
+
+
+def _is_identity(m):
+    return m == Matrix.identity(m.field, m.rows)
+
+
+def summed(factors, through, zero, o=1, right=False):
+    """The :func:`factor_product` of the pairs ``factors`` plus the
+    matrices ``through``: the products an order-0 identity factor passes
+    through unmultiplied."""
+    terms = ([factor_product(factors, o, right)] if factors else []) + through
+    return sum(terms[1:], terms[0]) if terms else zero
+
+
+def product(a, b, order, o=1, right=False):
+    """Product of two truncated matrix series, truncated at ``order``:
+    the order-n coefficient is sum_i a_i o b_(n-i), or with ``o`` and
+    ``right`` the :func:`factor_product` of those pairs.  Every
+    coefficient is tested for zero, and read, once; a pair with an
+    identity order-0 factor adds the other factor itself."""
+    zero = Matrix.zeros(a[0].field, a[0].rows * o, b[0].cols)
+    ms, xs = nonzero(a, order), nonzero(b, order)
+    through = []
+    if 0 in ms and _is_identity(ms[0]):
+        through.append(xs)
+        ms = {i: x for i, x in ms.items() if i}
+    if o == 1 and 0 in xs and _is_identity(xs[0]):
+        through.append(ms)
+        xs = {j: x for j, x in xs.items() if j}
+    xs = {j: factor_operand(x, o, a[0].cols, right) for j, x in xs.items()}
+    return [summed(pairs(ms, xs, n), [s[n] for s in through if n in s],
+                   zero, o, right) for n in range(order + 1)]
+
+
+def _put(live, n, x):
+    """Make x the order-n coefficient of a series kept by its nonzero
+    coefficients (as :func:`nonzero` lists them)."""
+    if x.is_zero():
+        live.pop(n, None)
+    else:
+        live[n] = x
+
+
+def inverse(a, order):
+    """Inverse of a truncated series whose constant term is the identity:
+    inv_n = -(a_n + sum_(0<i<n) a_i inv_(n-i))."""
+    higher = {i: x for i, x in nonzero(a, order).items() if i}
+    zero = Matrix.zeros(a[0].field, a[0].rows, a[0].cols)
+    inv, live = [a[0]], {}
+    for n in range(1, order + 1):
+        inv.append(-summed(pairs(higher, live, n),
+                           [higher[n]] if n in higher else [], zero))
+        _put(live, n, inv[n])
+    return inv
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution
+
+
+def _scales(dens):
+    """Candidate (L, D) with every dens[i] dividing L D^i: D = 1 with L
+    the lcm of dens, and D = dens[1] with the least such L.
+
+    Transport and integration give order-i denominators that grow like
+    a power of the order-1 one, so the second choice keeps the packed
+    slots of the low orders from being padded with the denominators of
+    the high ones.
+    """
+    step = dens[1] if len(dens) > 1 else 1
+    return [(lcm(*dens), 1),
+            (lcm(*(q // gcd(q, step ** i) for i, q in enumerate(dens))),
+             step)]
+
+
+def convolve(x, y):
+    """The Cauchy product (x * y)(n) = sum_i x(i) y(n-i) of two lists of
+    one length, truncated to it."""
+    return [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(len(x))]
+
+
+def packing(ratios, k, bounds):
+    """(L, D, slot widths) for packing k orders of several series, given
+    by the ``as_integer_ratio`` of each coefficient (a series may stop
+    early).  ``bounds(peaks, L)`` gives, from each series' largest
+    scaled entry at each order, the bounds of the slots of each packed
+    equation; each width is one bit longer than its largest bound, and
+    of the scales of :func:`_scales` the one with the least total width
+    is taken."""
+    dens = [lcm(*(r[i][1] for r in ratios if i < len(r))) for i in range(k)]
+    peaks = [[(max(map(abs, ints), default=0), q) for ints, q in r]
+             + [(0, 1)] * (k - len(r)) for r in ratios]
+
+    def widths(unit, step):
+        scaled = [[peak * (unit * step ** i // q)
+                   for i, (peak, q) in enumerate(p)] for p in peaks]
+        return [max(b).bit_length() + 1 for b in bounds(scaled, unit)]
+
+    return min(((unit, step, widths(unit, step))
+                for unit, step in _scales(dens)),
+               key=lambda choice: sum(choice[2]))
+
+
+def packed(r, w, unit, step):
+    """The packed ints of a series given by its coefficients'
+    ``as_integer_ratio`` list r, order i scaled to ints over L D^i."""
+    kern = _backend.kernel()
+    return kern.pack([kern.lincomb(ints, unit * step ** i // q)
+                      for i, (ints, q) in enumerate(r)], w)
+
+
+# ---------------------------------------------------------------------------
+# the staircase
+
+
+class Conjugation:
+    """One side of the staircase, over a comultiplication series c: the
+    composite phi of the steps so far, and by its nonzero coefficients
+    through the current order m the prefix of u = (Id (x) phi) o c.
+
+    The transport c' of c by phi satisfies c' o phi = (phi (x) phi) o c
+    modulo t^(N+1).  While c' vanishes at the orders 1..m-1, its order-m
+    coefficient is therefore ((phi (x) Id) o u)_m - c_0 o phi_m: one
+    stacked factor product per series, with no inverse of phi formed.
+    Every prefix coefficient below m is final: a step at order m changes
+    phi only at orders >= m.
+    """
+
+    def __init__(self, comul, order):
+        delta = self.delta = comul[0]
+        self.dim = dim = delta.cols
+        self.comul = nonzero(comul, order)
+        # c is read as the right-factor operand of (Id (x) phi_j) o c_k
+        self.operands = {k: factor_operand(x, dim, dim, right=True)
+                         for k, x in self.comul.items()}
+        self.phi = [Matrix.identity(delta.field, dim)] + \
+            [Matrix.zeros(delta.field, dim, dim)] * order
+        self.zero = Matrix.zeros(delta.field, dim * dim, dim)
+        self.live, self.u = {}, {}
+        _put(self.u, 0, delta)
+
+    def advance(self, m):
+        """Extend the prefixes to order m; returns the order-m
+        coefficient of the transported comultiplication.  An identity
+        order-0 factor passes the other factor through."""
+        _put(self.live, m, self.phi[m])
+        c_m = [self.comul[m]] if m in self.comul else []
+        u_m = summed(pairs(self.live, self.operands, m), c_m, self.zero,
+                     self.dim, right=True)
+        _put(self.u, m, u_m)
+        return summed(pairs(self.live, self.u, m), [u_m], self.zero,
+                      self.dim) - self.delta @ self.phi[m]
+
+    def step(self, m, chi):
+        """Compose with the step I - chi t^m: phi_k -= chi phi_(k-m) for
+        k >= m.  Through order m only phi_m moved, by -chi, so u_m moves
+        by -(Id (x) chi) o c_0."""
+        self.phi[m:] = [x - chi @ p for x, p in zip(self.phi[m:], self.phi)]
+        _put(self.live, m, self.phi[m])
+        if 0 in self.operands:
+            _put(self.u, m, self.u.get(m, self.zero) - factor_product(
+                [(chi, self.operands[0])], self.dim, right=True))
+
+
+def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
+    """The first (equation, order) at which one of
+
+    * (phi_A (x) phi_A) o a = a_0 o phi_A ("source comultiplication"),
+    * (phi_B (x) phi_B) o b = b_0 o phi_B ("target comultiplication"),
+    * phi_B o F = F_0 o phi_A ("morphism")
+
+    fails, for the series a, b, F of a deformation of order N = len(a)
+    - 1, or None when all hold through order N; as phi is invertible,
+    None means that the transport of the deformation by phi is trivial.
+
+    Evaluated by Kronecker substitution: every series is scaled by one
+    (L, D) and packed, so each side of an equation is a fixed set of
+    integer products, and the slots of the difference, over L^3 D^n (a,
+    b) and L^2 D^n (F), must all vanish.  With M_p(i), M_q(i), M_a(i),
+    M_b(i), M_f(i) the largest scaled entry of the order-i coefficient
+    of phi_A, phi_B, a, b, F and d, e the source and target dimensions,
+    the order-n slots obey
+
+    * |a| <= d^2 (M_p * M_p * M_a)(n) + L d M_a(0) M_p(n),
+    * |b| <= e^2 (M_q * M_q * M_b)(n) + L e M_b(0) M_q(n),
+    * |F| <= e (M_q * M_f)(n) + d M_f(0) M_p(n),
+
+    and each equation packs with w one bit longer than its largest bound.
+    """
+    k = len(series_a)
+    field = series_a[0].field
+    dim_a, dim_b = series_a[0].cols, series_b[0].cols
+    ratios = [[m.as_integer_ratio() for m in s]
+              for s in (phi_a, phi_b, series_a, series_b, series_f)]
+
+    def bounds(peaks, unit):
+        m_p, m_q, m_a, m_b, m_f = peaks
+
+        def comul(dim, m_phi, m_c):
+            return [dim * dim * x + unit * dim * m_c[0] * y for x, y in
+                    zip(convolve(convolve(m_phi, m_phi), m_c), m_phi)]
+
+        return [comul(dim_a, m_p, m_a), comul(dim_b, m_q, m_b),
+                [dim_b * x + dim_a * m_f[0] * y
+                 for x, y in zip(convolve(m_q, m_f), m_p)]]
+
+    unit, step, widths = packing(ratios, k, bounds)
+    kern = _backend.kernel()
+
+    def comul(r_phi, r_c, w, dim):
+        # (phi (x) phi) o c - L c_0 o phi, as (phi (x) Id) o (Id (x) phi) o
+        # c; the inner slots above the order only reach slots above it,
+        # so they are dropped, as in deformation._defects
+        p, c = packed(r_phi, w, unit, step), packed(r_c, w, unit, step)
+        low = (1 << k * w) - 1
+        inner = [x & low for x in factor_ints(p, factor_read(c, dim, dim, dim),
+                                              dim, dim, dim, dim, right=True)]
+        c0 = kern.lincomb(r_c[0][0], unit // r_c[0][1])
+        return kern.lincomb(factor_ints(p, inner, dim, dim, dim, dim), 1,
+                            kern.matmul(c0, p, dim * dim, dim, dim), -unit)
+
+    w_a, w_b, w_f = widths
+    f0 = kern.lincomb(ratios[4][0][0], unit // ratios[4][0][1])
+    q, f = (packed(r, w_f, unit, step) for r in (ratios[1], ratios[4]))
+    differences = [
+        ("source comultiplication", w_a,
+         comul(ratios[0], ratios[2], w_a, dim_a)),
+        ("target comultiplication", w_b,
+         comul(ratios[1], ratios[3], w_b, dim_b)),
+        ("morphism", w_f, kern.lincomb(
+            kern.matmul(q, f, dim_b, dim_b, dim_a), 1,
+            kern.matmul(f0, packed(ratios[0], w_f, unit, step),
+                        dim_b, dim_a, dim_a), -1))]
+    for label, w, ints in differences:
+        for n, slot in enumerate(kern.unpack(ints, w, range(k))):
+            # over GF(p) a slot vanishes modulo p
+            if any(field.normalize(slot, 1)[0]):
+                return label, n
+    return None

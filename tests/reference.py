@@ -9,10 +9,19 @@ below are built on it: they take and return the same ``Matrix`` and
 :mod:`coaldef.exactlinalg`, which eliminate sparsely through
 :mod:`coaldef.sparse`.  Reduced echelon forms are unique, so the two
 must agree entry for entry.
+
+``reference_trivialize`` is the staircase as a loop of whole-series
+operations: at every step it transports the whole deformation and
+composes the whole isomorphism again.  The incremental
+:func:`coaldef.deformation.trivialize` must return the same result.
 """
 
 from fractions import Fraction
 
+from coaldef.cohomology import morphism_complex
+from coaldef.deformation import (FormalIsomorphism, InternalInvariantError,
+                                 TrivializationResult, apply_equivalence,
+                                 compose_isomorphisms, infinitesimal)
 from coaldef.exactlinalg import DimensionError, Matrix, QuotientError, Subspace
 
 
@@ -122,3 +131,36 @@ def quotient_data(ker, im):
     reps = [ker.basis.submatrix_columns([p - im.dim])
             for p in pivots if p >= im.dim]
     return ker.dim - im.dim, reps
+
+
+def reference_trivialize(d):
+    """Cobound the leading nonzero coefficient w at order l, transport
+    d by I - chi t^l, check that orders 1..l cleared, and repeat; the
+    composite of the steps trivializes d, or the class of a w that does
+    not cobound blocks."""
+    comp = morphism_complex(d.morphism)
+    current = d
+    iso = FormalIsomorphism.identity(d.morphism, d.order)
+    while True:
+        lead = infinitesimal(current)
+        if lead.trivial:
+            return TrivializationResult(True, iso)
+        l = lead.generalized_order
+        w = lead.coefficient
+        if not lead.is_cocycle:
+            raise InternalInvariantError(
+                "leading coefficient of a valid deformation must be a "
+                "2-cocycle")
+        chi = comp.is_coboundary(w)
+        if chi is None:
+            return TrivializationResult(
+                False, None, l, w, tuple(comp.class_coordinates(w)))
+        step_higher = [comp.zero(1)] * (l - 1) + [-chi]
+        step = FormalIsomorphism.from_higher_coefficients(
+            d.morphism, step_higher, d.order)
+        current = apply_equivalence(step, current)
+        for i in range(1, l + 1):
+            if not current.coefficient(i).is_zero():
+                raise InternalInvariantError(
+                    "staircase step failed to clear its order")
+        iso = compose_isomorphisms(step, iso)

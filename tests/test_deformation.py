@@ -1,5 +1,6 @@
 import pytest
 
+from coaldef import series
 from coaldef.coalgebra import (
     divided_power,
     grouplike,
@@ -13,7 +14,6 @@ from coaldef.deformation import (
     FormalIsomorphism,
     ObstructionClass,
     TruncatedDeformation,
-    _series,
     apply_equivalence,
     comp_bar,
     compose_isomorphisms,
@@ -26,6 +26,7 @@ from coaldef.deformation import (
     verify_deformation,
 )
 from coaldef.exactlinalg import QQ, DimensionError, Matrix
+from coaldef.series import product as series_product
 from coaldef.problemfile import builtin_corpus
 from coaldef.sparse import Elimination
 
@@ -370,7 +371,7 @@ class TestFormalIsomorphisms:
         real = Matrix.is_zero
         monkeypatch.setattr(Matrix, "is_zero",
                             lambda m: calls.append(1) or real(m))
-        product = _series(a, b, order)
+        product = series_product(a, b, order)
         assert len(calls) <= 2 * (order + 1)
         monkeypatch.undo()
         assert product[order] == sum(
@@ -453,6 +454,28 @@ class TestTrivialize:
             moved = apply_equivalence(res.isomorphism, d)
             assert all(moved.coefficient(i).is_zero()
                        for i in range(1, order + 1))
+
+    def test_staircase_makes_a_bounded_number_of_products_per_order(
+            self, monkeypatch):
+        # the staircase forms one order of the transported deformation at
+        # a time: five coefficient products, and two updates at a step,
+        # per order; the loop that transported the whole series and
+        # composed the whole isomorphism at every step made 1,046 here
+        f = identity_morphism(divided_power(3))
+        order = 12
+        gauge = random_isomorphism(morphism_complex(f), order, fresh_rng(6),
+                                   bound=2)
+        d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
+        calls = []
+        real = series.factor_product
+        monkeypatch.setattr(series, "factor_product",
+                            lambda *args, **kwargs: calls.append(1)
+                            or real(*args, **kwargs))
+        result = trivialize(d)
+        assert len(calls) <= 7 * order
+        monkeypatch.undo()
+        assert apply_equivalence(result.isomorphism, d) == \
+            TruncatedDeformation.trivial(f, order)
 
     def test_blocked_reports_class(self, dp_setup):
         f, comp, w = dp_setup

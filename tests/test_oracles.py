@@ -15,7 +15,9 @@ of the structure checks, the push-forward and the change of basis.
 The dense routines of reference.py (kernel_basis, image_basis,
 quotient_data, solve on one Gauss-Jordan) applied to the dense
 differential_matrix are the reference for the sparse elimination behind
-cohomology, is_coboundary and class_coordinates.
+cohomology, is_coboundary and class_coordinates.  The staircase loop of
+reference.py, which transports the whole deformation at every step, is
+the reference for the incremental trivialize.
 The long exact sequence of the mapping cone gives dim H^n(f) from three
 Hochschild complexes and the connecting map, without MorphismComplex.
 """
@@ -40,9 +42,11 @@ from coaldef.coalgebra import (
     check_bicomodule,
     check_coassociative,
     check_morphism,
+    collapse_morphism,
     divided_power,
     grouplike,
     identity_morphism,
+    inclusion_morphism,
     middle_insertion,
     pack_index,
     regular_bicomodule,
@@ -59,18 +63,22 @@ from coaldef.cohomology import (
 )
 from coaldef.deformation import (
     FormalIsomorphism,
+    InternalInvariantError,
     TruncatedDeformation,
     _cauchy_kron,
     _defects,
-    _series,
-    _series_inverse,
     _structure_coefficient,
     apply_equivalence,
     comp_bar,
     compose_isomorphisms,
+    integrate,
     invert_formal,
+    trivialize,
 )
 from coaldef.exactlinalg import QQ, Matrix, PrimeField, QuotientError
+from coaldef.series import intertwining_failure
+from coaldef.series import inverse as series_inverse
+from coaldef.series import product as series_product
 
 from helpers import (
     LARGE_PRIMES,
@@ -85,7 +93,8 @@ from helpers import (
     seed_coalgebras,
     seed_morphisms,
 )
-from reference import image_basis, kernel_basis, quotient_data, rank, solve
+from reference import (image_basis, kernel_basis, quotient_data, rank,
+                       reference_trivialize, solve)
 
 
 def naive_delta(bicomodule, cochain, degree):
@@ -607,22 +616,35 @@ def test_series_products_match_dense_reference(seed, field):
     # of a zero morphism is
     a = _sparse_series(rng, field, r, k, order)
     b = _sparse_series(rng, field, k, c, order)
-    assert _series(a, b, order) == reference_series_mul(a, b, order)
+    assert series_product(a, b, order) == \
+        reference_series_mul(a, b, order)
     assert _cauchy_kron(a, b, order) == \
         reference_series_kron(a, b, order)
     unit = [Matrix.identity(field, k)] + _sparse_series(rng, field, k, k,
                                                         order)[1:]
-    assert _series_inverse(unit, order) == \
+    assert series_inverse(unit, order) == \
         reference_series_inverse(unit, order)
     # the factor series (a_i (x) Id_O) o x_(n-i) and (Id_O (x) a_i) o x_(n-i)
     o = rng.randint(0, 3)
     ident = [Matrix.identity(field, o)] + [Matrix.zeros(field, o, o)] * order
     x = _sparse_series(rng, field, k * o, c, order)
-    assert _series(a, x, order, o) == reference_series_mul(
+    assert series_product(a, x, order, o) == reference_series_mul(
         reference_series_kron(a, ident, order), x, order)
     y = _sparse_series(rng, field, o * k, c, order)
-    assert _series(a, y, order, o, right=True) == reference_series_mul(
-        reference_series_kron(ident, a, order), y, order)
+    assert series_product(a, y, order, o, right=True) == \
+        reference_series_mul(reference_series_kron(ident, a, order), y, order)
+    # an identity order-0 factor on either side, or on both, passes the
+    # other factor through
+    left = [Matrix.identity(field, r)] + _sparse_series(rng, field, r, r,
+                                                        order)[1:]
+    for p, q in ((left, a), (a, unit), (unit, unit)):
+        assert series_product(p, q, order) == \
+            reference_series_mul(p, q, order)
+    assert series_product(unit, x, order, o) == reference_series_mul(
+        reference_series_kron(unit, ident, order), x, order)
+    assert series_product(unit, y, order, o, right=True) == \
+        reference_series_mul(reference_series_kron(ident, unit, order), y,
+                             order)
 
 
 def _transport_morphisms(field):
@@ -655,6 +677,204 @@ def test_equivalence_operations_match_dense_reference(seed, field, which):
     inv = invert_formal(p)
     assert inv.series_a() == reference_series_inverse(p.series_a(), order)
     assert inv.series_b() == reference_series_inverse(p.series_b(), order)
+
+
+# ---------------------------------------------------------------------------
+# the staircase: the loop of reference.py, which transports the whole
+# deformation and composes the whole isomorphism at every step, is the
+# reference for the incremental trivialize
+
+
+def _staircase_morphisms(field):
+    """id(dp2), id(zero_comultiplication(2)), where H^2 has dimension
+    8, and two morphisms that are not identities: collapse2 and the
+    inclusion of grouplike(1) into grouplike(1) + dp2."""
+    return [identity_morphism(divided_power(2, field)),
+            identity_morphism(zero_comultiplication(2, field)),
+            collapse_morphism(2, field),
+            inclusion_morphism(grouplike(1, field), divided_power(2, field))]
+
+
+def _staircase_matrix(rng, field, rows, cols):
+    """Zero half of the time; over QQ, entries over LARGE_PRIMES."""
+    if rng.random() < 0.5:
+        return Matrix.zeros(field, rows, cols)
+    if field.kind == "prime":
+        return field_matrix(rng, field, rows, cols)
+    return Matrix.from_rows(field, [
+        [Fraction(rng.randint(-9, 9), rng.choice(LARGE_PRIMES))
+         for _ in range(cols)] for _ in range(rows)])
+
+
+def _staircase_isomorphism(rng, comp, order, leading_zeros=0):
+    f = comp.morphism
+    s, t = f.source.dim, f.target.dim
+    higher = [comp.zero(1)] * leading_zeros + [
+        comp.element(_staircase_matrix(rng, f.field, s, s),
+                     _staircase_matrix(rng, f.field, t, t), None, 1)
+        for _ in range(order - leading_zeros)]
+    return FormalIsomorphism.from_higher_coefficients(f, higher, order)
+
+
+def _nonzero_class(rng, comp):
+    """A 2-cocycle with a nonzero class: representatives of H^2 with
+    field scalars, not all zero, plus the coboundary of a 1-cochain."""
+    field = comp.field
+    reps = comp.cohomology(2).representatives
+    coords = [rng.randrange(field.p) if field.kind == "prime"
+              else rng.randint(-3, 3) for _ in reps]
+    coords[rng.randrange(len(reps))] = 1
+    f = comp.morphism
+    w = comp.differential(comp.element(
+        _staircase_matrix(rng, field, f.source.dim, f.source.dim),
+        _staircase_matrix(rng, field, f.target.dim, f.target.dim), None, 1))
+    for c, r in zip(coords, reps):
+        w = w + r.scale(c)
+    return w
+
+
+def _staircase_input(rng, comp, kind):
+    """A valid deformation of one of four kinds: gauge-trivial, gauge-
+    trivial with zero leading orders, a transported [0, .., 0, w] with
+    [w] != 0 (blocked at the order of w, 1 to 3), or a transported
+    integration of such a w (blocked at order 1).
+
+    Over GF(2) the staircase blocks on some gauge-trivial inputs too:
+    its canonical chi differs from the gauge by a 1-cocycle whose square
+    need not cobound there."""
+    f = comp.morphism
+    if comp.cohomology(2).h_dim == 0:
+        kind = kind % 2
+    if kind == 0:
+        order = rng.randint(0, 5)
+        d = TruncatedDeformation.trivial(f, order)
+        return apply_equivalence(_staircase_isomorphism(rng, comp, order), d)
+    if kind == 1:
+        order = rng.randint(2, 6)
+        d = TruncatedDeformation.trivial(f, order)
+        return apply_equivalence(_staircase_isomorphism(
+            rng, comp, order, rng.randint(1, order - 1)), d)
+    w = _nonzero_class(rng, comp)
+    if kind == 2:
+        # valid through order 2 l - 1: below 2 l every pair of the
+        # equations has a zero or an order-0 factor
+        level = rng.randint(1, 3)
+        d = TruncatedDeformation.from_higher_coefficients(
+            f, [comp.zero(2)] * (level - 1) + [w],
+            rng.randint(level, 2 * level - 1))
+    else:
+        d = integrate(w, rng.randint(1, 4)).deformation
+    return apply_equivalence(_staircase_isomorphism(rng, comp, d.order), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3), st.integers(0, 3))
+def test_trivialize_matches_reference_staircase(seed, field, which, kind):
+    rng = fresh_rng(seed)
+    comp = MorphismComplex(_staircase_morphisms(field)[which])
+    d = _staircase_input(rng, comp, kind)
+    assert trivialize(d) == reference_trivialize(d)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_trivialize_blocks_above_order_one(field):
+    # [0, w] over id(zero_comultiplication(2)), transported: the staircase
+    # clears order 1 and then blocks on the class of w
+    rng = fresh_rng(3)
+    comp = MorphismComplex(identity_morphism(zero_comultiplication(2, field)))
+    w = _nonzero_class(rng, comp)
+    d = TruncatedDeformation.from_higher_coefficients(
+        comp.morphism, [comp.zero(2), w], 3)
+    moved = apply_equivalence(_staircase_isomorphism(rng, comp, 3), d)
+    assert not moved.coefficient(1).is_zero()
+    result = trivialize(moved)
+    assert result == reference_trivialize(moved)
+    assert (result.ok, result.blocked_order) == (False, 2)
+    assert result.h2_class == tuple(comp.class_coordinates(w))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_packed_check_rejects_a_perturbed_top_coefficient(field):
+    rng = fresh_rng(8)
+    f = identity_morphism(divided_power(3, field))
+    comp = MorphismComplex(f)
+    order = 5
+    d = apply_equivalence(_staircase_isomorphism(rng, comp, order),
+                          TruncatedDeformation.trivial(f, order))
+    phi = trivialize(d).isomorphism
+    phi_a, phi_b = phi.series_a(), phi.series_b()
+    series = (d.series_a(), d.series_b(), d.series_f())
+    assert intertwining_failure(phi_a, phi_b, *series) is None
+    bump = Matrix.from_sparse(field, 3, 3, {(2, 1): 1})
+    for a, b in ((phi_a[:-1] + [phi_a[-1] + bump], phi_b),
+                 (phi_a, phi_b[:-1] + [phi_b[-1] + bump])):
+        # the perturbed isomorphism does not trivialize d: the bump is
+        # no 1-cocycle, so it leaves the top order of the transport
+        moved = apply_equivalence(FormalIsomorphism(f, [
+            comp.element(x, y, None, 1) for x, y in zip(a, b)]), d)
+        assert not moved.coefficient(order).is_zero()
+        assert intertwining_failure(a, b, *series)[1] == order
+
+
+def reference_intertwining_failure(phi_a, phi_b, a, b, f):
+    """The first (equation, order) at which (phi (x) phi) o c = c_0 o phi
+    (c = a, b) or phi_B o F = F_0 o phi_A fails, by dense products."""
+    n = len(a) - 1
+
+    def constant(c):
+        return [c[0]] + [Matrix.zeros(c[0].field, *c[0].shape)] * n
+
+    def comul(phi, c):
+        return (reference_series_mul(reference_series_kron(phi, phi, n), c,
+                                     n),
+                reference_series_mul(constant(c), phi, n))
+
+    for label, (lhs, rhs) in (
+            ("source comultiplication", comul(phi_a, a)),
+            ("target comultiplication", comul(phi_b, b)),
+            ("morphism", (reference_series_mul(phi_b, f, n),
+                          reference_series_mul(constant(f), phi_a, n)))):
+        for k in range(n + 1):
+            if lhs[k] != rhs[k]:
+                return label, k
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3), st.integers(0, 5))
+def test_intertwining_check_matches_dense_reference(seed, field, which,
+                                                     order):
+    # phi = g^-1 trivializes the transport of the trivial deformation by
+    # g; a bump at a random order and side makes it fail from there on
+    rng = fresh_rng(seed)
+    comp = MorphismComplex(_staircase_morphisms(field)[which])
+    f = comp.morphism
+    gauge = _staircase_isomorphism(rng, comp, order)
+    d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
+    phi = invert_formal(gauge)
+    phi_a, phi_b = phi.series_a(), phi.series_b()
+    level = rng.randint(0, order)
+    if rng.random() < 0.5:
+        phi_a[level] = phi_a[level] + _staircase_matrix(rng, field,
+                                                        *phi_a[0].shape)
+    else:
+        phi_b[level] = phi_b[level] + _staircase_matrix(rng, field,
+                                                        *phi_b[0].shape)
+    series = (d.series_a(), d.series_b(), d.series_f())
+    assert intertwining_failure(phi_a, phi_b, *series) == \
+        reference_intertwining_failure(phi_a, phi_b, *series)
+
+
+def test_trivialize_raises_when_the_packed_check_fails(monkeypatch):
+    from coaldef import series
+    f = identity_morphism(divided_power(2))
+    d = TruncatedDeformation.trivial(f, 2)
+    monkeypatch.setattr(series, "intertwining_failure",
+                        lambda *args: ("morphism", 2))
+    with pytest.raises(InternalInvariantError, match="morphism at order 2"):
+        trivialize(d)
 
 
 # ---------------------------------------------------------------------------

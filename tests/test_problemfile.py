@@ -139,6 +139,48 @@ def test_scalar_grammar_accepts_fraction_strings(scalar, value):
         == value
 
 
+def _one_scalar(field, scalar):
+    return json.dumps({"field": field, "coalgebras": {
+        "c": {"dim": 1, "delta": [[0, 0, 0, scalar]]}}})
+
+
+@pytest.mark.parametrize("field,scalar,message", [
+    ("rational", True, "scalar must be an int or string, got True"),
+    ({"prime": 7}, False, "scalar must be an int or string, got False"),
+    ("rational", 1.5, "scalar must be an int or string, got 1.5"),
+    ("rational", "1e3", "bad scalar '1e3' (expected digits with an "
+                        "optional sign and /denominator)"),
+    ("rational", "-3/0", "bad scalar '-3/0' (Fraction(-3, 0))"),
+    ({"prime": 7}, "3/0", "bad scalar '3/0' (Fraction(3, 0))"),
+    # the denominator that must not vanish is the reduced one
+    ({"prime": 7}, "2/14", "bad scalar '2/14' (denominator of 1/7 "
+                           "vanishes modulo 7)")])
+def test_scalar_messages(field, scalar, message):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(_one_scalar(field, scalar))
+    assert str(err.value) == "coalgebras.c: " + message
+
+
+@pytest.mark.parametrize("field,scalar,ratio", [
+    ("rational", "-4/6", ([-2], 3)), ("rational", "-0/5", ([0], 1)),
+    ({"prime": 7}, "7/7", ([1], 1)), ({"prime": 7}, "-14/7", ([5], 1)),
+    ({"prime": 7}, 9, ([2], 1))])
+def test_scalars_parse_to_reduced_ratios(field, scalar, ratio):
+    pf = parse_problem_text(_one_scalar(field, scalar))
+    assert pf.coalgebras["c"].delta.as_integer_ratio() == ratio
+
+
+def test_scaled_bits_count_reduced_denominators():
+    # k / (k q) is 1/q: 30,000 entries over q = 2^127 - 1 stay within
+    # the 139 bits each that MAX_SCALED_BITS leaves them, which the
+    # unreduced denominators, of up to 142 bits, would not
+    q = 2 ** 127 - 1
+    obj = {"coalgebras": {"c": {"dim": 1, "delta": [
+        [0, 0, 0, f"{k}/{k * q}"] for k in range(1, 30001)]}}}
+    delta = parse_problem_text(json.dumps(obj)).coalgebras["c"].delta
+    assert delta.as_integer_ratio() == ([30000], q)
+
+
 def test_total_declared_size_is_bounded():
     # 1000 coalgebras of dimension 16 declare 4096 entries each
     over = MAX_ENTRIES // 16 ** 3
