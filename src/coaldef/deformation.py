@@ -323,9 +323,9 @@ def _defects(series_a, series_b, series_f, orders):
     requested order.  A single requested order (the obstruction) is
     summed pair by pair, by :func:`_defects_at`.
 
-    Several orders (verification) are evaluated together by Kronecker
-    substitution.  Every order-i
-    coefficient is written as ints over L D^i (``unit`` L and ``step``
+    Several orders are evaluated together by Kronecker substitution
+    (:func:`_packed_defects`, whose packed ints verification tests
+    without reading them back).  Every order-i coefficient is written as ints over L D^i (``unit`` L and ``step``
     D, chosen by :func:`series.packing`), that is, each series in t becomes an
     integer series in u = t / D.  Each entry of it is packed into the
     one int sum_i x_i 2^(i w), so each equation is a fixed set of
@@ -356,8 +356,24 @@ def _defects(series_a, series_b, series_f, orders):
     """
     if len(orders) == 1:
         return [_defects_at(series_a, series_b, series_f, orders[0])]
-    k = max(orders) + 1
     field = series_a[0].field
+    d, e = series_a[0].cols, series_b[0].cols
+    unit, step, packed = _packed_defects(series_a, series_b, series_f,
+                                         max(orders) + 1)
+    kern = _backend.kernel()
+    return list(zip(*[
+        [Matrix.from_integer_ratio(field, rows, cols, ints,
+                                   unit ** power * step ** n)
+         for n, ints in zip(orders, kern.unpack(x, w, orders))]
+        for (w, x), rows, cols, power in zip(
+            packed, (d ** 3, e ** 3, e * e), (d, e, d), (2, 2, 3))]))
+
+
+def _packed_defects(series_a, series_b, series_f, k):
+    """The packed defects of :func:`_defects` through order k - 1: the
+    scale (L, D) and, for D_a, D_b and D_f, the slot width w and the
+    row-major packed ints, whose slots 0..k-1 are the orders 0..k-1
+    over L^2 D^n (D_a, D_b) and L^3 D^n (D_f)."""
     d, e = series_a[0].cols, series_b[0].cols
     ratios = [[m.as_integer_ratio() for m in s[:k]]
               for s in (series_a, series_b, series_f)]
@@ -376,18 +392,10 @@ def _defects(series_a, series_b, series_f, orders):
     def packed(r, w):
         return series.packed(r, w, unit, step)
 
-    def read(slots, rows, cols, power):
-        return [Matrix.from_integer_ratio(field, rows, cols, ints,
-                                          unit ** power * step ** n)
-                for n, ints in zip(orders, slots)]
-
     def bar(r, w, dim):
         x = packed(r, w)
-        return read(kern.unpack(_bar(x, x, dim, dim), w, orders),
-                    dim ** 3, dim, 2)
+        return w, _bar(x, x, dim, dim)
 
-    defects_a = bar(ratios[0], w_a, d)
-    defects_b = bar(ratios[1], w_b, e)
     a, b, f = (packed(r, w) for r in ratios)
     # (f (x) f) o a = (f (x) Id) o (Id (x) f) o a; slots above K only
     # reach slots above K of a product, so dropping them from the inner
@@ -397,8 +405,8 @@ def _defects(series_a, series_b, series_f, orders):
                                        e, d, d, d, right=True)]
     map_defect = kern.lincomb(factor_ints(f, fa, e, d, e, d), 1,
                               factor_ints(b, f, e * e, e, 1, d), -unit)
-    defects_f = read(kern.unpack(map_defect, w, orders), e * e, d, 3)
-    return list(zip(defects_a, defects_b, defects_f))
+    return unit, step, [bar(ratios[0], w_a, d), bar(ratios[1], w_b, e),
+                        (w, map_defect)]
 
 
 def _cauchy_kron(a, b, order):
@@ -460,16 +468,28 @@ def verify_deformation(d: TruncatedDeformation) -> DeformationReport:
     through the deformed map.  Reports the first failure, taking every
     order of source coassociativity first, then the target, then the
     morphism condition.
+
+    The defects are the packed ints of :func:`_defects`, and each
+    equation is decided by :func:`series.first_nonzero_slot`: over QQ
+    one mask per packed entry, so a valid deformation is never unpacked.
     """
-    defects = _defects(d.series_a(), d.series_b(), d.series_f(),
-                       range(d.order + 1))
-    for k, (label, statement) in enumerate(_EQUATIONS):
-        for n, triple in enumerate(defects):
-            pos = triple[k].first_nonzero()
-            if pos is not None:
-                return DeformationReport(
-                    False, n, label, pos,
-                    f"{statement} fails at order {n}, entry {pos}")
+    return _report(d.series_a(), d.series_b(), d.series_f())
+
+
+def _report(series_a, series_b, series_f) -> DeformationReport:
+    """The :func:`verify_deformation` report of three series of one
+    length."""
+    k, field = len(series_a), series_a[0].field
+    _, _, packed = _packed_defects(series_a, series_b, series_f, k)
+    for (label, statement), (w, ints), cols in zip(
+            _EQUATIONS, packed,
+            (series_a[0].cols, series_b[0].cols, series_a[0].cols)):
+        failure = series.first_nonzero_slot(ints, w, k, field)
+        if failure is not None:
+            n, pos = failure[0], divmod(failure[1], cols)
+            return DeformationReport(
+                False, n, label, pos,
+                f"{statement} fails at order {n}, entry {pos}")
     return DeformationReport(True)
 
 
@@ -689,6 +709,13 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     the map, F' o phi_A = phi_B o F gives F'_m = (phi_B o F)_m - F_0 o
     phi_A,m the same way.  One packed check of the final phi
     (:func:`series.intertwining_failure`) replaces a check per step.
+
+    A returned isomorphism always trivializes d, but a reported block
+    is the staircase's, not always d's: over GF(2) it can block on a
+    deformation that is trivial (the gauge transport of the trivial
+    one), since each step takes the canonical chi, which can differ from
+    a trivializing one by a 1-cocycle whose square does not cobound in
+    characteristic 2.
     """
     comp = morphism_complex(d.morphism)
     comp.require_valid()

@@ -36,6 +36,7 @@ import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dataclass_field
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
 from .coalgebra import Coalgebra, CoalgebraMorphism, direct_sum, divided_power, \
@@ -68,8 +69,10 @@ MAX_ENTRIES = 1 << 20
 # bounded.
 MAX_SCALED_BITS = 1 << 22
 
-# What str(Fraction) writes: an optional sign, digits, optionally /digits.
+# What str(Fraction) writes: an optional sign, digits, optionally /digits;
+# and a run of such scalars, each followed by a comma.
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_SCALARS = re.compile(r"(?:[+-]?[0-9]+(?:/[0-9]+)?,)*")
 
 # Integers of the file are tested with ``type(x) is int``: JSON gives
 # exact ints, and true and false arrive as bool, a subclass of int.
@@ -124,6 +127,47 @@ def _parse_scalar(field, x, where):
         raise ProblemFileError(f"{where}: bad scalar {x!r} ({exc})") from None
 
 
+def _decoded(field, scalars):
+    """The scalars of one matrix as (ints, den), ints[k] / den the k-th,
+    read together: one regex validates them all, int() reads the digits
+    and one lcm of the denominators as written puts them over one.
+
+    None when some scalar needs the per-scalar reading, which raises its
+    error or reduces it first: a scalar outside the grammar, a zero
+    denominator (over GF(p), a multiple of p), or a common denominator
+    past the MAX_SCALED_BITS bound, which the reduced ones may meet.
+    """
+    if not scalars:
+        return [], 1
+    kinds = set(map(type, scalars))
+    if not kinds <= {str, int}:
+        return None
+    try:
+        texts = list(map(str, scalars)) if int in kinds else scalars
+        joined = ",".join(texts) + ","
+        # a comma inside a scalar would split it into two valid ones
+        if joined.count(",") != len(texts) or \
+                _SCALARS.fullmatch(joined) is None:
+            return None
+        if "/" not in joined:
+            return list(map(int, texts)), 1
+        parts = list(map(int, "/".join([t if "/" in t else t + "/1"
+                                        for t in texts]).split("/")))
+    except ValueError:  # digits past Python's limit
+        return None
+    nums, dens = parts[::2], parts[1::2]
+    # the lcm is at most the product of the distinct denominators: past
+    # the bound, it is left to the reduced ones
+    limit, distinct = MAX_SCALED_BITS // len(texts), set(dens)
+    if sum(map(int.bit_length, distinct)) > limit:
+        return None
+    den = lcm(*distinct)
+    if not den or den.bit_length() > limit or \
+            field.kind == "prime" and not den % field.p:
+        return None
+    return [x * (den // d) for x, d in zip(nums, dens)], den
+
+
 def _quadruples_to_matrix(field, quads, dim, where):
     """Structure-constant quadruples -> the (dim^2 x dim) matrix of the map.
 
@@ -131,6 +175,20 @@ def _quadruples_to_matrix(field, quads, dim, where):
     """
     if not isinstance(quads, list):
         raise ProblemFileError(f"{where}: expected a list of quadruples")
+    if quads and set(map(type, quads)) == {list} \
+            and set(map(len, quads)) == {4}:
+        a, b, c, coeffs = zip(*quads)
+        indices = a + b + c
+        decoded = set(map(type, indices)) == {int} and \
+            0 <= min(indices) and max(indices) < dim and \
+            _decoded(field, coeffs)
+        if decoded:
+            nums, den = decoded
+            ints = [0] * dim ** 3
+            for i, j, k, x in zip(a, b, c, nums):
+                ints[(j * dim + k) * dim + i] += x
+            return Matrix.from_integer_ratio(field, dim * dim, dim, ints, den)
+    # one at a time, for the first error in file order
     values = []
     for q in quads:
         if not (isinstance(q, list) and len(q) == 4):
@@ -166,14 +224,26 @@ def _summed(field, rows, cols, values, where):
     return Matrix.from_sparse(field, rows, cols, entries, den)
 
 
+def _scalar_texts(ints, den):
+    """str(Fraction(x, den)) of each x in ints, without the Fractions."""
+    if den == 1:
+        return list(map(str, ints))
+    out = []
+    for x in ints:
+        g = gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
+
+
 def _matrix_to_quadruples(m: Matrix, dim):
+    """The quadruples of the nonzero entries, ordered by (a, b, c)."""
+    ints, den = m.as_integer_ratio()
     quads = []
     for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                x = m[b * dim + c, a]
-                if x:
-                    quads.append([a, b, c, str(x)])
+        column = ints[a::dim]
+        rows = [r for r, x in enumerate(column) if x]
+        quads += [[a, r // dim, r % dim, text] for r, text in
+                  zip(rows, _scalar_texts([column[r] for r in rows], den))]
     return quads
 
 
@@ -182,13 +252,17 @@ def _rows_to_matrix(field, rows, shape, where):
             or any(not isinstance(r, list) or len(r) != shape[1] for r in rows):
         raise ProblemFileError(
             f"{where}: expected a {shape[0]}x{shape[1]} row list")
+    decoded = _decoded(field, [x for r in rows for x in r])
+    if decoded:
+        return Matrix.from_integer_ratio(field, *shape, *decoded)
     return _summed(field, *shape, [
         ((i, j), _parse_scalar(field, x, where))
         for i, r in enumerate(rows) for j, x in enumerate(r)], where)
 
 
 def _matrix_to_rows(m: Matrix):
-    return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    texts = _scalar_texts(*m.as_integer_ratio())
+    return [texts[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +306,20 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
         f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
         order = _bounded_int(spec, "order", MAX_ORDER, where)
         comp = morphism_complex(f)
-        higher = [comp.zero(2) for _ in range(order)]
+        higher = [None] * order
         for key, cspec in _section(spec, "coeffs", where).items():
             n = _coeff_order(key, order, where)
             higher[n - 1] = _parse_coefficient(field, f, cspec, 2,
                                                f"{where}.coeffs.{key}")
         pf.deformations[name] = TruncatedDeformation.from_higher_coefficients(
-            f, higher)
+            f, [comp.zero(2) if c is None else c for c in higher])
 
     for name, spec in _section(obj, "isomorphisms").items():
         where = f"isomorphisms.{name}"
         f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
         order = _bounded_int(spec, "order", MAX_ORDER, where)
         comp = morphism_complex(f)
-        higher = [comp.zero(1) for _ in range(order)]
+        higher = [None] * order
         for key, cspec in _section(spec, "coeffs", where).items():
             n = _coeff_order(key, order, where)
             a = _rows_to_matrix(field, cspec.get("A"),
@@ -256,7 +330,7 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
                                 f"{where}.coeffs.{key}.B")
             higher[n - 1] = comp.element(a, b, None, 1)
         pf.isomorphisms[name] = FormalIsomorphism.from_higher_coefficients(
-            f, higher)
+            f, [comp.zero(1) if c is None else c for c in higher])
 
     return pf
 
@@ -426,6 +500,8 @@ def load_problem(path, field_override=None) -> ProblemFile:
 
 
 def serialize_problem(pf: ProblemFile) -> str:
+    """The canonical text of a problem file: its JSON object as
+    :func:`_emit` writes it, and a newline."""
     obj = {"field": _field_spec(pf.field)}
     if pf.coalgebras:
         obj["coalgebras"] = {
@@ -474,7 +550,33 @@ def serialize_problem(pf: ProblemFile) -> str:
                 "order": p.order,
                 "coeffs": coeffs,
             }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _emit(obj) + "\n"
+
+
+def _emit(obj, indent=""):
+    """The JSON text of a tree of dicts with string keys, lists, strings
+    and ints at the nesting given by ``indent``: byte for byte what the
+    json module writes with ``indent=2`` and ``sort_keys=True``.  Given
+    an indent, the json module encodes one scalar per Python call; here
+    each list of scalars is encoded and joined in one step."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return str(obj)
+    if not obj:
+        return "{}" if type(obj) is dict else "[]"
+    inner = indent + "  "
+    if type(obj) is dict:
+        items = [encode_basestring_ascii(k) + ": " + _emit(obj[k], inner)
+                 for k in sorted(obj)]
+    elif set(map(type, obj)) <= {str, int}:
+        items = [encode_basestring_ascii(x) if type(x) is str else str(x)
+                 for x in obj]
+    else:
+        items = [_emit(x, inner) for x in obj]
+    brackets = "{}" if type(obj) is dict else "[]"
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
 
 
 def write_problem(pf: ProblemFile, path):

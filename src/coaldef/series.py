@@ -12,7 +12,8 @@ deformations, formal isomorphisms and their transport on:
   other factor instead of multiplying;
 * Kronecker substitution: one scale (L, D) and one slot width per
   packed equation for several series, from stated bounds on the slots
-  (:func:`packing`, :func:`packed`);
+  (:func:`packing`, :func:`packed`), and the test that the slots of a
+  packed equation vanish (:func:`first_nonzero_slot`);
 * the staircase of ``deformation.trivialize``: a comultiplication series
   transported by a growing composite of steps, one order at a time
   (:class:`Conjugation`), and the packed check that the final composite
@@ -23,6 +24,7 @@ deformations, formal isomorphisms and their transport on:
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from . import _backend
 from .coalgebra import factor_ints, factor_operand, factor_product, \
@@ -122,7 +124,7 @@ def _scales(dens):
 def convolve(x, y):
     """The Cauchy product (x * y)(n) = sum_i x(i) y(n-i) of two lists of
     one length, truncated to it."""
-    return [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(len(x))]
+    return [sum(map(mul, x[:n + 1], y[n::-1])) for n in range(len(x))]
 
 
 def packing(ratios, k, bounds):
@@ -199,9 +201,14 @@ class Conjugation:
 
     def step(self, m, chi):
         """Compose with the step I - chi t^m: phi_k -= chi phi_(k-m) for
-        k >= m.  Through order m only phi_m moved, by -chi, so u_m moves
-        by -(Id (x) chi) o c_0."""
-        self.phi[m:] = [x - chi @ p for x, p in zip(self.phi[m:], self.phi)]
+        k >= m, as one product of chi with the block row [phi_0 | ... |
+        phi_(N-m)] and one difference of block rows.  Through order m
+        only phi_m moved, by -chi, so u_m moves by -(Id (x) chi) o c_0."""
+        d = self.dim
+        moved = Matrix.hstack(*self.phi[m:]) - \
+            chi @ Matrix.hstack(*self.phi[:len(self.phi) - m])
+        self.phi[m:] = [moved.submatrix_columns(range(j, j + d))
+                        for j in range(0, moved.cols, d)]
         _put(self.live, m, self.phi[m])
         if 0 in self.operands:
             _put(self.u, m, self.u.get(m, self.zero) - factor_product(
@@ -278,8 +285,32 @@ def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
             kern.matmul(f0, packed(ratios[0], w_f, unit, step),
                         dim_b, dim_a, dim_a), -1))]
     for label, w, ints in differences:
-        for n, slot in enumerate(kern.unpack(ints, w, range(k))):
-            # over GF(p) a slot vanishes modulo p
-            if any(field.normalize(slot, 1)[0]):
-                return label, n
+        failure = first_nonzero_slot(ints, w, k, field)
+        if failure is not None:
+            return label, failure[0]
+    return None
+
+
+def first_nonzero_slot(packed, w, k, field):
+    """The first (order, entry index) at which the slots 0..k-1 of the
+    packed ints (see :mod:`coaldef._kernels_py`) are nonzero in the
+    field, by order, then by entry; None when all of them vanish.
+
+    Over QQ one mask decides each entry: slots 0..k-1 lie strictly
+    within 2^(w-1), so sum_(i<k) x_i 2^(i w) lies strictly within
+    2^(k w - 1), and it is 0 modulo 2^(k w) only when every x_i is 0.
+    The slots are unpacked only when some int fails its mask.  Over
+    GF(p) a vanishing slot is a multiple of p, so the slots are
+    unpacked and read modulo p.
+    """
+    rational = field.kind == "rational"
+    if rational:
+        low = (1 << k * w) - 1
+        if not any(x & low for x in packed):
+            return None
+    for n, slot in enumerate(_backend.kernel().unpack(packed, w, range(k))):
+        if not rational:
+            slot = list(map(field.p.__rmod__, slot))
+        if any(slot):
+            return n, next(i for i, x in enumerate(slot) if x)
     return None

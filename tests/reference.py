@@ -10,12 +10,17 @@ below are built on it: they take and return the same ``Matrix`` and
 :mod:`coaldef.sparse`.  Reduced echelon forms are unique, so the two
 must agree entry for entry.
 
+``reference_serialize_problem`` is the problem-file writer as the json
+module's own encoder runs it, every scalar one ``str(Fraction)``: the
+canonical text of :func:`coaldef.problemfile.serialize_problem`.
+
 ``reference_trivialize`` is the staircase as a loop of whole-series
 operations: at every step it transports the whole deformation and
 composes the whole isomorphism again.  The incremental
 :func:`coaldef.deformation.trivialize` must return the same result.
 """
 
+import json
 from fractions import Fraction
 
 from coaldef.cohomology import morphism_complex
@@ -23,6 +28,7 @@ from coaldef.deformation import (FormalIsomorphism, InternalInvariantError,
                                  TrivializationResult, apply_equivalence,
                                  compose_isomorphisms, infinitesimal)
 from coaldef.exactlinalg import DimensionError, Matrix, QuotientError, Subspace
+from coaldef.problemfile import _field_spec, _morphism_name, _name_of
 
 
 def reduce(field, x):
@@ -164,3 +170,54 @@ def reference_trivialize(d):
                 raise InternalInvariantError(
                     "staircase step failed to clear its order")
         iso = compose_isomorphisms(step, iso)
+
+
+def _quadruples(m, dim):
+    return [[a, b, c, str(m[b * dim + c, a])] for a in range(dim)
+            for b in range(dim) for c in range(dim) if m[b * dim + c, a]]
+
+
+def _rows(m):
+    return [[str(x) for x in row] for row in m.to_rows()]
+
+
+def _coefficient(w):
+    f = w.morphism
+    return {"A": _quadruples(w.a_part.matrix, f.source.dim),
+            "B": _quadruples(w.b_part.matrix, f.target.dim),
+            "F": _rows(w.ab_part.matrix)}
+
+
+def reference_serialize_problem(pf):
+    """The JSON object of a problem file, written by the json module with
+    ``indent=2`` and ``sort_keys=True``."""
+    obj = {"field": _field_spec(pf.field)}
+    if pf.coalgebras:
+        obj["coalgebras"] = {
+            name: {"dim": c.dim, "delta": _quadruples(c.delta, c.dim)}
+            for name, c in pf.coalgebras.items()}
+    if pf.morphisms:
+        obj["morphisms"] = {
+            name: {"source": _name_of(pf, f.source, name),
+                   "target": _name_of(pf, f.target, name),
+                   "matrix": _rows(f.matrix)}
+            for name, f in pf.morphisms.items()}
+    if pf.cocycles:
+        obj["cocycles"] = {
+            name: {"morphism": _morphism_name(pf, w.morphism, name),
+                   **_coefficient(w)}
+            for name, w in pf.cocycles.items()}
+    for section, spec in (("deformations", _coefficient),
+                          ("isomorphisms", lambda c: {
+                              "A": _rows(c.a_part.matrix),
+                              "B": _rows(c.b_part.matrix)})):
+        series = getattr(pf, section)
+        if series:
+            obj[section] = {
+                name: {"morphism": _morphism_name(pf, s.morphism, name),
+                       "order": s.order,
+                       "coeffs": {str(n): spec(s.coefficient(n))
+                                  for n in range(1, s.order + 1)
+                                  if not s.coefficient(n).is_zero()}}
+                for name, s in series.items()}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

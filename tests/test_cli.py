@@ -578,3 +578,35 @@ def test_golden_corpus_output(corpus_dir, tmp_path, monkeypatch, field_spec):
                             out.read_text() if out.exists() else None))
                       .encode())
     assert digest.hexdigest() == GOLDEN_DIGESTS[field_spec]
+
+
+def test_valid_deformations_are_verified_without_unpacking(tmp_path,
+                                                           monkeypatch):
+    # over QQ one mask per packed entry decides that every order of an
+    # equation vanishes, so a valid deformation is never unpacked: not
+    # a gauge deformation of order 12, nor a file `integrate` wrote
+    from coaldef import _kernels_py
+    from coaldef.deformation import (TruncatedDeformation,
+                                     apply_equivalence, verify_deformation)
+    from helpers import random_cocycle, random_isomorphism
+    f = identity_morphism(divided_power(3))
+    comp = MorphismComplex(f)
+    gauge = apply_equivalence(random_isomorphism(comp, 12, fresh_rng(12)),
+                              TruncatedDeformation.trivial(f, 12))
+    pf = ProblemFile()
+    pf.coalgebras["dp3"] = f.source
+    pf.morphisms["f"] = f
+    pf.cocycles["w"] = random_cocycle(comp, fresh_rng(5), bound=3)
+    write_problem(pf, tmp_path / "problem.json")
+    out = tmp_path / "integrated.json"
+    assert run("integrate", tmp_path / "problem.json", "w", 12, "-o",
+               out).exit_code == 0
+    unpacked = []
+    real = _kernels_py.unpack
+    monkeypatch.setattr(_kernels_py, "unpack",
+                        lambda *args: unpacked.append(1) or real(*args))
+    assert verify_deformation(gauge).ok
+    r = run("check", out, "w")
+    assert r.exit_code == 0, r.output
+    assert '"status": "ok"' in json_lines(r.output)[0]
+    assert unpacked == []

@@ -17,18 +17,25 @@ quotient_data, solve on one Gauss-Jordan) applied to the dense
 differential_matrix are the reference for the sparse elimination behind
 cohomology, is_coboundary and class_coordinates.  The staircase loop of
 reference.py, which transports the whole deformation at every step, is
-the reference for the incremental trivialize.
+the reference for the incremental trivialize.  A full read of the
+unpacked defects is the reference for the packed zero tests of
+verify_deformation.  The json module's indented encoder is the reference
+for the problem-file writer, and reading one scalar at a time for the
+reader that decodes a matrix's scalars together.
 The long exact sequence of the mapping cone gives dim H^n(f) from three
 Hochschild complexes and the connecting map, without MorphismComplex.
 """
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coaldef.cli import main as cli_main
 from coaldef.coalgebra import (
     Bicomodule,
     Coalgebra,
@@ -60,13 +67,17 @@ from coaldef.cohomology import (
     HochschildComplex,
     MorphismCochain,
     MorphismComplex,
+    morphism_complex,
 )
 from coaldef.deformation import (
+    _EQUATIONS,
+    DeformationReport,
     FormalIsomorphism,
     InternalInvariantError,
     TruncatedDeformation,
     _cauchy_kron,
     _defects,
+    _report,
     _structure_coefficient,
     apply_equivalence,
     comp_bar,
@@ -74,8 +85,12 @@ from coaldef.deformation import (
     integrate,
     invert_formal,
     trivialize,
+    verify_deformation,
 )
 from coaldef.exactlinalg import QQ, Matrix, PrimeField, QuotientError
+from coaldef.problemfile import (ProblemFile, ProblemFileError, _decoded,
+                                 _parse_scalar, builtin_corpus,
+                                 parse_problem_text, serialize_problem)
 from coaldef.series import intertwining_failure
 from coaldef.series import inverse as series_inverse
 from coaldef.series import product as series_product
@@ -94,7 +109,8 @@ from helpers import (
     seed_morphisms,
 )
 from reference import (image_basis, kernel_basis, quotient_data, rank,
-                       reference_trivialize, solve)
+                       reference_serialize_problem, reference_trivialize,
+                       solve)
 
 
 def naive_delta(bicomodule, cochain, degree):
@@ -1079,6 +1095,112 @@ def test_defects_match_kronecker_reference_at_the_slot_bound(
     assert _defects(*series, orders) == reference_defects(*padded, orders)
 
 
+# The packed zero tests: verify_deformation decides each equation by one
+# mask per packed entry over QQ, and by the slots modulo p over GF(p),
+# and unpacks only a failing equation.  A full read of the defects, of
+# _defects and of the Kronecker reference, is the reference report.
+
+
+def full_read_report(defects):
+    """The first failure of :func:`verify_deformation`, read off the
+    defect matrices of every order."""
+    for k, (label, statement) in enumerate(_EQUATIONS):
+        for n, triple in enumerate(defects):
+            pos = triple[k].first_nonzero()
+            if pos is not None:
+                return DeformationReport(
+                    False, n, label, pos,
+                    f"{statement} fails at order {n}, entry {pos}")
+    return DeformationReport(True)
+
+
+def _assert_report_matches_full_reads(series):
+    orders = range(len(series[0]))
+    report = _report(*series)
+    assert report == full_read_report(_defects(*series, orders))
+    assert report == full_read_report(reference_defects(*series, orders))
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(EXTREMAL_FIELDS),
+       st.integers(0, 6), st.integers(0, 12), st.integers(1, 64),
+       st.sampled_from(("equal", "mixed")),
+       st.sampled_from(("one", "shared", "distinct", "powers")),
+       st.booleans())
+def test_zero_tests_match_a_full_read_at_the_slot_bound(
+        seed, field, which, order, bits, signs, den_mode, structure):
+    # the draws of the slot-bound test above; with ``structure`` the
+    # order-0 terms are the structure maps, so order 0 holds and the
+    # first failure is read above it
+    rng = fresh_rng(seed)
+    f = _defect_morphisms(field)[which]
+    d, e = f.source.dim, f.target.dim
+    shared = rng.choice(LARGE_PRIMES)
+
+    def dens(i):
+        if den_mode == "one":
+            return 1
+        if den_mode == "powers":
+            return shared ** i
+        return shared if den_mode == "shared" else rng.choice(LARGE_PRIMES)
+
+    series = [_extremal_series(rng, field, rows, cols, order + 1, bits,
+                               signs, dens)
+              for rows, cols in ((d * d, d), (e * e, e), (e, d))]
+    if structure:
+        for s, m in zip(series, (f.source.delta, f.target.delta, f.matrix)):
+            s[0] = m
+    _assert_report_matches_full_reads(series)
+
+
+def _perturbed(rng, field, m):
+    """m plus a nonzero scalar at one random entry (over QQ, over one of
+    LARGE_PRIMES)."""
+    if not m.rows or not m.cols:
+        return m
+    if field.kind == "prime":
+        x = Fraction(rng.randrange(1, field.p))
+    else:
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                     rng.choice(LARGE_PRIMES))
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    return m + Matrix.from_rows(field, [[x if (r, c) == (i, j) else 0
+                                         for c in range(m.cols)]
+                                        for r in range(m.rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(EXTREMAL_FIELDS),
+       st.integers(0, 10), st.integers(0, 8), st.booleans())
+def test_zero_tests_match_a_full_read_on_perturbed_deformations(
+        seed, field, which, order, perturb):
+    # a gauge deformation g . trivial is valid, and g^-1 trivializes it;
+    # one entry of one series, or of one side of g^-1, at one order is
+    # moved by a nonzero scalar
+    rng = fresh_rng(seed)
+    morphisms = _defect_morphisms(field) + _staircase_morphisms(field)
+    comp = MorphismComplex(morphisms[which])
+    f = comp.morphism
+    gauge = _staircase_isomorphism(rng, comp, order)
+    d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
+    series = [d.series_a(), d.series_b(), d.series_f()]
+    if perturb and order:
+        s, n = rng.choice(series), rng.randint(1, order)
+        s[n] = _perturbed(rng, field, s[n])
+    report = _assert_report_matches_full_reads(series)
+    if not (perturb and order):
+        assert report.ok and verify_deformation(d) == report
+    phi = invert_formal(gauge)
+    phi_a, phi_b = phi.series_a(), phi.series_b()
+    if perturb:
+        side = rng.choice((phi_a, phi_b))
+        n = rng.randint(0, order)
+        side[n] = _perturbed(rng, field, side[n])
+    assert intertwining_failure(phi_a, phi_b, *series) == \
+        reference_intertwining_failure(phi_a, phi_b, *series)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
 def test_check_coassociative_matches_kronecker_reference(seed, field):
@@ -1464,3 +1586,188 @@ def test_cone_cokernel_term_on_zero_morphisms(field):
         comp = MorphismComplex(f)
         for n, coker in ((2, 4), (3, 8)):
             assert cone_h_dim(f, n) == (comp.cohomology(n).h_dim, coker)
+
+
+# ---------------------------------------------------------------------------
+# problem files: the json module's own indented encoder, over the objects
+# the serializer builds one str(Fraction) at a time, is the reference for
+# the writer; per-scalar reading (one regex match, one gcd and one
+# Fraction per scalar) for the reader
+
+
+def _file_matrix(rng, field, rows, cols):
+    """Zero a third of the time; else entries that are zero half of the
+    time, over QQ with denominators from 1 to LARGE_PRIMES."""
+    if rng.random() < 0.3:
+        return Matrix.zeros(field, rows, cols)
+
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        if field.kind == "prime":
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-10 ** rng.randint(1, 30),
+                                    10 ** rng.randint(1, 30)),
+                        rng.choice((1, 2, 3, 12) + LARGE_PRIMES))
+
+    entries = [Fraction(entry()) for _ in range(rows * cols)]
+    den = lcm(1, *(x.denominator for x in entries))
+    return Matrix.from_integer_ratio(field, rows, cols, [
+        int(x * den) for x in entries], den)
+
+
+# names with quotes, backslashes, control and non-ASCII characters
+file_names = st.text(st.sampled_from(
+    ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\x00", "\x7f", "é", "中",
+     "\U0001f600", "\ud800"]), max_size=4)
+
+
+@st.composite
+def problem_files(draw):
+    """A problem file over QQ or GF(p) with up to three entries per
+    section (any section may be empty), coalgebras of dimension 0 to 3
+    and series of order 0 to 3; the structures need not be valid."""
+    field = draw(st.sampled_from(EXTREMAL_FIELDS))
+    rng = fresh_rng(draw(st.integers(0, 10 ** 6)))
+    pf = ProblemFile(field=field)
+
+    def section_names():
+        return draw(st.lists(file_names, unique=True, max_size=3))
+
+    for name in section_names():
+        dim = rng.randint(0, 3)
+        pf.coalgebras[name] = Coalgebra(
+            name, dim, _file_matrix(rng, field, dim * dim, dim))
+    for name in section_names() if pf.coalgebras else ():
+        s, t = (rng.choice(list(pf.coalgebras.values())) for _ in range(2))
+        pf.morphisms[name] = CoalgebraMorphism(
+            s, t, _file_matrix(rng, field, t.dim, s.dim))
+    if not pf.morphisms:
+        return pf
+
+    def over():
+        f = rng.choice(list(pf.morphisms.values()))
+        return f, morphism_complex(f), f.source.dim, f.target.dim
+
+    def coefficient(degree):
+        f, comp, s, t = over()
+        if degree == 1:
+            return comp.element(_file_matrix(rng, field, s, s),
+                                _file_matrix(rng, field, t, t), None, 1)
+        return comp.element(_file_matrix(rng, field, s * s, s),
+                            _file_matrix(rng, field, t * t, t),
+                            _file_matrix(rng, field, t, s), 2)
+
+    for name in section_names():
+        pf.cocycles[name] = coefficient(2)
+    for section, cls, degree in (("deformations", TruncatedDeformation, 2),
+                                 ("isomorphisms", FormalIsomorphism, 1)):
+        for name in section_names():
+            f, comp, s, t = over()
+            order = rng.randint(0, 3)
+            higher = []
+            for _ in range(order):
+                c = coefficient(degree)
+                # the coefficient over f: the same matrices, f's complex
+                higher.append(comp.element(
+                    *(p.matrix for p in c.parts()), degree)
+                    if c.morphism == f and rng.random() < 0.7
+                    else comp.zero(degree))
+            getattr(pf, section)[name] = cls.from_higher_coefficients(
+                f, higher, order)
+    return pf
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem_files())
+def test_serializer_matches_the_json_module(pf):
+    text = serialize_problem(pf)
+    assert text == reference_serialize_problem(pf)
+    assert parse_problem_text(text) == pf
+
+
+@pytest.mark.parametrize("field", EXTREMAL_FIELDS, ids=repr)
+def test_fixture_corpus_matches_the_json_module(field, tmp_path):
+    for name, pf in builtin_corpus(field).items():
+        assert serialize_problem(pf) == reference_serialize_problem(pf), name
+    result = CliRunner().invoke(cli_main, ["--fixtures", str(tmp_path)])
+    assert result.exit_code == 0
+    for name, pf in builtin_corpus().items():
+        assert (tmp_path / f"{name}.json").read_text(encoding="utf-8") == \
+            reference_serialize_problem(pf)
+
+
+# scalars as a file may give them: ints, every spelling the grammar
+# admits (signs, leading zeros, unreduced fractions, zero and large
+# denominators, numerators past a machine word) and values outside it
+file_scalars = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(lambda sign, zeros, num, den: sign + "0" * zeros + str(num)
+              + ("" if den is None else f"/{den}"),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 2),
+              st.integers(0, 10 ** 40),
+              st.none() | st.integers(0, 30) | st.sampled_from(LARGE_PRIMES)
+              | st.integers(1, 10 ** 30)),
+    st.sampled_from(["1e3", "1.5", " 1", "1 ", "1_0", "٣", "1,2",
+                     "1/2/3", "", "--1", "1/-2", "/2", "0x1"]),
+    st.sampled_from([True, False, 1.5, None, [1], {}]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXTREMAL_FIELDS + (PrimeField(5),)),
+       st.lists(file_scalars, max_size=10))
+def test_bulk_scalar_reading_matches_per_scalar_reading(field, scalars):
+    # read together, the scalars are refused whenever one of them is, and
+    # otherwise they are the values read one at a time
+    try:
+        values = [_parse_scalar(field, x, "m") for x in scalars]
+    except ProblemFileError:
+        values = None
+    decoded = _decoded(field, scalars)
+    if values is None:
+        assert decoded is None
+    elif decoded is not None:
+        ints, den = decoded
+        assert Matrix.from_integer_ratio(field, 1, len(ints), ints, den) == \
+            Matrix.from_rows(field, [[Fraction(x, d) for x, d in values]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((QQ, PrimeField(5))),
+       st.lists(file_scalars, min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(-1, 2), st.integers(0, 2),
+                          st.integers(0, 2), file_scalars), max_size=6))
+def test_problem_file_matrices_match_per_scalar_reading(field, entries,
+                                                        quads):
+    # a 2 x 2 morphism matrix and the quadruples of a dimension-2
+    # comultiplication: the matrices summed one scalar at a time, or the
+    # error of the first scalar or quadruple that a per-scalar reading
+    # refuses
+    obj = {"field": "rational" if field == QQ else {"prime": field.p},
+           "coalgebras": {"c": {"dim": 2, "delta": [list(q) for q in quads]}},
+           "morphisms": {"f": {"source": "c", "target": "c",
+                               "matrix": [entries[:2], entries[2:]]}}}
+    expected = None
+    try:
+        delta = Matrix.zeros(field, 4, 2)
+        for a, b, c, x in quads:
+            if not (0 <= a < 2 and 0 <= b < 2 and 0 <= c < 2):
+                idx = next(i for i in (a, b, c) if not 0 <= i < 2)
+                raise ProblemFileError(
+                    f"coalgebras.c: basis index {idx} out of range for dim 2")
+            delta = delta + Matrix.from_sparse(field, 4, 2, {
+                (b * 2 + c, a): 1}).scale(
+                    Fraction(*_parse_scalar(field, x, "coalgebras.c")))
+        matrix = Matrix.from_rows(field, [
+            [Fraction(*_parse_scalar(field, x, "morphisms.f.matrix"))
+             for x in row] for row in (entries[:2], entries[2:])])
+    except ProblemFileError as exc:
+        expected = str(exc)
+    try:
+        pf = parse_problem_text(json.dumps(obj))
+    except ProblemFileError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert pf.coalgebras["c"].delta == delta
+    assert pf.morphisms["f"].matrix == matrix
