@@ -2,12 +2,12 @@
 
 A matrix travels as one flat row-major list of ints; its common
 denominator and the field's normalization stay with
-:class:`~coaldef.exactlinalg.Matrix`.  So the same three kernels --
-linear combination, matrix product and Kronecker product -- serve QQ
-and GF(p) alike: they do integer arithmetic only, and the caller
-reduces the result once (by the gcd over QQ, modulo p over GF(p)).
-Products skip exact zeros, so their cost tracks the number of nonzero
-entries rather than the dense size.
+:class:`~coaldef.exactlinalg.Matrix`.  So the same kernels -- linear
+combination, matrix product, sparse operator times vector and Kronecker
+product -- serve QQ and GF(p) alike: they do integer arithmetic only,
+and the caller reduces the result once (by the gcd over QQ, modulo p
+over GF(p)).  Products skip exact zeros, so their cost tracks the
+number of nonzero entries rather than the dense size.
 
 ``pack`` and ``unpack`` carry a whole truncated matrix power series
 through the same kernels (Kronecker substitution): each entry of the
@@ -47,6 +47,16 @@ def matmul(a, b, n, k, m):
                 if y:
                     c[im + j] += x * y
     return c
+
+
+def sparse_apply(entries, x, rows):
+    """The ``rows`` ints of the sparse operator ``{(row, col): int}``
+    applied to the int vector x, skipping the zero entries of x."""
+    out = [0] * rows
+    for (row, col), value in entries.items():
+        if x[col]:
+            out[row] += value * x[col]
+    return out
 
 
 def kron(a, ar, ac, b, br, bc):

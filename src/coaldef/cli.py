@@ -38,7 +38,8 @@ from .problemfile import ProblemFile, ProblemFileError
 # bounded too.  D_2 of the identity of a random basis change of
 # grouplike(5) has 27,125 terms; it ran for 0.7 s with 10-bit ints,
 # 1.3 s with 17, 2.9 s with 48 and 51 s with 318, and the bound admits
-# it up to 19 bits.  id(dp5) D_3 has 2-bit ints.
+# it up to 19 bits.  id(dp5) D_3 has 2-bit ints.  ``check`` eliminates
+# nothing, so it is bounded by terms and dimension only.
 MAX_DIFFERENTIAL_TERMS = 1 << 15
 MAX_COCHAIN_DIM = 1 << 11
 MAX_DIFFERENTIAL_BITS = 1 << 19
@@ -141,8 +142,9 @@ def _command(fn):
     return wrapper
 
 
-def _require_budget(comp, n, name):
-    """Usage error (exit 2) if D_n of ``comp`` is over the budget."""
+def _require_size(comp, n, name):
+    """Usage error (exit 2) if D_n of ``comp`` is over the dimension or
+    the term budget; both are counted without assembling anything."""
     dim = comp.cochain_dim(n)
     if dim > MAX_COCHAIN_DIM:
         raise click.UsageError(
@@ -153,6 +155,13 @@ def _require_budget(comp, n, name):
         raise click.UsageError(
             f"{name}: the degree-{n} differential would be scattered from "
             f"{terms} terms, over the limit of {MAX_DIFFERENTIAL_TERMS}")
+    return terms
+
+
+def _require_budget(comp, n, name):
+    """Usage error (exit 2) if D_n of ``comp`` is over the budget of a
+    command that eliminates it: its size, and over QQ its height."""
+    terms = _require_size(comp, n, name)
     if comp.field.kind == "rational":
         entries, _ = comp.operator(n)
         bits = max((abs(x).bit_length() for x in entries.values()), default=0)
@@ -186,8 +195,8 @@ def check(ctx, file, name):
     payload = {"name": name, "kind": kind}
     if kind in ("deformations", "cocycles"):
         # verifying a deformation and d_c of a cocycle both work in the
-        # degrees up to D_2 of the morphism's complex
-        _require_budget(morphism_complex(obj.morphism), 2, name)
+        # degrees up to D_2 of the morphism's complex, and eliminate nothing
+        _require_size(morphism_complex(obj.morphism), 2, name)
     if kind == "coalgebras":
         rep = check_coassociative(obj)
         ok, detail = rep.ok, rep.message

@@ -28,6 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 
+from . import _backend
 from .coalgebra import (
     Bicomodule,
     CoalgebraMorphism,
@@ -293,10 +294,8 @@ class _ComplexBase:
         n = w.degree
         x, x_den = self._coordinates(w)
         entries, den = self.operator(n)
-        out = [0] * self.cochain_dim(n + 1)
-        for (row, col), value in entries.items():
-            if x[col]:
-                out[row] += value * x[col]
+        out = _backend.kernel().sparse_apply(entries, x,
+                                             self.cochain_dim(n + 1))
         return self.from_integer_ratio(n + 1, out, den * x_den)
 
     def differential_matrix(self, n) -> Matrix:

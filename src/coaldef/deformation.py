@@ -307,73 +307,37 @@ def _bar(s, x, d, inner):
     return _backend.kernel().lincomb(left, 1, right, -1)
 
 
-def _defects(series_a, series_b, series_f, orders):
-    """Defects of the three deformation equations at each of ``orders``.
+def _packed_defects(series_a, series_b, series_f, k):
+    """The defects of the three deformation equations through order
+    k - 1, packed.
 
     For coefficient series a (source comultiplication), b (target
     comultiplication) and f (morphism), the order-n defects are
 
     * D_a = sum_i (a_i (x) Id - Id (x) a_i) o a_(n-i),
     * D_b = the same sum over b,
-    * D_f = sum_(i+j+k=n) (f_j (x) f_k) o a_i - sum_i b_i o f_(n-i),
+    * D_f = sum_(i+j+l=n) (f_j (x) f_l) o a_i - sum_i b_i o f_(n-i),
 
     and the series form a deformation through order N exactly when all
-    three vanish for every n <= N.  Coefficients past the end of a
-    series count as zero.  Returns one (D_a, D_b, D_f) triple per
-    requested order.  A single requested order (the obstruction) is
-    summed pair by pair, by :func:`_defects_at`.
+    three vanish for every n <= N; a coefficient past the end of a
+    series counts as zero.
 
-    Several orders are evaluated together by Kronecker substitution
-    (:func:`_packed_defects`, whose packed ints verification tests
-    without reading them back).  Every order-i coefficient is written as ints over L D^i (``unit`` L and ``step``
-    D, chosen by :func:`series.packing`), that is, each series in t becomes an
-    integer series in u = t / D.  Each entry of it is packed into the
-    one int sum_i x_i 2^(i w), so each equation is a fixed set of
-    integer products (the two factor products of :func:`_bar` on a and
-    on b, three for D_f) whatever the order, and the requested orders
-    are the slots of the packed results, over L^2 D^n (D_a, D_b) and
-    L^3 D^n (D_f).
-    Transport, composition and inversion keep the per-order, zero-
-    skipping :func:`series.product`, whose identity order-0 pairs cost
-    no product; :func:`trivialize` forms one order at a time and checks
-    its result packed, by :func:`series.intertwining_failure`.  A slot
-    is read exactly when
-    it and every lower slot lie strictly within 2^(w-1) in absolute
-    value.  With M_a(i), M_b(i), M_f(i) the largest scaled entry of
-    each order-i coefficient, (x * y)(n) = sum_i x(i) y(n-i), d and e
-    the source and target dimensions and K the highest order read, the
-    order-n slots obey, for n <= K,
+    Every series is scaled by one (L, D) (:func:`series.packing`) and
+    packed, so each equation is a fixed set of integer products whatever
+    the order: the two factor products of :func:`_bar` on a and on b,
+    and :func:`series.morphism_defect` (f; a -> b) with its bound
+    :func:`series.morphism_bound` for D_f.  Returns (L, D) and, for D_a,
+    D_b and D_f, the slot width w and the row-major packed ints, whose
+    slot n is the order-n defect over L^2 D^n (D_a, D_b) and L^3 D^n
+    (D_f).  With M_a(i), M_b(i) the largest scaled entry of the order-i
+    coefficient of a and b and d, e the source and target dimensions,
+    an entry of (a_i (x) Id - Id (x) a_i) o a_j is a difference of two
+    sums of d products, so the order-n slots obey
 
     * |D_a| <= 2 d (M_a * M_a)(n) and |D_b| <= 2 e (M_b * M_b)(n),
-    * |D_f| <= d^2 (M_f * M_f * M_a)(n) + e L (M_b * M_f)(n),
 
-    and each equation packs its series with w one bit longer than its
-    largest bound.  With M_a, M_b, M_f the largest entries over all
-    orders these are at most 2 (K+1) d M_a^2, 2 (K+1) e M_b^2 and
-    (K+1)^2 d^2 M_f^2 M_a + (K+1) e L M_b M_f; the convolutions are
-    tighter when the coefficients grow with the order, as they do under
-    transport and integration.
+    and each equation packs with w one bit longer than its largest bound.
     """
-    if len(orders) == 1:
-        return [_defects_at(series_a, series_b, series_f, orders[0])]
-    field = series_a[0].field
-    d, e = series_a[0].cols, series_b[0].cols
-    unit, step, packed = _packed_defects(series_a, series_b, series_f,
-                                         max(orders) + 1)
-    kern = _backend.kernel()
-    return list(zip(*[
-        [Matrix.from_integer_ratio(field, rows, cols, ints,
-                                   unit ** power * step ** n)
-         for n, ints in zip(orders, kern.unpack(x, w, orders))]
-        for (w, x), rows, cols, power in zip(
-            packed, (d ** 3, e ** 3, e * e), (d, e, d), (2, 2, 3))]))
-
-
-def _packed_defects(series_a, series_b, series_f, k):
-    """The packed defects of :func:`_defects` through order k - 1: the
-    scale (L, D) and, for D_a, D_b and D_f, the slot width w and the
-    row-major packed ints, whose slots 0..k-1 are the orders 0..k-1
-    over L^2 D^n (D_a, D_b) and L^3 D^n (D_f)."""
     d, e = series_a[0].cols, series_b[0].cols
     ratios = [[m.as_integer_ratio() for m in s[:k]]
               for s in (series_a, series_b, series_f)]
@@ -382,31 +346,15 @@ def _packed_defects(series_a, series_b, series_f, k):
         m_a, m_b, m_f = peaks
         return [[2 * d * x for x in series.convolve(m_a, m_a)],
                 [2 * e * x for x in series.convolve(m_b, m_b)],
-                [d * d * x + e * unit * y for x, y in
-                 zip(series.convolve(series.convolve(m_f, m_f), m_a),
-                     series.convolve(m_b, m_f))]]
+                series.morphism_bound(m_f, m_a, m_b, d, e, unit)]
 
     unit, step, (w_a, w_b, w) = series.packing(ratios, k, bounds)
-    kern = _backend.kernel()
-
-    def packed(r, w):
-        return series.packed(r, w, unit, step)
-
-    def bar(r, w, dim):
-        x = packed(r, w)
-        return w, _bar(x, x, dim, dim)
-
-    a, b, f = (packed(r, w) for r in ratios)
-    # (f (x) f) o a = (f (x) Id) o (Id (x) f) o a; slots above K only
-    # reach slots above K of a product, so dropping them from the inner
-    # product (a multiple of 2^(k w)) leaves every read slot
-    low = (1 << k * w) - 1
-    fa = [x & low for x in factor_ints(f, factor_read(a, d, d, d),
-                                       e, d, d, d, right=True)]
-    map_defect = kern.lincomb(factor_ints(f, fa, e, d, e, d), 1,
-                              factor_ints(b, f, e * e, e, 1, d), -unit)
-    return unit, step, [bar(ratios[0], w_a, d), bar(ratios[1], w_b, e),
-                        (w, map_defect)]
+    r_a, r_b, r_f = ratios
+    a = series.packed(r_a, w_a, unit, step)
+    b = series.packed(r_b, w_b, unit, step)
+    return unit, step, [
+        (w_a, _bar(a, a, d, d)), (w_b, _bar(b, b, e, e)),
+        (w, series.morphism_defect(r_f, r_a, r_b, d, e, k, w, unit, step))]
 
 
 def _cauchy_kron(a, b, order):
@@ -421,9 +369,9 @@ def _cauchy_kron(a, b, order):
 
 
 def _defects_at(series_a, series_b, series_f, n):
-    """The order-n defects (D_a, D_b, D_f) of :func:`_defects` as sums
-    over the pairs of nonzero coefficients, each sum one product of
-    stacked factors.
+    """The order-n defects (D_a, D_b, D_f) of :func:`_packed_defects` as
+    matrices, summed over the pairs of nonzero coefficients, each sum
+    one product of stacked factors.
 
     One order is one slot of a packed product, which forms all 2n + 1
     slots at the width of the largest: once entries span several machine
@@ -469,7 +417,7 @@ def verify_deformation(d: TruncatedDeformation) -> DeformationReport:
     order of source coassociativity first, then the target, then the
     morphism condition.
 
-    The defects are the packed ints of :func:`_defects`, and each
+    The defects are the packed ints of :func:`_packed_defects`, and each
     equation is decided by :func:`series.first_nonzero_slot`: over QQ
     one mask per packed entry, so a valid deformation is never unpacked.
     """
@@ -543,8 +491,8 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     fails to be a 3-cocycle, which the theory rules out for valid input.
     """
     comp = morphism_complex(d.morphism)
-    [(ob_a, ob_b, ob_f)] = _defects(d.series_a(), d.series_b(),
-                                    d.series_f(), [d.order + 1])
+    ob_a, ob_b, ob_f = _defects_at(d.series_a(), d.series_b(),
+                                   d.series_f(), d.order + 1)
     ob = comp.element(ob_a, ob_b, ob_f, 3)
     if not comp.is_cocycle(ob):
         raise InternalInvariantError(

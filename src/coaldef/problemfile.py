@@ -599,21 +599,25 @@ def _coefficient_spec(w: MorphismCochain):
     }
 
 
+def _named(table, x, missing):
+    """The name of x in ``table``: of x itself when the table holds it,
+    else of the first object equal to it.  Parsing sorts the tables, so
+    naming by value alone could rename an object in a round trip."""
+    names = [name for name, y in table.items() if y is x] or \
+        [name for name, y in table.items() if y == x]
+    if not names:
+        raise ProblemFileError(f"cannot serialize {missing}")
+    return names[0]
+
+
 def _name_of(pf, coalg, context):
-    for name, c in pf.coalgebras.items():
-        if c is coalg or c == coalg:
-            return name
-    raise ProblemFileError(
-        f"cannot serialize {context!r}: its coalgebra {coalg.name!r} is not "
-        f"in the file")
+    return _named(pf.coalgebras, coalg, f"{context!r}: its coalgebra "
+                  f"{coalg.name!r} is not in the file")
 
 
 def _morphism_name(pf, f, context):
-    for name, g in pf.morphisms.items():
-        if g is f or g == f:
-            return name
-    raise ProblemFileError(
-        f"cannot serialize {context!r}: its morphism is not in the file")
+    return _named(pf.morphisms, f,
+                  f"{context!r}: its morphism is not in the file")
 
 
 # ---------------------------------------------------------------------------

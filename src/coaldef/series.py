@@ -14,11 +14,18 @@ deformations, formal isomorphisms and their transport on:
   packed equation for several series, from stated bounds on the slots
   (:func:`packing`, :func:`packed`), and the test that the slots of a
   packed equation vanish (:func:`first_nonzero_slot`);
+* the morphism equation (f (x) f) o a = b o f of series, packed, with
+  its slot bound (:func:`morphism_defect`, :func:`morphism_bound`): the
+  morphism condition of a deformation, and each comultiplication side
+  of the staircase's check;
 * the staircase of ``deformation.trivialize``: a comultiplication series
   transported by a growing composite of steps, one order at a time
   (:class:`Conjugation`), and the packed check that the final composite
   intertwines a deformation with its order-0 terms
   (:func:`intertwining_failure`).
+
+Each slot bound is proved once, in the docstring of the function that
+packs with it.
 """
 
 from __future__ import annotations
@@ -215,6 +222,45 @@ class Conjugation:
                 [(chi, self.operands[0])], self.dim, right=True))
 
 
+def morphism_bound(m_f, m_a, m_b, d, e, unit):
+    """The order-n slot bounds of :func:`morphism_defect`, from the
+    largest scaled entries M_f(i), M_a(i), M_b(i) of the order-i
+    coefficients (lists of one length), with (x * y)(n) = sum_i x(i)
+    y(n-i) (:func:`convolve`):
+
+        |slot n| <= d^2 (M_f * M_f * M_a)(n) + e L (M_b * M_f)(n).
+
+    An entry of (f_j (x) f_l) o a_i is a sum of d^2 products of one
+    entry of each, an entry of b_i o f_j a sum of e, and slot n sums
+    them over i + j + l = n and i + j = n.  Through order K this is at
+    most (K + 1)^2 d^2 M_f^2 M_a + (K + 1) e L M_b M_f with the largest
+    entries over all orders; the convolutions are tighter when the
+    coefficients grow with the order, as under transport and integration.
+    """
+    return [d * d * x + e * unit * y for x, y in
+            zip(convolve(convolve(m_f, m_f), m_a), convolve(m_b, m_f))]
+
+
+def morphism_defect(r_f, r_a, r_b, d, e, k, w, unit, step):
+    """The packed ints of (f (x) f) o a - L b o f, whose slot n < k is
+    the order-n coefficient of the morphism equation (f (x) f) o a =
+    b o f over L^3 D^n, for series f: X -> Y, a: X -> X (x) X and
+    b: Y -> Y (x) Y (dim X = d, dim Y = e) given as for :func:`packed`;
+    :func:`morphism_bound` bounds the slots.
+
+    (f (x) f) o a is (f (x) Id) o (Id (x) f) o a.  The slots of the
+    inner product above k - 1 only reach slots above k - 1, so they are
+    dropped: the masked ints differ by multiples of 2^(k w).
+    """
+    f, a, b = (packed(r, w, unit, step) for r in (r_f, r_a, r_b))
+    low = (1 << k * w) - 1
+    fa = [x & low for x in factor_ints(f, factor_read(a, d, d, d),
+                                       e, d, d, d, right=True)]
+    return _backend.kernel().lincomb(
+        factor_ints(f, fa, e, d, e, d), 1,
+        factor_ints(b, f, e * e, e, 1, d), -unit)
+
+
 def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
     """The first (equation, order) at which one of
 
@@ -226,64 +272,43 @@ def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
     - 1, or None when all hold through order N; as phi is invertible,
     None means that the transport of the deformation by phi is trivial.
 
-    Evaluated by Kronecker substitution: every series is scaled by one
-    (L, D) and packed, so each side of an equation is a fixed set of
-    integer products, and the slots of the difference, over L^3 D^n (a,
-    b) and L^2 D^n (F), must all vanish.  With M_p(i), M_q(i), M_a(i),
-    M_b(i), M_f(i) the largest scaled entry of the order-i coefficient
-    of phi_A, phi_B, a, b, F and d, e the source and target dimensions,
-    the order-n slots obey
+    Evaluated by Kronecker substitution, every series scaled by one
+    (L, D) (:func:`packing`).  Each comultiplication equation is the
+    morphism equation of :func:`morphism_defect` with f = phi, a = c and
+    b = [c_0].  The morphism equation is a linear square:
+    with M_p(i), M_q(i), M_f(i) the largest scaled entries of phi_A,
+    phi_B, F and d, e the source and target dimensions, the order-n
+    slot of phi_B o F - F_0 o phi_A, over L^2 D^n, is a sum of e
+    products phi_B,i F_(n-i) and d products F_0 phi_A,n, so
 
-    * |a| <= d^2 (M_p * M_p * M_a)(n) + L d M_a(0) M_p(n),
-    * |b| <= e^2 (M_q * M_q * M_b)(n) + L e M_b(0) M_q(n),
-    * |F| <= e (M_q * M_f)(n) + d M_f(0) M_p(n),
-
-    and each equation packs with w one bit longer than its largest bound.
+    * |slot n| <= e (M_q * M_f)(n) + d M_f(0) M_p(n).
     """
     k = len(series_a)
     field = series_a[0].field
     dim_a, dim_b = series_a[0].cols, series_b[0].cols
-    ratios = [[m.as_integer_ratio() for m in s]
-              for s in (phi_a, phi_b, series_a, series_b, series_f)]
+    r_p, r_q, r_a, r_b, r_f = ([m.as_integer_ratio() for m in s] for s in
+                               (phi_a, phi_b, series_a, series_b, series_f))
 
     def bounds(peaks, unit):
-        m_p, m_q, m_a, m_b, m_f = peaks
-
-        def comul(dim, m_phi, m_c):
-            return [dim * dim * x + unit * dim * m_c[0] * y for x, y in
-                    zip(convolve(convolve(m_phi, m_phi), m_c), m_phi)]
-
-        return [comul(dim_a, m_p, m_a), comul(dim_b, m_q, m_b),
+        m_p, m_q, m_a, m_a0, m_b, m_b0, m_f = peaks
+        return [morphism_bound(m_p, m_a, m_a0, dim_a, dim_a, unit),
+                morphism_bound(m_q, m_b, m_b0, dim_b, dim_b, unit),
                 [dim_b * x + dim_a * m_f[0] * y
                  for x, y in zip(convolve(m_q, m_f), m_p)]]
 
-    unit, step, widths = packing(ratios, k, bounds)
+    unit, step, (w_a, w_b, w_f) = packing(
+        [r_p, r_q, r_a, r_a[:1], r_b, r_b[:1], r_f], k, bounds)
     kern = _backend.kernel()
-
-    def comul(r_phi, r_c, w, dim):
-        # (phi (x) phi) o c - L c_0 o phi, as (phi (x) Id) o (Id (x) phi) o
-        # c; the inner slots above the order only reach slots above it,
-        # so they are dropped, as in deformation._defects
-        p, c = packed(r_phi, w, unit, step), packed(r_c, w, unit, step)
-        low = (1 << k * w) - 1
-        inner = [x & low for x in factor_ints(p, factor_read(c, dim, dim, dim),
-                                              dim, dim, dim, dim, right=True)]
-        c0 = kern.lincomb(r_c[0][0], unit // r_c[0][1])
-        return kern.lincomb(factor_ints(p, inner, dim, dim, dim, dim), 1,
-                            kern.matmul(c0, p, dim * dim, dim, dim), -unit)
-
-    w_a, w_b, w_f = widths
-    f0 = kern.lincomb(ratios[4][0][0], unit // ratios[4][0][1])
-    q, f = (packed(r, w_f, unit, step) for r in (ratios[1], ratios[4]))
+    p, q, f, f0 = (packed(r, w_f, unit, step) for r in (r_p, r_q, r_f,
+                                                        r_f[:1]))
     differences = [
-        ("source comultiplication", w_a,
-         comul(ratios[0], ratios[2], w_a, dim_a)),
-        ("target comultiplication", w_b,
-         comul(ratios[1], ratios[3], w_b, dim_b)),
+        ("source comultiplication", w_a, morphism_defect(
+            r_p, r_a, r_a[:1], dim_a, dim_a, k, w_a, unit, step)),
+        ("target comultiplication", w_b, morphism_defect(
+            r_q, r_b, r_b[:1], dim_b, dim_b, k, w_b, unit, step)),
         ("morphism", w_f, kern.lincomb(
             kern.matmul(q, f, dim_b, dim_b, dim_a), 1,
-            kern.matmul(f0, packed(ratios[0], w_f, unit, step),
-                        dim_b, dim_a, dim_a), -1))]
+            kern.matmul(f0, p, dim_b, dim_a, dim_a), -1))]
     for label, w, ints in differences:
         failure = first_nonzero_slot(ints, w, k, field)
         if failure is not None:

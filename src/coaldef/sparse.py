@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from . import _backend
 from .exactlinalg import QuotientError
 
 
@@ -263,10 +264,7 @@ class Elimination:
         for c, row in pivots.items():
             y = sum(t * b[k - cols] for k, t in row.items() if k >= cols)
             x[c] = y % self.field.p if prime else y * (x_den // row[c])
-        out = [0] * len(b)
-        for (i, j), value in self.entries.items():
-            if x[j]:
-                out[i] += value * x[j]
+        out = _backend.kernel().sparse_apply(self.entries, x, len(b))
         if prime:
             p = self.field.p
             if any((y - z) % p for y, z in zip(out, b)):

@@ -18,14 +18,20 @@ canonical text of :func:`coaldef.problemfile.serialize_problem`.
 operations: at every step it transports the whole deformation and
 composes the whole isomorphism again.  The incremental
 :func:`coaldef.deformation.trivialize` must return the same result.
+
+``read_defects`` reads every slot of the packed deformation equations
+back as matrices: verification only tests them for zero, and the
+tests compare the read with the Kronecker form of the equations.
 """
 
 import json
 from fractions import Fraction
 
+from coaldef._kernels_py import unpack
 from coaldef.cohomology import morphism_complex
 from coaldef.deformation import (FormalIsomorphism, InternalInvariantError,
-                                 TrivializationResult, apply_equivalence,
+                                 TrivializationResult, _defects_at,
+                                 _packed_defects, apply_equivalence,
                                  compose_isomorphisms, infinitesimal)
 from coaldef.exactlinalg import DimensionError, Matrix, QuotientError, Subspace
 from coaldef.problemfile import _field_spec, _morphism_name, _name_of
@@ -170,6 +176,26 @@ def reference_trivialize(d):
                 raise InternalInvariantError(
                     "staircase step failed to clear its order")
         iso = compose_isomorphisms(step, iso)
+
+
+def read_defects(series_a, series_b, series_f, orders):
+    """The defects (D_a, D_b, D_f) of the deformation equations at each
+    of ``orders``, as matrices: a single order summed pair by pair by
+    ``_defects_at``, as the obstruction does, and several read off the
+    slots of ``_packed_defects``, each over L^2 D^n (D_a, D_b) or
+    L^3 D^n (D_f)."""
+    if len(orders) == 1:
+        return [_defects_at(series_a, series_b, series_f, orders[0])]
+    field = series_a[0].field
+    d, e = series_a[0].cols, series_b[0].cols
+    unit, step, packed = _packed_defects(series_a, series_b, series_f,
+                                         max(orders) + 1)
+    return list(zip(*[
+        [Matrix.from_integer_ratio(field, rows, cols, ints,
+                                   unit ** power * step ** n)
+         for n, ints in zip(orders, unpack(x, w, orders))]
+        for (w, x), rows, cols, power in zip(
+            packed, (d ** 3, e ** 3, e * e), (d, e, d), (2, 2, 3))]))
 
 
 def _quadruples(m, dim):

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from coaldef.cli import (MAX_COCHAIN_DIM, MAX_DEGREE, MAX_DIFFERENTIAL_BITS,
                          MAX_DIFFERENTIAL_TERMS, main)
 from coaldef.coalgebra import change_basis, divided_power, identity_morphism
-from coaldef.cohomology import MorphismComplex
+from coaldef.cohomology import MorphismComplex, _ComplexBase
 from coaldef.problemfile import (MAX_DIM, MAX_ORDER, ProblemFile,
                                  write_problem)
 
@@ -95,6 +95,17 @@ class TestCheck:
     def test_isomorphism_ok(self, corpus_dir):
         r = run("check", corpus_dir / "fixtures.json", "g1_iso")
         assert r.exit_code == 0
+
+    def test_deformation_assembles_no_operator(self, corpus_dir,
+                                               monkeypatch):
+        # verification multiplies series and never eliminates, so the
+        # budget of check counts terms and dimensions only
+        assembled = []
+        monkeypatch.setattr(_ComplexBase, "operator",
+                            lambda self, n: assembled.append(n))
+        r = run("check", corpus_dir / "fixtures.json", "dp2_deformation")
+        assert r.exit_code == 0, r.output
+        assert assembled == []
 
     def test_invalid_located(self, corpus_dir):
         r = run("check", corpus_dir / "invalid.json", "broken")

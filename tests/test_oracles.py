@@ -76,7 +76,6 @@ from coaldef.deformation import (
     InternalInvariantError,
     TruncatedDeformation,
     _cauchy_kron,
-    _defects,
     _report,
     _structure_coefficient,
     apply_equivalence,
@@ -109,8 +108,8 @@ from helpers import (
     seed_morphisms,
 )
 from reference import (image_basis, kernel_basis, quotient_data, rank,
-                       reference_serialize_problem, reference_trivialize,
-                       solve)
+                       read_defects, reference_serialize_problem,
+                       reference_trivialize, solve)
 
 
 def naive_delta(bicomodule, cochain, degree):
@@ -883,6 +882,50 @@ def test_intertwining_check_matches_dense_reference(seed, field, which,
         reference_intertwining_failure(phi_a, phi_b, *series)
 
 
+def first_map_defect(c, phi):
+    """The first order at which D_f of (c, [c_0], phi), read in full, is
+    nonzero: the morphism equation (phi (x) phi) o c = c_0 o phi of one
+    side of the staircase's check; None when it holds."""
+    defects = read_defects(c, [c[0]], phi, range(len(c)))
+    return next((n for n, (_, _, m) in enumerate(defects)
+                 if not m.is_zero()), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3), st.integers(0, 5), st.booleans(),
+       st.sampled_from(("none", "phi", "comultiplication")))
+def test_staircase_comultiplication_equations_match_the_map_defect(
+        seed, field, which, order, target, perturb):
+    # phi = g^-1 carries the transport of the trivial deformation by g
+    # to its order-0 terms; one entry of phi or of the comultiplication,
+    # at a random order, is moved by a nonzero scalar.  For the
+    # target equation the source side is made to hold: the identity
+    # series from a_0 to itself
+    rng = fresh_rng(seed)
+    comp = MorphismComplex(_staircase_morphisms(field)[which])
+    f = comp.morphism
+    gauge = _staircase_isomorphism(rng, comp, order)
+    d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
+    phi = invert_formal(gauge)
+    sides = [[phi.series_a(), d.series_a()], [phi.series_b(), d.series_b()]]
+    p, c = sides[target]
+    if perturb != "none":
+        s = p if perturb == "phi" else c
+        level = rng.randint(0, order)
+        s[level] = _perturbed(rng, field, s[level])
+    if target:
+        a0 = sides[0][1][0]
+        sides[0] = [FormalIsomorphism.identity(f, order).series_a(),
+                    [a0] + [Matrix.zeros(field, *a0.shape)] * order]
+    (phi_a, series_a), (phi_b, series_b) = sides
+    failure = intertwining_failure(phi_a, phi_b, series_a, series_b,
+                                   d.series_f())
+    label = ("source comultiplication", "target comultiplication")[target]
+    reported = failure[1] if failure and failure[0] == label else None
+    assert reported == first_map_defect(c, p)
+
+
 def test_trivialize_raises_when_the_packed_check_fails(monkeypatch):
     from coaldef import series
     f = identity_morphism(divided_power(2))
@@ -1031,7 +1074,7 @@ def test_defects_match_kronecker_reference(seed, field, which):
     d = _sparse_deformation(rng, comp, order)
     series = (d.series_a(), d.series_b(), d.series_f())
     orders = range(order + 1)
-    assert _defects(*series, orders) == reference_defects(*series, orders)
+    assert read_defects(*series, orders) == reference_defects(*series, orders)
 
 
 # The packed evaluation reads each order as one slot of 2^w-adic ints;
@@ -1092,13 +1135,13 @@ def test_defects_match_kronecker_reference_at_the_slot_bound(
     orders = [order + 1] if next_order else range(order + 1)
     padded = [s + [Matrix.zeros(field, s[0].rows, s[0].cols)]
               for s in series]
-    assert _defects(*series, orders) == reference_defects(*padded, orders)
+    assert read_defects(*series, orders) == reference_defects(*padded, orders)
 
 
 # The packed zero tests: verify_deformation decides each equation by one
 # mask per packed entry over QQ, and by the slots modulo p over GF(p),
 # and unpacks only a failing equation.  A full read of the defects, of
-# _defects and of the Kronecker reference, is the reference report.
+# read_defects and of the Kronecker reference, is the reference report.
 
 
 def full_read_report(defects):
@@ -1117,7 +1160,7 @@ def full_read_report(defects):
 def _assert_report_matches_full_reads(series):
     orders = range(len(series[0]))
     report = _report(*series)
-    assert report == full_read_report(_defects(*series, orders))
+    assert report == full_read_report(read_defects(*series, orders))
     assert report == full_read_report(reference_defects(*series, orders))
     return report
 

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from coaldef.coalgebra import divided_power, identity_morphism
+from coaldef.deformation import FormalIsomorphism
 from coaldef.exactlinalg import QQ, Matrix, PrimeField
 from coaldef.problemfile import (
     MAX_DIM,
     MAX_ENTRIES,
     MAX_ORDER,
+    ProblemFile,
     ProblemFileError,
     builtin_corpus,
     parse_field_spec,
@@ -223,10 +226,26 @@ def test_quadruples_accumulate():
 def test_serialize_requires_referenced_objects():
     pf = builtin_corpus()["fixtures"]
     orphan = pf.morphisms["id_grouplike1"]
-    from coaldef.problemfile import ProblemFile
     lone = ProblemFile(field=QQ, morphisms={"f": orphan})
     with pytest.raises(ProblemFileError):
         serialize_problem(lone)
+
+
+def test_equal_objects_keep_their_names_through_round_trips():
+    # two equal copies of dp2, "y" inserted first, and two equal
+    # identities, "z" inserted first; the isomorphism is over "a", whose
+    # coalgebra is "x".  Naming by value would write "y" and "z" here
+    # and, once parsing has sorted the tables, "x" and "a"
+    dp2 = divided_power(2)
+    pf = ProblemFile(field=QQ, coalgebras={"y": divided_power(2), "x": dp2})
+    pf.morphisms["z"] = identity_morphism(pf.coalgebras["y"])
+    pf.morphisms["a"] = identity_morphism(dp2)
+    pf.isomorphisms["p"] = FormalIsomorphism.identity(pf.morphisms["a"], 1)
+    text = serialize_problem(pf)
+    obj = json.loads(text)
+    assert obj["isomorphisms"]["p"]["morphism"] == "a"
+    assert obj["morphisms"]["a"]["source"] == "x"
+    assert serialize_problem(parse_problem_text(text)) == text
 
 
 def test_deformation_file_with_broken_morphism_still_parses():
