@@ -20,7 +20,8 @@ import click
 from . import problemfile as pfmod
 from .cohomology import HochschildComplex, d_c, morphism_complex
 from .coalgebra import check_coassociative, check_morphism, regular_bicomodule
-from .deformation import integrate, obstruction, trivialize, verify_deformation
+from .deformation import _verified_obstruction, integrate, trivialize, \
+    verify_deformation
 from .problemfile import ProblemFile, ProblemFileError
 
 # What a command may ask of the sparse path, checked before assembly.
@@ -309,11 +310,10 @@ def obstruct(ctx, file, name):
     _, d = _lookup(pf, name, ("deformations",))
     _require_budget(morphism_complex(d.morphism), 3, name)
     command = f"obstruct {file} {name}"
-    rep = verify_deformation(d)
+    rep, ob = _verified_obstruction(d)
     if not rep.ok:
         return Report(command, "fail",
                       {"name": name, "detail": rep.message}, [rep.message])
-    ob = obstruction(d)
     payload = {
         "name": name,
         "order": d.order,

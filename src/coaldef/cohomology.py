@@ -16,8 +16,16 @@ matrix form, cocycle/coboundary predicates with canonical cobounding
 solutions, and cohomology reports with quotient representatives.  The
 queries read one sparse elimination record per degree, computed exactly
 from the operator; no dense matrix of a differential is formed.
-:func:`morphism_complex` gives the one deformation complex of a
-morphism object, which every layer holding the morphism shares.
+
+What a complex derives from its structure constants alone is one
+record per complex, which holds no name.  :func:`morphism_complex`
+gives the one deformation complex of a morphism object, which every
+layer holding the morphism shares, and takes its record from a
+process-wide table keyed by value (:data:`_RECORDS_KEPT` records, least
+recently used dropped first): morphisms of equal value, such as one
+morphism loaded from two problem files, assemble and eliminate each
+differential and check the morphism once between them.  A complex
+built directly, ``MorphismComplex(f)``, has a fresh, unshared record.
 Cochains flatten to coordinate vectors row-major; morphism cochains
 concatenate their (a, b, ab) blocks in that order.
 """
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from . import _backend
@@ -226,6 +235,22 @@ def _nnz(m: Matrix):
     return len(ints) - ints.count(0)
 
 
+class _Record:
+    """What a complex derives from its structure constants alone, by
+    degree: the assembled operators, the dense differentials, the
+    eliminations and the quotients; and the morphism report of a
+    deformation complex (None until checked)."""
+
+    __slots__ = ("operators", "dmat", "eliminations", "quotients", "report")
+
+    def __init__(self):
+        self.operators = {}
+        self.dmat = {}
+        self.eliminations = {}
+        self.quotients = {}
+        self.report = None
+
+
 class _ComplexBase:
     """Shared machinery: the sparse differentials and cohomology.
 
@@ -239,14 +264,12 @@ class _ComplexBase:
     :meth:`class_coordinates` read one lazily built, cached record per
     degree (:class:`coaldef.sparse.Elimination`): the exact sparse
     elimination of the operator, which replaces the dense matrix D_n and
-    gives the same canonical bases and solutions.
+    gives the same canonical bases and solutions.  All of these live in
+    the complex's :class:`_Record`.
     """
 
     def __init__(self):
-        self._operators = {}
-        self._dmat_cache = {}
-        self._eliminations = {}
-        self._quotients = {}
+        self._record = _Record()
 
     # subclasses: field, cochain_dim(n), zero(n),
     # from_integer_ratio(n, ints, den),
@@ -267,15 +290,16 @@ class _ComplexBase:
         the structure constants involved, so the entries accumulate as
         exact ints; over GF(p) it is 1 and the ints lie in [1, p).
         """
-        if n not in self._operators:
+        operators = self._record.operators
+        if n not in operators:
             den = self._denominator(n)
             acc = defaultdict(int)
             self._scatter(n, acc, 0, 0, 1, den)
             if self.field.kind == "prime":
                 p = self.field.p
                 acc = {key: x % p for key, x in acc.items()}
-            self._operators[n] = ({key: x for key, x in acc.items() if x}, den)
-        return self._operators[n]
+            operators[n] = ({key: x for key, x in acc.items() if x}, den)
+        return operators[n]
 
     def from_flat(self, n, entries):
         """The degree-n cochain with the coordinate list ``entries`` of
@@ -306,31 +330,34 @@ class _ComplexBase:
         This dense form is public API and the test reference; the
         queries of the complex read the sparse elimination instead.
         """
-        if n not in self._dmat_cache:
+        dmat = self._record.dmat
+        if n not in dmat:
             entries, den = self.operator(n)
-            self._dmat_cache[n] = Matrix.from_sparse(
+            dmat[n] = Matrix.from_sparse(
                 self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
                 entries, den)
-        return self._dmat_cache[n]
+        return dmat[n]
 
     def _elimination(self, n):
         """The cached sparse elimination record of D_n."""
-        if n not in self._eliminations:
+        eliminations = self._record.eliminations
+        if n not in eliminations:
             # imported on first use: a process that never eliminates
             # does not load it
             from .sparse import Elimination
-            self._eliminations[n] = Elimination(
+            eliminations[n] = Elimination(
                 self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
                 *self.operator(n))
-        return self._eliminations[n]
+        return eliminations[n]
 
     def _quotient(self, n):
         """The cached cocycles-modulo-coboundaries echelon of degree n."""
-        if n not in self._quotients:
+        quotients = self._record.quotients
+        if n not in quotients:
             from .sparse import Quotient
-            self._quotients[n] = Quotient(self._elimination(n - 1).image,
-                                          self._elimination(n).kernel)
-        return self._quotients[n]
+            quotients[n] = Quotient(self._elimination(n - 1).image,
+                                    self._elimination(n).kernel)
+        return quotients[n]
 
     def _coordinates(self, w):
         """(ints, den): the coordinate vector of w is ints / den."""
@@ -491,9 +518,10 @@ class MorphismComplex(_ComplexBase):
     report what is broken.  The queries -- ``is_cocycle``,
     ``is_coboundary``, ``cohomology`` and ``class_coordinates`` -- call
     :meth:`require_valid`, which reads the one :meth:`morphism_report`
-    of the complex.  Direct construction gives a fresh complex;
-    :func:`morphism_complex` gives the one complex shared by every
-    holder of f.
+    of the complex's record.  Direct construction gives a fresh complex
+    with a fresh record; :func:`morphism_complex` gives the one complex
+    shared by every holder of f, with the record shared by every
+    morphism of equal value.
     """
 
     def __init__(self, f: CoalgebraMorphism):
@@ -502,13 +530,13 @@ class MorphismComplex(_ComplexBase):
         self.on_source = HochschildComplex(regular_bicomodule(f.source))
         self.on_target = HochschildComplex(regular_bicomodule(f.target))
         self.mixed = HochschildComplex(_pushed_forward(f))
-        self._report = None
 
     def morphism_report(self) -> StructureReport:
-        """The :func:`check_morphism` report of f, checked once per complex."""
-        if self._report is None:
-            self._report = check_morphism(self.morphism)
-        return self._report
+        """The :func:`check_morphism` report of f, checked once per record."""
+        record = self._record
+        if record.report is None:
+            record.report = check_morphism(self.morphism)
+        return record.report
 
     def require_valid(self):
         """Raise InvalidStructureError("not a coalgebra morphism (...)")
@@ -626,17 +654,45 @@ def hochschild_complex(bicomodule: Bicomodule) -> HochschildComplex:
     return HochschildComplex(bicomodule)
 
 
+# A command reads one structure, and a batch of commands mostly reads
+# the structure of the one before, so a few records keep the hits while
+# bounding what a long-lived process holds.
+_RECORDS_KEPT = 4
+
+
+def _structure_key(f: CoalgebraMorphism):
+    """The value of f and its two comultiplications: field, shape and
+    ``as_integer_ratio()`` of each matrix, and no name."""
+    key = []
+    for m in (f.source.delta, f.target.delta, f.matrix):
+        ints, den = m.as_integer_ratio()
+        key.append((m.field, m.rows, m.cols, tuple(ints), den))
+    return tuple(key)
+
+
+@lru_cache(maxsize=_RECORDS_KEPT)
+def _shared_record(key) -> _Record:
+    """The record of every morphism whose :func:`_structure_key` is
+    ``key``: the process-wide table, which keeps the
+    :data:`_RECORDS_KEPT` most recently used records."""
+    return _Record()
+
+
 def morphism_complex(f: CoalgebraMorphism) -> MorphismComplex:
     """The one deformation complex of the morphism object f.
 
     Built on first use and kept on f, so every layer that holds f --
     its cochains, deformations and formal isomorphisms, problem files
-    and the command line -- shares its assembled differentials, its
-    eliminations and its one morphism check.  Building does not check
-    f; the queries do (see :class:`MorphismComplex`).
+    and the command line -- shares it.  Its record (assembled
+    differentials, eliminations and the one morphism check) is shared
+    by value: every morphism equal to f, over coalgebras of any names,
+    reads the same one while the table keeps it.  Building does not
+    check f; the queries do (see :class:`MorphismComplex`).
     """
     if f._complex is None:
-        f._complex = MorphismComplex(f)
+        comp = MorphismComplex(f)
+        comp._record = _shared_record(_structure_key(f))
+        f._complex = comp
     return f._complex
 
 

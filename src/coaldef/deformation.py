@@ -427,12 +427,17 @@ def verify_deformation(d: TruncatedDeformation) -> DeformationReport:
 def _report(series_a, series_b, series_f) -> DeformationReport:
     """The :func:`verify_deformation` report of three series of one
     length."""
-    k, field = len(series_a), series_a[0].field
+    k = len(series_a)
     _, _, packed = _packed_defects(series_a, series_b, series_f, k)
+    return _first_failure(packed, k, series_a[0], series_b[0])
+
+
+def _first_failure(packed, k, a_0, b_0) -> DeformationReport:
+    """The report of the slots 0..k-1 of the :func:`_packed_defects`
+    ints ``packed``; a_0 and b_0 give the field and the dimensions."""
     for (label, statement), (w, ints), cols in zip(
-            _EQUATIONS, packed,
-            (series_a[0].cols, series_b[0].cols, series_a[0].cols)):
-        failure = series.first_nonzero_slot(ints, w, k, field)
+            _EQUATIONS, packed, (a_0.cols, b_0.cols, a_0.cols)):
+        failure = series.first_nonzero_slot(ints, w, k, a_0.field)
         if failure is not None:
             n, pos = failure[0], divmod(failure[1], cols)
             return DeformationReport(
@@ -490,9 +495,14 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     zero order-(N+1) coefficient.  Raises InternalInvariantError if it
     fails to be a 3-cocycle, which the theory rules out for valid input.
     """
+    return _obstruction_element(d, *_defects_at(
+        d.series_a(), d.series_b(), d.series_f(), d.order + 1))
+
+
+def _obstruction_element(d, ob_a, ob_b, ob_f) -> MorphismCochain:
+    """The obstruction cochain of d with the given parts, checked to be
+    a 3-cocycle."""
     comp = morphism_complex(d.morphism)
-    ob_a, ob_b, ob_f = _defects_at(d.series_a(), d.series_b(),
-                                   d.series_f(), d.order + 1)
     ob = comp.element(ob_a, ob_b, ob_f, 3)
     if not comp.is_cocycle(ob):
         raise InternalInvariantError(
@@ -506,6 +516,38 @@ def obstruction(d: TruncatedDeformation) -> ObstructionClass:
     ob = _obstruction_cochain(d)
     coords = morphism_complex(d.morphism).class_coordinates(ob)
     return ObstructionClass(ob, tuple(coords), d.order + 1)
+
+
+def _verified_obstruction(d: TruncatedDeformation):
+    """(the :func:`verify_deformation` report of d, its
+    :func:`obstruction` or None when the report fails), both read from
+    one :func:`_packed_defects` product through order N + 1.
+
+    Slots 0..N decide the report as :func:`_report` does: the (N+1)
+    w-bit mask of :func:`series.first_nonzero_slot` stays exact, since
+    slot N + 1 and the slots above it add only multiples of
+    2^((N+1) w).  Slot N + 1, over L^2 D^(N+1) for the two
+    coassociativity defects and over L^3 D^(N+1) for the morphism
+    defect, is the obstruction cochain: the order-(N+1) defect with a
+    zero order-(N+1) coefficient, which the packing bounds like every
+    lower slot.
+    """
+    n = d.order
+    series_a, series_b, series_f = d.series_a(), d.series_b(), d.series_f()
+    unit, step, packed = _packed_defects(series_a, series_b, series_f, n + 2)
+    report = _first_failure(packed, n + 1, series_a[0], series_b[0])
+    if not report.ok:
+        return report, None
+    s, t = d.morphism.source.dim, d.morphism.target.dim
+    unpack = _backend.kernel().unpack
+    parts = [Matrix.from_integer_ratio(d.morphism.field, rows, cols,
+                                       unpack(ints, w, [n + 1])[0],
+                                       unit ** power * step ** (n + 1))
+             for (w, ints), (rows, cols, power) in zip(
+                 packed, ((s ** 3, s, 2), (t ** 3, t, 2), (t * t, s, 3)))]
+    ob = _obstruction_element(d, *parts)
+    coords = morphism_complex(d.morphism).class_coordinates(ob)
+    return report, ObstructionClass(ob, tuple(coords), n + 1)
 
 
 def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
@@ -659,11 +701,14 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     (:func:`series.intertwining_failure`) replaces a check per step.
 
     A returned isomorphism always trivializes d, but a reported block
-    is the staircase's, not always d's: over GF(2) it can block on a
-    deformation that is trivial (the gauge transport of the trivial
-    one), since each step takes the canonical chi, which can differ from
-    a trivializing one by a 1-cocycle whose square does not cobound in
-    characteristic 2.
+    is the staircase's, not always d's: in characteristic p (seen for
+    p = 2, 3 and 5) it can block on a deformation that is trivial (the
+    gauge transport of the trivial one), at an order that is a multiple
+    of p.  Each
+    step takes the canonical chi, which can differ from a trivializing
+    one by a 1-cocycle that does not exponentiate in characteristic p,
+    such as the dual of d/dx on k[x]/(x^p) for id(dp_p), whose gauge
+    I + chi t is reported blocked at order p.
     """
     comp = morphism_complex(d.morphism)
     comp.require_valid()

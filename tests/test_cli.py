@@ -308,6 +308,69 @@ class TestIntegrate:
         assert r.exit_code == 2
 
 
+def dp2_problem(coalgebra):
+    """The identity of dp2 with the cocycle bump, and f = 2 id (not a
+    morphism) with a deformation, over a coalgebra named ``coalgebra``."""
+    def over(matrix):
+        return {"source": coalgebra, "target": coalgebra, "matrix": matrix}
+
+    return {"coalgebras": {coalgebra: DOUBLED_DP2["coalgebras"]["dp2"]},
+            "morphisms": {"id": over([["1", "0"], ["0", "1"]]),
+                          "double": over([["2", "0"], ["0", "2"]])},
+            "cocycles": DP2_BUMP["cocycles"],
+            "deformations": DOUBLED_DP2["deformations"]}
+
+
+DP2_COMMANDS = [("cohomology", "p.json", "morphism", "id", 2),
+                ("cohomology", "p.json", "morphism", "double", 2),
+                ("integrate", "p.json", "w", 3, "-o", "out.json"),
+                ("check", "out.json", "w"),
+                ("obstruct", "out.json", "w"),
+                ("trivialize", "out.json", "w", "-o", "iso.json"),
+                ("check", "p.json", "d"),
+                ("obstruct", "p.json", "d")]
+
+
+class TestSharedRecords:
+    """Commands in one process share the records of equal structures."""
+
+    def run_in(self, directory, coalgebra, monkeypatch):
+        """The json lines of DP2_COMMANDS over ``dp2_problem(coalgebra)``,
+        run in ``directory``."""
+        directory.mkdir()
+        (directory / "p.json").write_text(json.dumps(dp2_problem(coalgebra)))
+        monkeypatch.chdir(directory)
+        return [json_lines(run(*argv).output) for argv in DP2_COMMANDS]
+
+    def test_equal_structure_from_another_file_is_not_rebuilt(
+            self, tmp_path, monkeypatch):
+        from coaldef.sparse import Elimination
+        self.run_in(tmp_path / "first", "dp2", monkeypatch)
+        scattered, eliminated = [], []
+        scatter, eliminate = MorphismComplex._scatter, Elimination.__init__
+
+        def counting_scatter(self, n, *args):
+            scattered.append(n)
+            scatter(self, n, *args)
+
+        def counting_elimination(self, *args):
+            eliminated.append(args[1:3])
+            eliminate(self, *args)
+
+        monkeypatch.setattr(MorphismComplex, "_scatter", counting_scatter)
+        monkeypatch.setattr(Elimination, "__init__", counting_elimination)
+        self.run_in(tmp_path / "second", "renamed", monkeypatch)
+        assert scattered == [] and eliminated == []
+
+    def test_names_do_not_reach_the_output(self, tmp_path, monkeypatch):
+        # the second run reads the records of the first, whose
+        # coalgebra had another name
+        first = self.run_in(tmp_path / "first", "dp2", monkeypatch)
+        second = self.run_in(tmp_path / "second", "renamed", monkeypatch)
+        assert all(len(lines) == 1 for lines in first)
+        assert second == first
+
+
 class TestTrivialize:
     def test_success_writes_isomorphism(self, corpus_dir, tmp_path):
         # a deformation over the scalar morphism always trivializes
@@ -589,6 +652,34 @@ def test_golden_corpus_output(corpus_dir, tmp_path, monkeypatch, field_spec):
                             out.read_text() if out.exists() else None))
                       .encode())
     assert digest.hexdigest() == GOLDEN_DIGESTS[field_spec]
+
+
+@pytest.mark.parametrize("field_spec", sorted(GOLDEN_DIGESTS))
+def test_golden_corpus_output_in_reverse_order(corpus_dir, tmp_path,
+                                               monkeypatch, field_spec):
+    # complex records are shared by value across the commands of one
+    # process; no command's output may depend on which ran before it
+    for path in corpus_dir.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+
+    def replay(commands):
+        outcomes = []
+        for argv in commands:
+            if out.exists():
+                out.unlink()
+            r = CliRunner().invoke(main, ["--field", field_spec] + argv)
+            assert r.exception is None or isinstance(r.exception,
+                                                     SystemExit), \
+                (argv, r.exception)
+            outcomes.append((argv, r.exit_code, stable_lines(r.output),
+                             out.read_text() if out.exists() else None))
+        return outcomes
+
+    commands = golden_commands(tmp_path)
+    forward = replay(commands)
+    assert replay(commands[::-1])[::-1] == forward
 
 
 def test_valid_deformations_are_verified_without_unpacking(tmp_path,

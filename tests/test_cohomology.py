@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coaldef.coalgebra import (
+    Coalgebra,
+    CoalgebraMorphism,
     InvalidStructureError,
     change_basis,
     divided_power,
@@ -12,10 +14,12 @@ from coaldef.coalgebra import (
     zero_comultiplication,
 )
 from coaldef.cohomology import (
+    _RECORDS_KEPT,
     Cochain,
     HochschildComplex,
     MorphismComplex,
     _ComplexBase,
+    _shared_record,
     d_c,
     delta_c,
     morphism_complex,
@@ -315,6 +319,67 @@ class TestOneComplexPerMorphism:
         w = comp.zero(2)
         assert d_c(w) == comp.zero(3)
         assert morphism_complex(w.morphism) is comp
+
+    def test_equal_values_share_one_record(self):
+        # a morphism equal in value, over coalgebras of other names, reads
+        # the record the first one filled
+        f = identity_morphism(divided_power(2))
+        comp = morphism_complex(f)
+        comp.cohomology(2)
+        g = identity_morphism(Coalgebra("other", 2, divided_power(2).delta))
+        other = morphism_complex(g)
+        assert other is not comp and other.morphism is g
+        assert other._record is comp._record
+        assert other.morphism_report() is comp.morphism_report()
+        def reps(c):
+            return [c.flatten(r) for r in c.cohomology(2).representatives]
+
+        assert reps(other) == reps(comp)
+        assert _shared_record.cache_info().currsize == 1
+
+    def test_different_values_get_separate_records(self):
+        dp2 = divided_power(2)
+        moved = change_basis(dp2, Matrix.from_rows(QQ, [[1, 1], [0, 1]]),
+                             name=dp2.name)
+        records = [morphism_complex(f)._record for f in (
+            identity_morphism(dp2),
+            identity_morphism(divided_power(2, PrimeField(5))),
+            identity_morphism(divided_power(2, PrimeField(7))),
+            identity_morphism(moved),
+            CoalgebraMorphism(dp2, dp2, Matrix.from_rows(QQ, [[2, 0],
+                                                              [0, 2]])))]
+        assert len({id(r) for r in records}) == len(records)
+        assert _shared_record.cache_info().currsize == \
+            min(len(records), _RECORDS_KEPT)
+
+    def test_least_recently_used_record_is_evicted_at_the_bound(self):
+        def complex_of(k):
+            # k grouplikes: one structure per k
+            return morphism_complex(identity_morphism(grouplike(k)))
+
+        records = [complex_of(k)._record for k in range(1, _RECORDS_KEPT + 1)]
+        assert _shared_record.cache_info().currsize == _RECORDS_KEPT
+        # reading the first record makes the second the least recent
+        assert complex_of(1)._record is records[0]
+        complex_of(_RECORDS_KEPT + 1)
+        assert _shared_record.cache_info().currsize == _RECORDS_KEPT
+        assert complex_of(1)._record is records[0]
+        fresh = complex_of(2)._record
+        assert fresh is not records[1] and fresh.report is None
+        # which in turn evicted the least recent, grouplike(3)
+        assert all(complex_of(k)._record is records[k - 1]
+                   for k in range(4, _RECORDS_KEPT + 1))
+        assert complex_of(3)._record is not records[2]
+
+    def test_direct_construction_stays_unshared(self):
+        f = identity_morphism(divided_power(2))
+        direct = MorphismComplex(f)
+        direct.cohomology(2)
+        assert _shared_record.cache_info().currsize == 0
+        shared = morphism_complex(identity_morphism(divided_power(2)))
+        assert shared._record is not direct._record
+        assert not shared._record.eliminations
+        assert MorphismComplex(f)._record is not direct._record
 
     def test_non_morphism_builds_and_differentiates(self):
         f = doubled_dp2()

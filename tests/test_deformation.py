@@ -512,6 +512,24 @@ class TestTrivialize:
         d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, 2))
         assert trivialize(d).ok
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "in characteristic p the greedy staircase can block, at a "
+        "multiple of p, on a gauge-trivial deformation"))
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_gauge_trivial_deformation_over_gfp_trivializes(self, p):
+        # chi(e_(k-1)) = k e_k, the dual of d/dx on k[x]/(x^p), is a
+        # 1-cocycle of id(dp_p) in characteristic p only; the transport
+        # of the trivial deformation of order 2p by I + chi t is trivial
+        # by construction, yet trivialize reports it blocked at order p
+        field = PrimeField(p)
+        f = identity_morphism(divided_power(p, field))
+        chi = Matrix.from_sparse(field, p, p,
+                                 {(k, k - 1): k for k in range(1, p)})
+        gauge = FormalIsomorphism.from_higher_coefficients(
+            f, [morphism_complex(f).element(chi, chi, None, 1)], 2 * p)
+        d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, 2 * p))
+        assert trivialize(d).ok
+
     def test_blocked_reports_class(self, dp_setup):
         f, comp, w = dp_setup
         d = TruncatedDeformation.from_higher_coefficients(f, [w], 2)

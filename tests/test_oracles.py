@@ -78,11 +78,13 @@ from coaldef.deformation import (
     _cauchy_kron,
     _report,
     _structure_coefficient,
+    _verified_obstruction,
     apply_equivalence,
     comp_bar,
     compose_isomorphisms,
     integrate,
     invert_formal,
+    obstruction,
     trivialize,
     verify_deformation,
 )
@@ -1242,6 +1244,56 @@ def test_zero_tests_match_a_full_read_on_perturbed_deformations(
         side[n] = _perturbed(rng, field, side[n])
     assert intertwining_failure(phi_a, phi_b, *series) == \
         reference_intertwining_failure(phi_a, phi_b, *series)
+
+
+# `coaldef obstruct` reads the verification report and the order-(N+1)
+# obstruction off one packed product through order N + 1; the reference
+# is verify_deformation, and obstruction() with its per-order pair sums.
+
+
+def _obstruct_morphisms(field):
+    """The staircase morphisms, id(zero_comultiplication(1)), where H^3
+    has dimension 3, and the identity of the non-cocommutative
+    coalgebra."""
+    return _staircase_morphisms(field) + [
+        identity_morphism(zero_comultiplication(1, field)),
+        identity_morphism(triangular(field))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 5), st.integers(1, 4), st.booleans(), st.booleans())
+def test_obstruct_reads_report_and_obstruction_from_one_product(
+        seed, field, which, order, transport, perturb):
+    # a 2-cocycle, with a nonzero class where H^2 has one, integrated
+    # as far as it goes: a valid deformation whose obstruction class is
+    # nonzero when the integration stopped early; transported by a
+    # random formal isomorphism (denominators from LARGE_PRIMES over QQ)
+    # or not, and with one entry of one coefficient moved or not
+    rng = fresh_rng(seed)
+    comp = MorphismComplex(_obstruct_morphisms(field)[which])
+    f = comp.morphism
+    if comp.cohomology(2).h_dim:
+        w = _nonzero_class(rng, comp)
+    else:
+        w = comp.differential(comp.element(
+            _staircase_matrix(rng, field, f.source.dim, f.source.dim),
+            _staircase_matrix(rng, field, f.target.dim, f.target.dim),
+            None, 1))
+    d = integrate(w, order).deformation
+    if transport:
+        d = apply_equivalence(_staircase_isomorphism(rng, comp, d.order), d)
+    if perturb:
+        coeffs = list(d.coeffs)
+        n = rng.randint(1, d.order)
+        parts = [p.matrix for p in coeffs[n].parts()]
+        k = rng.randrange(3)
+        parts[k] = _perturbed(rng, field, parts[k])
+        coeffs[n] = comp.element(*parts, 2)
+        d = TruncatedDeformation(f, coeffs)
+    report, ob = _verified_obstruction(d)
+    assert report == verify_deformation(d)
+    assert ob == (obstruction(d) if report.ok else None)
 
 
 @settings(max_examples=40, deadline=None)
