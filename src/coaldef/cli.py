@@ -164,8 +164,7 @@ def _require_budget(comp, n, name):
     command that eliminates it: its size, and over QQ its height."""
     terms = _require_size(comp, n, name)
     if comp.field.kind == "rational":
-        entries, _ = comp.operator(n)
-        bits = max((abs(x).bit_length() for x in entries.values()), default=0)
+        bits = comp.operator_bits(n)
         if terms * bits > MAX_DIFFERENTIAL_BITS:
             raise click.UsageError(
                 f"{name}: the degree-{n} differential has {terms} terms "

@@ -237,14 +237,17 @@ def _nnz(m: Matrix):
 
 class _Record:
     """What a complex derives from its structure constants alone, by
-    degree: the assembled operators, the dense differentials, the
-    eliminations and the quotients; and the morphism report of a
-    deformation complex (None until checked)."""
+    degree: the assembled operators, the bit lengths of their largest
+    ints, the dense differentials, the eliminations and the quotients;
+    and the morphism report of a deformation complex (None until
+    checked)."""
 
-    __slots__ = ("operators", "dmat", "eliminations", "quotients", "report")
+    __slots__ = ("operators", "heights", "dmat", "eliminations",
+                 "quotients", "report")
 
     def __init__(self):
         self.operators = {}
+        self.heights = {}
         self.dmat = {}
         self.eliminations = {}
         self.quotients = {}
@@ -300,6 +303,16 @@ class _ComplexBase:
                 acc = {key: x % p for key, x in acc.items()}
             operators[n] = ({key: x for key, x in acc.items() if x}, den)
         return operators[n]
+
+    def operator_bits(self, n):
+        """The bit length of the largest int of :meth:`operator` (n),
+        scanned once per record."""
+        heights = self._record.heights
+        if n not in heights:
+            entries, _ = self.operator(n)
+            heights[n] = max(map(int.bit_length, entries.values()),
+                             default=0)
+        return heights[n]
 
     def from_flat(self, n, entries):
         """The degree-n cochain with the coordinate list ``entries`` of

@@ -57,7 +57,7 @@ class TruncatedDeformation:
     of the undeformed morphism.
     """
 
-    __slots__ = ("morphism", "order", "coeffs")
+    __slots__ = ("morphism", "order", "coeffs", "_verification")
 
     def __init__(self, morphism: CoalgebraMorphism, coeffs):
         coeffs = tuple(coeffs)
@@ -78,6 +78,8 @@ class TruncatedDeformation:
         self.morphism = morphism
         self.order = len(coeffs) - 1
         self.coeffs = coeffs
+        # the report of verify_deformation, once it has run
+        self._verification = None
 
     @classmethod
     def from_higher_coefficients(cls, morphism, higher, order=None):
@@ -420,8 +422,12 @@ def verify_deformation(d: TruncatedDeformation) -> DeformationReport:
     The defects are the packed ints of :func:`_packed_defects`, and each
     equation is decided by :func:`series.first_nonzero_slot`: over QQ
     one mask per packed entry, so a valid deformation is never unpacked.
+    A deformation does not change, so its report is computed once and
+    kept on it.
     """
-    return _report(d.series_a(), d.series_b(), d.series_f())
+    if d._verification is None:
+        d._verification = _report(d.series_a(), d.series_b(), d.series_f())
+    return d._verification
 
 
 def _report(series_a, series_b, series_f) -> DeformationReport:

@@ -28,6 +28,21 @@ them: the order-0 coefficient is always the structure maps of the
 morphism and is never stored.  A key repeated within one JSON object is
 an error.  Serialization is canonical (sorted keys, zero coefficients
 omitted), so parse/serialize round-trips are identities.
+
+:func:`load_problem` reads the file on every call but parses each text
+once: a process-wide table keyed by the full text and the field
+override keeps the :data:`_PARSES_KEPT` most recently used parses, so a
+file rewritten with other bytes is parsed again and a parse error
+repeats.  Each load gets a fresh :class:`ProblemFile` with fresh
+tables, so adding or removing names never reaches a later load; the
+coalgebras, morphisms, cochains, deformations and isomorphisms in them
+are shared between loads of equal texts.  Nothing mutates them but
+their own caches: a morphism's complex (``f._complex``) and a
+deformation's verification report.  So commands on one file hold one
+morphism and reach its complex directly.  A kept parse also keeps its
+morphisms' complexes, and the records in them, alive after the
+structure table of :mod:`coaldef.cohomology` (``_RECORDS_KEPT``) has
+dropped them: what a process holds is bounded by both constants.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ import json
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 
@@ -486,13 +502,34 @@ def parse_problem_text(text, field_override=None) -> ProblemFile:
     return parse_problem(obj, field_override)
 
 
+# A batch of commands reads a few files, most of them more than once (a
+# command reads the file the one before wrote), so a few parses keep the
+# hits while bounding what a long-lived process holds.
+_PARSES_KEPT = 4
+
+
+@lru_cache(maxsize=_PARSES_KEPT)
+def _parsed(text, field_override) -> ProblemFile:
+    """The parse of ``text`` under ``field_override``: the process-wide
+    table, which keeps the :data:`_PARSES_KEPT` most recently used
+    parses.  A parse that raises is not kept, so it raises again."""
+    return parse_problem_text(text, field_override)
+
+
 def load_problem(path, field_override=None) -> ProblemFile:
+    """The problem file at ``path``, read on every call and parsed once
+    per text (:func:`_parsed`).  The file and its five tables are the
+    caller's own; the objects in the tables are shared with every load
+    of an equal text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
-    return parse_problem_text(text, field_override)
+    pf = _parsed(text, field_override)
+    return ProblemFile(pf.field, dict(pf.coalgebras), dict(pf.morphisms),
+                       dict(pf.cocycles), dict(pf.deformations),
+                       dict(pf.isomorphisms))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from coaldef.cli import (MAX_COCHAIN_DIM, MAX_DEGREE, MAX_DIFFERENTIAL_BITS,
 from coaldef.coalgebra import change_basis, divided_power, identity_morphism
 from coaldef.cohomology import MorphismComplex, _ComplexBase
 from coaldef.problemfile import (MAX_DIM, MAX_ORDER, ProblemFile,
-                                 write_problem)
+                                 _parsed, write_problem)
 
 from helpers import (ALIASED_ISOMORPHISM, DEEP_NESTING,
                      DISTINCT_DENOMINATORS, EXPONENT_SCALAR, HUGE_INTEGER,
@@ -361,6 +361,49 @@ class TestSharedRecords:
         monkeypatch.setattr(Elimination, "__init__", counting_elimination)
         self.run_in(tmp_path / "second", "renamed", monkeypatch)
         assert scattered == [] and eliminated == []
+
+    def test_equal_structure_from_another_file_is_not_scanned(
+            self, tmp_path, monkeypatch):
+        # the height that the budget bounds is kept in the shared record
+        # with the operator it was read from
+        for name, coalgebra in (("first", "dp2"), ("second", "renamed")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "p.json").write_text(
+                json.dumps(dp2_problem(coalgebra)))
+        argv = ("cohomology", "p.json", "morphism", "id", 2)
+        monkeypatch.chdir(tmp_path / "first")
+        first = run(*argv)
+        assert first.exit_code == 0, first.output
+        read = []
+        operator = _ComplexBase.operator
+        monkeypatch.setattr(_ComplexBase, "operator", lambda self, n: (
+            read.append(n) or operator(self, n)))
+        monkeypatch.chdir(tmp_path / "second")
+        second = run(*argv)
+        assert json_lines(second.output) == json_lines(first.output)
+        assert read == []
+
+    def test_kept_parses_change_no_output(self, tmp_path, monkeypatch):
+        # a batch whose commands share parsed files writes what a batch
+        # that parses every file afresh writes
+        def outcomes(directory, fresh):
+            directory.mkdir()
+            (directory / "p.json").write_text(
+                json.dumps(dp2_problem("dp2")))
+            monkeypatch.chdir(directory)
+            lines = []
+            for argv in DP2_COMMANDS:
+                if fresh:
+                    _parsed.cache_clear()
+                lines.append(json_lines(run(*argv).output))
+            return lines, {p.name: p.read_bytes()
+                           for p in sorted(directory.iterdir())}
+
+        kept = outcomes(tmp_path / "kept", False)
+        assert _parsed.cache_info().hits > 0
+        fresh = outcomes(tmp_path / "fresh", True)
+        assert fresh == kept
+        assert set(kept[1]) == {"p.json", "out.json"}
 
     def test_names_do_not_reach_the_output(self, tmp_path, monkeypatch):
         # the second run reads the records of the first, whose

@@ -91,6 +91,33 @@ class TestVerify:
         assert rep.equation == "coassociativity[source]"
         assert rep.order == 1
 
+    def test_each_deformation_is_verified_once(self, dp_setup, monkeypatch):
+        # a deformation does not change, so a second verification reads
+        # the report of the first: one packed product, one unpacking
+        from coaldef import _kernels_py
+        import coaldef.deformation as deformation
+        f, comp, w = dp_setup
+        half = comp.element(w.a_part.matrix, Matrix.zeros(QQ, 4, 2),
+                            Matrix.zeros(QQ, 2, 2), 2)
+        valid = TruncatedDeformation.from_higher_coefficients(f, [w], 2)
+        invalid = TruncatedDeformation.from_higher_coefficients(f, [half], 1)
+        packed, unpacked = [], []
+        pack, unpack = deformation._packed_defects, _kernels_py.unpack
+        monkeypatch.setattr(deformation, "_packed_defects",
+                            lambda *args: packed.append(1) or pack(*args))
+        monkeypatch.setattr(_kernels_py, "unpack",
+                            lambda *args: unpacked.append(1) or unpack(*args))
+        for d, ok in ((valid, True), (invalid, False)):
+            first = verify_deformation(d)
+            assert first.ok is ok
+            assert verify_deformation(d) == first
+        assert len(packed) == 2
+        assert len(unpacked) == 1
+        # an equal deformation built anew is verified anew
+        again = TruncatedDeformation.from_higher_coefficients(f, [half], 1)
+        assert verify_deformation(again) == verify_deformation(invalid)
+        assert len(packed) == 3
+
     def test_kernel_products_do_not_grow_with_the_order(self, monkeypatch):
         # the equations are evaluated on packed series, so an order-12
         # deformation costs as many integer products as an order-2 one

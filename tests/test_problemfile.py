@@ -12,7 +12,10 @@ from coaldef.problemfile import (
     MAX_ORDER,
     ProblemFile,
     ProblemFileError,
+    _PARSES_KEPT,
+    _parsed,
     builtin_corpus,
+    load_problem,
     parse_field_spec,
     parse_problem_text,
     serialize_problem,
@@ -356,3 +359,114 @@ def test_repeated_quadruples_add_exactly(field):
     delta = parse_problem_text(json.dumps(obj)).coalgebras["c"].delta
     # equal as stored: normalized pairs, the cancelled entry as 0/1
     assert delta == Matrix.from_rows(field, [[3, 0], [0, 0], [0, 0], [0, 0]])
+
+
+class TestParseTable:
+    """load_problem reads every time and parses each text once."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The texts parsed by the table from now on."""
+        import coaldef.problemfile as pfmod
+        texts, parse = [], pfmod.parse_problem_text
+
+        def counting_parse(text, field_override=None):
+            texts.append(text)
+            return parse(text, field_override)
+
+        monkeypatch.setattr(pfmod, "parse_problem_text", counting_parse)
+        return texts
+
+    def test_equal_bytes_at_two_paths_parse_once(self, tmp_path, parses):
+        text = json.dumps(MINIMAL)
+        (tmp_path / "a.json").write_text(text)
+        (tmp_path / "b.json").write_text(text)
+        first = load_problem(tmp_path / "a.json")
+        second = load_problem(tmp_path / "b.json")
+        assert parses == [text]
+        assert second is not first
+        for section in ("coalgebras", "morphisms", "cocycles",
+                        "deformations", "isomorphisms"):
+            table, other = getattr(first, section), getattr(second, section)
+            assert other is not table and other.keys() == table.keys()
+            assert all(other[name] is table[name] for name in table)
+        assert second.field is first.field
+
+    def test_field_override_gets_its_own_parse(self, tmp_path, parses):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(MINIMAL))
+        rational = load_problem(path)
+        mod5 = load_problem(path, PrimeField(5))
+        assert len(parses) == 2
+        assert rational.field == QQ and mod5.field == PrimeField(5)
+        assert mod5.morphisms["f"] is not rational.morphisms["f"]
+        # an equal field, built anew, finds the kept parse
+        again = load_problem(path, PrimeField(5))
+        assert len(parses) == 2
+        assert again.morphisms["f"] is mod5.morphisms["f"]
+
+    def test_rewritten_file_parses_again(self, tmp_path, parses):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(MINIMAL))
+        before = load_problem(path)
+        changed = json.loads(json.dumps(MINIMAL))
+        changed["deformations"]["d"]["order"] = 3
+        path.write_text(json.dumps(changed))
+        after = load_problem(path)
+        assert len(parses) == 2
+        assert before.deformations["d"].order == 2
+        assert after.deformations["d"].order == 3
+
+    def test_changed_tables_do_not_reach_the_next_load(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(MINIMAL))
+        pf = load_problem(path)
+        kept = dict(pf.cocycles)
+        del pf.morphisms["f"]
+        pf.cocycles["extra"] = pf.cocycles.pop("w")
+        pf.field = PrimeField(7)
+        again = load_problem(path)
+        assert again.field == QQ and set(again.morphisms) == {"f"}
+        assert again.cocycles == kept
+
+    def test_parse_error_repeats(self, tmp_path, parses):
+        path = tmp_path / "bad.json"
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["morphisms"]["f"]["source"] = "missing"
+        path.write_text(json.dumps(bad))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ProblemFileError) as err:
+                load_problem(path)
+            messages.append(str(err.value))
+        assert len(parses) == 2
+        assert messages[0] == messages[1]
+        assert "unknown name 'missing'" in messages[0]
+        assert _parsed.cache_info().currsize == 0
+
+    def test_read_error_is_a_problem_file_error(self, tmp_path):
+        with pytest.raises(ProblemFileError, match="cannot read"):
+            load_problem(tmp_path / "absent.json")
+
+    def test_least_recently_used_parse_is_evicted_at_the_bound(
+            self, tmp_path, parses):
+        paths = []
+        for k in range(_PARSES_KEPT + 1):
+            text = json.loads(json.dumps(MINIMAL))
+            text["deformations"]["d"]["order"] = k
+            paths.append(tmp_path / f"p{k}.json")
+            paths[-1].write_text(json.dumps(text))
+        firsts = [load_problem(p) for p in paths[:_PARSES_KEPT]]
+        assert _parsed.cache_info().currsize == _PARSES_KEPT
+        # reading the first parse makes the second the least recent
+        load_problem(paths[0])
+        load_problem(paths[_PARSES_KEPT])
+        assert len(parses) == _PARSES_KEPT + 1
+        assert _parsed.cache_info().currsize == _PARSES_KEPT
+        assert load_problem(paths[0]).deformations["d"] is \
+            firsts[0].deformations["d"]
+        assert len(parses) == _PARSES_KEPT + 1
+        fresh = load_problem(paths[1]).deformations["d"]
+        assert fresh is not firsts[1].deformations["d"]
+        assert fresh.order == 1
+        assert len(parses) == _PARSES_KEPT + 2
