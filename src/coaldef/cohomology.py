@@ -63,6 +63,9 @@ class Cochain:
 
     def __init__(self, bicomodule: Bicomodule, degree, matrix: Matrix):
         d = bicomodule.over.dim
+        if matrix.field != bicomodule.field:
+            raise DimensionError(f"a cochain over {bicomodule.field!r} "
+                                 f"cannot have a matrix over {matrix.field!r}")
         if matrix.shape != (d ** degree, bicomodule.dim):
             raise DimensionError(
                 f"degree-{degree} cochain must be {d ** degree}x{bicomodule.dim}, "

@@ -15,10 +15,12 @@ through order N.  This module implements:
   3-cocycle; a violation is an internal error, never a data state);
 * order-by-order extension and integration of a 2-cocycle up to a
   target order, with the canonical linear solve picking the extension;
-* formal isomorphisms with truncated inversion and composition,
-  transport of deformations along them, and a constructive
-  trivialization (staircase) that either exhibits an equivalence with
-  the trivial deformation or returns the blocking degree-2 class.
+* formal isomorphisms with truncated inversion and composition, and
+  transport of deformations along them by the one recursion of
+  :class:`series.Transport`, which forms no inverse: of whole series,
+  and in a constructive trivialization (staircase) that either exhibits
+  an equivalence with the trivial deformation or returns the blocking
+  degree-2 class.
 
 Everything is exact; truncation order is part of every object.  The
 arithmetic of the coefficient series is :mod:`coaldef.series`.
@@ -645,15 +647,23 @@ def _isomorphism_from_series(f, series_a, series_b):
                                  for a, b in zip(series_a, series_b)])
 
 
+def _transports(d, phi_a=None, phi_b=None):
+    """The :class:`series.Transport` states of the series of d."""
+    source = series.Transport(d.series_a(), d.order, phi_a)
+    target = series.Transport(d.series_b(), d.order, phi_b)
+    return source, target, series.Transport(d.series_f(), d.order,
+                                            ends=(source, target))
+
+
 def apply_equivalence(p: FormalIsomorphism,
                       d: TruncatedDeformation) -> TruncatedDeformation:
     """Transport a deformation along a formal isomorphism.
 
-    Both comultiplication series are conjugated by the corresponding
-    component of p (tensor square on the left, truncated inverse on the
-    right); the morphism series is composed with the target component on
-    the left and the inverse source component on the right.  The result
-    is truncated at the common order.
+    The transport (a', b', F') of (a, b, F) by p = (phi_A, phi_B) is
+    defined by a' o phi_A = (phi_A (x) phi_A) o a, b' o phi_B = (phi_B
+    (x) phi_B) o b and F' o phi_A = phi_B o F; each order is read from
+    the orders below by :class:`series.Transport`, so no inverse of p is
+    formed.  The result is truncated at the common order.
     """
     if p.morphism != d.morphism:
         raise DimensionError("isomorphism and deformation live over "
@@ -662,28 +672,11 @@ def apply_equivalence(p: FormalIsomorphism,
         raise DimensionError(
             f"order mismatch: isomorphism has order {p.order}, "
             f"deformation has order {d.order}")
-    n = d.order
-    phi_a, phi_b = p.series_a(), p.series_b()
-    inv_a = series.inverse(phi_a, n)
-
-    def conjugated(phi, comul, inv):
-        # (phi (x) phi) o comul o inv, with phi (x) phi applied as
-        # (phi (x) Id) o (Id (x) phi)
-        dim = phi[0].rows
-        y = series.product(comul, inv, n)
-        return series.product(
-            phi, series.product(phi, y, n, dim, right=True), n, dim)
-
-    new_a = conjugated(phi_a, d.series_a(), inv_a)
-    new_b = conjugated(phi_b, d.series_b(), series.inverse(phi_b, n))
-    new_f = series.product(phi_b, series.product(d.series_f(), inv_a, n), n)
+    states = _transports(d, p.series_a(), p.series_b())
     comp = morphism_complex(d.morphism)
-    if (new_a[0] != d.comul_a(0) or new_b[0] != d.comul_b(0)
-            or new_f[0] != d.map_coeff(0)):
-        raise InternalInvariantError(
-            "transport moved the order-0 structure maps")
     return TruncatedDeformation(d.morphism, [d.coeffs[0]] + [
-        comp.element(new_a[i], new_b[i], new_f[i], 2) for i in range(1, n + 1)])
+        comp.element(*(s.advance(m) for s in states), 2)
+        for m in range(1, d.order + 1)])
 
 
 def trivialize(d: TruncatedDeformation) -> TrivializationResult:
@@ -699,37 +692,28 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
 
     The steps are taken incrementally.  Transport is a group action
     modulo t^(N+1), and a step at order m changes phi only at orders
-    >= m, so the transport of d by phi is never formed: only its
-    order-m coefficient, from the kept prefixes of a
-    :class:`series.Conjugation` per side, at O(m) coefficient pairs.  For
-    the map, F' o phi_A = phi_B o F gives F'_m = (phi_B o F)_m - F_0 o
-    phi_A,m the same way.  One packed check of the final phi
-    (:func:`series.intertwining_failure`) replaces a check per step.
+    >= m, so the transport of d by phi is never formed: each order is
+    read once by the :class:`series.Transport` of each series, the
+    recursion of :func:`apply_equivalence`.  Each step clears its order,
+    so the transport vanishes at the orders 1..m-1 when order m is read,
+    and the recursion reduces to X_m - c_0 o phi_m, at O(m) pairs.  One
+    packed check of the final phi (:func:`series.intertwining_failure`)
+    replaces a check per step.
 
     A returned isomorphism always trivializes d, but a reported block
     is the staircase's, not always d's: in characteristic p (seen for
     p = 2, 3 and 5) it can block on a deformation that is trivial (the
     gauge transport of the trivial one), at an order that is a multiple
-    of p.  Each
-    step takes the canonical chi, which can differ from a trivializing
-    one by a 1-cocycle that does not exponentiate in characteristic p,
-    such as the dual of d/dx on k[x]/(x^p) for id(dp_p), whose gauge
-    I + chi t is reported blocked at order p.
+    of p.  Each step takes the canonical chi, which can differ from a
+    trivializing one by a 1-cocycle that does not exponentiate in
+    characteristic p, such as the dual of d/dx on k[x]/(x^p) for
+    id(dp_p), whose gauge I + chi t is reported blocked at order p.
     """
     comp = morphism_complex(d.morphism)
     comp.require_valid()
-    n = d.order
-    source = series.Conjugation(d.series_a(), n)
-    target = series.Conjugation(d.series_b(), n)
-    series_f = d.series_f()
-    f_live = series.nonzero(series_f, n)
-    zero = Matrix.zeros(d.morphism.field, *series_f[0].shape)
-    for m in range(1, n + 1):
-        a_m, b_m = source.advance(m), target.advance(m)
-        f_m = [series_f[m]] if m in f_live else []
-        w = comp.element(a_m, b_m, series.summed(
-            series.pairs(target.live, f_live, m), f_m, zero)
-            - series_f[0] @ source.phi[m], 2)
+    source, target, fmap = states = _transports(d)
+    for m in range(1, d.order + 1):
+        w = comp.element(*(s.advance(m) for s in states), 2)
         if w.is_zero():
             continue
         if not comp.is_cocycle(w):
@@ -742,8 +726,9 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
                 False, None, m, w, tuple(comp.class_coordinates(w)))
         source.step(m, chi.a_part.matrix)
         target.step(m, chi.b_part.matrix)
+        fmap.step(m)
     failure = series.intertwining_failure(
-        source.phi, target.phi, d.series_a(), d.series_b(), series_f)
+        source.phi, target.phi, d.series_a(), d.series_b(), d.series_f())
     if failure is not None:
         raise InternalInvariantError(
             "the trivializing isomorphism fails on the %s at order %d; this "

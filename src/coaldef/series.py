@@ -6,10 +6,12 @@ as zero.  This is the arithmetic that :mod:`coaldef.deformation` builds
 deformations, formal isomorphisms and their transport on:
 
 * the per-order Cauchy product (:func:`product`), each coefficient one
-  stacked :func:`~coaldef.coalgebra.factor_product` of its nonzero
-  pairs, and the inverse of a series with identity constant term
-  (:func:`inverse`); a pair with an identity order-0 factor adds the
-  other factor instead of multiplying;
+  stacked product of its nonzero pairs, where an identity order-0
+  factor adds the other factor, and the inverse of a series with
+  identity constant term (:func:`inverse`, for ``invert_formal`` only);
+* transport by a formal isomorphism, each order read from the orders
+  below with no inverse formed (:class:`Transport`): of a whole series,
+  and under the growing composite of the staircase's steps;
 * Kronecker substitution: one scale (L, D) and one slot width per
   packed equation for several series, from stated bounds on the slots
   (:func:`packing`, :func:`packed`), and the test that the slots of a
@@ -17,12 +19,8 @@ deformations, formal isomorphisms and their transport on:
 * the morphism equation (f (x) f) o a = b o f of series, packed, with
   its slot bound (:func:`morphism_defect`, :func:`morphism_bound`): the
   morphism condition of a deformation, and each comultiplication side
-  of the staircase's check;
-* the staircase of ``deformation.trivialize``: a comultiplication series
-  transported by a growing composite of steps, one order at a time
-  (:class:`Conjugation`), and the packed check that the final composite
-  intertwines a deformation with its order-0 terms
-  (:func:`intertwining_failure`).
+  of the packed check that the staircase's composite intertwines a
+  deformation with its order-0 terms (:func:`intertwining_failure`).
 
 Each slot bound is proved once, in the docstring of the function that
 packs with it.
@@ -67,24 +65,23 @@ def summed(factors, through, zero, o=1, right=False):
     return sum(terms[1:], terms[0]) if terms else zero
 
 
-def product(a, b, order, o=1, right=False):
+def product(a, b, order):
     """Product of two truncated matrix series, truncated at ``order``:
-    the order-n coefficient is sum_i a_i o b_(n-i), or with ``o`` and
-    ``right`` the :func:`factor_product` of those pairs.  Every
-    coefficient is tested for zero, and read, once; a pair with an
-    identity order-0 factor adds the other factor itself."""
-    zero = Matrix.zeros(a[0].field, a[0].rows * o, b[0].cols)
+    the order-n coefficient sum_i a_i o b_(n-i) is one stacked product
+    of its nonzero pairs.  Every coefficient is tested for zero, and
+    read, once; a pair with an identity order-0 factor adds the other
+    factor itself."""
+    zero = Matrix.zeros(a[0].field, a[0].rows, b[0].cols)
     ms, xs = nonzero(a, order), nonzero(b, order)
     through = []
     if 0 in ms and _is_identity(ms[0]):
         through.append(xs)
         ms = {i: x for i, x in ms.items() if i}
-    if o == 1 and 0 in xs and _is_identity(xs[0]):
+    if 0 in xs and _is_identity(xs[0]):
         through.append(ms)
         xs = {j: x for j, x in xs.items() if j}
-    xs = {j: factor_operand(x, o, a[0].cols, right) for j, x in xs.items()}
     return [summed(pairs(ms, xs, n), [s[n] for s in through if n in s],
-                   zero, o, right) for n in range(order + 1)]
+                   zero) for n in range(order + 1)]
 
 
 def _put(live, n, x):
@@ -165,61 +162,75 @@ def packed(r, w, unit, step):
 
 
 # ---------------------------------------------------------------------------
-# the staircase
+# transport
 
 
-class Conjugation:
-    """One side of the staircase, over a comultiplication series c: the
-    composite phi of the steps so far, and by its nonzero coefficients
-    through the current order m the prefix of u = (Id (x) phi) o c.
+class Transport:
+    """The transport c' of a series c by a formal isomorphism phi, read
+    one order at a time from the orders below: c' o phi_in = X modulo
+    t^(N+1), with X = (phi (x) phi) o c and phi_in = phi for a
+    comultiplication c, and X = phi_B o F and phi_in = phi_A for a map
+    F: A -> B.  As phi_0 = I, for any series c, with no inverse formed,
 
-    The transport c' of c by phi satisfies c' o phi = (phi (x) phi) o c
-    modulo t^(N+1).  While c' vanishes at the orders 1..m-1, its order-m
-    coefficient is therefore ((phi (x) Id) o u)_m - c_0 o phi_m: one
-    stacked factor product per series, with no inverse of phi formed.
-    Every prefix coefficient below m is final: a step at order m changes
-    phi only at orders >= m.
+        c'_m = X_m - sum_(0 <= j < m) c'_j o phi_in,(m-j).
+
+    A comultiplication's state keeps phi (the identity when None) and the
+    prefix of u = (Id (x) phi) o c, with X = (phi (x) Id) o u; a map's
+    state reads phi_A and phi_B from the states of its source and target
+    (``ends``), which read each order first.  u_m, X_m and the sum are
+    one stacked product each.
     """
 
-    def __init__(self, comul, order):
-        delta = self.delta = comul[0]
-        self.dim = dim = delta.cols
-        self.comul = nonzero(comul, order)
+    def __init__(self, c, order, phi=None, ends=None):
+        field, dim = c[0].field, c[0].cols
+        self.series, self.image = nonzero(c, order), nonzero(c, 0)
+        self.zero = Matrix.zeros(field, c[0].rows, dim)
+        self.inner, self.outer = ends or (self, self)
+        if ends:
+            self.u, self.o = self.series, 1
+            return
+        self.phi = list(phi) if phi else [Matrix.identity(field, dim)] + \
+            [Matrix.zeros(field, dim, dim)] * order
+        self.live, self.o, self.u = {}, dim, nonzero(c, 0)
         # c is read as the right-factor operand of (Id (x) phi_j) o c_k
         self.operands = {k: factor_operand(x, dim, dim, right=True)
-                         for k, x in self.comul.items()}
-        self.phi = [Matrix.identity(delta.field, dim)] + \
-            [Matrix.zeros(delta.field, dim, dim)] * order
-        self.zero = Matrix.zeros(delta.field, dim * dim, dim)
-        self.live, self.u = {}, {}
-        _put(self.u, 0, delta)
+                         for k, x in self.series.items()}
 
     def advance(self, m):
-        """Extend the prefixes to order m; returns the order-m
-        coefficient of the transported comultiplication.  An identity
-        order-0 factor passes the other factor through."""
-        _put(self.live, m, self.phi[m])
-        c_m = [self.comul[m]] if m in self.comul else []
-        u_m = summed(pairs(self.live, self.operands, m), c_m, self.zero,
-                     self.dim, right=True)
-        _put(self.u, m, u_m)
-        return summed(pairs(self.live, self.u, m), [u_m], self.zero,
-                      self.dim) - self.delta @ self.phi[m]
+        """Read order m, once the orders below have been read: the order-m
+        coefficient of the transport, kept for the orders above."""
+        if self.outer is self:
+            _put(self.live, m, self.phi[m])
+            c_m = [self.series[m]] if m in self.series else []
+            _put(self.u, m, summed(pairs(self.live, self.operands, m), c_m,
+                                   self.zero, self.o, right=True))
+        x_m = summed(pairs(self.outer.live, self.u, m),
+                     [self.u[m]] if m in self.u else [], self.zero, self.o)
+        below = [j for j in self.image if m - j in self.inner.live]
+        if below:
+            x_m = x_m - Matrix.hstack(*[self.image[j] for j in below]) @ \
+                Matrix.vstack(*[self.inner.phi[m - j] for j in below])
+        _put(self.image, m, x_m)
+        return x_m
 
-    def step(self, m, chi):
-        """Compose with the step I - chi t^m: phi_k -= chi phi_(k-m) for
-        k >= m, as one product of chi with the block row [phi_0 | ... |
-        phi_(N-m)] and one difference of block rows.  Through order m
-        only phi_m moved, by -chi, so u_m moves by -(Id (x) chi) o c_0."""
-        d = self.dim
+    def step(self, m, chi=None):
+        """Compose phi with I - chi t^m, once no order above m is read:
+        phi_k -= chi phi_(k-m) for k >= m, one product of chi with the
+        block row [phi_0 | ... | phi_(N-m)], and u_m -= (Id (x) chi) o c_0.
+        Order m is forgotten: read it again, unless the step cleared it,
+        as the staircase's steps do.  A map's state, whose ends took the
+        step, gets no chi and only forgets order m."""
+        self.image.pop(m, None)
+        if chi is None:
+            return
         moved = Matrix.hstack(*self.phi[m:]) - \
             chi @ Matrix.hstack(*self.phi[:len(self.phi) - m])
-        self.phi[m:] = [moved.submatrix_columns(range(j, j + d))
-                        for j in range(0, moved.cols, d)]
+        self.phi[m:] = [moved.submatrix_columns(range(j, j + self.o))
+                        for j in range(0, moved.cols, self.o)]
         _put(self.live, m, self.phi[m])
         if 0 in self.operands:
             _put(self.u, m, self.u.get(m, self.zero) - factor_product(
-                [(chi, self.operands[0])], self.dim, right=True))
+                [(chi, self.operands[0])], self.o, right=True))
 
 
 def morphism_bound(m_f, m_a, m_b, d, e, unit):

@@ -146,8 +146,8 @@ def random_isomorphism(comp: MorphismComplex, order, rng, bound=4):
     f = comp.morphism
     higher = []
     for _ in range(order):
-        a = rational_matrix(rng, f.source.dim, f.source.dim, bound)
-        b = rational_matrix(rng, f.target.dim, f.target.dim, bound)
+        a = field_matrix(rng, f.field, f.source.dim, f.source.dim, bound)
+        b = field_matrix(rng, f.field, f.target.dim, f.target.dim, bound)
         higher.append(comp.element(a, b, None, 1))
     return FormalIsomorphism.from_higher_coefficients(f, higher, order)
 

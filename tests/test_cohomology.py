@@ -272,6 +272,17 @@ class TestCocycleCoboundary:
         assert pre is not None
         assert comp.differential(pre) == w
 
+    def test_matrix_over_another_field_is_rejected(self):
+        # a QQ matrix in a GF(2) complex used to be accepted, and then
+        # failed later with a misleading "vstack shape mismatch"
+        gf2 = PrimeField(2)
+        comp = MorphismComplex(identity_morphism(divided_power(2, gf2)))
+        rational = Matrix.identity(QQ, 2)
+        with pytest.raises(DimensionError, match=r"GF\(2\).*QQ"):
+            comp.element(rational, Matrix.identity(gf2, 2), None, 1)
+        with pytest.raises(DimensionError, match=r"GF\(2\).*QQ"):
+            Cochain(regular_bicomodule(divided_power(2, gf2)), 1, rational)
+
 
 class TestSparseElimination:
     @pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=repr)

@@ -459,6 +459,25 @@ class TestApplyEquivalence:
             assert apply_equivalence(invert_formal(p),
                                      apply_equivalence(p, d)) == d
 
+    def test_transport_forms_no_inverse(self, monkeypatch):
+        # apply_equivalence and the staircase read each order of the
+        # transport from the orders below; only invert_formal inverts
+        def no_inverse(*args):
+            raise AssertionError("a transport formed an inverse series")
+
+        f = identity_morphism(divided_power(3))
+        order = 6
+        gauge = random_isomorphism(morphism_complex(f), order, fresh_rng(4),
+                                   bound=2)
+        monkeypatch.setattr(series, "inverse", no_inverse)
+        d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
+        result = trivialize(d)
+        assert result.ok
+        assert apply_equivalence(result.isomorphism, d) == \
+            TruncatedDeformation.trivial(f, order)
+        with pytest.raises(AssertionError, match="inverse series"):
+            invert_formal(gauge)
+
 
 class TestTrivialize:
     def test_trivial_gives_identity(self):
@@ -502,19 +521,19 @@ class TestTrivialize:
         monkeypatch.setattr(series, "factor_product",
                             lambda *args, **kwargs: calls.append(1)
                             or real(*args, **kwargs))
-        real_matmul, real_step = _kernels_py.matmul, series.Conjugation.step
+        real_matmul, real_step = _kernels_py.matmul, series.Transport.step
 
         def matmul(*args):
             products.append(1)
             return real_matmul(*args)
 
-        def step(self, m, chi):
+        def step(self, m, chi=None):
             before = len(products)
             real_step(self, m, chi)
             per_step.append(len(products) - before)
 
         monkeypatch.setattr(_kernels_py, "matmul", matmul)
-        monkeypatch.setattr(series.Conjugation, "step", step)
+        monkeypatch.setattr(series.Transport, "step", step)
         result = trivialize(d)
         assert len(calls) <= 7 * order
         assert per_step and max(per_step) <= 2

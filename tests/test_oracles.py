@@ -95,6 +95,7 @@ from coaldef.problemfile import (ProblemFile, ProblemFileError, _decoded,
 from coaldef.series import intertwining_failure
 from coaldef.series import inverse as series_inverse
 from coaldef.series import product as series_product
+from coaldef.series import Transport
 
 from helpers import (
     LARGE_PRIMES,
@@ -641,15 +642,6 @@ def test_series_products_match_dense_reference(seed, field):
                                                         order)[1:]
     assert series_inverse(unit, order) == \
         reference_series_inverse(unit, order)
-    # the factor series (a_i (x) Id_O) o x_(n-i) and (Id_O (x) a_i) o x_(n-i)
-    o = rng.randint(0, 3)
-    ident = [Matrix.identity(field, o)] + [Matrix.zeros(field, o, o)] * order
-    x = _sparse_series(rng, field, k * o, c, order)
-    assert series_product(a, x, order, o) == reference_series_mul(
-        reference_series_kron(a, ident, order), x, order)
-    y = _sparse_series(rng, field, o * k, c, order)
-    assert series_product(a, y, order, o, right=True) == \
-        reference_series_mul(reference_series_kron(ident, a, order), y, order)
     # an identity order-0 factor on either side, or on both, passes the
     # other factor through
     left = [Matrix.identity(field, r)] + _sparse_series(rng, field, r, r,
@@ -657,11 +649,6 @@ def test_series_products_match_dense_reference(seed, field):
     for p, q in ((left, a), (a, unit), (unit, unit)):
         assert series_product(p, q, order) == \
             reference_series_mul(p, q, order)
-    assert series_product(unit, x, order, o) == reference_series_mul(
-        reference_series_kron(unit, ident, order), x, order)
-    assert series_product(unit, y, order, o, right=True) == \
-        reference_series_mul(reference_series_kron(ident, unit, order), y,
-                             order)
 
 
 def _transport_morphisms(field):
@@ -792,6 +779,50 @@ def test_trivialize_matches_reference_staircase(seed, field, which, kind):
     comp = MorphismComplex(_staircase_morphisms(field)[which])
     d = _staircase_input(rng, comp, kind)
     assert trivialize(d) == reference_trivialize(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3))
+def test_partial_transport_states_match_dense_reference(seed, field, which):
+    # the transport states driven as the staircase drives them, but with
+    # steps I - chi t^l that need not clear their order: a step at the
+    # order just read (read again) or above it, then every remaining
+    # order.  The orders read are the transport by the composite of the
+    # steps, on deformations and on series that are none
+    rng = fresh_rng(seed)
+    comp = MorphismComplex(_staircase_morphisms(field)[which])
+    f = comp.morphism
+    d = _staircase_input(rng, comp, rng.randint(0, 3)) if rng.random() < 0.5 \
+        else _sparse_deformation(rng, comp, rng.randint(1, 5))
+    n = d.order
+    source = Transport(d.series_a(), n)
+    target = Transport(d.series_b(), n)
+    states = (source, target, Transport(d.series_f(), n,
+                                        ends=(source, target)))
+    composite = FormalIsomorphism.identity(f, n)
+    read = [[x] for x in (d.comul_a(0), d.comul_b(0), d.map_coeff(0))]
+    for m in range(1, n + 1):
+        values = [s.advance(m) for s in states]
+        if rng.random() < 0.5:
+            level = rng.randint(m, n)
+            chi = comp.element(
+                _staircase_matrix(rng, field, f.source.dim, f.source.dim),
+                _staircase_matrix(rng, field, f.target.dim, f.target.dim),
+                None, 1)
+            source.step(level, chi.a_part.matrix)
+            target.step(level, chi.b_part.matrix)
+            states[2].step(level)
+            composite = compose_isomorphisms(
+                FormalIsomorphism.from_higher_coefficients(
+                    f, [comp.zero(1)] * (level - 1) + [-chi], n), composite)
+            if level == m:
+                values = [s.advance(m) for s in states]
+        for coefficients, x in zip(read, values):
+            coefficients.append(x)
+    assert (source.phi, target.phi) == (composite.series_a(),
+                                        composite.series_b())
+    assert tuple(read) == reference_transport(composite, d)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
