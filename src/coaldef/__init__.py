@@ -11,8 +11,9 @@ The package is organized bottom-up:
   and the deformation complex of a morphism, with differentials,
   cocycle/coboundary predicates and cohomology reports;
 * :mod:`coaldef.series` -- truncated power series with matrix
-  coefficients: products, Kronecker substitution and the one transport
-  recursion, which forms no inverse (only ``invert_formal`` inverts);
+  coefficients: products, Kronecker substitution and the packed
+  intertwining defects that transport reads, forming no inverse (only
+  ``invert_formal`` inverts);
 * :mod:`coaldef.deformation` -- truncated deformations of a morphism:
   verification, infinitesimals, obstruction cochains, order-by-order
   extension, integration of 2-cocycles, formal isomorphisms,

@@ -16,11 +16,11 @@ through order N.  This module implements:
 * order-by-order extension and integration of a 2-cocycle up to a
   target order, with the canonical linear solve picking the extension;
 * formal isomorphisms with truncated inversion and composition, and
-  transport of deformations along them by the one recursion of
-  :class:`series.Transport`, which forms no inverse: of whole series,
-  and in a constructive trivialization (staircase) that either exhibits
-  an equivalence with the trivial deformation or returns the blocking
-  degree-2 class.
+  transport of deformations along them, read from one packed product
+  of the intertwining defects with no inverse formed (:func:`_window`):
+  of whole series, and in doubling windows of orders in a constructive
+  trivialization (staircase) that either exhibits an equivalence with
+  the trivial deformation or returns the blocking degree-2 class.
 
 Everything is exact; truncation order is part of every object.  The
 arithmetic of the coefficient series is :mod:`coaldef.series`.
@@ -28,6 +28,7 @@ arithmetic of the coefficient series is :mod:`coaldef.series`.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 
 from . import _backend, series
@@ -59,7 +60,7 @@ class TruncatedDeformation:
     of the undeformed morphism.
     """
 
-    __slots__ = ("morphism", "order", "coeffs", "_verification")
+    __slots__ = ("morphism", "order", "coeffs", "_verification", "_defects")
 
     def __init__(self, morphism: CoalgebraMorphism, coeffs):
         coeffs = tuple(coeffs)
@@ -80,8 +81,9 @@ class TruncatedDeformation:
         self.morphism = morphism
         self.order = len(coeffs) - 1
         self.coeffs = coeffs
-        # the report of verify_deformation, once it has run
-        self._verification = None
+        # (the verify_deformation report, the order-(N+1) defects when it
+        # passes) once it has run, and the _Defects of the obstruction
+        self._verification = self._defects = None
 
     @classmethod
     def from_higher_coefficients(cls, morphism, higher, order=None):
@@ -361,49 +363,67 @@ def _packed_defects(series_a, series_b, series_f, k):
         (w, series.morphism_defect(r_f, r_a, r_b, d, e, k, w, unit, step))]
 
 
-def _cauchy_kron(a, b, order):
-    """The coefficientwise tensor product of two series: the order-n
-    coefficient is sum_i a_i (x) b_(n-i)."""
-    zero = Matrix.zeros(a[0].field, a[0].rows * b[0].rows,
-                        a[0].cols * b[0].cols)
-    x, y = series.nonzero(a, order), series.nonzero(b, order)
-    terms = [[l.kron(r) for l, r in series.pairs(x, y, n)]
-             for n in range(order + 1)]
-    return [sum(t[1:], t[0]) if t else zero for t in terms]
+def _cauchy_kron(x, y, n):
+    """The order-n coefficient sum_i x_i (x) y_(n-i) of the
+    coefficientwise tensor product of two series given by their
+    :func:`series.nonzero` coefficients; None when no pair is nonzero."""
+    terms = [l.kron(r) for l, r in series.pairs(x, y, n)]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
-def _defects_at(series_a, series_b, series_f, n):
-    """The order-n defects (D_a, D_b, D_f) of :func:`_packed_defects` as
-    matrices, summed over the pairs of nonzero coefficients, each sum
-    one product of stacked factors.
+class _Defects:
+    """The order-(N+1) defects (D_a, D_b, D_f) of :func:`_packed_defects`
+    of series a, b, f of order N, as matrices: each a sum over pairs of
+    nonzero coefficients, one stacked product, which costs less than the
+    2n + 1 slots of a packed product once entries span several words.
+    Integration obstructs at every order, so :func:`extend` hands on this
+    state, unchanged once made: the nonzero coefficients, and those of
+    the Kronecker series f (x) f through order N, whose pairs multiply
+    only the small f coefficients, where factor products would multiply
+    those of a."""
 
-    One order is one slot of a packed product, which forms all 2n + 1
-    slots at the width of the largest: once entries span several machine
-    words, that costs more than the n + 1 products of the pairs, and
-    integration to a high order obstructs at every order on the way.
-    """
-    field = series_a[0].field
-    a, b, f = (series.nonzero(s, n) for s in (series_a, series_b, series_f))
+    def __init__(self, series_a, series_b, series_f):
+        self.order, self.ends = len(series_a) - 1, (series_a[0], series_b[0])
+        self.a, self.b, self.f = (series.nonzero(s, self.order) for s in
+                                  (series_a, series_b, series_f))
+        self.ff = {k: x for k in range(self.order + 1)
+                   if (x := _cauchy_kron(self.f, self.f, k)) is not None}
 
-    def bar(s, d):
-        pairs = series.pairs(s, s, n)
-        if not pairs:
-            return Matrix.zeros(field, d ** 3, d)
-        left, den_l = Matrix.hstack(*[l for l, _ in pairs]).as_integer_ratio()
-        right, den_r = Matrix.vstack(*[r for _, r in pairs]).as_integer_ratio()
-        return Matrix.from_integer_ratio(field, d ** 3, d,
-                                         _bar(left, right, d, d * len(pairs)),
-                                         den_l * den_r)
+    def extended(self, w):
+        """The state of the extension by the order-(N+1) coefficient w."""
+        grown = copy(self)
+        grown.order = n = self.order + 1
+        grown.a, grown.b, grown.f = (
+            kept if part.is_zero() else {**kept, n: part.matrix}
+            for kept, part in zip((self.a, self.b, self.f), w.parts()))
+        grown.ff = self.with_square(grown.f, n)
+        return grown
 
-    # f (x) f stays a Kronecker series here: for one order its pairs
-    # multiply only the small f coefficients, where two factor products
-    # would multiply the entries of a
-    ff = series.nonzero(_cauchy_kron(series_f, series_f, n), n)
-    d, e = series_a[0].cols, series_b[0].cols
-    pairs = series.pairs(ff, a, n) + [(x, -y)
-                                      for x, y in series.pairs(b, f, n)]
-    return (bar(a, d), bar(b, e),
-            factor_product(pairs) if pairs else Matrix.zeros(field, e * e, d))
+    def with_square(self, f, n):
+        """The kept orders of f (x) f and its order n, for the nonzero
+        coefficients f through order n."""
+        x = _cauchy_kron(f, f, n)
+        return self.ff if x is None else {**self.ff, n: x}
+
+    def next_order(self):
+        """(D_a, D_b, D_f) at order N + 1, where f_(N+1) is zero."""
+        n, (a_0, b_0) = self.order + 1, self.ends
+        field, d, e = a_0.field, a_0.cols, b_0.cols
+
+        def bar(s, d):
+            pairs = series.pairs(s, s, n)
+            if not pairs:
+                return Matrix.zeros(field, d ** 3, d)
+            (left, p), (right, q) = (m.as_integer_ratio() for m in (
+                Matrix.hstack(*[x for x, _ in pairs]),
+                Matrix.vstack(*[y for _, y in pairs])))
+            return Matrix.from_integer_ratio(
+                field, d ** 3, d, _bar(left, right, d, d * len(pairs)), p * q)
+
+        pairs = series.pairs(self.with_square(self.f, n), self.a, n) + [
+            (x, -y) for x, y in series.pairs(self.b, self.f, n)]
+        return (bar(self.a, d), bar(self.b, e), factor_product(pairs)
+                if pairs else Matrix.zeros(field, e * e, d))
 
 
 _EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
@@ -421,37 +441,43 @@ def verify_deformation(d: TruncatedDeformation) -> DeformationReport:
     order of source coassociativity first, then the target, then the
     morphism condition.
 
-    The defects are the packed ints of :func:`_packed_defects`, and each
-    equation is decided by :func:`series.first_nonzero_slot`: over QQ
-    one mask per packed entry, so a valid deformation is never unpacked.
-    A deformation does not change, so its report is computed once and
-    kept on it.
+    A deformation does not change, so its report is computed once
+    (:func:`_verified`) and kept on it.
     """
     if d._verification is None:
-        d._verification = _report(d.series_a(), d.series_b(), d.series_f())
-    return d._verification
+        d._verification = _verified(d.series_a(), d.series_b(), d.series_f())
+    return d._verification[0]
 
 
-def _report(series_a, series_b, series_f) -> DeformationReport:
-    """The :func:`verify_deformation` report of three series of one
-    length."""
-    k = len(series_a)
-    _, _, packed = _packed_defects(series_a, series_b, series_f, k)
-    return _first_failure(packed, k, series_a[0], series_b[0])
+def _verified(series_a, series_b, series_f):
+    """(the :func:`verify_deformation` report of three series of one
+    length N + 1, and when it passes the order-(N+1) defects (D_a, D_b,
+    D_f), else None), read from one :func:`_packed_defects` product.
 
-
-def _first_failure(packed, k, a_0, b_0) -> DeformationReport:
-    """The report of the slots 0..k-1 of the :func:`_packed_defects`
-    ints ``packed``; a_0 and b_0 give the field and the dimensions."""
-    for (label, statement), (w, ints), cols in zip(
-            _EQUATIONS, packed, (a_0.cols, b_0.cols, a_0.cols)):
+    :func:`series.first_nonzero_slot` decides each equation from slots
+    0..N, over QQ by one mask per entry, which stays exact: the slots
+    above N add only multiples of 2^((N+1) w).  Slot N + 1, over
+    L^2 D^(N+1) (D_a, D_b) or L^3 D^(N+1) (D_f), is the obstruction
+    cochain: the order-(N+1) defect with a zero order-(N+1) coefficient.
+    """
+    k, a_0 = len(series_a), series_a[0]
+    s, t = a_0.cols, series_b[0].cols
+    unit, step, packed = _packed_defects(series_a, series_b, series_f, k + 1)
+    for (label, statement), (w, ints), cols in zip(_EQUATIONS, packed,
+                                                   (s, t, s)):
         failure = series.first_nonzero_slot(ints, w, k, a_0.field)
         if failure is not None:
             n, pos = failure[0], divmod(failure[1], cols)
             return DeformationReport(
                 False, n, label, pos,
-                f"{statement} fails at order {n}, entry {pos}")
-    return DeformationReport(True)
+                f"{statement} fails at order {n}, entry {pos}"), None
+    unpack = _backend.kernel().unpack
+    return DeformationReport(True), [
+        Matrix.from_integer_ratio(a_0.field, rows, cols,
+                                  unpack(ints, w, [k])[0],
+                                  unit ** power * step ** k)
+        for (w, ints), (rows, cols, power) in zip(
+            packed, ((s ** 3, s, 2), (t ** 3, t, 2), (t * t, s, 3)))]
 
 
 def infinitesimal(d: TruncatedDeformation) -> InfinitesimalResult:
@@ -496,66 +522,62 @@ def comp_bar(s: Cochain, t: Cochain) -> Cochain:
         m.field, d ** 3, d, _bar(ints_s, ints_t, d, d), den_s * den_t))
 
 
+_NOT_A_3_COCYCLE = ("obstruction cochain is not a 3-cocycle; this "
+                    "indicates a bug, not a property of the input")
+
+
+def _require_cocycle(comp, w, message):
+    """w, once checked to be a cocycle (InternalInvariantError if not)."""
+    if not comp.is_cocycle(w):
+        raise InternalInvariantError(message)
+    return w
+
+
+def _cobounding(comp, w, message):
+    """The canonical preimage of w, or None for a cocycle that is no
+    coboundary.  The cocycle test runs only when the exact solve fails:
+    a cochain with a preimage is a cocycle, as D o D = 0, and one that
+    is not a cocycle has none, so :func:`_require_cocycle` raises on
+    exactly the inputs of a test run first."""
+    chi = comp.is_coboundary(w)
+    if chi is None:
+        _require_cocycle(comp, w, message)
+    return chi
+
+
 def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
-    """The degree-3 cochain obstructing extension by one order.
+    """The degree-3 cochain obstructing extension by one order: the
+    order-(N+1) defect of the deformation equations with a zero
+    order-(N+1) coefficient, from the :class:`_Defects` of d (formed once,
+    or handed on by :func:`extend`); a 3-cocycle for valid input."""
+    if d._defects is None:
+        d._defects = _Defects(d.series_a(), d.series_b(), d.series_f())
+    return morphism_complex(d.morphism).element(*d._defects.next_order(), 3)
 
-    It is the order-(N+1) defect of the deformation equations with a
-    zero order-(N+1) coefficient.  Raises InternalInvariantError if it
-    fails to be a 3-cocycle, which the theory rules out for valid input.
-    """
-    return _obstruction_element(d, *_defects_at(
-        d.series_a(), d.series_b(), d.series_f(), d.order + 1))
 
-
-def _obstruction_element(d, ob_a, ob_b, ob_f) -> MorphismCochain:
-    """The obstruction cochain of d with the given parts, checked to be
-    a 3-cocycle."""
+def _classified(d: TruncatedDeformation, ob) -> ObstructionClass:
+    """The obstruction cochain ob of d, checked to be a 3-cocycle, with
+    its class."""
     comp = morphism_complex(d.morphism)
-    ob = comp.element(ob_a, ob_b, ob_f, 3)
-    if not comp.is_cocycle(ob):
-        raise InternalInvariantError(
-            "obstruction cochain is not a 3-cocycle; this indicates a bug, "
-            "not a property of the input")
-    return ob
+    _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
+    return ObstructionClass(ob, tuple(comp.class_coordinates(ob)),
+                            d.order + 1)
 
 
 def obstruction(d: TruncatedDeformation) -> ObstructionClass:
     """Obstruction cochain of a valid deformation together with its class."""
-    ob = _obstruction_cochain(d)
-    coords = morphism_complex(d.morphism).class_coordinates(ob)
-    return ObstructionClass(ob, tuple(coords), d.order + 1)
+    return _classified(d, _obstruction_cochain(d))
 
 
 def _verified_obstruction(d: TruncatedDeformation):
     """(the :func:`verify_deformation` report of d, its
-    :func:`obstruction` or None when the report fails), both read from
-    one :func:`_packed_defects` product through order N + 1.
-
-    Slots 0..N decide the report as :func:`_report` does: the (N+1)
-    w-bit mask of :func:`series.first_nonzero_slot` stays exact, since
-    slot N + 1 and the slots above it add only multiples of
-    2^((N+1) w).  Slot N + 1, over L^2 D^(N+1) for the two
-    coassociativity defects and over L^3 D^(N+1) for the morphism
-    defect, is the obstruction cochain: the order-(N+1) defect with a
-    zero order-(N+1) coefficient, which the packing bounds like every
-    lower slot.
-    """
-    n = d.order
-    series_a, series_b, series_f = d.series_a(), d.series_b(), d.series_f()
-    unit, step, packed = _packed_defects(series_a, series_b, series_f, n + 2)
-    report = _first_failure(packed, n + 1, series_a[0], series_b[0])
-    if not report.ok:
-        return report, None
-    s, t = d.morphism.source.dim, d.morphism.target.dim
-    unpack = _backend.kernel().unpack
-    parts = [Matrix.from_integer_ratio(d.morphism.field, rows, cols,
-                                       unpack(ints, w, [n + 1])[0],
-                                       unit ** power * step ** (n + 1))
-             for (w, ints), (rows, cols, power) in zip(
-                 packed, ((s ** 3, s, 2), (t ** 3, t, 2), (t * t, s, 3)))]
-    ob = _obstruction_element(d, *parts)
-    coords = morphism_complex(d.morphism).class_coordinates(ob)
-    return report, ObstructionClass(ob, tuple(coords), n + 1)
+    :func:`obstruction` or None when the report fails), the obstruction
+    read from the order-(N+1) defects that verification keeps."""
+    if not verify_deformation(d).ok:
+        return d._verification
+    comp = morphism_complex(d.morphism)
+    return d._verification[0], _classified(
+        d, comp.element(*d._verification[1], 3))
 
 
 def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
@@ -565,11 +587,15 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
     obstruction cochain exactly (raising ExtensionRejected otherwise).
     Without it, solve for the canonical cobounding coefficient; if none
     exists return the nonzero ObstructionClass instead of a deformation.
+    The obstruction's cocycle test runs only if it is not cobounded
+    (:func:`_cobounding`); the extension gets the :class:`_Defects` of d.
     """
     comp = morphism_complex(d.morphism)
+    comp.require_valid()
     ob = _obstruction_cochain(d)
     if w is not None:
         if w.degree != 2 or w.morphism != d.morphism:
+            _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
             raise DimensionError("extension coefficient must be a degree-2 "
                                  "cochain over the same morphism")
         diff = comp.differential(w) - ob
@@ -577,16 +603,19 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
             part = getattr(diff, part_name)
             pos = part.matrix.first_nonzero()
             if pos is not None:
+                _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
                 raise ExtensionRejected(
                     f"coboundary of the supplied coefficient differs from the "
                     f"obstruction in component {part_name} at entry {pos} "
                     f"by {part.matrix[pos]}")
     else:
-        w = comp.is_coboundary(ob)
+        w = _cobounding(comp, ob, _NOT_A_3_COCYCLE)
         if w is None:
             return ObstructionClass(ob, tuple(comp.class_coordinates(ob)),
                                     d.order + 1)
-    return TruncatedDeformation(d.morphism, d.coeffs + (w,))
+    out = TruncatedDeformation(d.morphism, d.coeffs + (w,))
+    out._defects = d._defects.extended(w)
+    return out
 
 
 def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
@@ -647,23 +676,15 @@ def _isomorphism_from_series(f, series_a, series_b):
                                  for a, b in zip(series_a, series_b)])
 
 
-def _transports(d, phi_a=None, phi_b=None):
-    """The :class:`series.Transport` states of the series of d."""
-    source = series.Transport(d.series_a(), d.order, phi_a)
-    target = series.Transport(d.series_b(), d.order, phi_b)
-    return source, target, series.Transport(d.series_f(), d.order,
-                                            ends=(source, target))
-
-
 def apply_equivalence(p: FormalIsomorphism,
                       d: TruncatedDeformation) -> TruncatedDeformation:
     """Transport a deformation along a formal isomorphism.
 
     The transport (a', b', F') of (a, b, F) by p = (phi_A, phi_B) is
     defined by a' o phi_A = (phi_A (x) phi_A) o a, b' o phi_B = (phi_B
-    (x) phi_B) o b and F' o phi_A = phi_B o F; each order is read from
-    the orders below by :class:`series.Transport`, so no inverse of p is
-    formed.  The result is truncated at the common order.
+    (x) phi_B) o b and F' o phi_A = phi_B o F; all orders are read as
+    one window (:func:`_window`), so no inverse of p is formed.  The
+    result is truncated at the common order.
     """
     if p.morphism != d.morphism:
         raise DimensionError("isomorphism and deformation live over "
@@ -672,31 +693,84 @@ def apply_equivalence(p: FormalIsomorphism,
         raise DimensionError(
             f"order mismatch: isomorphism has order {p.order}, "
             f"deformation has order {d.order}")
-    states = _transports(d, p.series_a(), p.series_b())
     comp = morphism_complex(d.morphism)
     return TruncatedDeformation(d.morphism, [d.coeffs[0]] + [
-        comp.element(*(s.advance(m) for s in states), 2)
-        for m in range(1, d.order + 1)])
+        comp.element(*parts, 2) for parts in _window(
+            p.series_a(), p.series_b(),
+            (d.series_a(), d.series_b(), d.series_f()), 1, d.order)])
+
+
+def _window(phi_a, phi_b, orders, m, top):
+    """The orders m..top of the transport c' of the series ``orders`` =
+    (a, b, F) by phi = (phi_A, phi_B), whose orders 1..m-1 vanish, as
+    triples (a'_n, b'_n, F'_n), from one
+    :func:`series._intertwining_defects` product through order top.
+    Slot n of (phi (x) phi) o c - c_0 o phi = (c' - c_0) o phi_in, and of
+    phi_B o F - F_0 o phi_A, is sum_(0 < j <= n) c'_j o phi_in,(n-j),
+    with phi_in = phi_A for a and F and phi_B for b.  So slots 1..m-1
+    vanish (checked), and c'_n is slot n less one stacked product, the
+    sum over m <= j < n.  With m = 1 it reads any whole transport."""
+    k = top + 1
+    if k <= m:
+        return []
+    unit, step, defects = series._intertwining_defects(
+        phi_a[:k], phi_b[:k], *(c[:k] for c in orders))
+    field, s, t = orders[0][0].field, orders[0][0].cols, orders[1][0].cols
+    unpack = _backend.kernel().unpack
+    columns = []
+    for (label, w, ints), phi, (rows, cols, power) in zip(
+            defects, (phi_a, phi_b, phi_a),
+            ((s * s, s, 3), (t * t, t, 3), (t, s, 2))):
+        if series.first_nonzero_slot(ints, w, m, field) is not None:
+            raise InternalInvariantError(
+                f"the transport of the {label} does not vanish below order "
+                f"{m}; this indicates a bug, not a property of the input")
+        inner = {j: x for j, x in series.nonzero(phi, top).items() if j}
+        read, live = [], {}
+        for n, ints_n in zip(range(m, k), unpack(ints, w, range(m, k))):
+            x = Matrix.from_integer_ratio(field, rows, cols, ints_n,
+                                          unit ** power * step ** n)
+            below = series.pairs(live, inner, n)
+            if below:
+                x = x - factor_product(below)
+            if not x.is_zero():
+                live[n] = x
+            read.append(x)
+        columns.append(read)
+    return list(zip(*columns))
+
+
+def _step(phi, l, chi):
+    """Compose the series phi with I - chi t^l in place: phi_k -= chi
+    phi_(k-l), k >= l, one product of chi with [phi_0 | .. | phi_(N-l)]."""
+    o = chi.cols
+    moved = Matrix.hstack(*phi[l:]) - \
+        chi @ Matrix.hstack(*phi[:len(phi) - l])
+    phi[l:] = [moved.submatrix_columns(range(j * o, j * o + o))
+               for j in range(len(phi) - l)]
 
 
 def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     """Find a formal isomorphism carrying ``d`` to the trivial deformation.
 
     Staircase construction: the leading nonzero coefficient w of the
-    transported deformation, at order m, is cobounded by chi, and the
-    step I - chi t^m, which clears order m without touching lower
+    transported deformation, at order l, is cobounded by chi, and the
+    step I - chi t^l, which clears order l without touching lower
     orders, is composed onto the isomorphism phi found so far; the
     composite of the steps is returned.  If some leading coefficient is
     a cocycle but not a coboundary, its degree-2 class blocks and is
-    reported.
+    reported.  The exact solve runs before the cocycle test, which runs
+    only when the solve fails (:func:`_cobounding`).
 
-    The steps are taken incrementally.  Transport is a group action
-    modulo t^(N+1), and a step at order m changes phi only at orders
-    >= m, so the transport of d by phi is never formed: each order is
-    read once by the :class:`series.Transport` of each series, the
-    recursion of :func:`apply_equivalence`.  Each step clears its order,
-    so the transport vanishes at the orders 1..m-1 when order m is read,
-    and the recursion reduces to X_m - c_0 o phi_m, at O(m) pairs.  One
+    The transport by phi is read in the doubling windows of orders
+    [m, min(2m - 1, N)], m = 1, 2, 4, .., each from one packed product by
+    the phi of the window's start (:func:`_window`), by this lemma: if
+    the transport c' by phi vanishes at the orders 0 < j < l, a step
+    psi = I - chi t^l changes it only at order l and at orders >= 2l.
+    Proof: every other term of (psi (x) psi) o c' o psi^-1, or of psi_B o
+    F' o psi_A^-1, pairs chi with a second chi or with some c'_j, j >= l.
+    So each chi, a blocked order and its class, and the composite phi
+    are those of steps that read the transport one order at a time.  One
     packed check of the final phi (:func:`series.intertwining_failure`)
     replaces a check per step.
 
@@ -711,27 +785,28 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     """
     comp = morphism_complex(d.morphism)
     comp.require_valid()
-    source, target, fmap = states = _transports(d)
-    for m in range(1, d.order + 1):
-        w = comp.element(*(s.advance(m) for s in states), 2)
-        if w.is_zero():
-            continue
-        if not comp.is_cocycle(w):
-            raise InternalInvariantError(
-                "leading coefficient of a valid deformation must be a "
-                "2-cocycle")
-        chi = comp.is_coboundary(w)
-        if chi is None:
-            return TrivializationResult(
-                False, None, m, w, tuple(comp.class_coordinates(w)))
-        source.step(m, chi.a_part.matrix)
-        target.step(m, chi.b_part.matrix)
-        fmap.step(m)
-    failure = series.intertwining_failure(
-        source.phi, target.phi, d.series_a(), d.series_b(), d.series_f())
+    n, identity = d.order, FormalIsomorphism.identity(d.morphism, d.order)
+    phi_a, phi_b = identity.series_a(), identity.series_b()
+    orders = d.series_a(), d.series_b(), d.series_f()
+    m = 1
+    while m <= n:
+        for l, parts in enumerate(
+                _window(phi_a, phi_b, orders, m, min(2 * m - 1, n)), m):
+            w = comp.element(*parts, 2)
+            if w.is_zero():
+                continue
+            chi = _cobounding(comp, w, "leading coefficient of a valid "
+                              "deformation must be a 2-cocycle")
+            if chi is None:
+                return TrivializationResult(
+                    False, None, l, w, tuple(comp.class_coordinates(w)))
+            _step(phi_a, l, chi.a_part.matrix)
+            _step(phi_b, l, chi.b_part.matrix)
+        m *= 2
+    failure = series.intertwining_failure(phi_a, phi_b, *orders)
     if failure is not None:
         raise InternalInvariantError(
             "the trivializing isomorphism fails on the %s at order %d; this "
             "indicates a bug, not a property of the input" % failure)
     return TrivializationResult(
-        True, _isomorphism_from_series(d.morphism, source.phi, target.phi))
+        True, _isomorphism_from_series(d.morphism, phi_a, phi_b))

@@ -9,9 +9,6 @@ deformations, formal isomorphisms and their transport on:
   stacked product of its nonzero pairs, where an identity order-0
   factor adds the other factor, and the inverse of a series with
   identity constant term (:func:`inverse`, for ``invert_formal`` only);
-* transport by a formal isomorphism, each order read from the orders
-  below with no inverse formed (:class:`Transport`): of a whole series,
-  and under the growing composite of the staircase's steps;
 * Kronecker substitution: one scale (L, D) and one slot width per
   packed equation for several series, from stated bounds on the slots
   (:func:`packing`, :func:`packed`), and the test that the slots of a
@@ -19,8 +16,11 @@ deformations, formal isomorphisms and their transport on:
 * the morphism equation (f (x) f) o a = b o f of series, packed, with
   its slot bound (:func:`morphism_defect`, :func:`morphism_bound`): the
   morphism condition of a deformation, and each comultiplication side
-  of the packed check that the staircase's composite intertwines a
-  deformation with its order-0 terms (:func:`intertwining_failure`).
+  of the packed defects of a formal isomorphism phi intertwining a
+  deformation with its order-0 terms (:func:`_intertwining_defects`).
+  Their slots are the transport by phi composed with phi, from which
+  the transport is read, and decide whether phi trivializes the
+  deformation (:func:`intertwining_failure`).
 
 Each slot bound is proved once, in the docstring of the function that
 packs with it.
@@ -32,8 +32,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import _backend
-from .coalgebra import factor_ints, factor_operand, factor_product, \
-    factor_read
+from .coalgebra import factor_ints, factor_product, factor_read
 from .exactlinalg import Matrix
 
 
@@ -57,11 +56,11 @@ def _is_identity(m):
     return m == Matrix.identity(m.field, m.rows)
 
 
-def summed(factors, through, zero, o=1, right=False):
-    """The :func:`factor_product` of the pairs ``factors`` plus the
-    matrices ``through``: the products an order-0 identity factor passes
-    through unmultiplied."""
-    terms = ([factor_product(factors, o, right)] if factors else []) + through
+def summed(factors, through, zero):
+    """The stacked product of the pairs ``factors`` plus the matrices
+    ``through``: the products an order-0 identity factor passes through
+    unmultiplied."""
+    terms = ([factor_product(factors)] if factors else []) + through
     return sum(terms[1:], terms[0]) if terms else zero
 
 
@@ -84,15 +83,6 @@ def product(a, b, order):
                    zero) for n in range(order + 1)]
 
 
-def _put(live, n, x):
-    """Make x the order-n coefficient of a series kept by its nonzero
-    coefficients (as :func:`nonzero` lists them)."""
-    if x.is_zero():
-        live.pop(n, None)
-    else:
-        live[n] = x
-
-
 def inverse(a, order):
     """Inverse of a truncated series whose constant term is the identity:
     inv_n = -(a_n + sum_(0<i<n) a_i inv_(n-i))."""
@@ -102,7 +92,8 @@ def inverse(a, order):
     for n in range(1, order + 1):
         inv.append(-summed(pairs(higher, live, n),
                            [higher[n]] if n in higher else [], zero))
-        _put(live, n, inv[n])
+        if not inv[n].is_zero():
+            live[n] = inv[n]
     return inv
 
 
@@ -161,78 +152,6 @@ def packed(r, w, unit, step):
                       for i, (ints, q) in enumerate(r)], w)
 
 
-# ---------------------------------------------------------------------------
-# transport
-
-
-class Transport:
-    """The transport c' of a series c by a formal isomorphism phi, read
-    one order at a time from the orders below: c' o phi_in = X modulo
-    t^(N+1), with X = (phi (x) phi) o c and phi_in = phi for a
-    comultiplication c, and X = phi_B o F and phi_in = phi_A for a map
-    F: A -> B.  As phi_0 = I, for any series c, with no inverse formed,
-
-        c'_m = X_m - sum_(0 <= j < m) c'_j o phi_in,(m-j).
-
-    A comultiplication's state keeps phi (the identity when None) and the
-    prefix of u = (Id (x) phi) o c, with X = (phi (x) Id) o u; a map's
-    state reads phi_A and phi_B from the states of its source and target
-    (``ends``), which read each order first.  u_m, X_m and the sum are
-    one stacked product each.
-    """
-
-    def __init__(self, c, order, phi=None, ends=None):
-        field, dim = c[0].field, c[0].cols
-        self.series, self.image = nonzero(c, order), nonzero(c, 0)
-        self.zero = Matrix.zeros(field, c[0].rows, dim)
-        self.inner, self.outer = ends or (self, self)
-        if ends:
-            self.u, self.o = self.series, 1
-            return
-        self.phi = list(phi) if phi else [Matrix.identity(field, dim)] + \
-            [Matrix.zeros(field, dim, dim)] * order
-        self.live, self.o, self.u = {}, dim, nonzero(c, 0)
-        # c is read as the right-factor operand of (Id (x) phi_j) o c_k
-        self.operands = {k: factor_operand(x, dim, dim, right=True)
-                         for k, x in self.series.items()}
-
-    def advance(self, m):
-        """Read order m, once the orders below have been read: the order-m
-        coefficient of the transport, kept for the orders above."""
-        if self.outer is self:
-            _put(self.live, m, self.phi[m])
-            c_m = [self.series[m]] if m in self.series else []
-            _put(self.u, m, summed(pairs(self.live, self.operands, m), c_m,
-                                   self.zero, self.o, right=True))
-        x_m = summed(pairs(self.outer.live, self.u, m),
-                     [self.u[m]] if m in self.u else [], self.zero, self.o)
-        below = [j for j in self.image if m - j in self.inner.live]
-        if below:
-            x_m = x_m - Matrix.hstack(*[self.image[j] for j in below]) @ \
-                Matrix.vstack(*[self.inner.phi[m - j] for j in below])
-        _put(self.image, m, x_m)
-        return x_m
-
-    def step(self, m, chi=None):
-        """Compose phi with I - chi t^m, once no order above m is read:
-        phi_k -= chi phi_(k-m) for k >= m, one product of chi with the
-        block row [phi_0 | ... | phi_(N-m)], and u_m -= (Id (x) chi) o c_0.
-        Order m is forgotten: read it again, unless the step cleared it,
-        as the staircase's steps do.  A map's state, whose ends took the
-        step, gets no chi and only forgets order m."""
-        self.image.pop(m, None)
-        if chi is None:
-            return
-        moved = Matrix.hstack(*self.phi[m:]) - \
-            chi @ Matrix.hstack(*self.phi[:len(self.phi) - m])
-        self.phi[m:] = [moved.submatrix_columns(range(j, j + self.o))
-                        for j in range(0, moved.cols, self.o)]
-        _put(self.live, m, self.phi[m])
-        if 0 in self.operands:
-            _put(self.u, m, self.u.get(m, self.zero) - factor_product(
-                [(chi, self.operands[0])], self.o, right=True))
-
-
 def morphism_bound(m_f, m_a, m_b, d, e, unit):
     """The order-n slot bounds of :func:`morphism_defect`, from the
     largest scaled entries M_f(i), M_a(i), M_b(i) of the order-i
@@ -272,30 +191,25 @@ def morphism_defect(r_f, r_a, r_b, d, e, k, w, unit, step):
         factor_ints(b, f, e * e, e, 1, d), -unit)
 
 
-def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
-    """The first (equation, order) at which one of
+def _intertwining_defects(phi_a, phi_b, series_a, series_b, series_f):
+    """(L, D, [(equation, slot width, packed ints)]) of
 
-    * (phi_A (x) phi_A) o a = a_0 o phi_A ("source comultiplication"),
-    * (phi_B (x) phi_B) o b = b_0 o phi_B ("target comultiplication"),
-    * phi_B o F = F_0 o phi_A ("morphism")
+    * (phi_A (x) phi_A) o a - L a_0 o phi_A ("source comultiplication"),
+    * (phi_B (x) phi_B) o b - L b_0 o phi_B ("target comultiplication"),
+    * phi_B o F - F_0 o phi_A ("morphism"),
 
-    fails, for the series a, b, F of a deformation of order N = len(a)
-    - 1, or None when all hold through order N; as phi is invertible,
-    None means that the transport of the deformation by phi is trivial.
-
-    Evaluated by Kronecker substitution, every series scaled by one
-    (L, D) (:func:`packing`).  Each comultiplication equation is the
-    morphism equation of :func:`morphism_defect` with f = phi, a = c and
-    b = [c_0].  The morphism equation is a linear square:
-    with M_p(i), M_q(i), M_f(i) the largest scaled entries of phi_A,
-    phi_B, F and d, e the source and target dimensions, the order-n
-    slot of phi_B o F - F_0 o phi_A, over L^2 D^n, is a sum of e
-    products phi_B,i F_(n-i) and d products F_0 phi_A,n, so
+    for series of order N = len(a) - 1, every series scaled by one (L, D)
+    (:func:`packing`): slot n <= N is the order-n coefficient over L^3 D^n
+    for a comultiplication, :func:`morphism_defect` with f = phi, a = c
+    and b = [c_0], and over L^2 D^n for the morphism.  That difference is
+    a linear square: with M_p(i), M_q(i), M_f(i) the largest scaled
+    entries of phi_A, phi_B, F and d, e the source and target
+    dimensions, its slot n is a sum of e products phi_B,i F_(n-i) and d
+    products F_0 phi_A,n, so
 
     * |slot n| <= e (M_q * M_f)(n) + d M_f(0) M_p(n).
     """
     k = len(series_a)
-    field = series_a[0].field
     dim_a, dim_b = series_a[0].cols, series_b[0].cols
     r_p, r_q, r_a, r_b, r_f = ([m.as_integer_ratio() for m in s] for s in
                                (phi_a, phi_b, series_a, series_b, series_f))
@@ -312,7 +226,7 @@ def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
     kern = _backend.kernel()
     p, q, f, f0 = (packed(r, w_f, unit, step) for r in (r_p, r_q, r_f,
                                                         r_f[:1]))
-    differences = [
+    return unit, step, [
         ("source comultiplication", w_a, morphism_defect(
             r_p, r_a, r_a[:1], dim_a, dim_a, k, w_a, unit, step)),
         ("target comultiplication", w_b, morphism_defect(
@@ -320,8 +234,17 @@ def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
         ("morphism", w_f, kern.lincomb(
             kern.matmul(q, f, dim_b, dim_b, dim_a), 1,
             kern.matmul(f0, p, dim_b, dim_a, dim_a), -1))]
-    for label, w, ints in differences:
-        failure = first_nonzero_slot(ints, w, k, field)
+
+
+def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
+    """The first (equation, order) at which a difference of
+    :func:`_intertwining_defects` is nonzero, or None when all vanish
+    through order N: then phi carries the deformation to its order-0
+    terms, as phi is invertible."""
+    k = len(series_a)
+    for label, w, ints in _intertwining_defects(
+            phi_a, phi_b, series_a, series_b, series_f)[2]:
+        failure = first_nonzero_slot(ints, w, k, series_a[0].field)
         if failure is not None:
             return label, failure[0]
     return None

@@ -30,7 +30,7 @@ from fractions import Fraction
 from coaldef._kernels_py import unpack
 from coaldef.cohomology import morphism_complex
 from coaldef.deformation import (FormalIsomorphism, InternalInvariantError,
-                                 TrivializationResult, _defects_at,
+                                 TrivializationResult, _Defects,
                                  _packed_defects, apply_equivalence,
                                  compose_isomorphisms, infinitesimal)
 from coaldef.exactlinalg import DimensionError, Matrix, QuotientError, Subspace
@@ -180,12 +180,12 @@ def reference_trivialize(d):
 
 def read_defects(series_a, series_b, series_f, orders):
     """The defects (D_a, D_b, D_f) of the deformation equations at each
-    of ``orders``, as matrices: a single order summed pair by pair by
-    ``_defects_at``, as the obstruction does, and several read off the
-    slots of ``_packed_defects``, each over L^2 D^n (D_a, D_b) or
-    L^3 D^n (D_f)."""
-    if len(orders) == 1:
-        return [_defects_at(series_a, series_b, series_f, orders[0])]
+    of ``orders``, as matrices: the order just above the series summed
+    pair by pair by ``_Defects``, as the obstruction is, and otherwise
+    read off the slots of ``_packed_defects``, each over L^2 D^n (D_a,
+    D_b) or L^3 D^n (D_f)."""
+    if list(orders) == [len(series_a)]:
+        return [_Defects(series_a, series_b, series_f).next_order()]
     field = series_a[0].field
     d, e = series_a[0].cols, series_b[0].cols
     unit, step, packed = _packed_defects(series_a, series_b, series_f,

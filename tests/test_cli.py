@@ -405,6 +405,28 @@ class TestSharedRecords:
         assert fresh == kept
         assert set(kept[1]) == {"p.json", "out.json"}
 
+    def test_obstruct_after_check_forms_no_product(self, tmp_path,
+                                                   monkeypatch):
+        # check keeps the order-(N+1) defects on the shared parse of the
+        # deformation, and obstruct reads them there
+        from coaldef import deformation
+        (tmp_path / "p.json").write_text(json.dumps(dp2_problem("dp2")))
+        monkeypatch.chdir(tmp_path)
+        assert run("integrate", "p.json", "w", 3, "-o", "out.json") \
+            .exit_code == 0
+        fresh = run("obstruct", "out.json", "w").output
+        _parsed.cache_clear()
+        packed = []
+        pack = deformation._packed_defects
+        monkeypatch.setattr(deformation, "_packed_defects",
+                            lambda *args: packed.append(1) or pack(*args))
+        assert run("check", "out.json", "w").exit_code == 0
+        assert len(packed) == 1
+        r = run("obstruct", "out.json", "w")
+        assert r.exit_code == 0, r.output
+        assert len(packed) == 1
+        assert json_lines(r.output) == json_lines(fresh)
+
     def test_names_do_not_reach_the_output(self, tmp_path, monkeypatch):
         # the second run reads the records of the first, whose
         # coalgebra had another name
@@ -728,8 +750,10 @@ def test_golden_corpus_output_in_reverse_order(corpus_dir, tmp_path,
 def test_valid_deformations_are_verified_without_unpacking(tmp_path,
                                                            monkeypatch):
     # over QQ one mask per packed entry decides that every order of an
-    # equation vanishes, so a valid deformation is never unpacked: not
-    # a gauge deformation of order 12, nor a file `integrate` wrote
+    # equation vanishes, so no order of a valid deformation is unpacked:
+    # not of a gauge deformation of order 12, nor of a file `integrate`
+    # wrote.  Only slot 13 is read, once per equation: the order-13
+    # defects that verification keeps for the obstruction
     from coaldef import _kernels_py
     from coaldef.deformation import (TruncatedDeformation,
                                      apply_equivalence, verify_deformation)
@@ -748,10 +772,11 @@ def test_valid_deformations_are_verified_without_unpacking(tmp_path,
                out).exit_code == 0
     unpacked = []
     real = _kernels_py.unpack
-    monkeypatch.setattr(_kernels_py, "unpack",
-                        lambda *args: unpacked.append(1) or real(*args))
+    monkeypatch.setattr(_kernels_py, "unpack", lambda packed, w, slots:
+                        unpacked.append(list(slots))
+                        or real(packed, w, slots))
     assert verify_deformation(gauge).ok
     r = run("check", out, "w")
     assert r.exit_code == 0, r.output
     assert '"status": "ok"' in json_lines(r.output)[0]
-    assert unpacked == []
+    assert unpacked == [[13]] * 6

@@ -12,6 +12,7 @@ from coaldef.cohomology import Cochain, MorphismComplex, morphism_complex
 from coaldef.deformation import (
     ExtensionRejected,
     FormalIsomorphism,
+    InternalInvariantError,
     ObstructionClass,
     TruncatedDeformation,
     apply_equivalence,
@@ -93,7 +94,9 @@ class TestVerify:
 
     def test_each_deformation_is_verified_once(self, dp_setup, monkeypatch):
         # a deformation does not change, so a second verification reads
-        # the report of the first: one packed product, one unpacking
+        # the report of the first: one packed product each.  The invalid
+        # one is unpacked once, at the equation that fails; the valid one
+        # once per equation, for the order-(N+1) defects that it keeps
         from coaldef import _kernels_py
         import coaldef.deformation as deformation
         f, comp, w = dp_setup
@@ -112,7 +115,7 @@ class TestVerify:
             assert first.ok is ok
             assert verify_deformation(d) == first
         assert len(packed) == 2
-        assert len(unpacked) == 1
+        assert len(unpacked) == 4
         # an equal deformation built anew is verified anew
         again = TruncatedDeformation.from_higher_coefficients(f, [half], 1)
         assert verify_deformation(again) == verify_deformation(invalid)
@@ -294,6 +297,56 @@ class TestExtend:
             ob = obstruction(trunc)
             last = d.coefficient(d.order)
             assert comp.differential(last) == ob.cochain
+
+
+class TestCocycleChecks:
+    """Solves run before cocycle tests, yet a cochain that the theory
+    makes a cocycle and is not one still raises: the cochains of one
+    degree are built with one entry bumped, which leaves no cocycle
+    on these inputs.  Both pass with the cocycle test run first."""
+
+    @staticmethod
+    def bump(monkeypatch, degree, skip=0):
+        """Bump entry (0, 0) of the a part of the degree-``degree``
+        cochains that MorphismComplex.element builds, after ``skip``."""
+        element, seen = MorphismComplex.element, []
+
+        def bumped(self, a, b, ab, n):
+            if n == degree:
+                seen.append(n)
+                if len(seen) > skip:
+                    a = a + Matrix.from_sparse(a.field, a.rows, a.cols,
+                                               {(0, 0): 1})
+            return element(self, a, b, ab, n)
+
+        monkeypatch.setattr(MorphismComplex, "element", bumped)
+
+    def test_obstruction_that_is_no_cocycle_raises(self, dp_setup,
+                                                   monkeypatch):
+        from coaldef.deformation import _verified_obstruction
+        f, comp, w = dp_setup
+        d = TruncatedDeformation.from_higher_coefficients(f, [w], 1)
+        w2 = extend(d).coefficient(2)
+        wrong = comp.zero(1)
+        self.bump(monkeypatch, 3)
+        for operation in (lambda: integrate(w, 3), lambda: extend(d),
+                          lambda: extend(d, w2), lambda: extend(d, wrong),
+                          lambda: obstruction(d),
+                          lambda: _verified_obstruction(d)):
+            with pytest.raises(InternalInvariantError, match="3-cocycle"):
+                operation()
+
+    def test_window_coefficient_that_is_no_cocycle_raises(self,
+                                                          monkeypatch):
+        # the leading coefficient at order 4 opens the window [4, 7]
+        f = identity_morphism(divided_power(3))
+        gauge = random_isomorphism(morphism_complex(f), 8, fresh_rng(9),
+                                   bound=2)
+        d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, 8))
+        assert trivialize(d).ok
+        self.bump(monkeypatch, 2, skip=3)
+        with pytest.raises(InternalInvariantError, match="2-cocycle"):
+            trivialize(d)
 
 
 class TestIntegrate:
@@ -503,40 +556,47 @@ class TestTrivialize:
 
     def test_staircase_makes_a_bounded_number_of_products_per_order(
             self, monkeypatch):
-        # the staircase forms one order of the transported deformation at
-        # a time: five coefficient products, and two updates at a step,
-        # per order; the loop that transported the whole series and
-        # composed the whole isomorphism at every step made 1,046 here.
-        # A step updates phi with one product of chi and the block row of
-        # phi, and u with one factor product: two kernel products, not
-        # one per order of phi
-        from coaldef import _kernels_py
+        # the staircase reads the transport in the windows [1], [2, 3],
+        # [4, 7] and [8, 12]: one packed product of the intertwining
+        # defects each, and one for the final check, floor(log2 12) + 2
+        # in all.  Each order of a window above its first is corrected by
+        # one stacked product per series; the loop that transported the
+        # whole series and composed the whole isomorphism at every step
+        # made 1,046 factor products here.  A step updates phi with one
+        # product of chi and the block row of phi, not one per order of phi
+        from coaldef import _kernels_py, deformation
         f = identity_morphism(divided_power(3))
         order = 12
         gauge = random_isomorphism(morphism_complex(f), order, fresh_rng(6),
                                    bound=2)
         d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
-        calls, products, per_step = [], [], []
-        real = series.factor_product
-        monkeypatch.setattr(series, "factor_product",
-                            lambda *args, **kwargs: calls.append(1)
-                            or real(*args, **kwargs))
-        real_matmul, real_step = _kernels_py.matmul, series.Transport.step
+        calls, packed, products, per_step = [], [], [], []
+        for module in (series, deformation):
+            real = module.factor_product
+            monkeypatch.setattr(module, "factor_product",
+                                lambda *args, real=real, **kwargs:
+                                calls.append(1) or real(*args, **kwargs))
+        real_defects = series._intertwining_defects
+        monkeypatch.setattr(series, "_intertwining_defects",
+                            lambda *args: packed.append(1)
+                            or real_defects(*args))
+        real_matmul, real_step = _kernels_py.matmul, deformation._step
 
         def matmul(*args):
             products.append(1)
             return real_matmul(*args)
 
-        def step(self, m, chi=None):
+        def step(*args):
             before = len(products)
-            real_step(self, m, chi)
+            real_step(*args)
             per_step.append(len(products) - before)
 
         monkeypatch.setattr(_kernels_py, "matmul", matmul)
-        monkeypatch.setattr(series.Transport, "step", step)
+        monkeypatch.setattr(deformation, "_step", step)
         result = trivialize(d)
+        assert len(packed) <= 5
         assert len(calls) <= 7 * order
-        assert per_step and max(per_step) <= 2
+        assert per_step and max(per_step) <= 1
         monkeypatch.undo()
         assert apply_equivalence(result.isomorphism, d) == \
             TruncatedDeformation.trivial(f, order)

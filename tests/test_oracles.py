@@ -76,9 +76,10 @@ from coaldef.deformation import (
     InternalInvariantError,
     TruncatedDeformation,
     _cauchy_kron,
-    _report,
     _structure_coefficient,
+    _verified,
     _verified_obstruction,
+    _window,
     apply_equivalence,
     comp_bar,
     compose_isomorphisms,
@@ -95,7 +96,7 @@ from coaldef.problemfile import (ProblemFile, ProblemFileError, _decoded,
 from coaldef.series import intertwining_failure
 from coaldef.series import inverse as series_inverse
 from coaldef.series import product as series_product
-from coaldef.series import Transport
+from coaldef.series import nonzero as series_nonzero
 
 from helpers import (
     LARGE_PRIMES,
@@ -636,7 +637,10 @@ def test_series_products_match_dense_reference(seed, field):
     b = _sparse_series(rng, field, k, c, order)
     assert series_product(a, b, order) == \
         reference_series_mul(a, b, order)
-    assert _cauchy_kron(a, b, order) == \
+    zero = Matrix.zeros(field, r * k, k * c)
+    kron = [_cauchy_kron(series_nonzero(a, order), series_nonzero(b, order),
+                         n) for n in range(order + 1)]
+    assert [zero if x is None else x for x in kron] == \
         reference_series_kron(a, b, order)
     unit = [Matrix.identity(field, k)] + _sparse_series(rng, field, k, k,
                                                         order)[1:]
@@ -783,46 +787,82 @@ def test_trivialize_matches_reference_staircase(seed, field, which, kind):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
-       st.integers(0, 3))
-def test_partial_transport_states_match_dense_reference(seed, field, which):
-    # the transport states driven as the staircase drives them, but with
-    # steps I - chi t^l that need not clear their order: a step at the
-    # order just read (read again) or above it, then every remaining
-    # order.  The orders read are the transport by the composite of the
-    # steps, on deformations and on series that are none
+       st.integers(0, 3), st.sampled_from((1, 2, 4)))
+def test_window_reads_match_dense_reference(seed, field, which, m):
+    # d = g . d0, with the orders 1..m-1 of d0 zero, and phi = h o g^-1
+    # with h = I modulo t^m: the transport of d by phi is h . d0, which
+    # vanishes through order m - 1.  The window reader's orders m..top
+    # are those of the dense transport; a step I - chi t^l at any l of
+    # the window, with any chi, leaves every order of the dense transport
+    # through top but l as it was.  d0 is a deformation or a series that
+    # is none, as the reader holds for any series
     rng = fresh_rng(seed)
     comp = MorphismComplex(_staircase_morphisms(field)[which])
     f = comp.morphism
-    d = _staircase_input(rng, comp, rng.randint(0, 3)) if rng.random() < 0.5 \
-        else _sparse_deformation(rng, comp, rng.randint(1, 5))
-    n = d.order
-    source = Transport(d.series_a(), n)
-    target = Transport(d.series_b(), n)
-    states = (source, target, Transport(d.series_f(), n,
-                                        ends=(source, target)))
-    composite = FormalIsomorphism.identity(f, n)
-    read = [[x] for x in (d.comul_a(0), d.comul_b(0), d.map_coeff(0))]
-    for m in range(1, n + 1):
-        values = [s.advance(m) for s in states]
-        if rng.random() < 0.5:
-            level = rng.randint(m, n)
-            chi = comp.element(
-                _staircase_matrix(rng, field, f.source.dim, f.source.dim),
-                _staircase_matrix(rng, field, f.target.dim, f.target.dim),
-                None, 1)
-            source.step(level, chi.a_part.matrix)
-            target.step(level, chi.b_part.matrix)
-            states[2].step(level)
-            composite = compose_isomorphisms(
-                FormalIsomorphism.from_higher_coefficients(
-                    f, [comp.zero(1)] * (level - 1) + [-chi], n), composite)
-            if level == m:
-                values = [s.advance(m) for s in states]
-        for coefficients, x in zip(read, values):
-            coefficients.append(x)
-    assert (source.phi, target.phi) == (composite.series_a(),
-                                        composite.series_b())
-    assert tuple(read) == reference_transport(composite, d)
+    top = rng.randint(m, 2 * m - 1)
+    order = rng.randint(top, top + 2)
+    if rng.random() < 0.5:
+        d0 = TruncatedDeformation.from_higher_coefficients(
+            f, [comp.zero(2)] * (m - 1) + [_nonzero_class(rng, comp)], order) \
+            if comp.cohomology(2).h_dim and m > 1 else \
+            TruncatedDeformation.trivial(f, order)
+    else:
+        d0 = _sparse_deformation(rng, comp, order)
+        d0 = TruncatedDeformation(f, d0.coeffs[:1] + tuple(
+            comp.zero(2) if n < m else c for n, c in enumerate(d0.coeffs)
+            if n))
+    gauge = _staircase_isomorphism(rng, comp, order)
+    d = apply_equivalence(gauge, d0)
+    phi = compose_isomorphisms(_staircase_isomorphism(rng, comp, order, m - 1),
+                               invert_formal(gauge))
+    expected = reference_transport(phi, d)
+    assert all(x.is_zero() for c in expected for x in c[1:m])
+    read = _window(phi.series_a(), phi.series_b(),
+                   (d.series_a(), d.series_b(), d.series_f()), m, top)
+    assert read == list(zip(*(c[m:top + 1] for c in expected)))
+    level = rng.randint(m, top)
+    chi = comp.element(
+        _staircase_matrix(rng, field, f.source.dim, f.source.dim),
+        _staircase_matrix(rng, field, f.target.dim, f.target.dim), None, 1)
+    stepped = compose_isomorphisms(FormalIsomorphism.from_higher_coefficients(
+        f, [comp.zero(1)] * (level - 1) + [-chi], order), phi)
+    assert [c[:level] + c[level + 1:top + 1]
+            for c in reference_transport(stepped, d)] == \
+        [c[:level] + c[level + 1:top + 1] for c in expected]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("kind", ["gauge", "blocked"])
+def test_trivialize_matches_reference_staircase_over_five_windows(field,
+                                                                   kind):
+    # order 16 is read in the windows [1], [2, 3], [4, 7], [8, 15] and
+    # [16]; the blocked input is [0, .., 0, w] with [w] != 0 at order 9,
+    # valid through order 17, transported by a gauge
+    rng = fresh_rng(16)
+    f = identity_morphism(divided_power(2, field))
+    comp = MorphismComplex(f)
+    d = TruncatedDeformation.trivial(f, 16) if kind == "gauge" else \
+        TruncatedDeformation.from_higher_coefficients(
+            f, [comp.zero(2)] * 8 + [_nonzero_class(rng, comp)], 16)
+    d = apply_equivalence(random_isomorphism(comp, 16, rng, bound=2), d)
+    result = trivialize(d)
+    assert result == reference_trivialize(d)
+    assert (result.ok, result.blocked_order) == (
+        (True, None) if kind == "gauge" else (False, 9))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@pytest.mark.parametrize("which", [5, 6])
+def test_trivialize_with_a_zero_dimensional_end(field, which):
+    # the step on the zero-dimensional side splits a 0 x 0 block row
+    f = _defect_morphisms(field)[which]
+    comp = MorphismComplex(f)
+    d = next(d for d in (apply_equivalence(
+        random_isomorphism(comp, 3, fresh_rng(seed)),
+        TruncatedDeformation.trivial(f, 3)) for seed in range(20))
+        if not all(c.is_zero() for c in d.coeffs[1:]))
+    result = trivialize(d)
+    assert result.ok and result == reference_trivialize(d)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
@@ -1192,7 +1232,7 @@ def full_read_report(defects):
 
 def _assert_report_matches_full_reads(series):
     orders = range(len(series[0]))
-    report = _report(*series)
+    report = _verified(*series)[0]
     assert report == full_read_report(read_defects(*series, orders))
     assert report == full_read_report(reference_defects(*series, orders))
     return report
