@@ -371,15 +371,12 @@ def change_basis(coalg: Coalgebra, p: Matrix, name=None) -> Coalgebra:
     return Coalgebra(name or f"{coalg.name}'", coalg.dim, delta)
 
 
-def change_basis_morphism(f: CoalgebraMorphism, p: Matrix, q: Matrix,
-                          source=None, target=None) -> CoalgebraMorphism:
+def change_basis_morphism(f: CoalgebraMorphism, p: Matrix,
+                          q: Matrix) -> CoalgebraMorphism:
     """Transport f along basis changes p (source) and q (target)."""
-    src = source or change_basis(f.source, p)
-    tgt = target or change_basis(f.target, q)
-    p_inv = p.inverse()
-    if p_inv is None:
-        raise InvalidStructureError("change-of-basis matrix is singular")
-    return CoalgebraMorphism(src, tgt, q @ f.matrix @ p_inv)
+    src = change_basis(f.source, p)  # raises when p is singular
+    tgt = change_basis(f.target, q)
+    return CoalgebraMorphism(src, tgt, q @ f.matrix @ p.inverse())
 
 
 # ---------------------------------------------------------------------------

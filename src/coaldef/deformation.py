@@ -22,8 +22,10 @@ through order N.  This module implements:
   trivialization (staircase) that either exhibits an equivalence with
   the trivial deformation or returns the blocking degree-2 class.
 
-Everything is exact; truncation order is part of every object.  The
-arithmetic of the coefficient series is :mod:`coaldef.series`.
+Deformations and formal isomorphisms are one truncated series of
+cochains (:class:`_Series`), of degree 2 and 1.  Everything is exact;
+truncation order is part of every object.  The arithmetic of the
+coefficient series is :mod:`coaldef.series`.
 """
 
 from __future__ import annotations
@@ -51,157 +53,51 @@ class ExtensionRejected(ExactLinalgError):
 # deformations
 
 
-class TruncatedDeformation:
-    """A deformation of a morphism, truncated at a fixed order.
-
-    ``coeffs[n]`` is the degree-2 morphism cochain carrying the order-n
-    coefficients of the two comultiplications (a_part, b_part) and of
-    the morphism (ab_part); ``coeffs[0]`` is always the structure triple
-    of the undeformed morphism.
-    """
-
-    __slots__ = ("morphism", "order", "coeffs", "_verification", "_defects")
-
-    def __init__(self, morphism: CoalgebraMorphism, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise DimensionError("a deformation has at least its order-0 term")
-        c0 = coeffs[0]
-        if (c0.degree != 2 or c0.morphism != morphism
-                or c0.a_part.matrix != morphism.source.delta
-                or c0.b_part.matrix != morphism.target.delta
-                or c0.ab_part.matrix != morphism.matrix):
-            raise InvalidStructureError(
-                "order-0 coefficient must be the structure maps of the morphism")
-        for c in coeffs[1:]:
-            if c.degree != 2 or c.morphism != morphism:
-                raise DimensionError(
-                    "deformation coefficients must be degree-2 cochains over "
-                    "the same morphism")
-        self.morphism = morphism
-        self.order = len(coeffs) - 1
-        self.coeffs = coeffs
-        # (the verify_deformation report, the order-(N+1) defects when it
-        # passes) once it has run, and the _Defects of the obstruction
-        self._verification = self._defects = None
-
-    @classmethod
-    def from_higher_coefficients(cls, morphism, higher, order=None):
-        """Build from the coefficients of t^1.. (zero-padded to ``order``;
-        more coefficients than ``order`` raise DimensionError)."""
-        comp = morphism_complex(morphism)
-        return cls(morphism, [_structure_coefficient(comp)]
-                   + _padded(comp, higher, order, 2))
-
-    @classmethod
-    def trivial(cls, morphism, order):
-        return cls.from_higher_coefficients(morphism, [], order)
-
-    def coefficient(self, n) -> MorphismCochain:
-        return self.coeffs[n]
-
-    def comul_a(self, n) -> Matrix:
-        return self.coeffs[n].a_part.matrix
-
-    def comul_b(self, n) -> Matrix:
-        return self.coeffs[n].b_part.matrix
-
-    def map_coeff(self, n) -> Matrix:
-        return self.coeffs[n].ab_part.matrix
-
-    def series_a(self):
-        return [self.comul_a(n) for n in range(self.order + 1)]
-
-    def series_b(self):
-        return [self.comul_b(n) for n in range(self.order + 1)]
-
-    def series_f(self):
-        return [self.map_coeff(n) for n in range(self.order + 1)]
-
-    def truncate(self, order) -> "TruncatedDeformation":
-        if order > self.order:
-            raise DimensionError("cannot truncate upward")
-        if order < 0:
-            raise DimensionError(f"cannot truncate to order {order}")
-        return TruncatedDeformation(self.morphism, self.coeffs[:order + 1])
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedDeformation):
-            return NotImplemented
-        return self.morphism == other.morphism and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return (f"TruncatedDeformation(order={self.order}, "
-                f"over {self.morphism!r})")
-
-
-def _padded(comp: MorphismComplex, higher, order, degree):
-    """The coefficients of t^1.., zero-padded to ``order`` (by default
-    their count); more coefficients than ``order`` are an error."""
-    higher = list(higher)
-    if order is None:
-        order = len(higher)
-    if len(higher) > order:
-        raise DimensionError(
-            f"{len(higher)} higher coefficients exceed order {order}")
-    return higher + [comp.zero(degree) for _ in range(order - len(higher))]
-
-
-def _structure_coefficient(comp: MorphismComplex) -> MorphismCochain:
-    """The order-0 coefficient: both comultiplications and the morphism."""
-    f = comp.morphism
-    return comp.element(f.source.delta, f.target.delta, f.matrix, 2)
-
-
-def _identity_pair(comp: MorphismComplex) -> MorphismCochain:
-    """The order-0 coefficient of a formal isomorphism."""
-    f = comp.morphism
-    return comp.element(Matrix.identity(f.field, f.source.dim),
-                        Matrix.identity(f.field, f.target.dim), None, 1)
-
-
-class FormalIsomorphism:
-    """A truncated formal isomorphism: degree-1 coefficients on both sides.
-
-    The order-0 coefficient is the identity pair, which makes every
-    formal isomorphism invertible modulo t^(order+1).
+class _Series:
+    """A series in t, truncated at a fixed order, of cochains of one
+    degree in the deformation complex of a morphism.  A subclass names
+    the degree, the maps of the order-0 term (:meth:`_constant_maps`)
+    and its messages: no order-0 term, a wrong one, a wrong coefficient.
     """
 
     __slots__ = ("morphism", "order", "coeffs")
 
     def __init__(self, morphism: CoalgebraMorphism, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs, degree = tuple(coeffs), self._degree
         if not coeffs:
-            raise DimensionError("an isomorphism has at least its order-0 term")
+            raise DimensionError(self._errors[0])
         c0 = coeffs[0]
-        if (c0.degree != 1 or c0.morphism != morphism
-                or c0.a_part.matrix != Matrix.identity(morphism.field,
-                                                       morphism.source.dim)
-                or c0.b_part.matrix != Matrix.identity(morphism.field,
-                                                       morphism.target.dim)):
-            raise InvalidStructureError(
-                "order-0 coefficient of a formal isomorphism must be the "
-                "identity pair")
+        # the order-0 maps are read once degree and morphism match
+        if (c0.degree != degree or c0.morphism != morphism
+                or c0.a_part.matrix != (m := self._constant_maps(morphism))[0]
+                or c0.b_part.matrix != m[1]
+                or m[2] is not None and c0.ab_part.matrix != m[2]):
+            raise InvalidStructureError(self._errors[1])
         for c in coeffs[1:]:
-            if c.degree != 1 or c.morphism != morphism:
-                raise DimensionError(
-                    "isomorphism coefficients must be degree-1 cochains over "
-                    "the same morphism")
+            if c.degree != degree or c.morphism != morphism:
+                raise DimensionError(self._errors[2])
         self.morphism = morphism
         self.order = len(coeffs) - 1
         self.coeffs = coeffs
+
+    @classmethod
+    def _constant(cls, comp: MorphismComplex) -> MorphismCochain:
+        """The order-0 coefficient over the complex of the morphism."""
+        return comp.element(*cls._constant_maps(comp.morphism), cls._degree)
 
     @classmethod
     def from_higher_coefficients(cls, morphism, higher, order=None):
         """Build from the coefficients of t^1.. (zero-padded to ``order``;
         more coefficients than ``order`` raise DimensionError)."""
         comp = morphism_complex(morphism)
-        return cls(morphism, [_identity_pair(comp)]
-                   + _padded(comp, higher, order, 1))
-
-    @classmethod
-    def identity(cls, morphism, order):
-        return cls.from_higher_coefficients(morphism, [], order)
+        higher = list(higher)
+        if order is None:
+            order = len(higher)
+        if len(higher) > order:
+            raise DimensionError(
+                f"{len(higher)} higher coefficients exceed order {order}")
+        return cls(morphism, [cls._constant(comp)] + higher + [
+            comp.zero(cls._degree) for _ in range(order - len(higher))])
 
     def coefficient(self, n) -> MorphismCochain:
         return self.coeffs[n]
@@ -212,16 +108,95 @@ class FormalIsomorphism:
     def series_b(self):
         return [c.b_part.matrix for c in self.coeffs]
 
-    def is_identity(self):
-        return all(c.is_zero() for c in self.coeffs[1:])
-
     def __eq__(self, other):
-        if not isinstance(other, FormalIsomorphism):
+        if type(other) is not type(self):
             return NotImplemented
         return self.morphism == other.morphism and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return f"FormalIsomorphism(order={self.order}, over {self.morphism!r})"
+        return (f"{type(self).__name__}(order={self.order}, "
+                f"over {self.morphism!r})")
+
+
+class TruncatedDeformation(_Series):
+    """A deformation of a morphism, truncated at a fixed order.
+
+    ``coeffs[n]`` is the degree-2 morphism cochain carrying the order-n
+    coefficients of the two comultiplications (a_part, b_part) and of
+    the morphism (ab_part); ``coeffs[0]`` is always the structure triple
+    of the undeformed morphism.
+    """
+
+    __slots__ = ("_verification", "_defects")
+    _degree = 2
+    _errors = ("a deformation has at least its order-0 term",
+               "order-0 coefficient must be the structure maps of the "
+               "morphism",
+               "deformation coefficients must be degree-2 cochains over "
+               "the same morphism")
+
+    def __init__(self, morphism: CoalgebraMorphism, coeffs):
+        super().__init__(morphism, coeffs)
+        # (the verify_deformation report, the order-(N+1) defects when it
+        # passes) once it has run, and the _Defects of the obstruction
+        self._verification = self._defects = None
+
+    @staticmethod
+    def _constant_maps(f):
+        """Both comultiplications and the morphism."""
+        return f.source.delta, f.target.delta, f.matrix
+
+    @classmethod
+    def trivial(cls, morphism, order):
+        return cls.from_higher_coefficients(morphism, [], order)
+
+    def comul_a(self, n) -> Matrix:
+        return self.coeffs[n].a_part.matrix
+
+    def comul_b(self, n) -> Matrix:
+        return self.coeffs[n].b_part.matrix
+
+    def map_coeff(self, n) -> Matrix:
+        return self.coeffs[n].ab_part.matrix
+
+    def series_f(self):
+        return [c.ab_part.matrix for c in self.coeffs]
+
+    def truncate(self, order) -> "TruncatedDeformation":
+        if order > self.order:
+            raise DimensionError("cannot truncate upward")
+        if order < 0:
+            raise DimensionError(f"cannot truncate to order {order}")
+        return TruncatedDeformation(self.morphism, self.coeffs[:order + 1])
+
+
+class FormalIsomorphism(_Series):
+    """A truncated formal isomorphism: degree-1 coefficients on both sides.
+
+    The order-0 coefficient is the identity pair, which makes every
+    formal isomorphism invertible modulo t^(order+1).
+    """
+
+    __slots__ = ()
+    _degree = 1
+    _errors = ("an isomorphism has at least its order-0 term",
+               "order-0 coefficient of a formal isomorphism must be the "
+               "identity pair",
+               "isomorphism coefficients must be degree-1 cochains over "
+               "the same morphism")
+
+    @staticmethod
+    def _constant_maps(f):
+        """The identity of each side (a degree-1 mixed part is zero)."""
+        return (Matrix.identity(f.field, f.source.dim),
+                Matrix.identity(f.field, f.target.dim), None)
+
+    @classmethod
+    def identity(cls, morphism, order):
+        return cls.from_higher_coefficients(morphism, [], order)
+
+    def is_identity(self):
+        return all(c.is_zero() for c in self.coeffs[1:])
 
 
 @dataclass(frozen=True)
@@ -580,6 +555,15 @@ def _verified_obstruction(d: TruncatedDeformation):
         d, comp.element(*d._verification[1], 3))
 
 
+def _first_nonzero(x: MorphismCochain):
+    """(component name, position, entry) of the first nonzero entry of x,
+    by component (a_part, b_part, then ab_part); None when x is zero."""
+    for name, part in zip(("a_part", "b_part", "ab_part"), x.parts()):
+        if (pos := part.matrix.first_nonzero()) is not None:
+            return name, pos, part.matrix[pos]
+    return None
+
+
 def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
     """Extend a deformation by one order.
 
@@ -598,16 +582,12 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
             _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
             raise DimensionError("extension coefficient must be a degree-2 "
                                  "cochain over the same morphism")
-        diff = comp.differential(w) - ob
-        for part_name in ("a_part", "b_part", "ab_part"):
-            part = getattr(diff, part_name)
-            pos = part.matrix.first_nonzero()
-            if pos is not None:
-                _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
-                raise ExtensionRejected(
-                    f"coboundary of the supplied coefficient differs from the "
-                    f"obstruction in component {part_name} at entry {pos} "
-                    f"by {part.matrix[pos]}")
+        nonzero = _first_nonzero(comp.differential(w) - ob)
+        if nonzero is not None:
+            _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
+            raise ExtensionRejected(
+                "coboundary of the supplied coefficient differs from the "
+                "obstruction in component %s at entry %s by %s" % nonzero)
     else:
         w = _cobounding(comp, ob, _NOT_A_3_COCYCLE)
         if w is None:
@@ -631,14 +611,12 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
         raise DimensionError("only degree-2 cochains integrate to deformations")
     d = TruncatedDeformation.from_higher_coefficients(w.morphism, [w])
     comp = morphism_complex(w.morphism)
-    if not comp.is_cocycle(w):
-        dw = comp.differential(w)
-        for part_name in ("a_part", "b_part", "ab_part"):
-            pos = getattr(dw, part_name).matrix.first_nonzero()
-            if pos is not None:
-                raise InvalidStructureError(
-                    f"not an infinitesimal candidate: coboundary is nonzero "
-                    f"in component {part_name} at entry {pos}")
+    comp.require_valid()
+    nonzero = _first_nonzero(comp.differential(w))
+    if nonzero is not None:
+        raise InvalidStructureError(
+            "not an infinitesimal candidate: coboundary is nonzero in "
+            "component %s at entry %s" % nonzero[:2])
     while d.order < target_order:
         result = extend(d)
         if isinstance(result, ObstructionClass):

@@ -25,7 +25,10 @@ to the image of ``e_a``; it describes any map X -> X (x) X
 cochains).  Plain linear maps are dense row lists.  Deformation
 coefficient keys start at "1" and are spelled as ``str(n)`` writes
 them: the order-0 coefficient is always the structure maps of the
-morphism and is never stored.  A key repeated within one JSON object is
+morphism and is never stored.  The deformations and isomorphisms
+sections are read by one loop and written by one, keyed by the class
+and its coefficient degree (:func:`_parse_coefficient`,
+:func:`_coefficient_spec`).  A key repeated within one JSON object is
 an error.  Serialization is canonical (sorted keys, zero coefficients
 omitted), so parse/serialize round-trips are identities.
 
@@ -317,36 +320,22 @@ def parse_problem(obj, field_override=None) -> ProblemFile:
         f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
         pf.cocycles[name] = _parse_coefficient(field, f, spec, 2, where)
 
-    for name, spec in _section(obj, "deformations").items():
-        where = f"deformations.{name}"
-        f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
-        order = _bounded_int(spec, "order", MAX_ORDER, where)
-        comp = morphism_complex(f)
-        higher = [None] * order
-        for key, cspec in _section(spec, "coeffs", where).items():
-            n = _coeff_order(key, order, where)
-            higher[n - 1] = _parse_coefficient(field, f, cspec, 2,
-                                               f"{where}.coeffs.{key}")
-        pf.deformations[name] = TruncatedDeformation.from_higher_coefficients(
-            f, [comp.zero(2) if c is None else c for c in higher])
-
-    for name, spec in _section(obj, "isomorphisms").items():
-        where = f"isomorphisms.{name}"
-        f = _resolve(pf.morphisms, spec.get("morphism"), where + ".morphism")
-        order = _bounded_int(spec, "order", MAX_ORDER, where)
-        comp = morphism_complex(f)
-        higher = [None] * order
-        for key, cspec in _section(spec, "coeffs", where).items():
-            n = _coeff_order(key, order, where)
-            a = _rows_to_matrix(field, cspec.get("A"),
-                                (f.source.dim, f.source.dim),
-                                f"{where}.coeffs.{key}.A")
-            b = _rows_to_matrix(field, cspec.get("B"),
-                                (f.target.dim, f.target.dim),
-                                f"{where}.coeffs.{key}.B")
-            higher[n - 1] = comp.element(a, b, None, 1)
-        pf.isomorphisms[name] = FormalIsomorphism.from_higher_coefficients(
-            f, [comp.zero(1) if c is None else c for c in higher])
+    for section, cls in (("deformations", TruncatedDeformation),
+                         ("isomorphisms", FormalIsomorphism)):
+        for name, spec in _section(obj, section).items():
+            where = f"{section}.{name}"
+            f = _resolve(pf.morphisms, spec.get("morphism"),
+                         where + ".morphism")
+            order = _bounded_int(spec, "order", MAX_ORDER, where)
+            comp = morphism_complex(f)
+            higher = [None] * order
+            for key, cspec in _section(spec, "coeffs", where).items():
+                n = _coeff_order(key, order, where)
+                higher[n - 1] = _parse_coefficient(
+                    field, f, cspec, cls._degree, f"{where}.coeffs.{key}")
+            getattr(pf, section)[name] = cls.from_higher_coefficients(
+                f, [comp.zero(cls._degree) if c is None else c
+                    for c in higher])
 
     return pf
 
@@ -479,16 +468,20 @@ def _coeff_order(key, order, where):
 
 
 def _parse_coefficient(field, f, spec, degree, where):
-    a = _quadruples_to_matrix(field, spec.get("A", []), f.source.dim,
-                              where + ".A")
-    b = _quadruples_to_matrix(field, spec.get("B", []), f.target.dim,
-                              where + ".B")
+    """The cochain of a coefficient object: of degree 2, the quadruples A
+    and B and the rows F (zero when absent); of degree 1, the rows A
+    and B."""
+    s, t = f.source.dim, f.target.dim
+    if degree == 1:
+        return morphism_complex(f).element(
+            _rows_to_matrix(field, spec.get("A"), (s, s), where + ".A"),
+            _rows_to_matrix(field, spec.get("B"), (t, t), where + ".B"),
+            None, 1)
+    a = _quadruples_to_matrix(field, spec.get("A", []), s, where + ".A")
+    b = _quadruples_to_matrix(field, spec.get("B", []), t, where + ".B")
     fm = spec.get("F")
-    if fm is None:
-        fmat = Matrix.zeros(field, f.target.dim, f.source.dim)
-    else:
-        fmat = _rows_to_matrix(field, fm, (f.target.dim, f.source.dim),
-                               where + ".F")
+    fmat = Matrix.zeros(field, t, s) if fm is None else \
+        _rows_to_matrix(field, fm, (t, s), where + ".F")
     return morphism_complex(f).element(a, b, fmat, degree)
 
 
@@ -559,33 +552,15 @@ def serialize_problem(pf: ProblemFile) -> str:
                    **_coefficient_spec(w)}
             for name, w in pf.cocycles.items()
         }
-    if pf.deformations:
-        obj["deformations"] = {}
-        for name, d in pf.deformations.items():
-            coeffs = {}
-            for n in range(1, d.order + 1):
-                if not d.coefficient(n).is_zero():
-                    coeffs[str(n)] = _coefficient_spec(d.coefficient(n))
-            obj["deformations"][name] = {
-                "morphism": _morphism_name(pf, d.morphism, name),
-                "order": d.order,
-                "coeffs": coeffs,
-            }
-    if pf.isomorphisms:
-        obj["isomorphisms"] = {}
-        for name, p in pf.isomorphisms.items():
-            coeffs = {}
-            for n in range(1, p.order + 1):
-                c = p.coefficient(n)
-                if not c.is_zero():
-                    coeffs[str(n)] = {
-                        "A": _matrix_to_rows(c.a_part.matrix),
-                        "B": _matrix_to_rows(c.b_part.matrix),
-                    }
-            obj["isomorphisms"][name] = {
-                "morphism": _morphism_name(pf, p.morphism, name),
-                "order": p.order,
-                "coeffs": coeffs,
+    for section in ("deformations", "isomorphisms"):
+        if getattr(pf, section):
+            obj[section] = {
+                name: {"morphism": _morphism_name(pf, x.morphism, name),
+                       "order": x.order,
+                       "coeffs": {str(n): _coefficient_spec(c)
+                                  for n, c in enumerate(x.coeffs)
+                                  if n and not c.is_zero()}}
+                for name, x in getattr(pf, section).items()
             }
     return _emit(obj) + "\n"
 
@@ -628,6 +603,11 @@ def _field_spec(field):
 
 
 def _coefficient_spec(w: MorphismCochain):
+    """The coefficient object of a cochain, as :func:`_parse_coefficient`
+    reads it."""
+    if w.degree == 1:
+        return {"A": _matrix_to_rows(w.a_part.matrix),
+                "B": _matrix_to_rows(w.b_part.matrix)}
     f = w.morphism
     return {
         "A": _matrix_to_quadruples(w.a_part.matrix, f.source.dim),

@@ -6,9 +6,9 @@ as zero.  This is the arithmetic that :mod:`coaldef.deformation` builds
 deformations, formal isomorphisms and their transport on:
 
 * the per-order Cauchy product (:func:`product`), each coefficient one
-  stacked product of its nonzero pairs, where an identity order-0
-  factor adds the other factor, and the inverse of a series with
-  identity constant term (:func:`inverse`, for ``invert_formal`` only);
+  stacked product of its nonzero pairs, and the inverse of a series with
+  identity constant term (:func:`inverse`, for ``invert_formal`` only),
+  each order one stacked product too;
 * Kronecker substitution: one scale (L, D) and one slot width per
   packed equation for several series, from stated bounds on the slots
   (:func:`packing`, :func:`packed`), and the test that the slots of a
@@ -52,46 +52,27 @@ def pairs(a, b, n):
     return [(x, b[n - i]) for i, x in a.items() if n - i in b]
 
 
-def _is_identity(m):
-    return m == Matrix.identity(m.field, m.rows)
-
-
-def summed(factors, through, zero):
-    """The stacked product of the pairs ``factors`` plus the matrices
-    ``through``: the products an order-0 identity factor passes through
-    unmultiplied."""
-    terms = ([factor_product(factors)] if factors else []) + through
-    return sum(terms[1:], terms[0]) if terms else zero
-
-
 def product(a, b, order):
     """Product of two truncated matrix series, truncated at ``order``:
     the order-n coefficient sum_i a_i o b_(n-i) is one stacked product
     of its nonzero pairs.  Every coefficient is tested for zero, and
-    read, once; a pair with an identity order-0 factor adds the other
-    factor itself."""
+    read, once."""
     zero = Matrix.zeros(a[0].field, a[0].rows, b[0].cols)
     ms, xs = nonzero(a, order), nonzero(b, order)
-    through = []
-    if 0 in ms and _is_identity(ms[0]):
-        through.append(xs)
-        ms = {i: x for i, x in ms.items() if i}
-    if 0 in xs and _is_identity(xs[0]):
-        through.append(ms)
-        xs = {j: x for j, x in xs.items() if j}
-    return [summed(pairs(ms, xs, n), [s[n] for s in through if n in s],
-                   zero) for n in range(order + 1)]
+    return [factor_product(p) if (p := pairs(ms, xs, n)) else zero
+            for n in range(order + 1)]
 
 
 def inverse(a, order):
     """Inverse of a truncated series whose constant term is the identity:
-    inv_n = -(a_n + sum_(0<i<n) a_i inv_(n-i))."""
+    inv_0 = a_0 and inv_n = -sum_(0<i<=n) a_i inv_(n-i), one stacked
+    product of the nonzero pairs."""
     higher = {i: x for i, x in nonzero(a, order).items() if i}
     zero = Matrix.zeros(a[0].field, a[0].rows, a[0].cols)
-    inv, live = [a[0]], {}
+    inv, live = [a[0]], {0: a[0]}
     for n in range(1, order + 1):
-        inv.append(-summed(pairs(higher, live, n),
-                           [higher[n]] if n in higher else [], zero))
+        below = pairs(higher, live, n)
+        inv.append(-factor_product(below) if below else zero)
         if not inv[n].is_zero():
             live[n] = inv[n]
     return inv

@@ -280,7 +280,34 @@ class TestExtend:
                            Matrix.zeros(QQ, 4, 2), Matrix.zeros(QQ, 2, 2), 2)
         with pytest.raises(ExtensionRejected) as err:
             extend(d, bad)
-        assert "entry" in str(err.value)
+        assert str(err.value) == (
+            "coboundary of the supplied coefficient differs from the "
+            "obstruction in component a_part at entry (1, 1) by -1")
+
+    @pytest.mark.parametrize("part,entries,entry,value", [
+        ("b_part", {(2, 1): 3}, (4, 1), -3),
+        ("ab_part", {(0, 1): 1}, (0, 1), -1)])
+    def test_both_messages_name_the_first_nonzero_component(
+            self, dp_setup, part, entries, entry, value):
+        # the obstruction of d is zero, so the differential of the
+        # supplied coefficient is the difference that extend reports and
+        # the coboundary that integrate reports
+        f, comp, w = dp_setup
+        shapes = {"a_part": (4, 2), "b_part": (4, 2), "ab_part": (2, 2)}
+        bad = comp.element(*(Matrix.from_sparse(
+            QQ, *shape, entries if name == part else {})
+            for name, shape in shapes.items()), 2)
+        d = TruncatedDeformation.from_higher_coefficients(f, [w], 1)
+        with pytest.raises(ExtensionRejected) as err:
+            extend(d, bad)
+        assert str(err.value) == (
+            f"coboundary of the supplied coefficient differs from the "
+            f"obstruction in component {part} at entry {entry} by {value}")
+        with pytest.raises(InvalidStructureError) as err:
+            integrate(bad, 2)
+        assert str(err.value) == (
+            f"not an infinitesimal candidate: coboundary is nonzero in "
+            f"component {part} at entry {entry}")
 
     def test_converse_direction(self):
         # truncating a valid order-(N+1) deformation and recomputing the
@@ -370,7 +397,9 @@ class TestIntegrate:
                          Matrix.zeros(QQ, 4, 2), Matrix.zeros(QQ, 2, 2), 2)
         with pytest.raises(InvalidStructureError) as err:
             integrate(w, 2)
-        assert "not an infinitesimal candidate" in str(err.value)
+        assert str(err.value) == (
+            "not an infinitesimal candidate: coboundary is nonzero in "
+            "component a_part at entry (1, 1)")
 
     def test_obstructed_case(self):
         # zero comultiplication in dimension 2: every degree-2 element is
@@ -687,6 +716,60 @@ class TestSeriesOrders:
         assert cls.from_higher_coefficients(f, zeros).order == 3
         with pytest.raises(DimensionError):
             cls.from_higher_coefficients(f, zeros, 2)
+
+    MESSAGES = {
+        TruncatedDeformation: (
+            "a deformation has at least its order-0 term",
+            "order-0 coefficient must be the structure maps of the morphism",
+            "deformation coefficients must be degree-2 cochains over the "
+            "same morphism"),
+        FormalIsomorphism: (
+            "an isomorphism has at least its order-0 term",
+            "order-0 coefficient of a formal isomorphism must be the "
+            "identity pair",
+            "isomorphism coefficients must be degree-1 cochains over the "
+            "same morphism")}
+
+    @pytest.mark.parametrize("cls,degree", [(TruncatedDeformation, 2),
+                                            (FormalIsomorphism, 1)])
+    def test_constructor_rejects_a_malformed_series(self, cls, degree):
+        empty, wrong_constant, wrong_coefficient = self.MESSAGES[cls]
+        f, comp = scalar_setup()
+        c0 = cls.from_higher_coefficients(f, [], 0).coefficient(0)
+        other = identity_morphism(divided_power(2))
+        other_c0 = cls.from_higher_coefficients(other, [], 0).coefficient(0)
+        two = Matrix.from_rows(QQ, [[2]])
+        with pytest.raises(DimensionError) as err:
+            cls(f, [])
+        assert str(err.value) == empty
+        for bad in (comp.zero(degree), comp.zero(3 - degree), other_c0,
+                    comp.element(two, two, two if degree == 2 else None,
+                                 degree)):
+            with pytest.raises(InvalidStructureError) as err:
+                cls(f, [bad])
+            assert str(err.value) == wrong_constant
+        for bad in (comp.zero(3 - degree), comp.zero(3),
+                    morphism_complex(other).zero(degree)):
+            with pytest.raises(DimensionError) as err:
+                cls(f, [c0, comp.zero(degree), bad])
+            assert str(err.value) == wrong_coefficient
+        assert cls(f, [c0, comp.zero(degree)]) == \
+            cls.from_higher_coefficients(f, [], 1)
+
+    def test_a_deformation_never_equals_an_isomorphism(self):
+        for f in (identity_morphism(grouplike(1)),
+                  identity_morphism(zero_comultiplication(1))):
+            for order in range(3):
+                d = TruncatedDeformation.trivial(f, order)
+                p = FormalIsomorphism.identity(f, order)
+                assert d != p and p != d
+                assert not d == p and not p == d
+                assert d == TruncatedDeformation.trivial(f, order)
+                assert p == FormalIsomorphism.identity(f, order)
+                assert repr(d) == f"TruncatedDeformation(order={order}, " \
+                    f"over {f!r})"
+                assert repr(p) == f"FormalIsomorphism(order={order}, " \
+                    f"over {f!r})"
 
     def test_negative_truncation_rejected(self, dp_setup):
         f, comp, w = dp_setup

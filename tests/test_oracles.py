@@ -76,7 +76,6 @@ from coaldef.deformation import (
     InternalInvariantError,
     TruncatedDeformation,
     _cauchy_kron,
-    _structure_coefficient,
     _verified,
     _verified_obstruction,
     _window,
@@ -622,7 +621,8 @@ def _sparse_deformation(rng, comp, order):
                            _sparse_matrix(rng, f.field, t * t, t),
                            _sparse_matrix(rng, f.field, t, s), 2)
               for _ in range(order)]
-    return TruncatedDeformation(f, [_structure_coefficient(comp)] + higher)
+    return TruncatedDeformation(f, [TruncatedDeformation._constant(comp)]
+                                + higher)
 
 
 @settings(max_examples=40, deadline=None)
