@@ -362,7 +362,10 @@ def change_basis(coalg: Coalgebra, p: Matrix, name=None) -> Coalgebra:
     The new comultiplication is (p (x) p) o delta o p^{-1}; cohomology
     dimensions are invariant under this.
     """
-    p_inv = p.inverse()
+    return _transported(coalg, p, p.inverse(), name)
+
+
+def _transported(coalg: Coalgebra, p: Matrix, p_inv, name=None):
     if p_inv is None:
         raise InvalidStructureError("change-of-basis matrix is singular")
     d = coalg.dim
@@ -374,9 +377,10 @@ def change_basis(coalg: Coalgebra, p: Matrix, name=None) -> Coalgebra:
 def change_basis_morphism(f: CoalgebraMorphism, p: Matrix,
                           q: Matrix) -> CoalgebraMorphism:
     """Transport f along basis changes p (source) and q (target)."""
-    src = change_basis(f.source, p)  # raises when p is singular
+    p_inv = p.inverse()
+    src = _transported(f.source, p, p_inv)  # raises when p is singular
     tgt = change_basis(f.target, q)
-    return CoalgebraMorphism(src, tgt, q @ f.matrix @ p.inverse())
+    return CoalgebraMorphism(src, tgt, q @ f.matrix @ p_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ Two complexes are implemented:
   degree-n part is a triple (a_part, b_part, ab_part) of cochains on A,
   on B, and a degree-(n-1) mixed cochain A -> B^(x)(n-1), with
   coboundary d_c combining the two delta_c's with the comparison term
-  b_part o f - f^(x)n o a_part.
+  b_part o f - f^(x)n o a_part: a mapping cone, whose D_n is block lower
+  triangular, so D_n and its kernel are built from those of its three
+  Hochschild blocks; equal blocks (all three for an identity) share one
+  record, so each is assembled and eliminated once.
 
 Both complexes expose the same surface: differentials in operator and in
 matrix form, cocycle/coboundary predicates with canonical cobounding
@@ -268,10 +271,10 @@ class _ComplexBase:
     index.  The element-level differential applies this operator.
     :meth:`cohomology`, :meth:`is_coboundary` and
     :meth:`class_coordinates` read one lazily built, cached record per
-    degree (:class:`coaldef.sparse.Elimination`): the exact sparse
-    elimination of the operator, which replaces the dense matrix D_n and
-    gives the same canonical bases and solutions.  All of these live in
-    the complex's :class:`_Record`.
+    degree (:class:`coaldef.sparse.Elimination`), which replaces the
+    dense matrix D_n and gives the same canonical bases and solutions,
+    and the kernel echelon of :meth:`_kernel_echelon`.  All of these
+    live in the complex's :class:`_Record`.
     """
 
     def __init__(self):
@@ -280,9 +283,9 @@ class _ComplexBase:
     # subclasses: field, cochain_dim(n), zero(n),
     # from_integer_ratio(n, ints, den),
     # _parts(w) (component matrices in block order), _denominator(n),
-    # _scatter(n, acc, row, col, sign, den), and differential(w)
-    # documenting the coboundary it applies; require_valid() where the
-    # queries need a check of the structure
+    # _scatter(n, den) (the nonzero ints of den * D_n), and
+    # differential(w) documenting the coboundary it applies;
+    # require_valid() where the queries need a check of the structure
 
     def require_valid(self):
         """Raise InvalidStructureError if the structure maps are not what
@@ -299,12 +302,7 @@ class _ComplexBase:
         operators = self._record.operators
         if n not in operators:
             den = self._denominator(n)
-            acc = defaultdict(int)
-            self._scatter(n, acc, 0, 0, 1, den)
-            if self.field.kind == "prime":
-                p = self.field.p
-                acc = {key: x % p for key, x in acc.items()}
-            operators[n] = ({key: x for key, x in acc.items() if x}, den)
+            operators[n] = (self._scatter(n, den), den)
         return operators[n]
 
     def operator_bits(self, n):
@@ -366,13 +364,17 @@ class _ComplexBase:
                 *self.operator(n))
         return eliminations[n]
 
+    def _kernel_echelon(self, n):
+        """The rightmost-pivot reduced echelon form of D_n."""
+        return self._elimination(n).echelon
+
     def _quotient(self, n):
         """The cached cocycles-modulo-coboundaries echelon of degree n."""
         quotients = self._record.quotients
         if n not in quotients:
-            from .sparse import Quotient
+            from .sparse import Quotient, kernel_vectors
             quotients[n] = Quotient(self._elimination(n - 1).image,
-                                    self._elimination(n).kernel)
+                                    kernel_vectors(self._kernel_echelon(n)))
         return quotients[n]
 
     def _coordinates(self, w):
@@ -478,15 +480,16 @@ class HochschildComplex(_ComplexBase):
         """
         return self._apply(w)
 
-    def _scatter(self, n, acc, row, col, sign, den):
-        """Add sign * den * D_n to ``acc`` with its corner at (row, col).
+    def _scatter(self, n, den):
+        """The nonzero ints of den * D_n, by (row, col).
 
         The entry s[t, k] of a cochain has coordinate t*m + k (m = dim M);
         each term of delta_c sends it, times one structure constant, to
         one coordinate of the image.
         """
         if n <= 0:
-            return
+            return {}
+        acc = defaultdict(int)
         m = self.bicomodule
         d, dim = m.over.dim, m.dim
         dn = d ** n
@@ -494,26 +497,30 @@ class HochschildComplex(_ComplexBase):
         for r, j, x in _nonzeros(m.psi_l, den):
             a, k = divmod(r, dim)
             for t in range(dn):
-                acc[row + (a * dn + t) * dim + j, col + t * dim + k] += sign * x
+                acc[(a * dn + t) * dim + j, t * dim + k] += x
         # (-1)^i (Id^(i-1) (x) delta (x) Id^(n-i)) o s: delta[(p, q), k]
         # s[(u, k, v), j] lands at ((u, p, q, v), j)
         for i in range(1, n + 1):
-            c = -sign if i % 2 else sign
             tail = d ** (n - i)
             for pq, k, x in _nonzeros(m.over.delta, den):
+                x = -x if i % 2 else x
                 for u in range(d ** (i - 1)):
                     for v in range(tail):
                         src = ((u * d + k) * tail + v) * dim
                         dst = ((u * d * d + pq) * tail + v) * dim
                         for j in range(dim):
-                            acc[row + dst + j, col + src + j] += c * x
+                            acc[dst + j, src + j] += x
         # (-1)^(n+1) (s (x) Id) o psi_r: psi_r[(k, a), j] s[t, k] lands
         # at (t a, j)
-        c = sign if n % 2 else -sign
         for r, j, x in _nonzeros(m.psi_r, den):
             k, a = divmod(r, d)
+            x = x if n % 2 else -x
             for t in range(dn):
-                acc[row + (t * d + a) * dim + j, col + t * dim + k] += c * x
+                acc[(t * d + a) * dim + j, t * dim + k] += x
+        if self.field.kind == "prime":
+            p = self.field.p
+            return {key: x % p for key, x in acc.items() if x % p}
+        return {key: x for key, x in acc.items() if x}
 
     def scatter_terms(self, n):
         """The number of terms :meth:`_scatter` adds for D_n, counted
@@ -537,7 +544,8 @@ class MorphismComplex(_ComplexBase):
     of the complex's record.  Direct construction gives a fresh complex
     with a fresh record; :func:`morphism_complex` gives the one complex
     shared by every holder of f, with the record shared by every
-    morphism of equal value.
+    morphism of equal value.  D_n and its kernel are built from those of
+    its three Hochschild blocks.
     """
 
     def __init__(self, f: CoalgebraMorphism):
@@ -546,6 +554,10 @@ class MorphismComplex(_ComplexBase):
         self.on_source = HochschildComplex(regular_bicomodule(f.source))
         self.on_target = HochschildComplex(regular_bicomodule(f.target))
         self.mixed = HochschildComplex(_pushed_forward(f))
+        # the bicomodule pushed along an identity is the regular one
+        for block in (self.on_target, self.mixed):
+            if block.bicomodule == self.on_source.bicomodule:
+                block._record = self.on_source._record
 
     def morphism_report(self) -> StructureReport:
         """The :func:`check_morphism` report of f, checked once per record."""
@@ -623,35 +635,62 @@ class MorphismComplex(_ComplexBase):
         """
         return self._apply(w)
 
-    def _scatter(self, n, acc, row, col, sign, den):
-        """Add sign * den * D_n to ``acc`` with its corner at (row, col).
+    def _scatter(self, n, den):
+        """The nonzero ints of den * D_n, by (row, col): the rescaled a and
+        b block operators on the diagonal, and :meth:`_ab_rows` below."""
+        entries = {}
+        row = col = 0
+        for block in (self.on_source, self.on_target):
+            block_entries, block_den = block.operator(n)
+            s = den // block_den
+            for (r, c), x in block_entries.items():
+                entries[row + r, col + c] = x * s
+            row += block.cochain_dim(n + 1)
+            col += block.cochain_dim(n)
+        for r, ab_row in self._ab_rows(n, den).items():
+            for c, x in ab_row.items():
+                entries[row + r, c] = x
+        return entries
 
-        The three Hochschild blocks sit at their (a, b, ab) offsets; the
-        comparison terms fill the ab rows from the a and b columns.
-        """
+    def _ab_rows(self, n, den):
+        """The ab rows of den * D_n, {row: {col: int}} from the first:
+        minus the mixed block, and b o f - f^(x)n o a (no shared entry)."""
+        rows = defaultdict(dict)
         if n <= 0:
-            return
+            return rows
         f = self.morphism
         ds, dt = f.source.dim, f.target.dim
-        col_b = col + self.on_source.cochain_dim(n)
+        col_b = self.on_source.cochain_dim(n)
         col_ab = col_b + self.on_target.cochain_dim(n)
-        row_b = row + self.on_source.cochain_dim(n + 1)
-        row_ab = row_b + self.on_target.cochain_dim(n + 1)
-        self.on_source._scatter(n, acc, row, col, sign, den)
-        self.on_target._scatter(n, acc, row_b, col_b, sign, den)
-        self.mixed._scatter(n - 1, acc, row_ab, col_ab, -sign, den)
+        p = self.field.p if self.field.kind == "prime" else 0
+        entries, mixed_den = self.mixed.operator(n - 1)
+        s = -(den // mixed_den)
+        for (r, c), x in entries.items():
+            rows[r][col_ab + c] = x * s % p if p else x * s
         # b_part o f: b[t, k] f[k, j] lands at (t, j)
         for k, j, x in _nonzeros(f.matrix, den):
             for t in range(dt ** n):
-                acc[row_ab + t * ds + j, col_b + t * dt + k] += sign * x
+                rows[t * ds + j][col_b + t * dt + k] = x
         # - f^(x)n o a_part: f^(x)n[t, u] a[u, j] lands at (t, j)
-        for t, u, x in _power_nonzeros(f.matrix, n, den):
+        for t, u, x in _power_nonzeros(f.matrix, n, -den):
             for j in range(ds):
-                acc[row_ab + t * ds + j, col + u * ds + j] -= sign * x
+                rows[t * ds + j][u * ds + j] = x
+        return rows
+
+    def _kernel_echelon(self, n):
+        """The echelon of D_n from copies of the a and b block echelons
+        and the ab rows: reduced echelon forms are unique (over QQ, with
+        primitive rows), so it is that of the assembled D_n."""
+        from .sparse import sparse_rref
+        blocks = [(self.on_source._kernel_echelon(n), 0),
+                  (self.on_target._kernel_echelon(n),
+                   self.on_source.cochain_dim(n))]
+        return sparse_rref(
+            self.field, self._ab_rows(n, self._denominator(n)).values(),
+            self.cochain_dim(n), reverse=True, blocks=blocks)
 
     def scatter_terms(self, n):
-        """The number of terms :meth:`_scatter` adds for D_n, counted
-        from the structure constants without assembling anything."""
+        """The number of terms of D_n's blocks and comparison terms."""
         if n <= 0:
             return 0
         f = self.morphism

@@ -63,10 +63,6 @@ class SparseEchelon:
     def rank(self):
         return len(self.rows)
 
-    def holding(self, col):
-        """Pivot columns of the rows with a nonzero entry in free column col."""
-        return self._users.get(col, ())
-
     def reduce(self, row):
         """Clear every pivot column from ``row`` in place and return it.
 
@@ -156,15 +152,24 @@ def _normalize(row, c, p):
             row[k] //= g
 
 
-def sparse_rref(field, rows, width, reverse=False):
+def sparse_rref(field, rows, width, reverse=False, blocks=()):
     """The reduced row echelon form of a sparse matrix, as a SparseEchelon.
 
     ``rows`` are dicts ``{column: int}`` (consumed), ``width`` the
     number of columns.  Rows with the fewest nonzeros are inserted
     first, in the row-selection style of LaMacchia and Odlyzko, "Solving
     large sparse linear systems over finite fields" (CRYPTO 1990).
+
+    It starts from ``blocks``, pairs (echelon, offset) of echelons with
+    the same ``reverse`` on disjoint columns once shifted by offset: it
+    copies their shifted rows, as a Jordan step edits rows in place.
     """
     echelon = SparseEchelon(field, width, reverse)
+    for block, offset in blocks:
+        for c, row in block.rows.items():
+            echelon.rows[c + offset] = {k + offset: x for k, x in row.items()}
+        for k, users in block._users.items():
+            echelon._users[k + offset] = {q + offset for q in users}
     for row in sorted(rows, key=len):
         echelon.insert(row)
     return echelon
@@ -182,6 +187,25 @@ def _rows_of(entries, transpose=False):
     return rows
 
 
+def kernel_vectors(echelon):
+    """The canonical kernel basis, ``(v, scale)`` pairs for the vectors
+    v / scale, read from a rightmost-pivot reduced echelon form: each
+    e_j - sum_p r_p[j] e_p of a free column j is reduced already."""
+    pivots = echelon.rows
+    p = echelon.field.p if echelon.field.kind == "prime" else None
+    vectors = []
+    for j in range(echelon.width):
+        if j not in pivots:
+            holders = echelon._users.get(j, ())
+            scale = lcm(*(pivots[q][q] for q in holders))
+            v = {q: -pivots[q][j] * (scale // pivots[q][q]) for q in holders}
+            if p:
+                v = {q: x % p for q, x in v.items()}
+            v[j] = scale
+            vectors.append((v, scale))
+    return vectors
+
+
 class Elimination:
     """The exact sparse elimination of one ``rows x cols`` operator D,
     given as ``entries / den``.
@@ -189,10 +213,9 @@ class Elimination:
     Each part is computed on first use, and each is fixed by the
     uniqueness of reduced echelon forms:
 
-    * ``kernel`` -- the canonical kernel basis, ``(v, scale)`` pairs for
-      the vectors v / scale.  Eliminating with rightmost pivots makes
-      each vector e_j - sum_p r_p[j] e_p of a free column j reduced
-      already, so no second elimination is needed;
+    * ``echelon`` -- the reduced echelon form of the rows of D with
+      rightmost pivots, and ``kernel``, the canonical kernel basis that
+      :func:`kernel_vectors` reads from it;
     * ``image`` -- the canonical image basis: the reduced echelon rows
       of the columns of D;
     * ``solver`` -- the leftmost-pivot elimination of [D | I], whose
@@ -208,27 +231,13 @@ class Elimination:
         self.den = den
 
     @cached_property
+    def echelon(self):
+        return sparse_rref(self.field, _rows_of(self.entries).values(),
+                           self.cols, reverse=True)
+
+    @cached_property
     def kernel(self):
-        cols = self.cols
-        echelon = sparse_rref(self.field, _rows_of(self.entries).values(),
-                              cols, reverse=True)
-        pivots = echelon.rows
-        vectors = []
-        for j in range(cols):
-            if j in pivots:
-                continue
-            holders = echelon.holding(j)
-            if self.field.kind == "prime":
-                p = self.field.p
-                v = {q: -pivots[q][j] % p for q in holders}
-                v[j] = scale = 1
-            else:
-                scale = lcm(*(pivots[q][q] for q in holders))
-                v = {q: -pivots[q][j] * (scale // pivots[q][q])
-                     for q in holders}
-                v[j] = scale
-            vectors.append((v, scale))
-        return vectors
+        return kernel_vectors(self.echelon)
 
     @cached_property
     def image(self):

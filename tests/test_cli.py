@@ -254,7 +254,7 @@ class TestIntegrate:
 
         def counting_scatter(self, n, *args):
             scattered.append(n)
-            scatter(self, n, *args)
+            return scatter(self, n, *args)
 
         monkeypatch.setattr(MorphismComplex, "__init__", counting_build)
         monkeypatch.setattr(MorphismComplex, "_scatter", counting_scatter)
@@ -351,7 +351,7 @@ class TestSharedRecords:
 
         def counting_scatter(self, n, *args):
             scattered.append(n)
-            scatter(self, n, *args)
+            return scatter(self, n, *args)
 
         def counting_elimination(self, *args):
             eliminated.append(args[1:3])

@@ -7,6 +7,7 @@ from coaldef.coalgebra import (
     InvalidStructureError,
     bicomodule_via,
     change_basis,
+    change_basis_morphism,
     check_bicomodule,
     check_coassociative,
     check_morphism,
@@ -263,3 +264,28 @@ class TestChangeBasis:
     def test_singular_rejected(self):
         with pytest.raises(InvalidStructureError):
             change_basis(grouplike(2), Matrix.zeros(QQ, 2, 2))
+
+    def test_morphism_transport_inverts_each_basis_change_once(
+            self, monkeypatch):
+        inverted = []
+        inverse = Matrix.inverse
+
+        def counting_inverse(m):
+            inverted.append(m.rows)
+            return inverse(m)
+
+        monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+        f = collapse_morphism(3)
+        p = Matrix.from_rows(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+        g = change_basis_morphism(f, p, Matrix.identity(QQ, 1))
+        assert inverted == [3, 1]
+        assert check_morphism(g).ok
+
+    def test_morphism_transport_checks_the_source_change_first(self):
+        # q has the wrong shape for the target, which would raise a
+        # DimensionError if it were read first
+        f = collapse_morphism(2)
+        singular = Matrix.zeros(QQ, 2, 2)
+        with pytest.raises(InvalidStructureError,
+                           match="change-of-basis matrix is singular"):
+            change_basis_morphism(f, singular, Matrix.identity(QQ, 3))

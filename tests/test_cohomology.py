@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coaldef import sparse
 from coaldef.coalgebra import (
     Coalgebra,
     CoalgebraMorphism,
     InvalidStructureError,
     change_basis,
+    collapse_morphism,
     divided_power,
     grouplike,
     identity_morphism,
@@ -411,3 +413,46 @@ class TestOneComplexPerMorphism:
                 with pytest.raises(InvalidStructureError) as err:
                     query()
                 assert str(err.value) == NOT_A_MORPHISM
+
+
+class TestOneRecordPerBlock:
+    """The Hochschild blocks of a deformation complex that are equal in
+    value share one record, which no other complex reads."""
+
+    def test_blocks_of_an_identity_hold_one_record(self):
+        comp = MorphismComplex(identity_morphism(divided_power(4)))
+        records = {id(block._record) for block in
+                   (comp.on_source, comp.on_target, comp.mixed)}
+        assert len(records) == 1
+        # a second complex, direct or shared, has blocks of its own
+        for other in (MorphismComplex(identity_morphism(divided_power(4))),
+                      morphism_complex(identity_morphism(divided_power(4)))):
+            assert other.mixed._record is other.on_source._record
+            assert other.on_source._record is not comp.on_source._record
+
+    def test_blocks_of_other_morphisms_are_separate(self):
+        comp = MorphismComplex(collapse_morphism(3))
+        records = {id(block._record) for block in
+                   (comp.on_source, comp.on_target, comp.mixed)}
+        assert len(records) == 3
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=repr)
+    def test_endomorphism_eliminates_each_block_once_per_degree(
+            self, field, monkeypatch):
+        # the kernel echelon of delta_A^n is eliminated once and copied
+        # into both diagonal blocks of D_n; the mixed block is not
+        # eliminated on its own
+        calls = []
+        rref = sparse.sparse_rref
+
+        def counting_rref(field_, rows, width, reverse=False, blocks=()):
+            calls.append((width, reverse, len(blocks)))
+            return rref(field_, rows, width, reverse, blocks)
+
+        monkeypatch.setattr(sparse, "sparse_rref", counting_rref)
+        comp = MorphismComplex(identity_morphism(divided_power(3, field)))
+        assert [comp.cohomology(n).h_dim for n in (1, 2, 3)] == [2, 2, 2]
+        for n in (1, 2, 3):
+            assert calls.count((3 ** n * 3, True, 0)) == 1
+            assert calls.count((comp.cochain_dim(n), True, 2)) == 1
+        assert sum(reverse for _, reverse, _ in calls) == 6

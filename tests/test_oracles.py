@@ -88,7 +88,8 @@ from coaldef.deformation import (
     trivialize,
     verify_deformation,
 )
-from coaldef.exactlinalg import QQ, Matrix, PrimeField, QuotientError
+from coaldef.exactlinalg import (QQ, Matrix, PrimeField, QuotientError,
+                                 _column_matrix)
 from coaldef.problemfile import (ProblemFile, ProblemFileError, _decoded,
                                  _parse_scalar, builtin_corpus,
                                  parse_problem_text, serialize_problem)
@@ -96,6 +97,7 @@ from coaldef.series import intertwining_failure
 from coaldef.series import inverse as series_inverse
 from coaldef.series import product as series_product
 from coaldef.series import nonzero as series_nonzero
+from coaldef.sparse import kernel_vectors
 
 from helpers import (
     LARGE_PRIMES,
@@ -1676,6 +1678,49 @@ def test_sparse_elimination_matches_dense_reference_on_seed_pool(field):
         comp = MorphismComplex(f)
         for n in (1, 2, 3):
             _assert_record_matches_dense(comp, n, rng)
+
+
+def _endomorphism_or_morphism(rng, field, which):
+    """An identity, a basis-changed endomorphism, a morphism A -> B with
+    A != B, or an endomorphism of the non-counital zero_comultiplication."""
+    if which == 0:
+        return identity_morphism(rng.choice(seed_coalgebras(3, field)))
+    if which == 1:
+        g2 = grouplike(2, field)
+        f = rng.choice([
+            identity_morphism(rng.choice(seed_coalgebras(3, field))),
+            # both grouplikes to the first
+            CoalgebraMorphism(g2, g2, Matrix.from_rows(field, [[1, 1],
+                                                               [0, 0]]))])
+        p = invertible_matrix(rng, f.source.dim, bound=4, field=field)
+        return change_basis_morphism(f, p, p)
+    if which == 2:
+        return random_morphism(rng, max_dim=3, field=field)
+    zero = zero_comultiplication(rng.randint(1, 2), field)
+    return CoalgebraMorphism(zero, zero,
+                             field_matrix(rng, field, zero.dim, zero.dim, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3))
+def test_block_built_kernels_match_dense_reference(seed, field, which):
+    # the kernel of D_n is eliminated from the echelons of its two
+    # diagonal Hochschild blocks and the ab rows; the reference is the
+    # dense Gauss-Jordan of the assembled D_n
+    rng = fresh_rng(seed)
+    f = _endomorphism_or_morphism(rng, field, which)
+    comp = MorphismComplex(f)
+    if f.source == f.target:
+        assert comp.on_source._record is comp.on_target._record
+    for n in (1, 2, 3):
+        # keep the dense reference small
+        if comp.cochain_dim(n + 1) * comp.cochain_dim(n) > 15000:
+            break
+        vectors = kernel_vectors(comp._kernel_echelon(n))
+        assert _column_matrix(field, comp.cochain_dim(n), vectors) == \
+            kernel_basis(comp.differential_matrix(n)).basis
+        _assert_record_matches_dense(comp, n, rng)
 
 
 # ---------------------------------------------------------------------------
