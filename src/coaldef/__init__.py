@@ -8,14 +8,17 @@ The package is organized bottom-up:
 * :mod:`coaldef.coalgebra` -- coalgebras, morphisms, bicomodules,
   validity checks, tensor-power map builders, fixture structures;
 * :mod:`coaldef.cohomology` -- the Hochschild complex of a bicomodule
-  and the deformation complex of a morphism, with differentials,
-  cocycle/coboundary predicates and cohomology reports;
+  and the deformation complex of a morphism, whose methods are the
+  differentials, cocycle/coboundary predicates, cohomology reports and
+  the class of a cocycle (no function wraps them, so
+  ``coaldef.cohomology`` is the module);
 * :mod:`coaldef.series` -- truncated power series with matrix
   coefficients: products, Kronecker substitution and the packed
   intertwining defects that transport reads, forming no inverse (only
   ``invert_formal`` inverts);
 * :mod:`coaldef.deformation` -- truncated deformations of a morphism:
-  verification, infinitesimals, obstruction cochains, order-by-order
+  verification, infinitesimals, obstruction cochains and classes (one
+  entry point, :func:`~coaldef.deformation.obstruction`), order-by-order
   extension, integration of 2-cocycles, formal isomorphisms,
   equivalence transport and constructive trivialization;
 * :mod:`coaldef.problemfile` / :mod:`coaldef.cli` -- the batch front
@@ -52,13 +55,8 @@ from .cohomology import (
     HochschildComplex,
     MorphismCochain,
     MorphismComplex,
-    cohomology,
     d_c,
     delta_c,
-    differential_matrix,
-    hochschild_complex,
-    is_coboundary,
-    is_cocycle,
     morphism_complex,
 )
 from .deformation import (

@@ -20,7 +20,7 @@ import click
 from . import problemfile as pfmod
 from .cohomology import HochschildComplex, d_c, morphism_complex
 from .coalgebra import check_coassociative, check_morphism, regular_bicomodule
-from .deformation import _verified_obstruction, integrate, trivialize, \
+from .deformation import integrate, obstruction, trivialize, \
     verify_deformation
 from .problemfile import ProblemFile, ProblemFileError
 
@@ -249,10 +249,10 @@ def cohomology(ctx, file, complex_kind, name, degree):
     command = f"cohomology {file} {complex_kind} {name} {degree}"
     if complex_kind == "morphism":
         _, f = _lookup(pf, name, ("morphisms",))
-        comp = _validated_morphism_complex(f)
-        if isinstance(comp, Report):
-            comp.command = command
-            return comp
+        failure = _morphism_failure(f, command)
+        if failure is not None:
+            return failure
+        comp = morphism_complex(f)
     else:
         if name in pf.morphisms:
             f = pf.morphisms[name]
@@ -287,15 +287,17 @@ def cohomology(ctx, file, complex_kind, name, degree):
     return Report(command, "ok", payload, human)
 
 
-def _validated_morphism_complex(f):
+def _morphism_failure(f, command):
+    """The failing Report of ``command`` if f or its coalgebras are
+    broken, else None."""
     rep = check_coassociative(f.source)
     if rep.ok:
         rep = check_coassociative(f.target)
     if rep.ok:
         rep = morphism_complex(f).morphism_report()
-    if not rep.ok:
-        return Report("", "fail", {"detail": rep.message}, [rep.message])
-    return morphism_complex(f)
+    if rep.ok:
+        return None
+    return Report(command, "fail", {"detail": rep.message}, [rep.message])
 
 
 @main.command()
@@ -309,10 +311,11 @@ def obstruct(ctx, file, name):
     _, d = _lookup(pf, name, ("deformations",))
     _require_budget(morphism_complex(d.morphism), 3, name)
     command = f"obstruct {file} {name}"
-    rep, ob = _verified_obstruction(d)
+    rep = verify_deformation(d)
     if not rep.ok:
         return Report(command, "fail",
                       {"name": name, "detail": rep.message}, [rep.message])
+    ob = obstruction(d)
     payload = {
         "name": name,
         "order": d.order,
@@ -346,10 +349,10 @@ def integrate_cmd(ctx, file, name, order, output):
     pf = _load(file, ctx)
     _, w = _lookup(pf, name, ("cocycles",))
     command = f"integrate {file} {name} {order}"
-    comp = _validated_morphism_complex(w.morphism)
-    if isinstance(comp, Report):
-        comp.command = command
-        return comp
+    failure = _morphism_failure(w.morphism, command)
+    if failure is not None:
+        return failure
+    comp = morphism_complex(w.morphism)
     _require_budget(comp, 3, name)
     dw = comp.differential(w)
     if not dw.is_zero():

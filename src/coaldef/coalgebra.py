@@ -6,8 +6,8 @@ one fixed flattening throughout the package: the basis vector
 e_{i1} (x) ... (x) e_{in} of A^(x)n has flat index sum(i_k * d^(n-k)),
 i.e. row-major with the leftmost factor most significant.  Kronecker
 products of matrices agree with this convention, and a map acting on one
-tensor factor is one product of a reshaped operand
-(:func:`factor_product`), with no Kronecker matrix formed.
+tensor factor is one product of a reshaped operand (:func:`factor_ints`),
+with no Kronecker matrix formed.
 
 Validity (coassociativity, morphism compatibility, the bicomodule
 diagrams) is checked by explicit report-returning functions rather than
@@ -86,36 +86,27 @@ def factor_ints(m, x, rows, inner, o, cols, right=False):
     return [out[t] for t in _swap_index(rows, o, cols)] if right else out
 
 
-def factor_operand(x: Matrix, o, dim, right=False) -> Matrix:
-    """x: N -> X (x) O as :func:`factor_product` reads it: x itself, or
-    for the right factor, x: N -> O (x) X with dim X = ``dim``, with its
-    two leading factors swapped (a series reads each coefficient once)."""
-    return x.gather(x.rows, x.cols, _swap_index(o, dim, x.cols)) \
-        if right else x
+def factor_product(pairs) -> Matrix:
+    """sum_j m_j o x_j over a nonempty list of pairs of maps: the stacked
+    composition [m_1 | ... | m_t] @ [x_1; ...; x_t], one product."""
+    return (Matrix.hstack(*[m for m, _ in pairs])
+            @ Matrix.vstack(*[x for _, x in pairs]))
 
 
-def factor_product(pairs, o=1, right=False) -> Matrix:
-    """sum_j (m_j (x) Id_O) o x_j, or with ``right`` sum_j (Id_O (x) m_j)
-    o x_j, over a nonempty list of pairs of maps m_j: X_j -> X' and x_j
-    (read by :func:`factor_operand`), with dim O = ``o``: one product of
-    the block row of the m_j with the block column of the x_j.  With
-    o = 1 it is the stacked composition [m_1 | ...] @ [x_1; ...]."""
-    m = Matrix.hstack(*[m for m, _ in pairs])
-    x = Matrix.vstack(*[x for _, x in pairs])
+def _on_factor(m: Matrix, x: Matrix, o, right=False) -> Matrix:
+    """(m (x) Id_O) o x, or (Id_O (x) m) o x with ``right``, by
+    :func:`factor_ints`, for m: X -> X' and x: N -> X (x) O (O (x) X
+    with ``right``), dim O = ``o``."""
     if m.field != x.field or x.rows != m.cols * o:
         raise DimensionError(f"cannot apply {m!r} to a factor of {x!r}")
     m_ints, m_den = m.as_integer_ratio()
     x_ints, x_den = x.as_integer_ratio()
+    if right:
+        x_ints = factor_read(x_ints, o, m.cols, x.cols)
     return Matrix.from_integer_ratio(
         m.field, m.rows * o, x.cols,
         factor_ints(m_ints, x_ints, m.rows, m.cols, o, x.cols, right),
         m_den * x_den)
-
-
-def _on_factor(m: Matrix, x: Matrix, o, right=False) -> Matrix:
-    """(m (x) Id_O) o x, or (Id_O (x) m) o x with ``right``."""
-    return factor_product([(m, factor_operand(x, o, m.cols, right))], o,
-                          right)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,15 @@ Two complexes are implemented:
   Hochschild blocks; equal blocks (all three for an identity) share one
   record, so each is assembled and eliminated once.
 
-Both complexes expose the same surface: differentials in operator and in
-matrix form, cocycle/coboundary predicates with canonical cobounding
-solutions, and cohomology reports with quotient representatives.  The
-queries read one sparse elimination record per degree, computed exactly
-from the operator; no dense matrix of a differential is formed.
+Both complexes expose the same surface, as methods and nowhere else:
+differentials in operator and in matrix form, cocycle/coboundary
+predicates with canonical cobounding solutions, cohomology reports with
+quotient representatives, and the class of a cocycle, whose quotient
+reduction is also its cocycle test.  The queries read one sparse
+elimination record per degree, computed exactly from the operator; no
+dense matrix of a differential is formed.  The module-level functions
+are :func:`morphism_complex` and the coboundaries of a cochain,
+:func:`delta_c` and :func:`d_c`.
 
 What a complex derives from its structure constants alone is one
 record per complex, which holds no name.  :func:`morphism_complex`
@@ -423,7 +427,10 @@ class _ComplexBase:
     def class_coordinates(self, w):
         """Coordinates of the class of a cocycle w in the canonical H^n basis.
 
-        Empty list iff w is a coboundary.  Raises if w is not a cocycle.
+        Empty list iff w is a coboundary.  Raises
+        InvalidStructureError("not a cocycle") if w is not a cocycle: the
+        reduction by the quotient echelon leaves a remainder exactly
+        then, so it is a cocycle test that applies no differential.
         """
         self.require_valid()
         q = self._quotient(w.degree)
@@ -702,11 +709,7 @@ class MorphismComplex(_ComplexBase):
 
 
 # ---------------------------------------------------------------------------
-# operation-style entry points
-
-
-def hochschild_complex(bicomodule: Bicomodule) -> HochschildComplex:
-    return HochschildComplex(bicomodule)
+# the shared complex of a morphism, and the coboundary of a cochain
 
 
 # A command reads one structure, and a batch of commands mostly reads
@@ -760,18 +763,3 @@ def d_c(w: MorphismCochain) -> MorphismCochain:
     """Coboundary of a deformation-complex cochain."""
     return morphism_complex(w.morphism).differential(w)
 
-
-def differential_matrix(complex_, n) -> Matrix:
-    return complex_.differential_matrix(n)
-
-
-def cohomology(complex_, n) -> CohomologyReport:
-    return complex_.cohomology(n)
-
-
-def is_cocycle(complex_, w) -> bool:
-    return complex_.is_cocycle(w)
-
-
-def is_coboundary(complex_, w):
-    return complex_.is_coboundary(w)

@@ -11,8 +11,10 @@ through order N.  This module implements:
 * extraction of the leading (infinitesimal) coefficient, which is
   always a 2-cocycle for a valid deformation;
 * the degree-3 obstruction cochain whose cobounding is equivalent to
-  extending the deformation one order further (it is always a
-  3-cocycle; a violation is an internal error, never a data state);
+  extending the deformation one order further, and its class, from the
+  one entry point :func:`obstruction` (it is always a 3-cocycle; a
+  violation is an internal error, never a data state); a class is read
+  by one quotient reduction, also its cocycle test (:func:`_class_of`);
 * order-by-order extension and integration of a 2-cocycle up to a
   target order, with the canonical linear solve picking the extension;
 * formal isomorphisms with truncated inversion and composition, and
@@ -433,7 +435,8 @@ def _verified(series_a, series_b, series_f):
     0..N, over QQ by one mask per entry, which stays exact: the slots
     above N add only multiples of 2^((N+1) w).  Slot N + 1, over
     L^2 D^(N+1) (D_a, D_b) or L^3 D^(N+1) (D_f), is the obstruction
-    cochain: the order-(N+1) defect with a zero order-(N+1) coefficient.
+    cochain: the order-(N+1) defect with a zero order-(N+1) coefficient,
+    which :func:`obstruction` reads.
     """
     k, a_0 = len(series_a), series_a[0]
     s, t = a_0.cols, series_b[0].cols
@@ -501,23 +504,17 @@ _NOT_A_3_COCYCLE = ("obstruction cochain is not a 3-cocycle; this "
                     "indicates a bug, not a property of the input")
 
 
-def _require_cocycle(comp, w, message):
-    """w, once checked to be a cocycle (InternalInvariantError if not)."""
-    if not comp.is_cocycle(w):
-        raise InternalInvariantError(message)
-    return w
-
-
-def _cobounding(comp, w, message):
-    """The canonical preimage of w, or None for a cocycle that is no
-    coboundary.  The cocycle test runs only when the exact solve fails:
-    a cochain with a preimage is a cocycle, as D o D = 0, and one that
-    is not a cocycle has none, so :func:`_require_cocycle` raises on
-    exactly the inputs of a test run first."""
-    chi = comp.is_coboundary(w)
-    if chi is None:
-        _require_cocycle(comp, w, message)
-    return chi
+def _class_of(comp, w, message) -> tuple:
+    """The class of w in the canonical basis of its cohomology (empty for
+    a coboundary), read by :meth:`class_coordinates`.  Its reduction by
+    the quotient echelon is the one cocycle test, which applies no
+    differential: a w that the theory makes a cocycle and is not one
+    raises InternalInvariantError(message)."""
+    comp.require_valid()
+    try:
+        return tuple(comp.class_coordinates(w))
+    except InvalidStructureError:
+        raise InternalInvariantError(message) from None
 
 
 def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
@@ -530,29 +527,19 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     return morphism_complex(d.morphism).element(*d._defects.next_order(), 3)
 
 
-def _classified(d: TruncatedDeformation, ob) -> ObstructionClass:
-    """The obstruction cochain ob of d, checked to be a 3-cocycle, with
-    its class."""
-    comp = morphism_complex(d.morphism)
-    _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
-    return ObstructionClass(ob, tuple(comp.class_coordinates(ob)),
-                            d.order + 1)
-
-
 def obstruction(d: TruncatedDeformation) -> ObstructionClass:
-    """Obstruction cochain of a valid deformation together with its class."""
-    return _classified(d, _obstruction_cochain(d))
+    """Obstruction cochain of a valid deformation together with its class.
 
-
-def _verified_obstruction(d: TruncatedDeformation):
-    """(the :func:`verify_deformation` report of d, its
-    :func:`obstruction` or None when the report fails), the obstruction
-    read from the order-(N+1) defects that verification keeps."""
-    if not verify_deformation(d).ok:
-        return d._verification
+    The cochain is the order-(N+1) slot that :func:`verify_deformation`
+    keeps when it passed, or else :func:`_obstruction_cochain`.
+    """
     comp = morphism_complex(d.morphism)
-    return d._verification[0], _classified(
-        d, comp.element(*d._verification[1], 3))
+    if d._verification is not None and d._verification[1] is not None:
+        ob = comp.element(*d._verification[1], 3)
+    else:
+        ob = _obstruction_cochain(d)
+    return ObstructionClass(ob, _class_of(comp, ob, _NOT_A_3_COCYCLE),
+                            d.order + 1)
 
 
 def _first_nonzero(x: MorphismCochain):
@@ -571,27 +558,28 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
     obstruction cochain exactly (raising ExtensionRejected otherwise).
     Without it, solve for the canonical cobounding coefficient; if none
     exists return the nonzero ObstructionClass instead of a deformation.
-    The obstruction's cocycle test runs only if it is not cobounded
-    (:func:`_cobounding`); the extension gets the :class:`_Defects` of d.
+    The exact solve runs first, and the obstruction is classified
+    (:func:`_class_of`) only where it fails; the extension gets the
+    :class:`_Defects` of d.
     """
     comp = morphism_complex(d.morphism)
     comp.require_valid()
     ob = _obstruction_cochain(d)
     if w is not None:
         if w.degree != 2 or w.morphism != d.morphism:
-            _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
+            _class_of(comp, ob, _NOT_A_3_COCYCLE)
             raise DimensionError("extension coefficient must be a degree-2 "
                                  "cochain over the same morphism")
         nonzero = _first_nonzero(comp.differential(w) - ob)
         if nonzero is not None:
-            _require_cocycle(comp, ob, _NOT_A_3_COCYCLE)
+            _class_of(comp, ob, _NOT_A_3_COCYCLE)
             raise ExtensionRejected(
                 "coboundary of the supplied coefficient differs from the "
                 "obstruction in component %s at entry %s by %s" % nonzero)
     else:
-        w = _cobounding(comp, ob, _NOT_A_3_COCYCLE)
+        w = comp.is_coboundary(ob)
         if w is None:
-            return ObstructionClass(ob, tuple(comp.class_coordinates(ob)),
+            return ObstructionClass(ob, _class_of(comp, ob, _NOT_A_3_COCYCLE),
                                     d.order + 1)
     out = TruncatedDeformation(d.morphism, d.coeffs + (w,))
     out._defects = d._defects.extended(w)
@@ -737,8 +725,8 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     orders, is composed onto the isomorphism phi found so far; the
     composite of the steps is returned.  If some leading coefficient is
     a cocycle but not a coboundary, its degree-2 class blocks and is
-    reported.  The exact solve runs before the cocycle test, which runs
-    only when the solve fails (:func:`_cobounding`).
+    reported.  The exact solve runs first; only when it fails is the
+    coefficient classified, which is its cocycle test (:func:`_class_of`).
 
     The transport by phi is read in the doubling windows of orders
     [m, min(2m - 1, N)], m = 1, 2, 4, .., each from one packed product by
@@ -773,11 +761,11 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
             w = comp.element(*parts, 2)
             if w.is_zero():
                 continue
-            chi = _cobounding(comp, w, "leading coefficient of a valid "
-                              "deformation must be a 2-cocycle")
+            chi = comp.is_coboundary(w)
             if chi is None:
-                return TrivializationResult(
-                    False, None, l, w, tuple(comp.class_coordinates(w)))
+                return TrivializationResult(False, None, l, w, _class_of(
+                    comp, w, "leading coefficient of a valid deformation "
+                    "must be a 2-cocycle"))
             _step(phi_a, l, chi.a_part.matrix)
             _step(phi_b, l, chi.b_part.matrix)
         m *= 2

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import re
 import time
@@ -271,17 +270,15 @@ class TestIntegrate:
         # are one check_morphism call
         path = tmp_path / "dp2.json"
         path.write_text(json.dumps(DP2_BUMP))
+        from coaldef import cli, coalgebra, cohomology
         checked = []
-        check = importlib.import_module("coaldef.coalgebra").check_morphism
+        check = coalgebra.check_morphism
 
         def counting_check(f):
             checked.append(f)
             return check(f)
 
-        # coaldef.cohomology is also the name of a function, so the
-        # modules are fetched by name
-        for name in ("coalgebra", "cohomology", "cli"):
-            module = importlib.import_module("coaldef." + name)
+        for module in (coalgebra, cohomology, cli):
             if getattr(module, "check_morphism", None) is check:
                 monkeypatch.setattr(module, "check_morphism", counting_check)
         files = {"FILE": path, "OUT": tmp_path / "out.json"}

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +242,13 @@ class TestCohomology:
             assert mc.cohomology(n).h_dim == hc.cohomology(n).h_dim
 
 
+def test_package_attribute_is_the_module():
+    # the complexes' queries are methods only, so no function of the
+    # package shadows the submodule
+    import coaldef
+    assert inspect.ismodule(coaldef.cohomology)
+
+
 class TestCocycleCoboundary:
     def test_zero_is_cocycle_and_coboundary(self):
         comp = scalar_complex()
@@ -264,6 +273,9 @@ class TestCocycleCoboundary:
         out = comp.differential(w)
         assert not comp.is_cocycle(w)
         assert out.ab_part.matrix[0, 0] == -1
+        # the quotient reduction that reads a class is a cocycle test too
+        with pytest.raises(InvalidStructureError, match="not a cocycle"):
+            comp.class_coordinates(w)
 
     def test_coboundary_preimage_exact(self):
         rng = fresh_rng(31)

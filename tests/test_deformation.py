@@ -8,7 +8,8 @@ from coaldef.coalgebra import (
     regular_bicomodule,
     zero_comultiplication,
 )
-from coaldef.cohomology import Cochain, MorphismComplex, morphism_complex
+from coaldef.cohomology import Cochain, MorphismComplex, _ComplexBase, \
+    morphism_complex
 from coaldef.deformation import (
     ExtensionRejected,
     FormalIsomorphism,
@@ -43,6 +44,18 @@ from helpers import (
     random_morphism,
     rational_matrix,
 )
+
+
+def count_applications(monkeypatch):
+    """The list that gets one entry per sparse operator application."""
+    applied, apply = [], _ComplexBase._apply
+
+    def counting(self, w):
+        applied.append(w.degree)
+        return apply(self, w)
+
+    monkeypatch.setattr(_ComplexBase, "_apply", counting)
+    return applied
 
 
 @pytest.fixture
@@ -220,7 +233,9 @@ class TestObstruction:
     def test_classifies_without_building_the_solver(self, monkeypatch,
                                                     corpus, name):
         # class_coordinates alone tells a coboundary (empty coordinates)
-        # from a nonzero class; the [D_2 | I] solver is only for preimages
+        # from a nonzero class; the [D_2 | I] solver is only for preimages.
+        # Its quotient reduction is also the cocycle test, so neither a
+        # cobounding obstruction nor a nonzero class applies D_3
         builds = []
         build = Elimination.solver.func
 
@@ -229,9 +244,11 @@ class TestObstruction:
             return build(self)
 
         monkeypatch.setattr(Elimination, "solver", property(counting_solver))
+        applied = count_applications(monkeypatch)
         d = builtin_corpus(QQ)[corpus].deformations[name]
         ob = obstruction(d)
         assert builds == []
+        assert applied == []
         assert ob.is_trivial == (name == "dp2_deformation")
 
     def test_obstruction_is_cocycle_on_random_deformations(self):
@@ -309,6 +326,15 @@ class TestExtend:
             f"not an infinitesimal candidate: coboundary is nonzero in "
             f"component {part} at entry {entry}")
 
+    def test_blocked_extension_applies_no_operator(self, monkeypatch):
+        # the failed solve and the class read after it decide a blocked
+        # extension; neither applies D_3
+        d = builtin_corpus(QQ)["obstructed"].deformations["stuck_deformation"]
+        applied = count_applications(monkeypatch)
+        out = extend(d)
+        assert applied == []
+        assert isinstance(out, ObstructionClass) and not out.is_trivial
+
     def test_converse_direction(self):
         # truncating a valid order-(N+1) deformation and recomputing the
         # obstruction recovers the coboundary of the last coefficient
@@ -327,10 +353,10 @@ class TestExtend:
 
 
 class TestCocycleChecks:
-    """Solves run before cocycle tests, yet a cochain that the theory
-    makes a cocycle and is not one still raises: the cochains of one
-    degree are built with one entry bumped, which leaves no cocycle
-    on these inputs.  Both pass with the cocycle test run first."""
+    """A class is tested for a cocycle by its quotient reduction, after
+    any solve, yet a cochain that the theory makes a cocycle and is not
+    one still raises: the cochains of one degree are built with one
+    entry bumped, which leaves no cocycle on these inputs."""
 
     @staticmethod
     def bump(monkeypatch, degree, skip=0):
@@ -350,7 +376,6 @@ class TestCocycleChecks:
 
     def test_obstruction_that_is_no_cocycle_raises(self, dp_setup,
                                                    monkeypatch):
-        from coaldef.deformation import _verified_obstruction
         f, comp, w = dp_setup
         d = TruncatedDeformation.from_higher_coefficients(f, [w], 1)
         w2 = extend(d).coefficient(2)
@@ -359,7 +384,7 @@ class TestCocycleChecks:
         for operation in (lambda: integrate(w, 3), lambda: extend(d),
                           lambda: extend(d, w2), lambda: extend(d, wrong),
                           lambda: obstruction(d),
-                          lambda: _verified_obstruction(d)):
+                          lambda: verify_deformation(d) and obstruction(d)):
             with pytest.raises(InternalInvariantError, match="3-cocycle"):
                 operation()
 
@@ -681,6 +706,15 @@ class TestTrivialize:
         d1 = comp.differential_matrix(1)
         stacked = d1.hstack(comp.flatten(res.blocking_cochain))
         assert rank(stacked) == rank(d1) + 1
+
+    def test_blocked_staircase_applies_no_operator(self, monkeypatch):
+        # the blocking coefficient's class is read, and tested for a
+        # cocycle, by the quotient reduction alone
+        d = builtin_corpus(QQ)["fixtures"].deformations["dp2_deformation"]
+        applied = count_applications(monkeypatch)
+        res = trivialize(d)
+        assert applied == []
+        assert not res.ok and res.h2_class
 
 
 class TestNonMorphism:

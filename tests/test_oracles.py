@@ -77,7 +77,6 @@ from coaldef.deformation import (
     TruncatedDeformation,
     _cauchy_kron,
     _verified,
-    _verified_obstruction,
     _window,
     apply_equivalence,
     comp_bar,
@@ -1320,8 +1319,10 @@ def test_zero_tests_match_a_full_read_on_perturbed_deformations(
 
 
 # `coaldef obstruct` reads the verification report and the order-(N+1)
-# obstruction off one packed product through order N + 1; the reference
-# is verify_deformation, and obstruction() with its per-order pair sums.
+# obstruction off one packed product through order N + 1: obstruction()
+# reads the slot that a passed verify_deformation keeps.  The reference
+# is obstruction() of a deformation that was not verified, which reads
+# its per-order pair sums.
 
 
 def _obstruct_morphisms(field):
@@ -1364,9 +1365,12 @@ def test_obstruct_reads_report_and_obstruction_from_one_product(
         parts[k] = _perturbed(rng, field, parts[k])
         coeffs[n] = comp.element(*parts, 2)
         d = TruncatedDeformation(f, coeffs)
-    report, ob = _verified_obstruction(d)
-    assert report == verify_deformation(d)
-    assert ob == (obstruction(d) if report.ok else None)
+    if verify_deformation(d).ok:
+        # obstruction(d) reads the slot that verification kept; a copy of
+        # d with no kept defects reads its per-order pair sums
+        fresh = TruncatedDeformation(f, d.coeffs)
+        assert obstruction(d) == obstruction(fresh)
+        assert fresh._verification is None
 
 
 @settings(max_examples=40, deadline=None)
