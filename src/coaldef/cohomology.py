@@ -17,24 +17,20 @@ Two complexes are implemented:
 Both complexes expose the same surface, as methods and nowhere else:
 differentials in operator and in matrix form, cocycle/coboundary
 predicates with canonical cobounding solutions, cohomology reports with
-quotient representatives, and the class of a cocycle, whose quotient
-reduction is also its cocycle test.  The queries read one sparse
-elimination record per degree, computed exactly from the operator; no
-dense matrix of a differential is formed.  The module-level functions
-are :func:`morphism_complex` and the coboundaries of a cochain,
+quotient representatives, and the class of a cocycle.  H^n is read in
+the coordinates of the canonical kernel basis of D_n, its free columns:
+the columns of D_(n-1) at the pivots of its kernel echelon are a basis
+of the coboundaries, eliminated there once, and a class is tested for a
+cocycle against the rows of D_n's kernel echelon.  No dense matrix of a
+differential is formed.  The module-level functions are
+:func:`morphism_complex` and the coboundaries of a cochain,
 :func:`delta_c` and :func:`d_c`.
 
 What a complex derives from its structure constants alone is one
-record per complex, which holds no name.  :func:`morphism_complex`
-gives the one deformation complex of a morphism object, which every
-layer holding the morphism shares, and takes its record from a
-process-wide table keyed by value (:data:`_RECORDS_KEPT` records, least
-recently used dropped first): morphisms of equal value, such as one
-morphism loaded from two problem files, assemble and eliminate each
-differential and check the morphism once between them.  A complex
-built directly, ``MorphismComplex(f)``, has a fresh, unshared record.
-Cochains flatten to coordinate vectors row-major; morphism cochains
-concatenate their (a, b, ab) blocks in that order.
+record per complex, which holds no name; :func:`morphism_complex`
+shares it between morphisms of equal value.  Cochains flatten to
+coordinate vectors row-major; morphism cochains concatenate their
+(a, b, ab) blocks in that order.
 """
 
 from __future__ import annotations
@@ -155,29 +151,25 @@ class MorphismCochain:
             return self.a_part, self.b_part
         return self.a_part, self.b_part, self.ab_part
 
+    def _map(self, fn, *others):
+        """The triple of fn applied to the parts of self and ``others``."""
+        for other in others:
+            self._check(other)
+        a, b, *ab = map(fn, self.parts(), *(o.parts() for o in others))
+        return MorphismCochain(self.morphism, self.degree, a, b,
+                               ab[0] if ab else None)
+
     def __add__(self, other):
-        self._check(other)
-        ab = None if self.ab_part is None else self.ab_part + other.ab_part
-        return MorphismCochain(self.morphism, self.degree,
-                               self.a_part + other.a_part,
-                               self.b_part + other.b_part, ab)
+        return self._map(Cochain.__add__, other)
 
     def __sub__(self, other):
-        self._check(other)
-        ab = None if self.ab_part is None else self.ab_part - other.ab_part
-        return MorphismCochain(self.morphism, self.degree,
-                               self.a_part - other.a_part,
-                               self.b_part - other.b_part, ab)
+        return self._map(Cochain.__sub__, other)
 
     def __neg__(self):
-        ab = None if self.ab_part is None else -self.ab_part
-        return MorphismCochain(self.morphism, self.degree,
-                               -self.a_part, -self.b_part, ab)
+        return self._map(Cochain.__neg__)
 
     def scale(self, s):
-        ab = None if self.ab_part is None else self.ab_part.scale(s)
-        return MorphismCochain(self.morphism, self.degree,
-                               self.a_part.scale(s), self.b_part.scale(s), ab)
+        return self._map(lambda part: part.scale(s))
 
     def _check(self, other):
         if self.morphism != other.morphism or self.degree != other.degree:
@@ -247,19 +239,18 @@ def _nnz(m: Matrix):
 
 class _Record:
     """What a complex derives from its structure constants alone, by
-    degree: the assembled operators, the bit lengths of their largest
-    ints, the dense differentials, the eliminations and the quotients;
-    and the morphism report of a deformation complex (None until
-    checked)."""
+    degree (operators, their largest absolute ints, eliminations, kernel
+    echelons, quotients), and a deformation complex's morphism report
+    (None until checked)."""
 
-    __slots__ = ("operators", "heights", "dmat", "eliminations",
+    __slots__ = ("operators", "heights", "eliminations", "echelons",
                  "quotients", "report")
 
     def __init__(self):
         self.operators = {}
         self.heights = {}
-        self.dmat = {}
         self.eliminations = {}
+        self.echelons = {}
         self.quotients = {}
         self.report = None
 
@@ -272,13 +263,10 @@ class _ComplexBase:
     Row-major flattening turns every term A o s o B of a coboundary
     into the matrix A (x) B^T acting on the coordinates of s, so each
     term contributes one entry per nonzero structure constant and free
-    index.  The element-level differential applies this operator.
-    :meth:`cohomology`, :meth:`is_coboundary` and
-    :meth:`class_coordinates` read one lazily built, cached record per
-    degree (:class:`coaldef.sparse.Elimination`), which replaces the
-    dense matrix D_n and gives the same canonical bases and solutions,
-    and the kernel echelon of :meth:`_kernel_echelon`.  All of these
-    live in the complex's :class:`_Record`.
+    index.  The element-level differential applies this operator.  The
+    queries read the :class:`coaldef.sparse.Elimination` (solves) and
+    :class:`coaldef.sparse.Quotient` (cohomology and classes) cached in
+    the complex's :class:`_Record`.
     """
 
     def __init__(self):
@@ -310,14 +298,15 @@ class _ComplexBase:
         return operators[n]
 
     def operator_bits(self, n):
-        """The bit length of the largest int of :meth:`operator` (n),
-        scanned once per record."""
+        """The bit length of the largest int of :meth:`operator` (n)."""
         heights = self._record.heights
         if n not in heights:
-            entries, _ = self.operator(n)
-            heights[n] = max(map(int.bit_length, entries.values()),
-                             default=0)
-        return heights[n]
+            heights[n] = self._height(n)
+        return heights[n].bit_length()
+
+    def _height(self, n):
+        """The largest absolute int of :meth:`operator` (n)."""
+        return max(map(abs, self.operator(n)[0].values()), default=0)
 
     def from_flat(self, n, entries):
         """The degree-n cochain with the coordinate list ``entries`` of
@@ -345,23 +334,16 @@ class _ComplexBase:
 
         Columns are indexed by the standard cochain basis in flattening
         order; D_0 has zero columns since the degree-0 module is zero.
-        This dense form is public API and the test reference; the
-        queries of the complex read the sparse elimination instead.
+        This dense form is public API and the test reference, built
+        anew on each call: no query of the complex reads it.
         """
-        dmat = self._record.dmat
-        if n not in dmat:
-            entries, den = self.operator(n)
-            dmat[n] = Matrix.from_sparse(
-                self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
-                entries, den)
-        return dmat[n]
+        return Matrix.from_sparse(self.field, self.cochain_dim(n + 1),
+                                  self.cochain_dim(n), *self.operator(n))
 
     def _elimination(self, n):
         """The cached sparse elimination record of D_n."""
         eliminations = self._record.eliminations
         if n not in eliminations:
-            # imported on first use: a process that never eliminates
-            # does not load it
             from .sparse import Elimination
             eliminations[n] = Elimination(
                 self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
@@ -373,12 +355,18 @@ class _ComplexBase:
         return self._elimination(n).echelon
 
     def _quotient(self, n):
-        """The cached cocycles-modulo-coboundaries echelon of degree n."""
+        """The cached H^n over the kernel echelons of D_n and D_(n-1),
+        spanned by the columns of D_(n-1) at the latter's pivots."""
         quotients = self._record.quotients
         if n not in quotients:
-            from .sparse import Quotient, kernel_vectors
-            quotients[n] = Quotient(self._elimination(n - 1).image,
-                                    kernel_vectors(self._kernel_echelon(n)))
+            from .sparse import Quotient
+            columns = defaultdict(dict)
+            if self.cochain_dim(n - 1):
+                pivots = self._kernel_echelon(n - 1).rows
+                for (r, c), x in self.operator(n - 1)[0].items():
+                    if c in pivots:
+                        columns[c][r] = x
+            quotients[n] = Quotient(self._kernel_echelon(n), columns.values())
         return quotients[n]
 
     def _coordinates(self, w):
@@ -417,29 +405,23 @@ class _ComplexBase:
             raise DimensionError("cohomology is exposed for degrees >= 1 only")
         self.require_valid()
         q = self._quotient(n)
-        cochain_reps = tuple(
-            self.from_integer_ratio(n, ints, den)
-            for ints, den in q.representative_ratios()
-        )
-        return CohomologyReport(n, q.kernel_dim, q.image_dim,
-                                len(cochain_reps), cochain_reps)
+        reps = tuple(self.from_integer_ratio(n, *r) for r in q.representatives)
+        return CohomologyReport(n, q.kernel_dim, q.image_dim, len(reps), reps)
 
     def class_coordinates(self, w):
         """Coordinates of the class of a cocycle w in the canonical H^n basis.
 
         Empty list iff w is a coboundary.  Raises
-        InvalidStructureError("not a cocycle") if w is not a cocycle: the
-        reduction by the quotient echelon leaves a remainder exactly
-        then, so it is a cocycle test that applies no differential.
+        InvalidStructureError("not a cocycle") if w is not a cocycle,
+        tested against the rows of D_n's kernel echelon, which applies
+        no differential.
         """
         self.require_valid()
         q = self._quotient(w.degree)
         coords = q.coordinates(*self._coordinates(w))
         if coords is None:
             raise InvalidStructureError("not a cocycle")
-        if not any(coords):
-            return []
-        return coords
+        return coords if any(coords) else []
 
 
 class HochschildComplex(_ComplexBase):
@@ -548,11 +530,9 @@ class MorphismComplex(_ComplexBase):
     report what is broken.  The queries -- ``is_cocycle``,
     ``is_coboundary``, ``cohomology`` and ``class_coordinates`` -- call
     :meth:`require_valid`, which reads the one :meth:`morphism_report`
-    of the complex's record.  Direct construction gives a fresh complex
-    with a fresh record; :func:`morphism_complex` gives the one complex
-    shared by every holder of f, with the record shared by every
-    morphism of equal value.  D_n and its kernel are built from those of
-    its three Hochschild blocks.
+    of the complex's record, fresh unless :func:`morphism_complex`
+    shares it.  D_n, its kernel and its height are read from its three
+    Hochschild blocks.
     """
 
     def __init__(self, f: CoalgebraMorphism):
@@ -686,15 +666,32 @@ class MorphismComplex(_ComplexBase):
 
     def _kernel_echelon(self, n):
         """The echelon of D_n from copies of the a and b block echelons
-        and the ab rows: reduced echelon forms are unique (over QQ, with
-        primitive rows), so it is that of the assembled D_n."""
-        from .sparse import sparse_rref
-        blocks = [(self.on_source._kernel_echelon(n), 0),
-                  (self.on_target._kernel_echelon(n),
-                   self.on_source.cochain_dim(n))]
-        return sparse_rref(
-            self.field, self._ab_rows(n, self._denominator(n)).values(),
-            self.cochain_dim(n), reverse=True, blocks=blocks)
+        and the ab rows, cached: reduced echelon forms are unique (over
+        QQ, with primitive rows), so it is that of the assembled D_n."""
+        echelons = self._record.echelons
+        if n not in echelons:
+            from .sparse import sparse_rref
+            blocks = [(self.on_source._kernel_echelon(n), 0),
+                      (self.on_target._kernel_echelon(n),
+                       self.on_source.cochain_dim(n))]
+            echelons[n] = sparse_rref(
+                self.field, self._ab_rows(n, self._denominator(n)).values(),
+                self.cochain_dim(n), reverse=True, blocks=blocks)
+        return echelons[n]
+
+    def _height(self, n):
+        """Over QQ, read from the parts of den * D_n, which share no
+        entry: the rescaled a, b and mixed blocks, den f and den f^(x)n."""
+        if self.field.kind == "prime" or n <= 0:
+            return super()._height(n)
+        den = self._denominator(n)
+        ints, base = self.morphism.matrix.as_integer_ratio()
+        top = max(map(abs, ints), default=0)
+        blocks = ((self.on_source, n), (self.on_target, n),
+                  (self.mixed, n - 1))
+        return max(top * (den // base), top ** n * (den // base ** n),
+                   *(block._height(k) * (den // block._denominator(k))
+                     for block, k in blocks))
 
     def scatter_terms(self, n):
         """The number of terms of D_n's blocks and comparison terms."""

@@ -14,7 +14,7 @@ through order N.  This module implements:
   extending the deformation one order further, and its class, from the
   one entry point :func:`obstruction` (it is always a 3-cocycle; a
   violation is an internal error, never a data state); a class is read
-  by one quotient reduction, also its cocycle test (:func:`_class_of`);
+  by the quotient, after its one cocycle test (:func:`_class_of`);
 * order-by-order extension and integration of a 2-cocycle up to a
   target order, with the canonical linear solve picking the extension;
 * formal isomorphisms with truncated inversion and composition, and
@@ -506,10 +506,10 @@ _NOT_A_3_COCYCLE = ("obstruction cochain is not a 3-cocycle; this "
 
 def _class_of(comp, w, message) -> tuple:
     """The class of w in the canonical basis of its cohomology (empty for
-    a coboundary), read by :meth:`class_coordinates`.  Its reduction by
-    the quotient echelon is the one cocycle test, which applies no
-    differential: a w that the theory makes a cocycle and is not one
-    raises InternalInvariantError(message)."""
+    a coboundary), read by :meth:`class_coordinates`, whose check
+    against the kernel echelon of D_n is the one cocycle test and
+    applies no differential: a w that the theory makes a cocycle and is
+    not one raises InternalInvariantError(message)."""
     comp.require_valid()
     try:
         return tuple(comp.class_coordinates(w))

@@ -603,17 +603,16 @@ def quotient_data(ker: Subspace, im: Subspace):
 
     Requires im to be a subspace of ker (raises QuotientError otherwise).
     The representatives are the canonical ker-basis vectors that complete
-    an im-basis to a basis of ker, returned as column vectors.
+    an im-basis to a basis of ker, returned as column vectors.  ker is
+    the kernel of the rows spanning the kernel of ker.basis^T, and its
+    reduced column echelon basis their canonical kernel basis.
     """
     if ker.ambient_dim != im.ambient_dim:
         raise DimensionError("ambient dimension mismatch")
-    from .sparse import Quotient
-    ints, den = ker.basis.as_integer_ratio()
-    columns = [{} for _ in range(ker.dim)]
-    for k, x in enumerate(ints):
-        if x:
-            columns[k % ker.dim][k // ker.dim] = x
-    q = Quotient(_elimination(im.basis).image, [(v, den) for v in columns])
-    reps = [Matrix.from_integer_ratio(ker.field, ker.ambient_dim, 1, *r)
-            for r in q.representative_ratios()]
-    return ker.dim - im.dim, reps
+    from .sparse import Quotient, _rows_of, sparse_rref
+    rows = [v for v, _ in _elimination(ker.basis.transpose()).kernel]
+    q = Quotient(sparse_rref(ker.field, rows, ker.ambient_dim, reverse=True),
+                 _rows_of(_elimination(im.basis).entries, True).values())
+    return ker.dim - im.dim, [
+        Matrix.from_integer_ratio(ker.field, ker.ambient_dim, 1, *r)
+        for r in q.representatives]

@@ -9,15 +9,13 @@ entry with a dense Gauss-Jordan elimination, which the tests keep as
 the reference.
 
 This is the one elimination engine of the package.
-:class:`Elimination` holds what the cochain complexes ask of one
-differential (canonical kernel and image bases and the canonical
-solve), and :class:`Quotient` the cohomology of one degree; the dense
-API of :mod:`coaldef.exactlinalg` (``Matrix.rref``, ``Matrix.inverse``,
-``rank``, ``kernel_basis``, ``image_basis``, ``solve``,
-``quotient_data``) is a thin layer over the same three.
-:mod:`coaldef.cohomology` and :mod:`coaldef.exactlinalg` import this
-module on first use, so a process that never eliminates does not load
-it.
+:class:`Elimination` holds the canonical kernel and image bases and the
+canonical solve of one operator, and :class:`Quotient` a kernel modulo
+a subspace, read in the coordinates of the kernel's free columns: the
+cohomology of one degree, and the dense ``quotient_data``.  The dense
+API of :mod:`coaldef.exactlinalg` is a thin layer over these, and it
+and :mod:`coaldef.cohomology` import this module on first use, so a
+process that never eliminates does not load it.
 """
 
 from __future__ import annotations
@@ -187,14 +185,15 @@ def _rows_of(entries, transpose=False):
     return rows
 
 
-def kernel_vectors(echelon):
+def kernel_vectors(echelon, columns=None):
     """The canonical kernel basis, ``(v, scale)`` pairs for the vectors
     v / scale, read from a rightmost-pivot reduced echelon form: each
-    e_j - sum_p r_p[j] e_p of a free column j is reduced already."""
+    e_j - sum_p r_p[j] e_p of a free column j (of ``columns``, all by
+    default) is reduced already."""
     pivots = echelon.rows
     p = echelon.field.p if echelon.field.kind == "prime" else None
     vectors = []
-    for j in range(echelon.width):
+    for j in range(echelon.width) if columns is None else columns:
         if j not in pivots:
             holders = echelon._users.get(j, ())
             scale = lcm(*(pivots[q][q] for q in holders))
@@ -204,6 +203,23 @@ def kernel_vectors(echelon):
             v[j] = scale
             vectors.append((v, scale))
     return vectors
+
+
+def _annihilated(echelon, v):
+    """Whether v ({column: int}) is in the kernel of the operator that
+    ``echelon`` eliminates: every row vanishes on it.  A pivot column
+    lies in its own row only and ``_users`` lists the rows holding a
+    free one, so only the nonzeros of v are read."""
+    rows, users = echelon.rows, echelon._users
+    acc = {}
+    for k, x in v.items():
+        if k in rows:
+            acc[k] = acc.get(k, 0) + rows[k][k] * x
+        else:
+            for q in users.get(k, ()):
+                acc[q] = acc.get(q, 0) + rows[q][k] * x
+    p = echelon.field.p if echelon.field.kind == "prime" else None
+    return not any(y % p if p else y for y in acc.values())
 
 
 class Elimination:
@@ -285,67 +301,55 @@ class Elimination:
 
 
 class Quotient:
-    """A kernel modulo an image inside it, as one sparse echelon.
+    """A kernel Z modulo a subspace B, in the coordinates of the
+    canonical kernel basis.
 
-    The image rows (a SparseEchelon) go in first, then the kernel
-    vectors in order.  A kernel vector independent of all rows before it
-    is a representative, so the representatives are the pivots of
-    [im | ker], the canonical choice of
+    ``kernel`` is the rightmost-pivot reduced echelon form of an
+    operator whose kernel is Z.  Its kernel vector u_j of a free column
+    j is 1 at j and 0 at every other free column, so a vector z of Z is
+    sum z_j u_j over the free j.  ``spanning`` are vectors ({index:
+    int}) spanning B; each is checked to lie in Z, and their free
+    entries are eliminated with rightmost pivots into ``image``, B in
+    these coordinates.  u_j lies in B + span(u_i, i < j) exactly when a
+    vector of B ends at j, so the representatives, pairs (ints, den) of
+    the u_j whose j is no pivot of ``image``, are the pivots of
+    [B | u_j], the canonical choice of
     :func:`coaldef.exactlinalg.quotient_data`.
-    The bookkeeping columns of each row hold its coordinates in the
-    basis [im | representatives], so reducing a vector by the echelon
-    reads off its class.
     """
 
-    def __init__(self, image, kernel):
-        width = image.width
-        echelon = SparseEchelon(image.field, width)
-        for i, c in enumerate(sorted(image.rows)):
-            row = dict(image.rows[c])
-            row[width + i] = row[c]
-            echelon.insert(row)
-        self.first = width + image.rank
-        reps = []
-        for v, scale in kernel:
-            row = dict(v)
-            row[self.first + len(reps)] = scale
-            if echelon.insert(row) is not None:
-                reps.append((v, scale))
-        if echelon.rank != len(kernel):
-            raise QuotientError(
-                "the image is not contained in the kernel; if they come "
-                "from a cochain complex, its differential does not square "
-                "to zero")
-        self.echelon = echelon
-        self.representatives = reps
-        self.kernel_dim = len(kernel)
-        self.image_dim = image.rank
-
-    def representative_ratios(self):
-        """The representatives as pairs (ints, den), the entries
-        ints / den."""
-        prime = self.echelon.field.kind == "prime"
-        out = []
-        for v, scale in self.representatives:
-            ints = [0] * self.echelon.width
-            for k, x in v.items():
-                ints[k] = x
-            out.append((ints, 1 if prime else scale))
-        return out
+    def __init__(self, kernel, spanning):
+        pivots = kernel.rows
+        restricted = []
+        for v in spanning:
+            if not _annihilated(kernel, v):
+                raise QuotientError(
+                    "the image is not contained in the kernel; if they come "
+                    "from a cochain complex, its differential does not "
+                    "square to zero")
+            restricted.append({k: x for k, x in v.items() if k not in pivots})
+        self.kernel = kernel
+        self.image = sparse_rref(kernel.field, restricted, kernel.width,
+                                 reverse=True)
+        self.columns = [j for j in range(kernel.width)
+                        if j not in pivots and j not in self.image.rows]
+        self.representatives = [
+            ([v.get(k, 0) for k in range(kernel.width)], scale)
+            for v, scale in kernel_vectors(kernel, self.columns)]
+        self.kernel_dim = kernel.width - kernel.rank
+        self.image_dim = self.image.rank
 
     def coordinates(self, b, b_den):
         """Representative coordinates of the vector b / b_den, or None if
-        it is not in the kernel."""
-        echelon = self.echelon
-        marker = self.first + len(self.representatives)
-        row = {k: x for k, x in enumerate(b) if x}
-        row[marker] = 1
-        echelon.reduce(row)
-        if any(k < echelon.width for k in row):
+        it is not in the kernel: its free entries reduced by ``image``,
+        with a marker column keeping the scale of the row."""
+        v = {k: x for k, x in enumerate(b) if x}
+        if not _annihilated(self.kernel, v):
             return None
-        keys = range(self.first, marker)
-        if echelon.field.kind == "prime":
-            p = echelon.field.p
-            return [-row.get(k, 0) % p for k in keys]
-        scale = row[marker] * b_den
-        return [Fraction(-row.get(k, 0), scale) for k in keys]
+        marker, field = self.kernel.width, self.kernel.field
+        row = {k: x for k, x in v.items() if k not in self.kernel.rows}
+        row[marker] = 1
+        self.image.reduce(row)
+        if field.kind == "prime":
+            return [row.get(j, 0) % field.p for j in self.columns]
+        return [Fraction(row.get(j, 0), row[marker] * b_den)
+                for j in self.columns]

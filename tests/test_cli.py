@@ -240,8 +240,11 @@ class TestIntegrate:
         assert "morphism compatibility" in detail and "(0, 0)" in detail
         assert not out.exists()
 
-    def test_builds_one_complex_and_assembles_d3_once(self, tmp_path,
-                                                     monkeypatch):
+    def test_builds_one_complex_and_assembles_no_d3(self, tmp_path,
+                                                   monkeypatch):
+        # the QQ budget reads the height of D_3 from its blocks, and H^3
+        # reads the kernel of D_3 from theirs and D_2, so neither
+        # integrate nor obstruct assembles D_3
         path = tmp_path / "dp2.json"
         path.write_text(json.dumps(DP2_BUMP))
         built, scattered = [], []
@@ -260,7 +263,9 @@ class TestIntegrate:
         r = run("integrate", path, "w", 3, "-o", tmp_path / "out.json")
         assert r.exit_code == 0, r.output
         assert len(built) == 1
-        assert scattered.count(3) == 1
+        r = run("obstruct", tmp_path / "out.json", "w")
+        assert r.exit_code == 0, r.output
+        assert scattered and 3 not in scattered
 
     @pytest.mark.parametrize("command", [
         ("cohomology", "FILE", "morphism", "id", 2),

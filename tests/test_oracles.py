@@ -15,7 +15,8 @@ of the structure checks, the push-forward and the change of basis.
 The dense routines of reference.py (kernel_basis, image_basis,
 quotient_data, solve on one Gauss-Jordan) applied to the dense
 differential_matrix are the reference for the sparse elimination behind
-cohomology, is_coboundary and class_coordinates.  The staircase loop of
+cohomology, is_coboundary and class_coordinates, and on random kernel
+and image pairs for the one sparse.Quotient.  The staircase loop of
 reference.py, which transports the whole deformation at every step, is
 the reference for the incremental trivialize.  A full read of the
 unpacked defects is the reference for the packed zero tests of
@@ -29,12 +30,14 @@ Hochschild complexes and the connecting map, without MorphismComplex.
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coaldef import exactlinalg, sparse
 from coaldef.cli import main as cli_main
 from coaldef.coalgebra import (
     Bicomodule,
@@ -67,6 +70,7 @@ from coaldef.cohomology import (
     HochschildComplex,
     MorphismCochain,
     MorphismComplex,
+    _ComplexBase,
     morphism_complex,
 )
 from coaldef.deformation import (
@@ -1725,6 +1729,106 @@ def test_block_built_kernels_match_dense_reference(seed, field, which):
         assert _column_matrix(field, comp.cochain_dim(n), vectors) == \
             kernel_basis(comp.differential_matrix(n)).basis
         _assert_record_matches_dense(comp, n, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_budget_height_is_read_from_the_blocks(seed, n):
+    # the parts of den * D_n (the rescaled a, b and mixed blocks, b o f
+    # and f^(x)n o a) share no entry, so the QQ budget reads the bit
+    # length of its largest int from theirs without assembling D_n
+    f = random_morphism(fresh_rng(seed), max_dim=3)
+    comp = MorphismComplex(f)
+    bits = comp.operator_bits(n)
+    assert not comp._record.operators
+    entries, _ = MorphismComplex(f).operator(n)
+    assert bits == max(map(int.bit_length, entries.values()), default=0)
+
+
+class _GivenQuotient(_ComplexBase):
+    """The complex surface over one given degree-1 quotient, whose
+    cochains are the column matrices they wrap: class_coordinates runs
+    as it does for every complex."""
+
+    def __init__(self, q):
+        super().__init__()
+        self._record.quotients[1] = q
+
+    def _coordinates(self, w):
+        return w.column.as_integer_ratio()
+
+
+def _columns(m):
+    """The columns of m as dicts {row: int} over its denominator."""
+    ints, _ = m.as_integer_ratio()
+    columns = [{} for _ in range(m.cols)]
+    for k, x in enumerate(ints):
+        if x:
+            columns[k % m.cols][k // m.cols] = x
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3))
+def test_kernel_coordinate_quotient_matches_dense_reference(seed, field,
+                                                           which):
+    # the one Quotient reads ker D in the coordinates of D's free columns
+    # and eliminates the spanning vectors of the image there; the
+    # reference eliminates [im | ker] densely.  which: 0 an image inside
+    # the kernel, 1 a zero image, 2 a zero-dimensional kernel, 3 an image
+    # that need not lie in the kernel
+    rng = fresh_rng(seed)
+
+    def draw(rows, cols):
+        if rows and cols:
+            return field_matrix(rng, field, rows, cols)
+        return Matrix.zeros(field, rows, cols)
+
+    cols = rng.randint(1, 6)
+    if which == 2:
+        d = Matrix.identity(field, cols).vstack(draw(rng.randint(0, 2), cols))
+    else:
+        r = rng.randint(0, cols)
+        d = draw(rng.randint(1, 6), r) @ draw(r, cols)
+    ker = kernel_basis(d)
+    t = rng.randint(0, 4)
+    if which == 0:
+        b = ker.basis @ draw(ker.dim, t)
+    elif which == 1:
+        b = Matrix.zeros(field, cols, t)
+    else:
+        b = draw(cols, t)
+    im = image_basis(b)
+    echelon = sparse.sparse_rref(field, _columns(d.transpose()), cols,
+                                 reverse=True)
+    try:
+        expected = quotient_data(ker, im)
+    except QuotientError:
+        for build in (lambda: exactlinalg.quotient_data(ker, im),
+                      lambda: sparse.Quotient(echelon, _columns(b))):
+            with pytest.raises(QuotientError):
+                build()
+        assert which == 3 or (which == 2 and not b.is_zero())
+        return
+    assert exactlinalg.quotient_data(ker, im) == expected
+    q = sparse.Quotient(echelon, _columns(b))
+    assert (q.kernel_dim, q.image_dim) == (ker.dim, im.dim)
+    reps = [Matrix.from_integer_ratio(field, cols, 1, *r)
+            for r in q.representatives]
+    assert (len(reps), reps) == expected
+    basis = im.basis.hstack(*reps)
+    comp = _GivenQuotient(q)
+    for _ in range(3):
+        for x in (ker.basis @ draw(ker.dim, 1), draw(cols, 1)):
+            coords = _reference_class(basis, im.dim, x)
+            w = SimpleNamespace(degree=1, column=x)
+            if coords is None:
+                with pytest.raises(InvalidStructureError,
+                                   match="not a cocycle"):
+                    comp.class_coordinates(w)
+            else:
+                assert repr(comp.class_coordinates(w)) == repr(coords)
 
 
 # ---------------------------------------------------------------------------
