@@ -15,7 +15,11 @@ series sum_i x_i t^i becomes the one int sum_i x_i 2^(i w), so one
 integer product of packed matrices forms every Cauchy coefficient at
 once, and ``unpack`` reads the coefficients back exactly as long as
 each one it reads, and every lower one, lies strictly between
--2^(w-1) and 2^(w-1).
+-2^(w-1) and 2^(w-1).  They also carry the rows of one matrix, its
+columns as the slots: ``pack`` of the list of its columns gives one
+int per row, a linear combination of such ints is the same combination
+of the rows, and ``unpack`` reads its columns back under the same
+bound.
 
 Elimination is not here: it is sparse, in :mod:`coaldef.sparse`.
 """

@@ -19,7 +19,8 @@ import click
 
 from . import problemfile as pfmod
 from .cohomology import HochschildComplex, d_c, morphism_complex
-from .coalgebra import check_coassociative, check_morphism, regular_bicomodule
+from .coalgebra import InvalidStructureError, check_coassociative, \
+    check_morphism, regular_bicomodule
 from .deformation import integrate, obstruction, trivialize, \
     verify_deformation
 from .problemfile import ProblemFile, ProblemFileError
@@ -354,12 +355,16 @@ def integrate_cmd(ctx, file, name, order, output):
         return failure
     comp = morphism_complex(w.morphism)
     _require_budget(comp, 3, name)
-    dw = comp.differential(w)
-    if not dw.is_zero():
+    try:
+        # integrate tests the cocycle itself; only a failure is read again
+        result = integrate(w, order)
+    except InvalidStructureError:
+        dw = comp.differential(w)
+        if dw.is_zero():
+            raise
         raise ProblemFileError(
             f"{name!r} is not a 2-cocycle; its coboundary has entries "
-            f"{_cochain_payload(dw)}")
-    result = integrate(w, order)
+            f"{_cochain_payload(dw)}") from None
     d = result.deformation
     out_pf = _output_problem(pf, d.morphism)
     out_pf.deformations[name] = d

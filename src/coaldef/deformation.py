@@ -34,6 +34,10 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
+from math import lcm
+from operator import mul
 
 from . import _backend, series
 from .coalgebra import CoalgebraMorphism, InvalidStructureError, \
@@ -348,31 +352,142 @@ def _cauchy_kron(x, y, n):
     return sum(terms[1:], terms[0]) if terms else None
 
 
+@lru_cache(maxsize=16)
+def _bar_index(d):
+    """For the row-major entries of the two d^3 x d sums of
+    :class:`_BarSums`, their positions in its unpacked slots, flattened
+    slot by slot (slot t of row r at t d^2 + r): entry (r, q, c) of
+    (s (x) Id) o x is slot (q, c) of row r, and entry (q, r, c) of
+    (Id (x) s) o x is slot d^2 + (q, c) of row r."""
+    dd = d * d
+    return (tuple(t * dd + r for r in range(dd) for t in range(dd)),
+            tuple((dd + q * d + c) * dd + r for q in range(d)
+                  for r in range(dd) for c in range(d)))
+
+
+class _BarSums:
+    """The order-n defect sum_i (s_i (x) Id - Id (x) s_i) o s_(n-i) of
+    one comultiplication series s (dimension d) of :class:`_Defects`.
+
+    Each nonzero coefficient s_j is kept once: its ints and denominator
+    q_j (the matrix's own), its largest |int| M_j, and, for j > 0 (s_0
+    pairs only with the order not yet known), its d packed rows
+    (:func:`_kernels_py.pack`) at one slot width w, row p holding row p
+    of s_j read as a d x d^2 map, the right operand of (s_i (x) Id) o
+    s_j, then row p of ``factor_read(s_j)``, that of (Id (x) s_i) o s_j:
+    2 d^2 slots.  Over Q = lcm_i(q_i q_(n-i)), row r (< d^2) of the
+    order-n defect is then one ``sum(map(mul, ..))``: the row-r entries
+    of every s_i, scaled by c_i = Q / (q_i q_(n-i)), against the packed
+    rows of the s_(n-i), all pairs concatenated; :func:`_bar_index`
+    places its slots.
+
+    Slot bound: each slot is sum_i sum_(p<d) c_i s_i[r, p] y_i[p], where
+    the y_i[p] are entries of s_(n-i) (either reading holds the same
+    entries), so its absolute value is at most d sum_i M_i c_i M_(n-i).
+    A w one bit longer than that bound puts every slot strictly within
+    2^(w-1), where :func:`_kernels_py.unpack` reads it exactly.  The
+    bound grows with n; when it outgrows w, the kept rows are repacked
+    at twice the width it needs, so w at least doubles at each repack,
+    and an integration, whose entries grow about linearly in bits with
+    the order, repacks O(log N) times through order N.
+
+    A state is unchanged once made: :meth:`extended` adds the new
+    coefficient to copies of the tables, so two extensions of one state
+    share nothing that either changes.
+    """
+
+    __slots__ = ("d", "s", "peaks", "w", "rows", "n", "plan")
+
+    def __init__(self, s, d, n):
+        """The order-n sum of the nonzero coefficients s (by order, all
+        below n) of a series of dimension d."""
+        self.d, self.s, self.w, self.rows = d, s, 0, {}
+        self.peaks = {j: max(map(abs, x.as_integer_ratio()[0]))
+                      for j, x in s.items()}
+        self._plan(n)
+
+    def extended(self, x):
+        """The sum at the next order, with x the coefficient of this one."""
+        grown, n = copy(self), self.n
+        if not x.is_zero():
+            grown.s = {**self.s, n: x}
+            grown.peaks = {**self.peaks,
+                           n: max(map(abs, x.as_integer_ratio()[0]))}
+            grown.rows = {**self.rows, n: self._packed(x, self.w)}
+        grown._plan(n + 1)
+        return grown
+
+    def _packed(self, x, w):
+        """The d packed rows of the coefficient x at slot width w."""
+        d, ints = self.d, x.as_integer_ratio()[0]
+        dd = d * d
+        return _backend.kernel().pack(
+            [slot for y in (ints, factor_read(ints, d, d, d))
+             for slot in zip(*(y[p:p + dd] for p in range(0, d * dd, dd)))],
+            w)
+
+    def _plan(self, n):
+        """Set the order-n pairs (i, n - i), their scales c_i and Q, and
+        widen w (repacking) if their slot bound needs it."""
+        s, peaks = self.s, self.peaks
+        pairs = [(i, n - i) for i in s if n - i in s]
+        dens = [s[i].as_integer_ratio()[1] * s[j].as_integer_ratio()[1]
+                for i, j in pairs]
+        den = lcm(*dens)
+        scales = [den // q for q in dens]
+        w = (self.d * sum(peaks[i] * c * peaks[j] for (i, j), c in
+                          zip(pairs, scales))).bit_length() + 1
+        if w > self.w:
+            self.w = w = 2 * w
+            self.rows = {j: self._packed(x, w) for j, x in s.items() if j}
+        self.n, self.plan = n, (pairs, scales, den)
+
+    def at_order(self, field):
+        """The d^3 x d defect at the order of this state."""
+        d, (pairs, scales, den) = self.d, self.plan
+        if not pairs:
+            return Matrix.zeros(field, d ** 3, d)
+        right = [v for _, j in pairs for v in self.rows[j]]
+        lefts = [ints if c == 1 else [c * v for v in ints] for ints, c in
+                 ((self.s[i].as_integer_ratio()[0], c)
+                  for (i, _), c in zip(pairs, scales))]
+        sums = [sum(map(mul, [v for x in lefts for v in x[r:r + d]], right))
+                for r in range(0, d ** 3, d)]
+        flat = list(chain.from_iterable(_backend.kernel().unpack(
+            sums, self.w, range(2 * d * d))))
+        first, second = _bar_index(d)
+        return Matrix.from_integer_ratio(
+            field, d ** 3, d,
+            [flat[k] - flat[m] for k, m in zip(first, second)], den)
+
+
 class _Defects:
     """The order-(N+1) defects (D_a, D_b, D_f) of :func:`_packed_defects`
-    of series a, b, f of order N, as matrices: each a sum over pairs of
-    nonzero coefficients, one stacked product, which costs less than the
-    2n + 1 slots of a packed product once entries span several words.
+    of series a, b, f of order N, as matrices: D_a and D_b from the
+    packed rows of :class:`_BarSums`, D_f a sum over pairs of nonzero
+    coefficients, one stacked product (f is nonzero at few orders).
     Integration obstructs at every order, so :func:`extend` hands on this
-    state, unchanged once made: the nonzero coefficients, and those of
-    the Kronecker series f (x) f through order N, whose pairs multiply
-    only the small f coefficients, where factor products would multiply
-    those of a."""
+    state, unchanged once made: the sums of a and b, the nonzero
+    coefficients of f, and those of the Kronecker series f (x) f through
+    order N, whose pairs multiply only the small f coefficients, where
+    factor products would multiply those of a."""
 
     def __init__(self, series_a, series_b, series_f):
         self.order, self.ends = len(series_a) - 1, (series_a[0], series_b[0])
-        self.a, self.b, self.f = (series.nonzero(s, self.order) for s in
-                                  (series_a, series_b, series_f))
-        self.ff = {k: x for k in range(self.order + 1)
+        n = self.order + 1
+        self.a, self.b = (_BarSums(series.nonzero(s, self.order), s[0].cols, n)
+                          for s in (series_a, series_b))
+        self.f = series.nonzero(series_f, self.order)
+        self.ff = {k: x for k in range(n)
                    if (x := _cauchy_kron(self.f, self.f, k)) is not None}
 
     def extended(self, w):
         """The state of the extension by the order-(N+1) coefficient w."""
         grown = copy(self)
         grown.order = n = self.order + 1
-        grown.a, grown.b, grown.f = (
-            kept if part.is_zero() else {**kept, n: part.matrix}
-            for kept, part in zip((self.a, self.b, self.f), w.parts()))
+        a, b, f = w.parts()
+        grown.a, grown.b = self.a.extended(a.matrix), self.b.extended(b.matrix)
+        grown.f = self.f if f.is_zero() else {**self.f, n: f.matrix}
         grown.ff = self.with_square(grown.f, n)
         return grown
 
@@ -385,22 +500,12 @@ class _Defects:
     def next_order(self):
         """(D_a, D_b, D_f) at order N + 1, where f_(N+1) is zero."""
         n, (a_0, b_0) = self.order + 1, self.ends
-        field, d, e = a_0.field, a_0.cols, b_0.cols
-
-        def bar(s, d):
-            pairs = series.pairs(s, s, n)
-            if not pairs:
-                return Matrix.zeros(field, d ** 3, d)
-            (left, p), (right, q) = (m.as_integer_ratio() for m in (
-                Matrix.hstack(*[x for x, _ in pairs]),
-                Matrix.vstack(*[y for _, y in pairs])))
-            return Matrix.from_integer_ratio(
-                field, d ** 3, d, _bar(left, right, d, d * len(pairs)), p * q)
-
-        pairs = series.pairs(self.with_square(self.f, n), self.a, n) + [
-            (x, -y) for x, y in series.pairs(self.b, self.f, n)]
-        return (bar(self.a, d), bar(self.b, e), factor_product(pairs)
-                if pairs else Matrix.zeros(field, e * e, d))
+        field = a_0.field
+        pairs = series.pairs(self.with_square(self.f, n), self.a.s, n) + [
+            (x, -y) for x, y in series.pairs(self.b.s, self.f, n)]
+        return (self.a.at_order(field), self.b.at_order(field),
+                factor_product(pairs) if pairs
+                else Matrix.zeros(field, b_0.cols ** 2, a_0.cols))
 
 
 _EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
@@ -591,7 +696,8 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
 
     Starts from the first-order deformation with coefficient ``w`` and
     repeatedly extends with canonical solves.  Stops early with the
-    blocking class if an obstruction fails to cobound.
+    blocking class if an obstruction fails to cobound.  A ``w`` that is
+    not a cocycle raises InvalidStructureError.
     """
     if target_order < 1:
         raise DimensionError("target order must be >= 1")

@@ -210,6 +210,22 @@ class TestIntegrate:
         check = run("check", out, "dp2_infinitesimal")
         assert check.exit_code == 0
 
+    def test_applies_d2_to_the_cocycle_once(self, tmp_path, monkeypatch):
+        # integrate tests the cocycle; the command does not test it again
+        applied = []
+        real = MorphismComplex.differential
+
+        def counting(comp, w):
+            applied.append(w.degree)
+            return real(comp, w)
+
+        monkeypatch.setattr(MorphismComplex, "differential", counting)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(DP2_BUMP))
+        r = run("integrate", path, "w", 3, "-o", tmp_path / "out.json")
+        assert r.exit_code == 0, r.output
+        assert applied == [2]
+
     def test_zero_cocycle_gives_trivial_file(self, corpus_dir, tmp_path):
         out = tmp_path / "trivial.json"
         r = run("integrate", corpus_dir / "fixtures.json", "zero_g1", 3,
@@ -308,6 +324,15 @@ class TestIntegrate:
         f.write_text(json.dumps(bad))
         r = run("integrate", f, "not_closed", 2, "-o", tmp_path / "x.json")
         assert r.exit_code == 2
+        # the message carries the whole coboundary, byte for byte
+        assert r.output.splitlines()[-1] == (
+            "Error: 'not_closed' is not a 2-cocycle; its coboundary has "
+            "entries {'A': [['0', '0'], ['0', '-1'], ['0', '0'], ['0', '0'], "
+            "['0', '1'], ['0', '0'], ['0', '0'], ['0', '0']], 'B': [['0', "
+            "'0'], ['0', '0'], ['0', '0'], ['0', '0'], ['0', '0'], ['0', "
+            "'0'], ['0', '0'], ['0', '0']], 'F': [['-1', '0'], ['0', '0'], "
+            "['0', '0'], ['0', '0']]}")
+        assert not (tmp_path / "x.json").exists()
 
 
 def dp2_problem(coalgebra):

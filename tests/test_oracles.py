@@ -79,12 +79,15 @@ from coaldef.deformation import (
     FormalIsomorphism,
     InternalInvariantError,
     TruncatedDeformation,
+    _Defects,
     _cauchy_kron,
+    _obstruction_cochain,
     _verified,
     _window,
     apply_equivalence,
     comp_bar,
     compose_isomorphisms,
+    extend,
     integrate,
     invert_formal,
     obstruction,
@@ -1184,14 +1187,9 @@ def _extremal_series(rng, field, rows, cols, length, bits, signs, dens):
     return out
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(EXTREMAL_FIELDS),
-       st.integers(0, 6), st.integers(0, 12), st.booleans(),
-       st.integers(1, 64), st.sampled_from(("equal", "mixed")),
-       st.sampled_from(("one", "shared", "distinct", "powers")))
-def test_defects_match_kronecker_reference_at_the_slot_bound(
-        seed, field, which, order, next_order, bits, signs, den_mode):
-    rng = fresh_rng(seed)
+def _extremal_draw(rng, field, which, length, bits, signs, den_mode):
+    """The morphism ``_defect_morphisms(field)[which]`` and extremal
+    series a, b, f of ``length`` coefficients on it."""
     f = _defect_morphisms(field)[which]
     d, e = f.source.dim, f.target.dim
     shared = rng.choice(LARGE_PRIMES)
@@ -1205,15 +1203,113 @@ def test_defects_match_kronecker_reference_at_the_slot_bound(
             return shared ** i
         return shared if den_mode == "shared" else rng.choice(LARGE_PRIMES)
 
-    series = [_extremal_series(rng, field, rows, cols, order + 1, bits,
-                               signs, dens)
-              for rows, cols in ((d * d, d), (e * e, e), (e, d))]
+    return f, [_extremal_series(rng, field, rows, cols, length, bits, signs,
+                                dens)
+               for rows, cols in ((d * d, d), (e * e, e), (e, d))]
+
+
+def _zero_padded(series, n):
+    """The series cut after order n - 1, with a zero order-n coefficient
+    written out: the reference form of the obstruction's series."""
+    return [s[:n] + [Matrix.zeros(s[0].field, s[0].rows, s[0].cols)]
+            for s in series]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(EXTREMAL_FIELDS),
+       st.integers(0, 6), st.integers(0, 12), st.booleans(),
+       st.integers(1, 64), st.sampled_from(("equal", "mixed")),
+       st.sampled_from(("one", "shared", "distinct", "powers")))
+def test_defects_match_kronecker_reference_at_the_slot_bound(
+        seed, field, which, order, next_order, bits, signs, den_mode):
+    _, series = _extremal_draw(fresh_rng(seed), field, which, order + 1,
+                               bits, signs, den_mode)
     # the obstruction reads order N+1 of a series that stops at N; the
     # reference needs that coefficient written out as zero
     orders = [order + 1] if next_order else range(order + 1)
-    padded = [s + [Matrix.zeros(field, s[0].rows, s[0].cols)]
-              for s in series]
-    assert read_defects(*series, orders) == reference_defects(*padded, orders)
+    assert read_defects(*series, orders) == \
+        reference_defects(*_zero_padded(series, order + 1), orders)
+
+
+def _incremental_defects(seed, field, which, prefix, top, bits, signs,
+                         den_mode):
+    """Drive the obstruction state of integration, built from orders
+    0..prefix of an extremal draw with zero coefficients (or zero parts
+    of them) inside, through ``extended`` to order ``top``, asserting at
+    each order N that its order-(N+1) defects equal the reference.
+    Returns the slot widths of its two packed sums at each order."""
+    rng = fresh_rng(seed)
+    f, series = _extremal_draw(rng, field, which, top + 1, bits, signs,
+                               den_mode)
+    for n in range(1, top + 1):
+        cleared = [s for s in series if rng.random() < 0.2]
+        for s in series if rng.random() < 0.2 else cleared:
+            s[n] = Matrix.zeros(field, s[0].rows, s[0].cols)
+    comp = MorphismComplex(f)
+    state = _Defects(*(s[:prefix + 1] for s in series))
+    widths = []
+    for n in range(prefix, top + 1):
+        if n > prefix:
+            state = state.extended(comp.element(*(s[n] for s in series), 2))
+        widths.append((state.a.w, state.b.w))
+        assert state.next_order() == \
+            reference_defects(*_zero_padded(series, n + 1), [n + 1])[0]
+    return widths
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(EXTREMAL_FIELDS),
+       st.integers(0, 6), st.integers(0, 2), st.integers(12, 14),
+       st.integers(1, 64), st.sampled_from(("equal", "mixed")),
+       st.sampled_from(("one", "shared", "distinct", "powers")))
+def test_incremental_defects_match_kronecker_reference_at_the_slot_bound(
+        seed, field, which, prefix, top, bits, signs, den_mode):
+    # integration hands the state of the obstruction on from order to
+    # order; its packed rows must read every order as the reference does
+    _incremental_defects(seed, field, which, prefix, top, bits, signs,
+                         den_mode)
+
+
+def test_incremental_defects_widen_their_slots_mid_run():
+    # with a new prime denominator at every order, the slot bound
+    # outgrows the width packed from the pairs of the first orders: the
+    # kept rows are repacked mid-run, and every order still reads exactly
+    widened = 0
+    for seed in range(8):
+        widths = _incremental_defects(seed, QQ, 2, 1, 14, 64, "mixed",
+                                      "distinct")
+        widened += any(2 < before < after
+                       for was, now in zip(widths, widths[1:])
+                       for before, after in zip(was, now))
+    assert widened
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_branches_of_one_deformation_obstruct_as_the_reference(field):
+    # two extensions of one deformation, the canonical one and one by
+    # w + z with z a 2-cocycle, share the obstruction state they were
+    # extended from; integrated further in alternation, each branch's
+    # obstructions must stay those of its own series
+    f = identity_morphism(divided_power(3, field))
+    comp = morphism_complex(f)
+    reps = comp.cohomology(2).representatives
+    start = TruncatedDeformation.from_higher_coefficients(
+        f, [sum(reps[1:], reps[0])])
+    base = extend(start)
+    canonical = extend(base)
+    z = reps[0] + comp.differential(
+        random_morphism_cochain(comp, 1, fresh_rng(5)))
+    branches = [canonical, extend(base, canonical.coefficient(3) + z)]
+    assert branches[0].coeffs != branches[1].coeffs
+    for _ in range(4):
+        for k, d in enumerate(branches):
+            series = [d.series_a(), d.series_b(), d.series_f()]
+            expected = reference_defects(*_zero_padded(series, d.order + 1),
+                                         [d.order + 1])[0]
+            assert tuple(p.matrix for p in
+                         _obstruction_cochain(d).parts()) == expected
+            branches[k] = extend(d)
+    assert [d.order for d in branches] == [7, 7]
 
 
 # The packed zero tests: verify_deformation decides each equation by one
@@ -1254,21 +1350,8 @@ def test_zero_tests_match_a_full_read_at_the_slot_bound(
     # the draws of the slot-bound test above; with ``structure`` the
     # order-0 terms are the structure maps, so order 0 holds and the
     # first failure is read above it
-    rng = fresh_rng(seed)
-    f = _defect_morphisms(field)[which]
-    d, e = f.source.dim, f.target.dim
-    shared = rng.choice(LARGE_PRIMES)
-
-    def dens(i):
-        if den_mode == "one":
-            return 1
-        if den_mode == "powers":
-            return shared ** i
-        return shared if den_mode == "shared" else rng.choice(LARGE_PRIMES)
-
-    series = [_extremal_series(rng, field, rows, cols, order + 1, bits,
-                               signs, dens)
-              for rows, cols in ((d * d, d), (e * e, e), (e, d))]
+    f, series = _extremal_draw(fresh_rng(seed), field, which, order + 1,
+                               bits, signs, den_mode)
     if structure:
         for s, m in zip(series, (f.source.delta, f.target.delta, f.matrix)):
             s[0] = m
