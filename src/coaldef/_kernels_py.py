@@ -105,10 +105,5 @@ def unpack(packed, w, slots):
     low = (1 << (max(slots) + 1) * w) - 1
     bias = half * low // ((1 << w) - 1)
     mask = (1 << w) - 1
-    shifts = [n * w for n in slots]
-    out = [[] for _ in slots]
-    for v in packed:
-        u = (v + bias) & low
-        for ints, shift in zip(out, shifts):
-            ints.append(((u >> shift) & mask) - half)
-    return out
+    biased = [(v + bias) & low for v in packed]
+    return [[((u >> n * w) & mask) - half for u in biased] for n in slots]

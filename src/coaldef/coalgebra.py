@@ -62,20 +62,17 @@ def _swap_index(n1, n2, n3):
 
 
 def factor_read(x, o, dim, cols):
-    """The ints of a block column of maps N -> O (x) X (dim X = ``dim``,
-    dim N = ``cols``), each block with its two leading factors swapped:
-    the operand of a right factor product."""
-    index = _swap_index(o, dim, cols)
-    return [x[b + t] for b in range(0, len(x), len(index) or 1)
-            for t in index]
+    """The ints of a map N -> O (x) X (dim X = ``dim``, dim N = ``cols``)
+    with its two leading factors swapped: the operand of a right factor
+    product."""
+    return [x[t] for t in _swap_index(o, dim, cols)]
 
 
 def factor_ints(m, x, rows, inner, o, cols, right=False):
-    """Row-major ints of sum_j (m_j (x) Id_O) o x_j, with ``right`` of
-    sum_j (Id_O (x) m_j) o x_j, for the ints of the block row
-    m = [m_1 | ... | m_t] (rows x inner) and of the block column
-    x = [x_1; ...; x_t] (read by :func:`factor_read` for the right
-    factor); the denominator is the product of theirs.
+    """Row-major ints of (m (x) Id_O) o x, with ``right`` of
+    (Id_O (x) m) o x, for the ints of m (rows x inner) and of x (read by
+    :func:`factor_read` for the right factor); the denominator is the
+    product of theirs.
 
     With row-major flattening, (m (x) Id_O) o x is m @ x with x read as
     an inner x (o cols) matrix, which is the same list, so no Kronecker
@@ -84,13 +81,6 @@ def factor_ints(m, x, rows, inner, o, cols, right=False):
     """
     out = _backend.kernel().matmul(m, x, rows, inner, o * cols)
     return [out[t] for t in _swap_index(rows, o, cols)] if right else out
-
-
-def factor_product(pairs) -> Matrix:
-    """sum_j m_j o x_j over a nonempty list of pairs of maps: the stacked
-    composition [m_1 | ... | m_t] @ [x_1; ...; x_t], one product."""
-    return (Matrix.hstack(*[m for m, _ in pairs])
-            @ Matrix.vstack(*[x for _, x in pairs]))
 
 
 def _on_factor(m: Matrix, x: Matrix, o, right=False) -> Matrix:

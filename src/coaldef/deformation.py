@@ -27,21 +27,20 @@ through order N.  This module implements:
 Deformations and formal isomorphisms are one truncated series of
 cochains (:class:`_Series`), of degree 2 and 1.  Everything is exact;
 truncation order is part of every object.  The arithmetic of the
-coefficient series is :mod:`coaldef.series`.
+coefficient series is :mod:`coaldef.series`; each per-order sum of
+products of coefficients is a query of a :class:`series.Cauchy` state.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
-from math import lcm
-from operator import mul
+from operator import sub
 
 from . import _backend, series
 from .coalgebra import CoalgebraMorphism, InvalidStructureError, \
-    factor_ints, factor_product, factor_read
+    factor_ints, factor_read
 from .cohomology import Cochain, MorphismCochain, MorphismComplex, \
     morphism_complex
 from .exactlinalg import DimensionError, ExactLinalgError, Matrix
@@ -283,14 +282,12 @@ class TrivializationResult:
 # verification
 
 
-def _bar(s, x, d, inner):
-    """Row-major ints of sum_j (s_j (x) Id - Id (x) s_j) o x_j, a d^3 x d
-    map, for the ints of the block row s = [s_1 | ... | s_t] (d^2 x
-    ``inner``) of maps X -> X (x) X, dim X = d, and of the block column
-    x = [x_1; ...; x_t]; both factor products use the same stacks."""
-    left = factor_ints(s, x, d * d, inner, d, d)
-    right = factor_ints(s, factor_read(x, d, d, d), d * d, inner,
-                        d, d, right=True)
+def _bar(s, x, d):
+    """Row-major ints of (s (x) Id - Id (x) s) o x, a d^3 x d map, for the
+    ints of maps s, x: X -> X (x) X, dim X = d."""
+    left = factor_ints(s, x, d * d, d, d, d)
+    right = factor_ints(s, factor_read(x, d, d, d), d * d, d, d, d,
+                        right=True)
     return _backend.kernel().lincomb(left, 1, right, -1)
 
 
@@ -340,7 +337,7 @@ def _packed_defects(series_a, series_b, series_f, k):
     a = series.packed(r_a, w_a, unit, step)
     b = series.packed(r_b, w_b, unit, step)
     return unit, step, [
-        (w_a, _bar(a, a, d, d)), (w_b, _bar(b, b, e, e)),
+        (w_a, _bar(a, a, d)), (w_b, _bar(b, b, e)),
         (w, series.morphism_defect(r_f, r_a, r_b, d, e, k, w, unit, step))]
 
 
@@ -348,164 +345,75 @@ def _cauchy_kron(x, y, n):
     """The order-n coefficient sum_i x_i (x) y_(n-i) of the
     coefficientwise tensor product of two series given by their
     :func:`series.nonzero` coefficients; None when no pair is nonzero."""
-    terms = [l.kron(r) for l, r in series.pairs(x, y, n)]
+    terms = [l.kron(y[n - i]) for i, l in x.items() if n - i in y]
     return sum(terms[1:], terms[0]) if terms else None
 
 
-@lru_cache(maxsize=16)
-def _bar_index(d):
-    """For the row-major entries of the two d^3 x d sums of
-    :class:`_BarSums`, their positions in its unpacked slots, flattened
-    slot by slot (slot t of row r at t d^2 + r): entry (r, q, c) of
-    (s (x) Id) o x is slot (q, c) of row r, and entry (q, r, c) of
-    (Id (x) s) o x is slot d^2 + (q, c) of row r."""
+def _bar_sums(s, d):
+    """The :class:`series.Cauchy` state of sum_i (s_i (x) Id - Id (x) s_i)
+    o s_(n-i) for the nonzero coefficients s of a comultiplication series
+    of dimension d: s_j is read as a d x d^2 map beside
+    ``factor_read(s_j)``."""
     dd = d * d
-    return (tuple(t * dd + r for r in range(dd) for t in range(dd)),
-            tuple((dd + q * d + c) * dd + r for q in range(d)
-                  for r in range(dd) for c in range(d)))
+    return series.Cauchy(
+        s, s, (dd, d, 2 * dd),
+        lambda ints: [y[t::dd] for y in (ints, factor_read(ints, d, d, d))
+                      for t in range(dd)])
 
 
-class _BarSums:
-    """The order-n defect sum_i (s_i (x) Id - Id (x) s_i) o s_(n-i) of
-    one comultiplication series s (dimension d) of :class:`_Defects`.
-
-    Each nonzero coefficient s_j is kept once: its ints and denominator
-    q_j (the matrix's own), its largest |int| M_j, and, for j > 0 (s_0
-    pairs only with the order not yet known), its d packed rows
-    (:func:`_kernels_py.pack`) at one slot width w, row p holding row p
-    of s_j read as a d x d^2 map, the right operand of (s_i (x) Id) o
-    s_j, then row p of ``factor_read(s_j)``, that of (Id (x) s_i) o s_j:
-    2 d^2 slots.  Over Q = lcm_i(q_i q_(n-i)), row r (< d^2) of the
-    order-n defect is then one ``sum(map(mul, ..))``: the row-r entries
-    of every s_i, scaled by c_i = Q / (q_i q_(n-i)), against the packed
-    rows of the s_(n-i), all pairs concatenated; :func:`_bar_index`
-    places its slots.
-
-    Slot bound: each slot is sum_i sum_(p<d) c_i s_i[r, p] y_i[p], where
-    the y_i[p] are entries of s_(n-i) (either reading holds the same
-    entries), so its absolute value is at most d sum_i M_i c_i M_(n-i).
-    A w one bit longer than that bound puts every slot strictly within
-    2^(w-1), where :func:`_kernels_py.unpack` reads it exactly.  The
-    bound grows with n; when it outgrows w, the kept rows are repacked
-    at twice the width it needs, so w at least doubles at each repack,
-    and an integration, whose entries grow about linearly in bits with
-    the order, repacks O(log N) times through order N.
-
-    A state is unchanged once made: :meth:`extended` adds the new
-    coefficient to copies of the tables, so two extensions of one state
-    share nothing that either changes.
-    """
-
-    __slots__ = ("d", "s", "peaks", "w", "rows", "n", "plan")
-
-    def __init__(self, s, d, n):
-        """The order-n sum of the nonzero coefficients s (by order, all
-        below n) of a series of dimension d."""
-        self.d, self.s, self.w, self.rows = d, s, 0, {}
-        self.peaks = {j: max(map(abs, x.as_integer_ratio()[0]))
-                      for j, x in s.items()}
-        self._plan(n)
-
-    def extended(self, x):
-        """The sum at the next order, with x the coefficient of this one."""
-        grown, n = copy(self), self.n
-        if not x.is_zero():
-            grown.s = {**self.s, n: x}
-            grown.peaks = {**self.peaks,
-                           n: max(map(abs, x.as_integer_ratio()[0]))}
-            grown.rows = {**self.rows, n: self._packed(x, self.w)}
-        grown._plan(n + 1)
-        return grown
-
-    def _packed(self, x, w):
-        """The d packed rows of the coefficient x at slot width w."""
-        d, ints = self.d, x.as_integer_ratio()[0]
-        dd = d * d
-        return _backend.kernel().pack(
-            [slot for y in (ints, factor_read(ints, d, d, d))
-             for slot in zip(*(y[p:p + dd] for p in range(0, d * dd, dd)))],
-            w)
-
-    def _plan(self, n):
-        """Set the order-n pairs (i, n - i), their scales c_i and Q, and
-        widen w (repacking) if their slot bound needs it."""
-        s, peaks = self.s, self.peaks
-        pairs = [(i, n - i) for i in s if n - i in s]
-        dens = [s[i].as_integer_ratio()[1] * s[j].as_integer_ratio()[1]
-                for i, j in pairs]
-        den = lcm(*dens)
-        scales = [den // q for q in dens]
-        w = (self.d * sum(peaks[i] * c * peaks[j] for (i, j), c in
-                          zip(pairs, scales))).bit_length() + 1
-        if w > self.w:
-            self.w = w = 2 * w
-            self.rows = {j: self._packed(x, w) for j, x in s.items() if j}
-        self.n, self.plan = n, (pairs, scales, den)
-
-    def at_order(self, field):
-        """The d^3 x d defect at the order of this state."""
-        d, (pairs, scales, den) = self.d, self.plan
-        if not pairs:
-            return Matrix.zeros(field, d ** 3, d)
-        right = [v for _, j in pairs for v in self.rows[j]]
-        lefts = [ints if c == 1 else [c * v for v in ints] for ints, c in
-                 ((self.s[i].as_integer_ratio()[0], c)
-                  for (i, _), c in zip(pairs, scales))]
-        sums = [sum(map(mul, [v for x in lefts for v in x[r:r + d]], right))
-                for r in range(0, d ** 3, d)]
-        flat = list(chain.from_iterable(_backend.kernel().unpack(
-            sums, self.w, range(2 * d * d))))
-        first, second = _bar_index(d)
-        return Matrix.from_integer_ratio(
-            field, d ** 3, d,
-            [flat[k] - flat[m] for k, m in zip(first, second)], den)
+def _bar_at(sums, n, field, d):
+    """The d^3 x d defect at order n of a :func:`_bar_sums` state: column
+    (q, c) at row r is entry (r, q, c) of (s (x) Id) o x, and column
+    d^2 + (q, c) entry (q, r, c) of (Id (x) s) o x."""
+    columns, den, dd = *sums.ratio(n), d * d
+    first = chain.from_iterable(zip(*columns[:dd]))
+    second = chain.from_iterable(chain.from_iterable(
+        zip(*columns[dd + q * d:dd + q * d + d])) for q in range(d))
+    return Matrix.from_integer_ratio(field, d ** 3, d,
+                                     list(map(sub, first, second)), den)
 
 
 class _Defects:
     """The order-(N+1) defects (D_a, D_b, D_f) of :func:`_packed_defects`
-    of series a, b, f of order N, as matrices: D_a and D_b from the
-    packed rows of :class:`_BarSums`, D_f a sum over pairs of nonzero
-    coefficients, one stacked product (f is nonzero at few orders).
-    Integration obstructs at every order, so :func:`extend` hands on this
-    state, unchanged once made: the sums of a and b, the nonzero
-    coefficients of f, and those of the Kronecker series f (x) f through
-    order N, whose pairs multiply only the small f coefficients, where
-    factor products would multiply those of a."""
+    of series a, b, f of order N, as matrices, from :class:`series.Cauchy`
+    states: :func:`_bar_sums` of a and of b, f (x) f against a and b
+    against f.  :func:`extend` hands it on, unchanged once made.  The
+    Kronecker series f (x) f, whose pairs multiply only the small f_j,
+    is kept through order N + 1, formed with f_(N+1) zero, and formed
+    again only when an extension's f_(N+1) is not."""
 
     def __init__(self, series_a, series_b, series_f):
-        self.order, self.ends = len(series_a) - 1, (series_a[0], series_b[0])
-        n = self.order + 1
-        self.a, self.b = (_BarSums(series.nonzero(s, self.order), s[0].cols, n)
-                          for s in (series_a, series_b))
-        self.f = series.nonzero(series_f, self.order)
-        self.ff = {k: x for k in range(n)
-                   if (x := _cauchy_kron(self.f, self.f, k)) is not None}
+        self.order, self.field = len(series_a) - 1, series_a[0].field
+        self.dims = d, e = series_a[0].cols, series_b[0].cols
+        a, b, f = (series.nonzero(s, self.order)
+                   for s in (series_a, series_b, series_f))
+        self.a, self.b, self.f = _bar_sums(a, d), _bar_sums(b, e), f
+        self.fa = series.Cauchy(
+            {k: x for k in range(1, self.order + 2)
+             if (x := _cauchy_kron(f, f, k)) is not None},
+            a, (e * e, d * d, d))
+        self.bf = series.Cauchy(b, f, (e * e, e, d))
 
     def extended(self, w):
         """The state of the extension by the order-(N+1) coefficient w."""
         grown = copy(self)
         grown.order = n = self.order + 1
-        a, b, f = w.parts()
-        grown.a, grown.b = self.a.extended(a.matrix), self.b.extended(b.matrix)
-        grown.f = self.f if f.is_zero() else {**self.f, n: f.matrix}
-        grown.ff = self.with_square(grown.f, n)
+        a, b, f = (p.matrix for p in w.parts())
+        grown.a = self.a.with_left(n, a).with_right(n, a)
+        grown.b = self.b.with_left(n, b).with_right(n, b)
+        grown.bf = self.bf.with_left(n, b).with_right(n, f)
+        fa = self.fa.with_right(n, a)
+        if not f.is_zero():
+            grown.f = {**self.f, n: f}
+            fa = fa.with_left(n, _cauchy_kron(grown.f, grown.f, n))
+        grown.fa = fa.with_left(n + 1, _cauchy_kron(grown.f, grown.f, n + 1))
         return grown
-
-    def with_square(self, f, n):
-        """The kept orders of f (x) f and its order n, for the nonzero
-        coefficients f through order n."""
-        x = _cauchy_kron(f, f, n)
-        return self.ff if x is None else {**self.ff, n: x}
 
     def next_order(self):
         """(D_a, D_b, D_f) at order N + 1, where f_(N+1) is zero."""
-        n, (a_0, b_0) = self.order + 1, self.ends
-        field = a_0.field
-        pairs = series.pairs(self.with_square(self.f, n), self.a.s, n) + [
-            (x, -y) for x, y in series.pairs(self.b.s, self.f, n)]
-        return (self.a.at_order(field), self.b.at_order(field),
-                factor_product(pairs) if pairs
-                else Matrix.zeros(field, b_0.cols ** 2, a_0.cols))
+        n, field, (d, e) = self.order + 1, self.field, self.dims
+        return (_bar_at(self.a, n, field, d), _bar_at(self.b, n, field, e),
+                self.bf.at(n, field, self.fa.at(n, field).as_integer_ratio()))
 
 
 _EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
@@ -602,7 +510,7 @@ def comp_bar(s: Cochain, t: Cochain) -> Cochain:
     ints_t, den_t = t.matrix.as_integer_ratio()
     d = m.dim
     return Cochain(m, 3, Matrix.from_integer_ratio(
-        m.field, d ** 3, d, _bar(ints_s, ints_t, d, d), den_s * den_t))
+        m.field, d ** 3, d, _bar(ints_s, ints_t, d), den_s * den_t))
 
 
 _NOT_A_3_COCYCLE = ("obstruction cochain is not a 3-cocycle; this "
@@ -780,8 +688,9 @@ def _window(phi_a, phi_b, orders, m, top):
     Slot n of (phi (x) phi) o c - c_0 o phi = (c' - c_0) o phi_in, and of
     phi_B o F - F_0 o phi_A, is sum_(0 < j <= n) c'_j o phi_in,(n-j),
     with phi_in = phi_A for a and F and phi_B for b.  So slots 1..m-1
-    vanish (checked), and c'_n is slot n less one stacked product, the
-    sum over m <= j < n.  With m = 1 it reads any whole transport."""
+    vanish (checked), and c'_n is slot n less the order-n query of a
+    :class:`series.Cauchy` state of c'_m.. against phi_in through order
+    top - m, the last it pairs.  With m = 1 it reads any transport."""
     k = top + 1
     if k <= m:
         return []
@@ -797,16 +706,12 @@ def _window(phi_a, phi_b, orders, m, top):
             raise InternalInvariantError(
                 f"the transport of the {label} does not vanish below order "
                 f"{m}; this indicates a bug, not a property of the input")
-        inner = {j: x for j, x in series.nonzero(phi, top).items() if j}
-        read, live = [], {}
+        below = series.Cauchy({}, series.nonzero(phi, top - m),
+                              (rows, cols, cols))
+        read = []
         for n, ints_n in zip(range(m, k), unpack(ints, w, range(m, k))):
-            x = Matrix.from_integer_ratio(field, rows, cols, ints_n,
-                                          unit ** power * step ** n)
-            below = series.pairs(live, inner, n)
-            if below:
-                x = x - factor_product(below)
-            if not x.is_zero():
-                live[n] = x
+            x = below.at(n, field, (ints_n, unit ** power * step ** n))
+            below = below.with_left(n, x)
             read.append(x)
         columns.append(read)
     return list(zip(*columns))

@@ -5,10 +5,10 @@ indexed by the power of t; a coefficient past the end of a list counts
 as zero.  This is the arithmetic that :mod:`coaldef.deformation` builds
 deformations, formal isomorphisms and their transport on:
 
-* the per-order Cauchy product (:func:`product`), each coefficient one
-  stacked product of its nonzero pairs, and the inverse of a series with
-  identity constant term (:func:`inverse`, for ``invert_formal`` only),
-  each order one stacked product too;
+* the one per-order product, the order-n coefficient sum_i l_i o
+  r_(n-i) of two series (:class:`Cauchy`), which :func:`product`,
+  :func:`inverse` (for ``invert_formal`` only), the obstruction of an
+  integration and the corrections of a transport window query;
 * Kronecker substitution: one scale (L, D) and one slot width per
   packed equation for several series, from stated bounds on the slots
   (:func:`packing`, :func:`packed`), and the test that the slots of a
@@ -22,17 +22,18 @@ deformations, formal isomorphisms and their transport on:
   the transport is read, and decide whether phi trivializes the
   deformation (:func:`intertwining_failure`).
 
-Each slot bound is proved once, in the docstring of the function that
-packs with it.
+Each slot bound is proved once, in the docstring of the function or
+class that packs with it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 from . import _backend
-from .coalgebra import factor_ints, factor_product, factor_read
+from .coalgebra import factor_ints, factor_read
 from .exactlinalg import Matrix
 
 
@@ -46,35 +47,141 @@ def nonzero(s, order):
     return {i: x for i, x in enumerate(s[:order + 1]) if not x.is_zero()}
 
 
-def pairs(a, b, n):
-    """The pairs (a_i, b_(n-i)) of the order-n coefficient of a product,
-    for two series given by their :func:`nonzero` coefficients."""
-    return [(x, b[n - i]) for i, x in a.items() if n - i in b]
+def _kept(x):
+    """(ints, denominator, largest |int|) of a matrix, an entry of the
+    tables of :class:`Cauchy` (a query appends w and the packed rows)."""
+    ints, den = x.as_integer_ratio()
+    return ints, den, max(map(abs, ints), default=0)
+
+
+def _put(table, n, x):
+    """A copy of the table with order n set to the matrix x, or removed
+    when x is None or zero."""
+    if x is None or x.is_zero():
+        return {j: y for j, y in table.items() if j != n}
+    return {**table, n: _kept(x)}
+
+
+class Cauchy:
+    """The order-n coefficient sum_i l_i o r_(n-i) of a left series l of
+    rows x inner maps and a right series r, each right coefficient read
+    as an inner x cols map, for ``shape`` = (rows, inner, cols).
+
+    Each nonzero coefficient is kept once: its ints, denominator q_i
+    (q'_j on the right) and largest |int| M_i (M'_j), and a right one,
+    once a query pairs it, as inner rows packed (:func:`_kernels_py.pack`)
+    at one slot width w, the columns given by ``read`` (by default its
+    own; each entry one of the coefficient's) as slots.  Over Q =
+    lcm_i(q_i q'_(n-i)), row r at order n is one ``sum(map(mul, ..))``:
+    the row-r entries of every l_i, scaled by c_i = Q / (q_i q'_(n-i)),
+    against the packed rows of the r_(n-i), all pairs concatenated.
+
+    Slot bound: slot c of row r is sum_i c_i sum_(p < inner) l_i[r, p]
+    y_i[p], with the y_i[p] entries of r_(n-i), so its absolute value is
+    at most inner sum_i M_i c_i M'_(n-i).  A w one bit longer puts every
+    slot strictly within 2^(w-1), where :func:`_kernels_py.unpack` reads
+    it exactly.  When a query's bound outgrows w, the right rows are
+    packed again, as each is paired, at twice the width it needs, so w at
+    least doubles at each repack: entries growing about linearly in bits
+    with the order repack O(log N) times through order N.
+
+    Only kept pairs are summed, so a coefficient not yet known counts as
+    zero.  :meth:`with_left` and :meth:`with_right` add to copies of the
+    tables, and a query that packs replaces the right table, so states
+    that share a table never see it change; no result depends on w.
+    """
+
+    __slots__ = ("shape", "read", "left", "right", "w")
+
+    def __init__(self, left, right, shape, read=None):
+        """From the nonzero coefficients by order (:func:`nonzero`)."""
+        self.shape, self.read, self.w = shape, read, 0
+        self.left = {n: _kept(x) for n, x in left.items()}
+        self.right = {n: _kept(x) for n, x in right.items()}
+
+    def _with(self, left, right):
+        grown = object.__new__(Cauchy)
+        grown.shape, grown.read, grown.w = self.shape, self.read, self.w
+        grown.left, grown.right = left, right
+        return grown
+
+    def with_left(self, n, x):
+        """The state with x (None for zero) the order-n left coefficient."""
+        return self._with(_put(self.left, n, x), self.right)
+
+    def with_right(self, n, x):
+        """The state with x (None for zero) the order-n right coefficient."""
+        return self._with(self.left, _put(self.right, n, x))
+
+    def _packed(self, ints):
+        """The packed inner rows of a right coefficient at width w."""
+        cols = self.shape[2]
+        return _backend.kernel().pack(
+            self.read(ints) if self.read
+            else [ints[c::cols] for c in range(cols)], self.w)
+
+    def ratio(self, n):
+        """(columns, Q): the ints of the order-n coefficient over Q, column
+        by column (zeros over 1 when no kept pair sums to order n)."""
+        rows, inner, cols = self.shape
+        left, right = self.left, self.right
+        pairs = [(left[i], right[n - i], n - i) for i in left
+                 if n - i in right]
+        if not pairs:
+            return [[0] * rows] * cols, 1
+        dens = [x[1] * y[1] for x, y, _ in pairs]
+        den = lcm(*dens)
+        scales = [den // q for q in dens]
+        w = (inner * sum(x[2] * c * y[2] for (x, y, _), c in
+                         zip(pairs, scales))).bit_length() + 1
+        if w > self.w:
+            self.w = 2 * w
+        stale = {j: y for _, y, j in pairs if y[3:4] != (self.w,)}
+        if stale:
+            self.right = right = {**right, **{
+                j: y[:3] + (self.w, self._packed(y[0]))
+                for j, y in stale.items()}}
+        packed = [v for _, _, j in pairs for v in right[j][4]]
+        lefts = [x[0] if c == 1 else [c * v for v in x[0]]
+                 for (x, _, _), c in zip(pairs, scales)]
+        sums = [sum(map(mul, [v for x in lefts for v in x[r:r + inner]],
+                        packed))
+                for r in range(0, rows * inner, inner)]
+        return _backend.kernel().unpack(sums, self.w, range(cols)), den
+
+    def at(self, n, field, base=None):
+        """The order-n coefficient, a matrix; with a base (ints, den) of
+        row-major ints, the matrix of the base less it."""
+        columns, den = self.ratio(n)
+        ints = list(chain.from_iterable(zip(*columns)))
+        if base:
+            q = lcm(den, base[1])
+            ints, den = _backend.kernel().lincomb(
+                base[0], q // base[1], ints, -(q // den)), q
+        return Matrix.from_integer_ratio(field, self.shape[0], self.shape[2],
+                                         ints, den)
 
 
 def product(a, b, order):
     """Product of two truncated matrix series, truncated at ``order``:
-    the order-n coefficient sum_i a_i o b_(n-i) is one stacked product
-    of its nonzero pairs.  Every coefficient is tested for zero, and
-    read, once."""
-    zero = Matrix.zeros(a[0].field, a[0].rows, b[0].cols)
-    ms, xs = nonzero(a, order), nonzero(b, order)
-    return [factor_product(p) if (p := pairs(ms, xs, n)) else zero
-            for n in range(order + 1)]
+    the order-n coefficient sum_i a_i o b_(n-i) is one query of their
+    :class:`Cauchy` state, which tests each coefficient for zero once."""
+    sums = Cauchy(nonzero(a, order), nonzero(b, order),
+                  (a[0].rows, a[0].cols, b[0].cols))
+    return [sums.at(n, a[0].field) for n in range(order + 1)]
 
 
 def inverse(a, order):
     """Inverse of a truncated series whose constant term is the identity:
-    inv_0 = a_0 and inv_n = -sum_(0<i<=n) a_i inv_(n-i), one stacked
-    product of the nonzero pairs."""
-    higher = {i: x for i, x in nonzero(a, order).items() if i}
-    zero = Matrix.zeros(a[0].field, a[0].rows, a[0].cols)
-    inv, live = [a[0]], {0: a[0]}
+    inv_0 = a_0, and inv_n = sum_(0<i<=n) (-a_i) inv_(n-i) is one query
+    of a :class:`Cauchy` state whose right series, the inverse, grows."""
+    k, field = a[0].rows, a[0].field
+    sums = Cauchy({i: -x for i, x in nonzero(a, order).items()},
+                  {0: a[0]}, (k, k, k))
+    inv = [a[0]]
     for n in range(1, order + 1):
-        below = pairs(higher, live, n)
-        inv.append(-factor_product(below) if below else zero)
-        if not inv[n].is_zero():
-            live[n] = inv[n]
+        inv.append(sums.at(n, field))
+        sums = sums.with_right(n, inv[n])
     return inv
 
 

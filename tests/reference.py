@@ -180,10 +180,10 @@ def reference_trivialize(d):
 
 def read_defects(series_a, series_b, series_f, orders):
     """The defects (D_a, D_b, D_f) of the deformation equations at each
-    of ``orders``, as matrices: the order just above the series summed
-    pair by pair by ``_Defects``, as the obstruction is, and otherwise
-    read off the slots of ``_packed_defects``, each over L^2 D^n (D_a,
-    D_b) or L^3 D^n (D_f)."""
+    of ``orders``, as matrices: the order just above the series from the
+    order-n queries of ``_Defects`` (``series.Cauchy`` states), as the
+    obstruction is, and otherwise read off the slots of
+    ``_packed_defects``, each over L^2 D^n (D_a, D_b) or L^3 D^n (D_f)."""
     if list(orders) == [len(series_a)]:
         return [_Defects(series_a, series_b, series_f).next_order()]
     field = series_a[0].field

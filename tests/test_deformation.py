@@ -613,11 +613,12 @@ class TestTrivialize:
         # the staircase reads the transport in the windows [1], [2, 3],
         # [4, 7] and [8, 12]: one packed product of the intertwining
         # defects each, and one for the final check, floor(log2 12) + 2
-        # in all.  Each order of a window above its first is corrected by
-        # one stacked product per series; the loop that transported the
-        # whole series and composed the whole isomorphism at every step
-        # made 1,046 factor products here.  A step updates phi with one
-        # product of chi and the block row of phi, not one per order of phi
+        # in all.  Each order of a window is corrected by one order-n
+        # query of a series.Cauchy state per series; the loop that
+        # transported the whole series and composed the whole isomorphism
+        # at every step made 1,046 factor products here.  A step updates
+        # phi with one product of chi and the block row of phi, not one
+        # per order of phi
         from coaldef import _kernels_py, deformation
         f = identity_morphism(divided_power(3))
         order = 12
@@ -625,11 +626,10 @@ class TestTrivialize:
                                    bound=2)
         d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
         calls, packed, products, per_step = [], [], [], []
-        for module in (series, deformation):
-            real = module.factor_product
-            monkeypatch.setattr(module, "factor_product",
-                                lambda *args, real=real, **kwargs:
-                                calls.append(1) or real(*args, **kwargs))
+        real_ratio = series.Cauchy.ratio
+        monkeypatch.setattr(series.Cauchy, "ratio",
+                            lambda *args: calls.append(1)
+                            or real_ratio(*args))
         real_defects = series._intertwining_defects
         monkeypatch.setattr(series, "_intertwining_defects",
                             lambda *args: packed.append(1)

@@ -99,7 +99,7 @@ from coaldef.exactlinalg import (QQ, Matrix, PrimeField, QuotientError,
 from coaldef.problemfile import (ProblemFile, ProblemFileError, _decoded,
                                  _parse_scalar, builtin_corpus,
                                  parse_problem_text, serialize_problem)
-from coaldef.series import intertwining_failure
+from coaldef.series import Cauchy, intertwining_failure
 from coaldef.series import inverse as series_inverse
 from coaldef.series import product as series_product
 from coaldef.series import nonzero as series_nonzero
@@ -634,8 +634,10 @@ def _sparse_deformation(rng, comp, order):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS))
-def test_series_products_match_dense_reference(seed, field):
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(ORACLE_FIELDS + (PrimeField(2 ** 31 - 1),)),
+       st.integers(1, 64))
+def test_series_products_match_dense_reference(seed, field, bits):
     rng = fresh_rng(seed)
     order = rng.randint(0, 5)
     r, k, c = (rng.randint(0, 3) for _ in range(3))
@@ -661,6 +663,38 @@ def test_series_products_match_dense_reference(seed, field):
     for p, q in ((left, a), (a, unit), (unit, unit)):
         assert series_product(p, q, order) == \
             reference_series_mul(p, q, order)
+    # at the slot bound: every entry at full size, up to 64 bits (p - 1
+    # over GF(p)), over a new prime at each order, so the packed right
+    # operand of the inverse, which grows by each order it gives, is
+    # repacked mid-run
+    m, top = rng.randint(1, 3), rng.randint(2, 9)
+    primes = rng.sample(LARGE_PRIMES, top + 1)
+
+    def extremal(rows, cols, length):
+        return _extremal_series(rng, field, rows, cols, length, bits,
+                                "mixed", primes.__getitem__)
+
+    big = [Matrix.identity(field, m)] + extremal(m, m, top)
+    inv = reference_series_inverse(big, top)
+    assert series_inverse(big, top) == inv
+    x, y = extremal(r or 1, m, top + 1), extremal(m, c or 1, top + 1)
+    assert series_product(x, y, top) == reference_series_mul(x, y, top)
+    # two extensions of one state by different right coefficients at one
+    # order, read in alternation, each as the reference reads its series
+    zero = Matrix.zeros(field, m, m)
+    cut = rng.randint(1, top)
+    state = Cauchy({n: z for n, z in enumerate(big) if n}, {0: big[0]},
+                   (m, m, m))
+    for n in range(1, cut):
+        state = state.with_right(n, inv[n])
+    lefts = [zero] + big[1:]
+    branches = [(state, inv[:cut] + [zero] * (top + 1 - cut))]
+    for z in (inv[cut], extremal(m, m, 1)[0]):
+        branches.append((state.with_right(cut, z),
+                         inv[:cut] + [z] + [zero] * (top - cut)))
+    for n in range(cut, top + 1):
+        for sums, rights in branches:
+            assert sums.at(n, field) == reference_cauchy(lefts, rights, n)
 
 
 def _transport_morphisms(field):
