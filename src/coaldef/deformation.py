@@ -28,7 +28,12 @@ Deformations and formal isomorphisms are one truncated series of
 cochains (:class:`_Series`), of degree 2 and 1.  Everything is exact;
 truncation order is part of every object.  The arithmetic of the
 coefficient series is :mod:`coaldef.series`; each per-order sum of
-products of coefficients is a query of a :class:`series.Cauchy` state.
+products of coefficients, in the obstruction of an integration and in
+composition and inversion, is a query of a :class:`series.Cauchy`
+state.  The staircase has one integer update instead
+(:func:`_subtract_shifted`): x o s_(k-l) subtracted from order k of a
+series for every k >= l, by one integer product of x with the block
+row of s.  A step and the corrections of a window are both that update.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import chain
+from math import lcm
 from operator import sub
 
 from . import _backend, series
@@ -680,6 +686,46 @@ def apply_equivalence(p: FormalIsomorphism,
             (d.series_a(), d.series_b(), d.series_f()), 1, d.order)])
 
 
+def _subtract_shifted(target, l, x, s):
+    """Subtract x o s_(k-l) from order k of the target for every k >= l,
+    in ints, and return the orders changed.
+
+    Order k of ``target`` is the (ints, den) of a row-major map; x is a
+    matrix, and s lists the (ints, den) of maps of x.cols rows and one
+    width.  The products x o s_i of the nonzero s_i are one integer
+    product of x's ints with their block row [s_0 | .. | s_r] over
+    their lcm D; order k becomes its ints less those of x o s_(k-l),
+    both over lcm(den, den(x) D).  The block row is formed before any
+    order changes, so s may be the target itself.  An order whose
+    s_(k-l) is zero, and every order when x is zero, stays as it was.
+    """
+    if x.is_zero():
+        return []
+    blocks = [(i, ints, den) for i, (ints, den) in
+              enumerate(s[:len(target) - l]) if any(ints)]
+    if not blocks:
+        return []
+    ints, q = x.as_integer_ratio()
+    kern = _backend.kernel()
+    den = lcm(*(d for _, _, d in blocks))
+    scaled = [y if d == den else kern.lincomb(y, den // d)
+              for _, y, d in blocks]
+    cols, rows, inner = len(scaled[0]) // x.cols, x.rows, x.cols
+    width = len(blocks) * cols
+    products = kern.matmul(
+        ints, [v for p in range(inner) for b in scaled
+               for v in b[p * cols:p * cols + cols]], rows, inner, width)
+    q *= den
+    for t, (i, _, _) in enumerate(blocks):
+        part = [v for r in range(rows) for v in
+                products[r * width + t * cols:r * width + t * cols + cols]]
+        old, d = target[l + i]
+        common = lcm(d, q)
+        target[l + i] = kern.lincomb(old, common // d, part,
+                                     -(common // q)), common
+    return [l + i for i, _, _ in blocks]
+
+
 def _window(phi_a, phi_b, orders, m, top):
     """The orders m..top of the transport c' of the series ``orders`` =
     (a, b, F) by phi = (phi_A, phi_B), whose orders 1..m-1 vanish, as
@@ -687,10 +733,11 @@ def _window(phi_a, phi_b, orders, m, top):
     :func:`series._intertwining_defects` product through order top.
     Slot n of (phi (x) phi) o c - c_0 o phi = (c' - c_0) o phi_in, and of
     phi_B o F - F_0 o phi_A, is sum_(0 < j <= n) c'_j o phi_in,(n-j),
-    with phi_in = phi_A for a and F and phi_B for b.  So slots 1..m-1
-    vanish (checked), and c'_n is slot n less the order-n query of a
-    :class:`series.Cauchy` state of c'_m.. against phi_in through order
-    top - m, the last it pairs.  With m = 1 it reads any transport."""
+    with phi_in = phi_A for a and F and phi_B for b, and phi_in,0 = I.
+    So slots 1..m-1 vanish (checked), and the slots m..top are read in
+    order, in ints: once c'_j is read, c'_j o phi_in,(n-j) is subtracted
+    from every slot n > j (:func:`_subtract_shifted`), and slot j + 1 is
+    then c'_(j+1).  With m = 1 it reads any transport."""
     k = top + 1
     if k <= m:
         return []
@@ -706,25 +753,25 @@ def _window(phi_a, phi_b, orders, m, top):
             raise InternalInvariantError(
                 f"the transport of the {label} does not vanish below order "
                 f"{m}; this indicates a bug, not a property of the input")
-        below = series.Cauchy({}, series.nonzero(phi, top - m),
-                              (rows, cols, cols))
+        below = [x.as_integer_ratio() for x in phi[1:k - m]]
+        slots = [(v, unit ** power * step ** n) for n, v in
+                 zip(range(m, k), unpack(ints, w, range(m, k)))]
         read = []
-        for n, ints_n in zip(range(m, k), unpack(ints, w, range(m, k))):
-            x = below.at(n, field, (ints_n, unit ** power * step ** n))
-            below = below.with_left(n, x)
-            read.append(x)
+        for j, slot in enumerate(slots):
+            read.append(Matrix.from_integer_ratio(field, rows, cols, *slot))
+            _subtract_shifted(slots, j + 1, read[j], below)
         columns.append(read)
     return list(zip(*columns))
 
 
 def _step(phi, l, chi):
     """Compose the series phi with I - chi t^l in place: phi_k -= chi
-    phi_(k-l), k >= l, one product of chi with [phi_0 | .. | phi_(N-l)]."""
-    o = chi.cols
-    moved = Matrix.hstack(*phi[l:]) - \
-        chi @ Matrix.hstack(*phi[:len(phi) - l])
-    phi[l:] = [moved.submatrix_columns(range(j * o, j * o + o))
-               for j in range(len(phi) - l)]
+    phi_(k-l), k >= l, from the old phi (:func:`_subtract_shifted`), with
+    one matrix per changed order."""
+    moved = [x.as_integer_ratio() for x in phi]
+    for k in _subtract_shifted(moved, l, chi, moved):
+        phi[k] = Matrix.from_integer_ratio(chi.field, phi[k].rows,
+                                           phi[k].cols, *moved[k])
 
 
 def trivialize(d: TruncatedDeformation) -> TrivializationResult:
@@ -741,7 +788,9 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
 
     The transport by phi is read in the doubling windows of orders
     [m, min(2m - 1, N)], m = 1, 2, 4, .., each from one packed product by
-    the phi of the window's start (:func:`_window`), by this lemma: if
+    the phi of the window's start (:func:`_window`); until the first step
+    phi is the identity, and a window is d's own orders, read with no
+    product.  Steps and windows rest on this lemma: if
     the transport c' by phi vanishes at the orders 0 < j < l, a step
     psi = I - chi t^l changes it only at order l and at orders >= 2l.
     Proof: every other term of (psi (x) psi) o c' o psi^-1, or of psi_B o
@@ -765,10 +814,13 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     n, identity = d.order, FormalIsomorphism.identity(d.morphism, d.order)
     phi_a, phi_b = identity.series_a(), identity.series_b()
     orders = d.series_a(), d.series_b(), d.series_f()
-    m = 1
+    m, stepped = 1, False
     while m <= n:
-        for l, parts in enumerate(
-                _window(phi_a, phi_b, orders, m, min(2 * m - 1, n)), m):
+        # until the first step phi is the identity: d is its own transport
+        top = min(2 * m - 1, n)
+        window = _window(phi_a, phi_b, orders, m, top) if stepped else \
+            zip(*(c[m:top + 1] for c in orders))
+        for l, parts in enumerate(window, m):
             w = comp.element(*parts, 2)
             if w.is_zero():
                 continue
@@ -779,6 +831,7 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
                     "must be a 2-cocycle"))
             _step(phi_a, l, chi.a_part.matrix)
             _step(phi_b, l, chi.b_part.matrix)
+            stepped = True
         m *= 2
     failure = series.intertwining_failure(phi_a, phi_b, *orders)
     if failure is not None:

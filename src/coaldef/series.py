@@ -7,8 +7,10 @@ deformations, formal isomorphisms and their transport on:
 
 * the one per-order product, the order-n coefficient sum_i l_i o
   r_(n-i) of two series (:class:`Cauchy`), which :func:`product`,
-  :func:`inverse` (for ``invert_formal`` only), the obstruction of an
-  integration and the corrections of a transport window query;
+  :func:`inverse` (for ``invert_formal`` only) and the obstruction of
+  an integration query (the staircase of :mod:`coaldef.deformation`
+  updates its series by one integer product per step or read order
+  instead);
 * Kronecker substitution: one scale (L, D) and one slot width per
   packed equation for several series, from stated bounds on the slots
   (:func:`packing`, :func:`packed`), and the test that the slots of a

@@ -611,21 +611,27 @@ class TestTrivialize:
     def test_staircase_makes_a_bounded_number_of_products_per_order(
             self, monkeypatch):
         # the staircase reads the transport in the windows [1], [2, 3],
-        # [4, 7] and [8, 12]: one packed product of the intertwining
-        # defects each, and one for the final check, floor(log2 12) + 2
-        # in all.  Each order of a window is corrected by one order-n
-        # query of a series.Cauchy state per series; the loop that
+        # [4, 7] and [8, 12].  Until the first step phi is the identity,
+        # so window [1] is d's own order 1; each later window is one
+        # packed product of the intertwining defects, and the final check
+        # one more: at most floor(log2 12) + 1 in all.  The loop that
         # transported the whole series and composed the whole isomorphism
         # at every step made 1,046 factor products here.  A step updates
-        # phi with one product of chi and the block row of phi, not one
-        # per order of phi
+        # phi with one integer product of chi and the block row of phi,
+        # and a read order corrects the later slots of its window with
+        # one integer product of the coefficient read and the block row
+        # of phi (deformation._subtract_shifted), three per order (one
+        # per series); neither queries a series.Cauchy state.  An input
+        # blocked at order 1 forms no packed product at all
         from coaldef import _kernels_py, deformation
         f = identity_morphism(divided_power(3))
+        comp = morphism_complex(f)
         order = 12
-        gauge = random_isomorphism(morphism_complex(f), order, fresh_rng(6),
-                                   bound=2)
+        gauge = random_isomorphism(comp, order, fresh_rng(6), bound=2)
         d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
-        calls, packed, products, per_step = [], [], [], []
+        reps = comp.cohomology(2).representatives
+        blocked = integrate(sum(reps[1:], reps[0]), order).deformation
+        calls, packed, products, per_update, per_step = [], [], [], [], []
         real_ratio = series.Cauchy.ratio
         monkeypatch.setattr(series.Cauchy, "ratio",
                             lambda *args: calls.append(1)
@@ -634,23 +640,37 @@ class TestTrivialize:
         monkeypatch.setattr(series, "_intertwining_defects",
                             lambda *args: packed.append(1)
                             or real_defects(*args))
-        real_matmul, real_step = _kernels_py.matmul, deformation._step
+        real_matmul = _kernels_py.matmul
+        real_update, real_step = deformation._subtract_shifted, \
+            deformation._step
 
         def matmul(*args):
             products.append(1)
             return real_matmul(*args)
 
-        def step(*args):
-            before = len(products)
-            real_step(*args)
-            per_step.append(len(products) - before)
+        def counted(real, counts):
+            def spy(*args):
+                before = len(products)
+                out = real(*args)
+                counts.append(len(products) - before)
+                return out
+            return spy
 
         monkeypatch.setattr(_kernels_py, "matmul", matmul)
-        monkeypatch.setattr(deformation, "_step", step)
+        monkeypatch.setattr(deformation, "_subtract_shifted",
+                            counted(real_update, per_update))
+        monkeypatch.setattr(deformation, "_step",
+                            counted(real_step, per_step))
         result = trivialize(d)
-        assert len(packed) <= 5
-        assert len(calls) <= 7 * order
+        assert len(packed) <= 4
+        assert calls == []
         assert per_step and max(per_step) <= 1
+        assert max(per_update) <= 1
+        assert len(per_update) <= len(per_step) + 3 * order
+        del packed[:], products[:], per_step[:]
+        stopped = trivialize(blocked)
+        assert (stopped.ok, stopped.blocked_order) == (False, 1)
+        assert packed == [] and products == [] and per_step == []
         monkeypatch.undo()
         assert apply_equivalence(result.isomorphism, d) == \
             TruncatedDeformation.trivial(f, order)

@@ -83,6 +83,8 @@ from coaldef.deformation import (
     _cauchy_kron,
     _obstruction_cochain,
     _verified,
+    _step,
+    _subtract_shifted,
     _window,
     apply_equivalence,
     comp_bar,
@@ -873,6 +875,78 @@ def test_window_reads_match_dense_reference(seed, field, which, m):
         [c[:level] + c[level + 1:top + 1] for c in expected]
 
 
+def _update_series(rng, field, rows, cols, length, primes):
+    """Coefficients zero a third of the time; over QQ, order i has
+    entries over its own prime primes[i]."""
+    out = []
+    for i in range(length):
+        if rng.random() < 1 / 3 or not rows or not cols:
+            out.append(Matrix.zeros(field, rows, cols))
+        elif field.kind == "prime":
+            out.append(field_matrix(rng, field, rows, cols))
+        else:
+            out.append(Matrix.from_integer_ratio(
+                field, rows, cols,
+                [rng.randint(-9, 9) for _ in range(rows * cols)], primes[i]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 6))
+def test_staircase_update_matches_dense_reference(seed, field, which):
+    # the one integer update of the staircase, x o s_(k-l) subtracted
+    # from order k for every k >= l: as a step I - chi t^l it is
+    # compose_isomorphisms with phi, and as the corrections of a window
+    # it reads back every c'_j of the dense sums sum_(0<j<=n) c'_j o
+    # phi_(n-j), phi_0 = I.  The morphisms include zero-dimensional ends,
+    # whose blocks are 0 x 0
+    rng = fresh_rng(seed)
+    f = _defect_morphisms(field)[which]
+    comp = MorphismComplex(f)
+    s, t = f.source.dim, f.target.dim
+    order = rng.randint(1, 5)
+    primes = rng.sample(LARGE_PRIMES[4:], order + 1)
+    phi = FormalIsomorphism.from_higher_coefficients(f, [
+        comp.element(a, b, None, 1) for a, b in zip(
+            _update_series(rng, field, s, s, order, primes[1:]),
+            _update_series(rng, field, t, t, order, primes[1:]))])
+    level = rng.randint(1, order)
+    chi = comp.element(*(_update_series(rng, field, n, n, 1, primes)[0]
+                         for n in (s, t)), None, 1)
+    stepped = [phi.series_a(), phi.series_b()]
+    _step(stepped[0], level, chi.a_part.matrix)
+    _step(stepped[1], level, chi.b_part.matrix)
+    step = FormalIsomorphism.from_higher_coefficients(
+        f, [comp.zero(1)] * (level - 1) + [-chi], order)
+    composed = compose_isomorphisms(step, phi)
+    assert stepped == [composed.series_a(), composed.series_b()]
+    assert stepped == [
+        reference_series_mul(step.series_a(), phi.series_a(), order),
+        reference_series_mul(step.series_b(), phi.series_b(), order)]
+    # a window of slots 1..order, each an unreduced (ints, den) over a
+    # new prime, as unpacked slots are
+    rows, cols, phi_in = rng.choice(((s * s, s, phi.series_a()),
+                                     (t * t, t, phi.series_b()),
+                                     (t, s, phi.series_a())))
+    read = [Matrix.zeros(field, rows, cols)] + _update_series(
+        rng, field, rows, cols, order, primes)
+    slots = []
+    for n, q in zip(range(1, order + 1), reversed(primes)):
+        ints, den = reference_cauchy(read, phi_in, n).as_integer_ratio()
+        q = 1 if field.kind == "prime" else q
+        slots.append(([v * q for v in ints], den * q))
+    below = [x.as_integer_ratio() for x in phi_in[1:order]]
+    got = []
+    for j, slot in enumerate(slots):
+        got.append(Matrix.from_integer_ratio(field, rows, cols, *slot))
+        changed = _subtract_shifted(slots, j + 1, got[j], below)
+        assert changed == ([] if got[j].is_zero() else
+                           [k for k in range(j + 1, order)
+                            if not phi_in[k - j].is_zero()])
+    assert got == read[1:]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 @pytest.mark.parametrize("kind", ["gauge", "blocked"])
 def test_trivialize_matches_reference_staircase_over_five_windows(field,
@@ -1323,18 +1397,25 @@ def test_branches_of_one_deformation_obstruct_as_the_reference(field):
     # two extensions of one deformation, the canonical one and one by
     # w + z with z a 2-cocycle, share the obstruction state they were
     # extended from; integrated further in alternation, each branch's
-    # obstructions must stay those of its own series
-    f = identity_morphism(divided_power(3, field))
+    # obstructions must stay those of its own series.  f collapses
+    # grouplike(2) onto one grouplike, so it is neither injective nor
+    # surjective and a canonical coefficient has a nonzero morphism part
+    # (for an identity it never has), and its cohomology vanishes, so
+    # every order extends.  Both order-3 coefficients are nonzero in all
+    # three parts, so each branch adds to the shared tables of every
+    # series.Cauchy state of the obstruction
+    g2 = grouplike(2, field)
+    f = CoalgebraMorphism(g2, g2, Matrix.from_rows(field, [[1, 1], [0, 0]]))
     comp = morphism_complex(f)
-    reps = comp.cohomology(2).representatives
     start = TruncatedDeformation.from_higher_coefficients(
-        f, [sum(reps[1:], reps[0])])
+        f, [comp.differential(random_morphism_cochain(comp, 1, fresh_rng(1)))])
     base = extend(start)
     canonical = extend(base)
-    z = reps[0] + comp.differential(
-        random_morphism_cochain(comp, 1, fresh_rng(5)))
+    z = comp.differential(random_morphism_cochain(comp, 1, fresh_rng(6)))
     branches = [canonical, extend(base, canonical.coefficient(3) + z)]
-    assert branches[0].coeffs != branches[1].coeffs
+    assert all(not p.matrix.is_zero() for d in branches
+               for p in d.coefficient(3).parts())
+    assert all(not p.matrix.is_zero() for p in z.parts())
     for _ in range(4):
         for k, d in enumerate(branches):
             series = [d.series_a(), d.series_b(), d.series_f()]
