@@ -83,12 +83,23 @@ def kron(a, ar, ac, b, br, bc):
     return c
 
 
-def pack(series, w):
+def pack(series, w, scales=None):
     """The entrywise ints sum_i x_i 2^(i w) of the int lists ``series[i]``
-    (one per power of t, all of one length)."""
+    (one per power of t, all of one length); with ``scales``, of
+    sum_i s_i x_i 2^(i w) for the ints s_i = scales[i].
+
+    One Horner pass from the highest power down: each scaled list is
+    added to the packed ints so far shifted by w, so a series is scaled
+    (to ints over one denominator per order, as :mod:`coaldef.series`
+    scales it) and packed in the same pass, with no scaled copy formed.
+    """
     out = [0] * len(series[0])
-    for ints in reversed(series):
-        out = [(v << w) + x for v, x in zip(out, ints)]
+    if scales is None:
+        for ints in reversed(series):
+            out = [(v << w) + x for v, x in zip(out, ints)]
+        return out
+    for ints, s in zip(reversed(series), reversed(scales)):
+        out = [(v << w) + s * x for v, x in zip(out, ints)]
     return out
 
 

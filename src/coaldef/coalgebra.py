@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import _backend
 from .exactlinalg import QQ, DimensionError, ExactLinalgError, Matrix
@@ -54,18 +55,23 @@ def unpack_index(flat, dim, n):
 
 
 @lru_cache(maxsize=64)
-def _swap_index(n1, n2, n3):
-    """Positions reordering the row-major entries of an n1 x n2 x n3
-    array as n2 x n1 x n3."""
-    return tuple((i1 * n2 + i2) * n3 + i3
-                 for i2 in range(n2) for i1 in range(n1) for i3 in range(n3))
+def _swap_reader(n1, n2, n3):
+    """The function taking the row-major entries of an n1 x n2 x n3
+    array to the list of them reordered as n2 x n1 x n3, kept per shape."""
+    index = [(i1 * n2 + i2) * n3 + i3
+             for i2 in range(n2) for i1 in range(n1) for i3 in range(n3)]
+    if len(index) < 2:
+        # itemgetter of one position returns the entry, not a tuple
+        return lambda x: [x[t] for t in index]
+    read = itemgetter(*index)
+    return lambda x: list(read(x))
 
 
 def factor_read(x, o, dim, cols):
     """The ints of a map N -> O (x) X (dim X = ``dim``, dim N = ``cols``)
     with its two leading factors swapped: the operand of a right factor
     product."""
-    return [x[t] for t in _swap_index(o, dim, cols)]
+    return _swap_reader(o, dim, cols)(x)
 
 
 def factor_ints(m, x, rows, inner, o, cols, right=False):
@@ -80,7 +86,7 @@ def factor_ints(m, x, rows, inner, o, cols, right=False):
     the two leading tensor factors of x and of the result are swapped.
     """
     out = _backend.kernel().matmul(m, x, rows, inner, o * cols)
-    return [out[t] for t in _swap_index(rows, o, cols)] if right else out
+    return _swap_reader(rows, o, cols)(out) if right else out
 
 
 def _on_factor(m: Matrix, x: Matrix, o, right=False) -> Matrix:

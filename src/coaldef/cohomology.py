@@ -51,7 +51,7 @@ from .coalgebra import (
     regular_bicomodule,
     require_morphism,
 )
-from .exactlinalg import DimensionError, Matrix
+from .exactlinalg import DimensionError, Matrix, stacked_ints
 
 
 class Cochain:
@@ -316,9 +316,8 @@ class _ComplexBase:
 
     def flatten(self, w) -> Matrix:
         """Coordinate column vector of a cochain, in the fixed block order."""
-        columns = [m.gather(m.rows * m.cols, 1, range(m.rows * m.cols))
-                   for m in self._parts(w)]
-        return Matrix.zeros(self.field, 0, 1).vstack(*columns)
+        ints, den = stacked_ints(self._parts(w))
+        return Matrix.from_integer_ratio(self.field, len(ints), 1, ints, den)
 
     def _apply(self, w):
         """The image of w under the sparse operator of its degree."""
@@ -371,7 +370,7 @@ class _ComplexBase:
 
     def _coordinates(self, w):
         """(ints, den): the coordinate vector of w is ints / den."""
-        x, den = self.flatten(w).as_integer_ratio()
+        x, den = stacked_ints(self._parts(w))
         if len(x) != self.cochain_dim(w.degree):
             raise DimensionError(
                 f"degree-{w.degree} cochain has {len(x)} coordinates, "
@@ -685,8 +684,8 @@ class MorphismComplex(_ComplexBase):
         if self.field.kind == "prime" or n <= 0:
             return super()._height(n)
         den = self._denominator(n)
-        ints, base = self.morphism.matrix.as_integer_ratio()
-        top = max(map(abs, ints), default=0)
+        f = self.morphism.matrix
+        top, base = f.peak(), f.as_integer_ratio()[1]
         blocks = ((self.on_source, n), (self.on_target, n),
                   (self.mixed, n - 1))
         return max(top * (den // base), top ** n * (den // base ** n),

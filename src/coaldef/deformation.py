@@ -312,25 +312,27 @@ def _packed_defects(series_a, series_b, series_f, k):
     three vanish for every n <= N; a coefficient past the end of a
     series counts as zero.
 
-    Every series is scaled by one (L, D) (:func:`series.packing`) and
-    packed, so each equation is a fixed set of integer products whatever
-    the order: the two factor products of :func:`_bar` on a and on b,
-    and :func:`series.morphism_defect` (f; a -> b) with its bound
-    :func:`series.morphism_bound` for D_f.  Returns (L, D) and, for D_a,
-    D_b and D_f, the slot width w and the row-major packed ints, whose
-    slot n is the order-n defect over L^2 D^n (D_a, D_b) and L^3 D^n
-    (D_f).  With M_a(i), M_b(i) the largest scaled entry of the order-i
-    coefficient of a and b and d, e the source and target dimensions,
-    an entry of (a_i (x) Id - Id (x) a_i) o a_j is a difference of two
-    sums of d products, so the order-n slots obey
+    Every series is scaled by one (L, D) and packed once, at the one
+    width w of :func:`series.packing`, so each equation is a fixed set of
+    integer products whatever the order: the two factor products of
+    :func:`_bar` on a and on b, and :func:`series.morphism_defect`
+    (f; a -> b) with its bound :func:`series.morphism_bound` for D_f,
+    all three on the same packed a, b and f.  Returns (L, D) and, for
+    D_a, D_b and D_f, the slot width w and the row-major packed ints,
+    whose slot n is the order-n defect over L^2 D^n (D_a, D_b) and
+    L^3 D^n (D_f).  With M_a(i), M_b(i) the largest scaled entry of the
+    order-i coefficient of a and b and d, e the source and target
+    dimensions, an entry of (a_i (x) Id - Id (x) a_i) o a_j is a
+    difference of two sums of d products, so the order-n slots obey
 
     * |D_a| <= 2 d (M_a * M_a)(n) and |D_b| <= 2 e (M_b * M_b)(n),
 
-    and each equation packs with w one bit longer than its largest bound.
+    and w is one bit longer than the largest bound of all three
+    equations: each equation's slots lie within 2^(w_eq - 1) for its
+    own w_eq <= w, so reading all three at w stays exact.
     """
     d, e = series_a[0].cols, series_b[0].cols
-    ratios = [[m.as_integer_ratio() for m in s[:k]]
-              for s in (series_a, series_b, series_f)]
+    given = [s[:k] for s in (series_a, series_b, series_f)]
 
     def bounds(peaks, unit):
         m_a, m_b, m_f = peaks
@@ -338,13 +340,11 @@ def _packed_defects(series_a, series_b, series_f, k):
                 [2 * e * x for x in series.convolve(m_b, m_b)],
                 series.morphism_bound(m_f, m_a, m_b, d, e, unit)]
 
-    unit, step, (w_a, w_b, w) = series.packing(ratios, k, bounds)
-    r_a, r_b, r_f = ratios
-    a = series.packed(r_a, w_a, unit, step)
-    b = series.packed(r_b, w_b, unit, step)
+    unit, step, w = series.packing(given, k, bounds)
+    a, b, f = (series.packed(s, w, unit, step) for s in given)
     return unit, step, [
-        (w_a, _bar(a, a, d)), (w_b, _bar(b, b, e)),
-        (w, series.morphism_defect(r_f, r_a, r_b, d, e, k, w, unit, step))]
+        (w, _bar(a, a, d)), (w, _bar(b, b, e)),
+        (w, series.morphism_defect(f, a, b, d, e, k, w, unit))]
 
 
 def _cauchy_kron(x, y, n):

@@ -26,6 +26,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from . import _backend
@@ -205,10 +206,11 @@ class Matrix:
     positive common denominator, with gcd(den, *ints) = 1 and the zero
     matrix over den 1.  Over GF(p) den is 1 and the ints lie in [0, p).
     Equal matrices therefore have equal storage, and each operation is
-    one integer kernel followed by the field's ``normalize``.
+    one integer kernel followed by the field's ``normalize``.  The
+    largest |int| of the storage is kept once read (:meth:`peak`).
     """
 
-    __slots__ = ("field", "rows", "cols", "_num", "_denom")
+    __slots__ = ("field", "rows", "cols", "_num", "_denom", "_peak")
 
     def __init__(self, field, rows, cols, ints, den):
         # Trusted constructor: (ints, den) is already canonical.  Takes
@@ -296,6 +298,16 @@ class Matrix:
         is shared with the matrix and must not be modified.
         """
         return self._num, self._denom
+
+    def peak(self):
+        """The largest absolute value of the ints of
+        :meth:`as_integer_ratio` (0 for a matrix with no entry), scanned
+        on the first call and kept: the storage never changes."""
+        try:
+            return self._peak
+        except AttributeError:
+            self._peak = peak = max(map(abs, self._num), default=0)
+            return peak
 
     def __getitem__(self, key):
         i, j = key
@@ -478,6 +490,16 @@ class Matrix:
                 return None
             columns.append((dict(enumerate(x[0])), x[1]))
         return _column_matrix(self.field, n, columns)
+
+
+def stacked_ints(parts):
+    """(ints, den): the row-major ints of the matrices ``parts``, one
+    after another, over the lcm den of their denominators: the storage
+    of their :meth:`Matrix.vstack` when they have one width, with no
+    matrix formed.  Canonical parts give a canonical pair (see
+    ``Matrix._over_common``)."""
+    den, blocks = Matrix._over_common(parts)
+    return list(chain.from_iterable(blocks)), den
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,17 @@ deformations, formal isomorphisms and their transport on:
   an integration query (the staircase of :mod:`coaldef.deformation`
   updates its series by one integer product per step or read order
   instead);
-* Kronecker substitution: one scale (L, D) and one slot width per
-  packed equation for several series, from stated bounds on the slots
-  (:func:`packing`, :func:`packed`), and the test that the slots of a
-  packed equation vanish (:func:`first_nonzero_slot`);
+* Kronecker substitution: one scale (L, D) and one slot width w for
+  several series, from stated bounds on the slots of each packed
+  equation (:func:`packing`), each series packed once at w, scaled in
+  the same pass (:func:`packed`), and the test that the slots of a
+  packed equation vanish (:func:`first_nonzero_slot`).  The one-width
+  rule: w is one bit longer than the largest bound of all the
+  equations of a product, so each equation's slots lie within
+  2^(w_eq - 1) <= 2^(w - 1) for its own width w_eq, and reading every
+  equation at w stays exact.  The bounds read each coefficient's
+  largest |int| from :meth:`~coaldef.exactlinalg.Matrix.peak`, which a
+  matrix scans once and keeps;
 * the morphism equation (f (x) f) o a = b o f of series, packed, with
   its slot bound (:func:`morphism_defect`, :func:`morphism_bound`): the
   morphism condition of a deformation, and each comultiplication side
@@ -52,8 +59,7 @@ def nonzero(s, order):
 def _kept(x):
     """(ints, denominator, largest |int|) of a matrix, an entry of the
     tables of :class:`Cauchy` (a query appends w and the packed rows)."""
-    ints, den = x.as_integer_ratio()
-    return ints, den, max(map(abs, ints), default=0)
+    return *x.as_integer_ratio(), x.peak()
 
 
 def _put(table, n, x):
@@ -193,7 +199,8 @@ def inverse(a, order):
 
 def _scales(dens):
     """Candidate (L, D) with every dens[i] dividing L D^i: D = 1 with L
-    the lcm of dens, and D = dens[1] with the least such L.
+    the lcm of dens, and, unless dens[1] is 1 and gives the same
+    choice, D = dens[1] with the least such L.
 
     Transport and integration give order-i denominators that grow like
     a power of the order-1 one, so the second choice keeps the packed
@@ -201,6 +208,8 @@ def _scales(dens):
     the high ones.
     """
     step = dens[1] if len(dens) > 1 else 1
+    if step == 1:
+        return [(lcm(*dens), 1)]
     return [(lcm(*dens), 1),
             (lcm(*(q // gcd(q, step ** i) for i, q in enumerate(dens))),
              step)]
@@ -208,38 +217,66 @@ def _scales(dens):
 
 def convolve(x, y):
     """The Cauchy product (x * y)(n) = sum_i x(i) y(n-i) of two lists of
-    one length, truncated to it."""
-    return [sum(map(mul, x[:n + 1], y[n::-1])) for n in range(len(x))]
+    one length k of nonnegative ints, truncated to it, from one integer
+    product of the two lists packed at one width w.
+
+    Every slot n of the product of the packed ints is a sum of at most
+    k products x(i) y(n-i), so it lies in [0, k max(x) max(y)], below
+    2^w: no slot is negative and none carries into the next, and slot n
+    is read by a shift and a mask.
+    """
+    k = len(x)
+    w = (k * max(x, default=0) * max(y, default=0)).bit_length() or 1
+    packed_x = packed_y = 0
+    for u, v in zip(reversed(x), reversed(y)):
+        packed_x, packed_y = (packed_x << w) + u, (packed_y << w) + v
+    product, mask = packed_x * packed_y, (1 << w) - 1
+    return [(product >> n * w) & mask for n in range(k)]
 
 
-def packing(ratios, k, bounds):
-    """(L, D, slot widths) for packing k orders of several series, given
-    by the ``as_integer_ratio`` of each coefficient (a series may stop
-    early).  ``bounds(peaks, L)`` gives, from each series' largest
-    scaled entry at each order, the bounds of the slots of each packed
-    equation; each width is one bit longer than its largest bound, and
-    of the scales of :func:`_scales` the one with the least total width
-    is taken."""
-    dens = [lcm(*(r[i][1] for r in ratios if i < len(r))) for i in range(k)]
-    peaks = [[(max(map(abs, ints), default=0), q) for ints, q in r]
-             + [(0, 1)] * (k - len(r)) for r in ratios]
+def packing(series, k, bounds):
+    """(L, D, w) for packing k orders of several series of matrices (a
+    series may stop early) at one slot width w.
 
-    def widths(unit, step):
-        scaled = [[peak * (unit * step ** i // q)
-                   for i, (peak, q) in enumerate(p)] for p in peaks]
-        return [max(b).bit_length() + 1 for b in bounds(scaled, unit)]
+    ``bounds(peaks, L)`` gives, from each series' largest scaled entry
+    at each order (the kept :meth:`~coaldef.exactlinalg.Matrix.peak` of
+    the order-i coefficient, over q_i, times L D^i), the bounds of the
+    slots of each packed equation.  An equation's slots lie strictly
+    within 2^(w_eq - 1) for the width w_eq one bit longer than its
+    largest bound, so within 2^(w - 1) for w the widest w_eq: every
+    series is packed once, at w, and each equation is read exactly at
+    it (the one-width rule).  Of the scales of :func:`_scales` the one
+    with the least w is taken.
+    """
+    peaks = [[m.peak() for m in s[:k]] + [0] * (k - len(s)) for s in series]
+    dens = [[m.as_integer_ratio()[1] for m in s[:k]] + [1] * (k - len(s))
+            for s in series]
 
-    return min(((unit, step, widths(unit, step))
-                for unit, step in _scales(dens)),
-               key=lambda choice: sum(choice[2]))
+    def width(unit, step):
+        scales = [unit * step ** i for i in range(k)]
+        scaled = [[m and m * (scale // q) for m, q, scale in zip(p, d, scales)]
+                  for p, d in zip(peaks, dens)]
+        return max(max(b).bit_length() for b in bounds(scaled, unit)) + 1
+
+    return min(((unit, step, width(unit, step))
+                for unit, step in _scales(list(map(lcm, *dens)))),
+               key=lambda choice: choice[2])
 
 
-def packed(r, w, unit, step):
-    """The packed ints of a series given by its coefficients'
-    ``as_integer_ratio`` list r, order i scaled to ints over L D^i."""
-    kern = _backend.kernel()
-    return kern.pack([kern.lincomb(ints, unit * step ** i // q)
-                      for i, (ints, q) in enumerate(r)], w)
+def packed(s, w, unit, step):
+    """The packed ints at width w of the series s of matrices, order i
+    scaled to ints over L D^i, in one :func:`_kernels_py.pack` pass."""
+    ratios = [m.as_integer_ratio() for m in s]
+    return _backend.kernel().pack(
+        [ints for ints, _ in ratios], w,
+        [unit * step ** i // q for i, (_, q) in enumerate(ratios)])
+
+
+def _constant(s, unit):
+    """The ints of the order-0 coefficient of the series s over L: the
+    packed ints of the series cut after it."""
+    ints, q = s[0].as_integer_ratio()
+    return _backend.kernel().lincomb(ints, unit // q)
 
 
 def morphism_bound(m_f, m_a, m_b, d, e, unit):
@@ -261,18 +298,18 @@ def morphism_bound(m_f, m_a, m_b, d, e, unit):
             zip(convolve(convolve(m_f, m_f), m_a), convolve(m_b, m_f))]
 
 
-def morphism_defect(r_f, r_a, r_b, d, e, k, w, unit, step):
+def morphism_defect(f, a, b, d, e, k, w, unit):
     """The packed ints of (f (x) f) o a - L b o f, whose slot n < k is
     the order-n coefficient of the morphism equation (f (x) f) o a =
     b o f over L^3 D^n, for series f: X -> Y, a: X -> X (x) X and
-    b: Y -> Y (x) Y (dim X = d, dim Y = e) given as for :func:`packed`;
-    :func:`morphism_bound` bounds the slots.
+    b: Y -> Y (x) Y (dim X = d, dim Y = e) given by their ints packed
+    at width w as :func:`packed` packs them; :func:`morphism_bound`
+    bounds the slots.
 
     (f (x) f) o a is (f (x) Id) o (Id (x) f) o a.  The slots of the
     inner product above k - 1 only reach slots above k - 1, so they are
     dropped: the masked ints differ by multiples of 2^(k w).
     """
-    f, a, b = (packed(r, w, unit, step) for r in (r_f, r_a, r_b))
     low = (1 << k * w) - 1
     fa = [x & low for x in factor_ints(f, factor_read(a, d, d, d),
                                        e, d, d, d, right=True)]
@@ -289,41 +326,41 @@ def _intertwining_defects(phi_a, phi_b, series_a, series_b, series_f):
     * phi_B o F - F_0 o phi_A ("morphism"),
 
     for series of order N = len(a) - 1, every series scaled by one (L, D)
-    (:func:`packing`): slot n <= N is the order-n coefficient over L^3 D^n
-    for a comultiplication, :func:`morphism_defect` with f = phi, a = c
-    and b = [c_0], and over L^2 D^n for the morphism.  That difference is
-    a linear square: with M_p(i), M_q(i), M_f(i) the largest scaled
-    entries of phi_A, phi_B, F and d, e the source and target
-    dimensions, its slot n is a sum of e products phi_B,i F_(n-i) and d
-    products F_0 phi_A,n, so
+    and packed once, at the one width w of :func:`packing` that every
+    equation is read at: slot n <= N is the order-n coefficient over
+    L^3 D^n for a comultiplication, :func:`morphism_defect` with f = phi,
+    a = c and b = [c_0], and over L^2 D^n for the morphism.  That
+    difference is a linear square: with M_p(i), M_q(i), M_f(i) the
+    largest scaled entries of phi_A, phi_B, F and d, e the source and
+    target dimensions, its slot n is a sum of e products phi_B,i F_(n-i)
+    and d products F_0 phi_A,n, so
 
     * |slot n| <= e (M_q * M_f)(n) + d M_f(0) M_p(n).
     """
     k = len(series_a)
     dim_a, dim_b = series_a[0].cols, series_b[0].cols
-    r_p, r_q, r_a, r_b, r_f = ([m.as_integer_ratio() for m in s] for s in
-                               (phi_a, phi_b, series_a, series_b, series_f))
+    given = (phi_a, phi_b, series_a, series_b, series_f)
 
     def bounds(peaks, unit):
-        m_p, m_q, m_a, m_a0, m_b, m_b0, m_f = peaks
-        return [morphism_bound(m_p, m_a, m_a0, dim_a, dim_a, unit),
-                morphism_bound(m_q, m_b, m_b0, dim_b, dim_b, unit),
+        m_p, m_q, m_a, m_b, m_f = peaks
+        zeros = [0] * (k - 1)
+        return [morphism_bound(m_p, m_a, m_a[:1] + zeros, dim_a, dim_a, unit),
+                morphism_bound(m_q, m_b, m_b[:1] + zeros, dim_b, dim_b, unit),
                 [dim_b * x + dim_a * m_f[0] * y
                  for x, y in zip(convolve(m_q, m_f), m_p)]]
 
-    unit, step, (w_a, w_b, w_f) = packing(
-        [r_p, r_q, r_a, r_a[:1], r_b, r_b[:1], r_f], k, bounds)
+    unit, step, w = packing(given, k, bounds)
+    p, q, a, b, f = (packed(s, w, unit, step) for s in given)
+    a_0, b_0, f_0 = (_constant(s, unit) for s in given[2:])
     kern = _backend.kernel()
-    p, q, f, f0 = (packed(r, w_f, unit, step) for r in (r_p, r_q, r_f,
-                                                        r_f[:1]))
     return unit, step, [
-        ("source comultiplication", w_a, morphism_defect(
-            r_p, r_a, r_a[:1], dim_a, dim_a, k, w_a, unit, step)),
-        ("target comultiplication", w_b, morphism_defect(
-            r_q, r_b, r_b[:1], dim_b, dim_b, k, w_b, unit, step)),
-        ("morphism", w_f, kern.lincomb(
+        ("source comultiplication", w, morphism_defect(
+            p, a, a_0, dim_a, dim_a, k, w, unit)),
+        ("target comultiplication", w, morphism_defect(
+            q, b, b_0, dim_b, dim_b, k, w, unit)),
+        ("morphism", w, kern.lincomb(
             kern.matmul(q, f, dim_b, dim_b, dim_a), 1,
-            kern.matmul(f0, p, dim_b, dim_a, dim_a), -1))]
+            kern.matmul(f_0, p, dim_b, dim_a, dim_a), -1))]
 
 
 def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):

@@ -24,6 +24,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from . import _backend
 from .exactlinalg import QuotientError
@@ -236,7 +237,8 @@ class Elimination:
       of the columns of D;
     * ``solver`` -- the leftmost-pivot elimination of [D | I], whose
       bookkeeping columns record the row combination behind each pivot
-      row.
+      row, and ``combinations``, those combinations read out once for
+      :meth:`solve`.
     """
 
     def __init__(self, field, rows, cols, entries, den):
@@ -269,6 +271,23 @@ class Elimination:
             row[cols + i] = 1
         return sparse_rref(self.field, rows.values(), cols)
 
+    @cached_property
+    def combinations(self):
+        """(x_den, [(c, indices, coefficients, scale)]): for each pivot
+        row of ``solver``, its pivot column c and the recorded
+        combination of the rows of D (the row indices and ints of its
+        bookkeeping columns); over QQ x_den is the lcm of the pivot
+        entries and scale is x_den over row c's, over GF(p) both are 1."""
+        cols, pivots = self.cols, self.solver.rows
+        x_den = 1 if self.field.kind == "prime" else \
+            lcm(*(row[c] for c, row in pivots.items()))
+        combinations = []
+        for c, row in pivots.items():
+            recorded = [(k - cols, t) for k, t in row.items() if k >= cols]
+            combinations.append((c, [k for k, _ in recorded],
+                                 [t for _, t in recorded], x_den // row[c]))
+        return x_den, combinations
+
     def solve(self, b, b_den):
         """The canonical solution of D x = b / b_den, or None.
 
@@ -278,17 +297,15 @@ class Elimination:
         solves the system whenever it is solvable; an exact residual
         check through the operator decides whether it is.
         """
-        cols = self.cols
-        x = [0] * cols
-        pivots = self.solver.rows
+        x = [0] * self.cols
         prime = self.field.kind == "prime"
         # the combinations act on the rows of entries = den * D: below,
         # x is x_den times the canonical solution y of entries @ y = b,
         # and y * den / b_den solves D x = b / b_den
-        x_den = 1 if prime else lcm(*(row[c] for c, row in pivots.items()))
-        for c, row in pivots.items():
-            y = sum(t * b[k - cols] for k, t in row.items() if k >= cols)
-            x[c] = y % self.field.p if prime else y * (x_den // row[c])
+        x_den, combinations = self.combinations
+        for c, indices, coefficients, scale in combinations:
+            y = sum(map(mul, coefficients, map(b.__getitem__, indices)))
+            x[c] = y % self.field.p if prime else y * scale
         out = _backend.kernel().sparse_apply(self.entries, x, len(b))
         if prime:
             p = self.field.p

@@ -675,6 +675,69 @@ class TestTrivialize:
         assert apply_equivalence(result.isomorphism, d) == \
             TruncatedDeformation.trivial(f, order)
 
+    @staticmethod
+    def _gauge(order):
+        """An order-``order`` gauge deformation of id(dp3) and the formal
+        isomorphism that trivializes it."""
+        f = identity_morphism(divided_power(3))
+        comp = morphism_complex(f)
+        gauge = random_isomorphism(comp, order, fresh_rng(6), bound=2)
+        d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
+        return d, invert_formal(gauge)
+
+    def test_each_product_packs_every_input_series_once(self, monkeypatch):
+        # a whole-series product packs each series it reads once, at one
+        # width, scaled in the same pass: no series is packed again for a
+        # second equation
+        from coaldef import _kernels_py, deformation
+        d, phi = self._gauge(6)
+        given = [phi.series_a(), phi.series_b(), d.series_a(), d.series_b(),
+                 d.series_f()]
+        packs, pack = [], _kernels_py.pack
+        monkeypatch.setattr(_kernels_py, "pack", lambda lists, *args:
+                            packs.append(lists) or pack(lists, *args))
+
+        def packed_once(inputs):
+            # each pack reads the storage of exactly one input series
+            assert len(packs) == len(inputs)
+            for s in inputs:
+                storage = [m.as_integer_ratio()[0] for m in s]
+                assert sum(len(p) == len(storage) and all(
+                    x is y for x, y in zip(p, storage)) for p in packs) == 1
+
+        series._intertwining_defects(*given)
+        packed_once(given)
+        del packs[:]
+        deformation._packed_defects(*given[2:], d.order + 2)
+        packed_once(given[2:])
+
+    def test_a_gauge_trivialize_scans_each_input_peak_once(self,
+                                                           monkeypatch):
+        # every product of the staircase (each window read and the final
+        # check) reads the largest |int| of d's coefficients, and each is
+        # scanned once, by Matrix.peak, and kept
+        import builtins
+        from coaldef import deformation, exactlinalg
+        d, _ = self._gauge(12)
+        scans = {}
+
+        def counting_map(fn, *iterables):
+            if fn is abs:
+                key = id(iterables[0])
+                scans[key] = scans.get(key, 0) + 1
+            return builtins.map(fn, *iterables)
+
+        for module in (exactlinalg, series, deformation):
+            monkeypatch.setattr(module, "map", counting_map, raising=False)
+        assert trivialize(d).ok
+        monkeypatch.undo()
+        # the order-0 terms are the structure maps, which other
+        # computations may have read before
+        inputs = {id(m): m for s in (d.series_a(), d.series_b(),
+                                     d.series_f()) for m in s[1:]}
+        assert [scans.get(id(m.as_integer_ratio()[0]), 0)
+                for m in inputs.values()] == [1] * len(inputs)
+
     @pytest.mark.xfail(strict=True, reason=(
         "over GF(2) the greedy staircase can block on a gauge-trivial "
         "deformation: its canonical chi differs from the gauge by a "

@@ -5,7 +5,7 @@ import sys
 import time
 import types
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -26,10 +26,11 @@ from coaldef.exactlinalg import (
     quotient_data,
     rank,
     solve,
+    stacked_ints,
 )
-from coaldef.sparse import sparse_rref
+from coaldef.sparse import Elimination, sparse_rref
 
-from helpers import fresh_rng, rational, rational_matrix
+from helpers import field_matrix, fresh_rng, rational, rational_matrix
 from reference import ref_rref
 
 
@@ -271,6 +272,54 @@ class TestArithmeticKernel:
             importlib.reload(_backend)
 
 
+def _every_construction(rng, field):
+    """Matrices from every constructor and every arithmetic operation."""
+    a, b = (field_matrix(rng, field, 3, 3, 10 ** 6) for _ in range(2))
+    c = field_matrix(rng, field, 3, 2, 10 ** 6)
+    ints, den = a.as_integer_ratio()
+    unipotent = Matrix.from_rows(field, [[1, 5, "-7/3"], [0, 1, 4],
+                                         [0, 0, 1]])
+    return [
+        a, c, Matrix.zeros(field, 2, 3), Matrix.zeros(field, 0, 2),
+        Matrix.identity(field, 3), Matrix.column(field, [1, 0, 5]),
+        Matrix.column(field, []),
+        Matrix.from_sparse(field, 2, 2, {(0, 1): -7, (1, 0): 3}, 7),
+        Matrix.from_integer_ratio(field, 3, 3, [-x for x in ints], den),
+        Matrix.from_rows(field, [["-12/5", "3"], [0, "7/9"]]),
+        a @ b, a @ c, a + b, a - b, a - a, -a, a.scale(Fraction(-4, 6)),
+        a.kron(c), a.transpose(), a.hstack(c), a.vstack(b),
+        a.gather(1, 9, range(9)), a.submatrix_columns([2, 0]),
+        a.rref()[0], unipotent.inverse()]
+
+
+class TestPeak:
+    @pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(101)))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kept_peak_is_the_largest_absolute_int(self, field, seed):
+        # the largest |int| of the canonical storage, read once and kept:
+        # a second read gives the same value
+        for m in _every_construction(fresh_rng(seed), field):
+            ints, _ = m.as_integer_ratio()
+            expected = max(map(abs, ints), default=0)
+            assert m.peak() == expected
+            assert m.peak() == expected
+
+    @pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(101)))
+    def test_stacked_ints_are_the_storage_of_the_stacked_columns(self,
+                                                                 field):
+        # the parts' row-major ints over their lcm, with no matrix formed,
+        # are the storage of the column that stacks their entries
+        rng = fresh_rng(5)
+        parts = [field_matrix(rng, field, r, c, 10 ** 6)
+                 for r, c in ((2, 3), (0, 4), (3, 1), (1, 1))]
+        column = Matrix.zeros(field, 0, 1).vstack(*(
+            m.gather(m.rows * m.cols, 1, range(m.rows * m.cols))
+            for m in parts))
+        ints, den = stacked_ints(parts)
+        assert (ints, den) == column.as_integer_ratio()
+        assert stacked_ints([]) == ([], 1)
+
+
 def test_import_does_not_load_the_elimination_engine():
     # the dense API imports coaldef.sparse on first use, so a process
     # that never eliminates does not pay its import time and memory
@@ -351,3 +400,26 @@ class TestSparseRref:
             if field.kind == "prime":
                 combo = [x % field.p for x in combo]
             assert combo == [row.get(j, 0) for j in range(cols)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from((QQ, PrimeField(2), PrimeField(101))))
+    def test_solve_reads_the_recorded_combinations_once(self, seed, field):
+        # the combinations a solve applies are the solver's bookkeeping
+        # columns, read out once per elimination
+        rng = fresh_rng(seed)
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        m, sparse = _sparse_operand(rng, field, rows, cols)
+        entries = {(i, j): x for i, row in enumerate(sparse)
+                   for j, x in row.items()}
+        elimination = Elimination(field, rows, cols, entries, 1)
+        x_den, combinations = elimination.combinations
+        pivots = elimination.solver.rows
+        assert [c for c, *_ in combinations] == list(pivots)
+        assert x_den == (1 if field.kind == "prime" else
+                         lcm(*(row[c] for c, row in pivots.items())))
+        for c, indices, coefficients, scale in combinations:
+            assert dict(zip((cols + i for i in indices), coefficients)) == \
+                {k: t for k, t in pivots[c].items() if k >= cols}
+            assert scale == x_den // pivots[c][c]
+        assert elimination.combinations is elimination.combinations

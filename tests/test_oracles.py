@@ -101,7 +101,7 @@ from coaldef.exactlinalg import (QQ, Matrix, PrimeField, QuotientError,
 from coaldef.problemfile import (ProblemFile, ProblemFileError, _decoded,
                                  _parse_scalar, builtin_corpus,
                                  parse_problem_text, serialize_problem)
-from coaldef.series import Cauchy, intertwining_failure
+from coaldef.series import Cauchy, convolve, intertwining_failure
 from coaldef.series import inverse as series_inverse
 from coaldef.series import product as series_product
 from coaldef.series import nonzero as series_nonzero
@@ -1314,6 +1314,25 @@ def _extremal_draw(rng, field, which, length, bits, signs, den_mode):
     return f, [_extremal_series(rng, field, rows, cols, length, bits, signs,
                                 dens)
                for rows, cols in ((d * d, d), (e * e, e), (e, d))]
+
+
+def _peak_lists(length):
+    """Pairs of lists of ``length`` nonnegative ints, as the slot bounds
+    convolve them: zeros, small ints and ints up to 2^700."""
+    entry = st.one_of(st.just(0), st.integers(0, 2 ** 16),
+                      st.integers(0, 2 ** 700))
+    one = st.lists(entry, min_size=length, max_size=length)
+    return st.tuples(one, one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(_peak_lists))
+def test_packed_convolution_matches_the_term_by_term_sum(pair):
+    # the slot bounds convolve their peaks by one packed integer product;
+    # every slot of it is the sum of the products of one order
+    x, y = pair
+    assert convolve(x, y) == [sum(x[i] * y[n - i] for i in range(n + 1))
+                              for n in range(len(x))]
 
 
 def _zero_padded(series, n):
