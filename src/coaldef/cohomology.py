@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from . import _backend
+from . import _backend, sparse
 from .coalgebra import (
     Bicomodule,
     CoalgebraMorphism,
@@ -343,8 +343,7 @@ class _ComplexBase:
         """The cached sparse elimination record of D_n."""
         eliminations = self._record.eliminations
         if n not in eliminations:
-            from .sparse import Elimination
-            eliminations[n] = Elimination(
+            eliminations[n] = sparse.Elimination(
                 self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
                 *self.operator(n))
         return eliminations[n]
@@ -358,14 +357,14 @@ class _ComplexBase:
         spanned by the columns of D_(n-1) at the latter's pivots."""
         quotients = self._record.quotients
         if n not in quotients:
-            from .sparse import Quotient
             columns = defaultdict(dict)
             if self.cochain_dim(n - 1):
                 pivots = self._kernel_echelon(n - 1).rows
                 for (r, c), x in self.operator(n - 1)[0].items():
                     if c in pivots:
                         columns[c][r] = x
-            quotients[n] = Quotient(self._kernel_echelon(n), columns.values())
+            quotients[n] = sparse.Quotient(self._kernel_echelon(n),
+                                           columns.values())
         return quotients[n]
 
     def _coordinates(self, w):
@@ -669,11 +668,10 @@ class MorphismComplex(_ComplexBase):
         QQ, with primitive rows), so it is that of the assembled D_n."""
         echelons = self._record.echelons
         if n not in echelons:
-            from .sparse import sparse_rref
             blocks = [(self.on_source._kernel_echelon(n), 0),
                       (self.on_target._kernel_echelon(n),
                        self.on_source.cochain_dim(n))]
-            echelons[n] = sparse_rref(
+            echelons[n] = sparse.sparse_rref(
                 self.field, self._ab_rows(n, self._denominator(n)).values(),
                 self.cochain_dim(n), reverse=True, blocks=blocks)
         return echelons[n]

@@ -12,9 +12,12 @@ through order N.  This module implements:
   always a 2-cocycle for a valid deformation;
 * the degree-3 obstruction cochain whose cobounding is equivalent to
   extending the deformation one order further, and its class, from the
-  one entry point :func:`obstruction` (it is always a 3-cocycle; a
-  violation is an internal error, never a data state); a class is read
-  by the quotient, after its one cocycle test (:func:`_class_of`);
+  one entry point :func:`obstruction` (for a deformation it is always a
+  3-cocycle, so a violation is an internal error, never a data state;
+  :func:`obstruction`, :func:`extend` and :func:`trivialize` verify
+  their input first and refuse a series that is no deformation with
+  InvalidStructureError); a class is read by the quotient, after its
+  one cocycle test (:func:`_class_of`);
 * order-by-order extension and integration of a 2-cocycle up to a
   target order, with the canonical linear solve picking the extension;
 * formal isomorphisms with truncated inversion and composition, and
@@ -546,14 +549,30 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     return morphism_complex(d.morphism).element(*d._defects.next_order(), 3)
 
 
-def obstruction(d: TruncatedDeformation) -> ObstructionClass:
-    """Obstruction cochain of a valid deformation together with its class.
+def _require_deformation(comp, d: TruncatedDeformation):
+    """Raise InvalidStructureError("not a coalgebra morphism (...)")
+    unless the morphism of comp is one, and then InvalidStructureError(
+    "not a deformation (...)") unless d passes :func:`verify_deformation`,
+    whose report is kept on d."""
+    comp.require_valid()
+    report = verify_deformation(d)
+    if not report.ok:
+        raise InvalidStructureError(f"not a deformation ({report.message})")
 
-    The cochain is the order-(N+1) slot that :func:`verify_deformation`
-    keeps when it passed, or else :func:`_obstruction_cochain`.
+
+def obstruction(d: TruncatedDeformation) -> ObstructionClass:
+    """Obstruction cochain of a deformation together with its class.
+
+    After the morphism check, a series that is no deformation raises
+    InvalidStructureError("not a deformation (...)") with the message of
+    its :func:`verify_deformation` report.  The cochain is the
+    order-(N+1) slot that verification kept, or else, for a deformation
+    that :func:`integrate` or :func:`extend` built (an ok report and no
+    slot), :func:`_obstruction_cochain`.
     """
     comp = morphism_complex(d.morphism)
-    if d._verification is not None and d._verification[1] is not None:
+    _require_deformation(comp, d)
+    if d._verification[1] is not None:
         ob = comp.element(*d._verification[1], 3)
     else:
         ob = _obstruction_cochain(d)
@@ -578,11 +597,13 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
     Without it, solve for the canonical cobounding coefficient; if none
     exists return the nonzero ObstructionClass instead of a deformation.
     The exact solve runs first, and the obstruction is classified
-    (:func:`_class_of`) only where it fails; the extension gets the
-    :class:`_Defects` of d.
+    (:func:`_class_of`) only where it fails.  A d that is no deformation
+    is refused as by :func:`obstruction`.  The extension gets the
+    :class:`_Defects` of d and an ok report: its new coefficient
+    cobounds the obstruction exactly, so it is valid by construction.
     """
     comp = morphism_complex(d.morphism)
-    comp.require_valid()
+    _require_deformation(comp, d)
     ob = _obstruction_cochain(d)
     if w is not None:
         if w.degree != 2 or w.morphism != d.morphism:
@@ -602,6 +623,7 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
                                     d.order + 1)
     out = TruncatedDeformation(d.morphism, d.coeffs + (w,))
     out._defects = d._defects.extended(w)
+    out._verification = DeformationReport(True), None
     return out
 
 
@@ -611,7 +633,9 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
     Starts from the first-order deformation with coefficient ``w`` and
     repeatedly extends with canonical solves.  Stops early with the
     blocking class if an obstruction fails to cobound.  A ``w`` that is
-    not a cocycle raises InvalidStructureError.
+    not a cocycle raises InvalidStructureError.  The first-order
+    deformation of a cocycle and each extension are valid by
+    construction and carry an ok report: no verification is computed.
     """
     if target_order < 1:
         raise DimensionError("target order must be >= 1")
@@ -625,6 +649,7 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
         raise InvalidStructureError(
             "not an infinitesimal candidate: coboundary is nonzero in "
             "component %s at entry %s" % nonzero[:2])
+    d._verification = DeformationReport(True), None
     while d.order < target_order:
         result = extend(d)
         if isinstance(result, ObstructionClass):
@@ -808,9 +833,11 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     trivializing one by a 1-cocycle that does not exponentiate in
     characteristic p, such as the dual of d/dx on k[x]/(x^p) for
     id(dp_p), whose gauge I + chi t is reported blocked at order p.
+
+    A d that is no deformation is refused as by :func:`obstruction`.
     """
     comp = morphism_complex(d.morphism)
-    comp.require_valid()
+    _require_deformation(comp, d)
     n, identity = d.order, FormalIsomorphism.identity(d.morphism, d.order)
     phi_a, phi_b = identity.series_a(), identity.series_b()
     orders = d.series_a(), d.series_b(), d.series_f()

@@ -18,9 +18,7 @@ Elimination has one engine, :mod:`coaldef.sparse`.  ``Matrix.rref``,
 image / solve / quotient family hand it a matrix's nonzero ints over
 the common denominator and read the canonical result back as
 matrices; reduced echelon forms are unique, so the dense API and the
-sparse queries of the cochain complexes agree entry for entry.  Each
-imports that module on first use, so ``import coaldef`` does not load
-it.
+sparse queries of the cochain complexes agree entry for entry.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from . import _backend
+from . import _backend, sparse
 
 
 class ExactLinalgError(Exception):
@@ -503,17 +501,16 @@ def stacked_ints(parts):
 
 
 # ---------------------------------------------------------------------------
-# elimination, through coaldef.sparse (imported on first use)
+# elimination, through coaldef.sparse
 
 
 def _elimination(m):
     """The :class:`coaldef.sparse.Elimination` of m: its nonzero ints as
     a dict {(row, col): int} over the common denominator."""
-    from .sparse import Elimination
     ints, den = m.as_integer_ratio()
-    return Elimination(m.field, m.rows, m.cols,
-                       {divmod(k, m.cols): x for k, x in enumerate(ints) if x},
-                       den)
+    return sparse.Elimination(
+        m.field, m.rows, m.cols,
+        {divmod(k, m.cols): x for k, x in enumerate(ints) if x}, den)
 
 
 def _column_matrix(field, rows, columns):
@@ -631,10 +628,10 @@ def quotient_data(ker: Subspace, im: Subspace):
     """
     if ker.ambient_dim != im.ambient_dim:
         raise DimensionError("ambient dimension mismatch")
-    from .sparse import Quotient, _rows_of, sparse_rref
     rows = [v for v, _ in _elimination(ker.basis.transpose()).kernel]
-    q = Quotient(sparse_rref(ker.field, rows, ker.ambient_dim, reverse=True),
-                 _rows_of(_elimination(im.basis).entries, True).values())
+    q = sparse.Quotient(
+        sparse.sparse_rref(ker.field, rows, ker.ambient_dim, reverse=True),
+        sparse._rows_of(_elimination(im.basis).entries, True).values())
     return ker.dim - im.dim, [
         Matrix.from_integer_ratio(ker.field, ker.ambient_dim, 1, *r)
         for r in q.representatives]

@@ -14,8 +14,7 @@ canonical solve of one operator, and :class:`Quotient` a kernel modulo
 a subspace, read in the coordinates of the kernel's free columns: the
 cohomology of one degree, and the dense ``quotient_data``.  The dense
 API of :mod:`coaldef.exactlinalg` is a thin layer over these, and it
-and :mod:`coaldef.cohomology` import this module on first use, so a
-process that never eliminates does not load it.
+and :mod:`coaldef.cohomology` load this module with the package.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from . import _backend
-from .exactlinalg import QuotientError
+from . import _backend, exactlinalg
 
 
 class SparseEchelon:
@@ -339,7 +337,7 @@ class Quotient:
         restricted = []
         for v in spanning:
             if not _annihilated(kernel, v):
-                raise QuotientError(
+                raise exactlinalg.QuotientError(
                     "the image is not contained in the kernel; if they come "
                     "from a cochain complex, its differential does not "
                     "square to zero")

@@ -823,6 +823,57 @@ class TestNonMorphism:
             assert str(err.value) == NOT_A_MORPHISM
 
 
+class TestNonDeformation:
+    # a series that is no deformation has an obstruction that need be no
+    # cocycle, so the three operations that read it as a deformation
+    # refuse it with the message of its verification report, kept on it
+    def refused(self, d, message):
+        for operation in (obstruction, extend, trivialize):
+            with pytest.raises(InvalidStructureError) as err:
+                operation(d)
+            assert str(err.value) == f"not a deformation ({message})"
+        assert d._verification[0].message == message
+
+    def test_first_order_coefficient_that_is_no_cocycle(self):
+        f = identity_morphism(divided_power(3))
+        comp = morphism_complex(f)
+        w = comp.from_flat(2, [1] + [0] * (comp.cochain_dim(2) - 1))
+        d = TruncatedDeformation.from_higher_coefficients(f, [w], 1)
+        self.refused(d, "coassociativity[source] fails at order 1, entry "
+                        "(1, 1)")
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=repr)
+    def test_moved_entry_of_a_higher_coefficient(self, field):
+        f = identity_morphism(divided_power(3, field))
+        comp = morphism_complex(f)
+        d = integrate(random_cocycle(comp, fresh_rng(3), bound=3),
+                      4).deformation
+        assert d.order == 4
+        assert verify_deformation(TruncatedDeformation(f, d.coeffs)).ok
+        coeffs = list(d.coeffs)
+        a, b, ab = (p.matrix for p in coeffs[3].parts())
+        coeffs[3] = comp.element(a, b + Matrix.from_sparse(
+            field, b.rows, b.cols, {(1, 2): 1}), ab, 2)
+        self.refused(TruncatedDeformation(f, coeffs),
+                     "coassociativity[target] fails at order 3, entry (1, 2)")
+
+    def test_integration_forms_no_verification_product(self, monkeypatch):
+        # the first-order deformation of a cocycle and every extension
+        # are valid by construction and carry an ok report
+        import coaldef.deformation as deformation
+        f = identity_morphism(divided_power(3))
+        w = random_cocycle(morphism_complex(f), fresh_rng(5), bound=3)
+        verified, real = [], deformation._verified
+        monkeypatch.setattr(deformation, "_verified",
+                            lambda *args: verified.append(1) or real(*args))
+        d = integrate(w, 12).deformation
+        assert d.order == 12 and verify_deformation(d).ok
+        assert obstruction(d).is_trivial
+        assert verified == []
+        assert verify_deformation(TruncatedDeformation(f, d.coeffs)).ok
+        assert verified == [1]
+
+
 class TestSeriesOrders:
     @pytest.mark.parametrize("cls,degree", [(TruncatedDeformation, 2),
                                             (FormalIsomorphism, 1)])

@@ -320,17 +320,23 @@ class TestPeak:
         assert stacked_ints([]) == ([], 1)
 
 
-def test_import_does_not_load_the_elimination_engine():
-    # the dense API imports coaldef.sparse on first use, so a process
-    # that never eliminates does not pay its import time and memory
+def test_import_loads_the_elimination_engine():
+    # coaldef.sparse loads with the package, so a first elimination
+    # imports nothing; it also imports on its own, through its cycle
+    # with exactlinalg
     path = [str(Path(coaldef.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH", "")]
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, coaldef; print('coaldef.sparse' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    for script, expected in (
+            ("import sys, coaldef; print('coaldef.sparse' in sys.modules)",
+             "True\n"),
+            ("import coaldef.sparse as s; print(s.Elimination.__name__)",
+             "Elimination\n")):
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True, text=True, check=True)
+        assert out.stdout == expected
 
 
 def _sparse_operand(rng, field, rows, cols):

@@ -1586,12 +1586,20 @@ def test_obstruct_reads_report_and_obstruction_from_one_product(
         parts[k] = _perturbed(rng, field, parts[k])
         coeffs[n] = comp.element(*parts, 2)
         d = TruncatedDeformation(f, coeffs)
-    if verify_deformation(d).ok:
-        # obstruction(d) reads the slot that verification kept; a copy of
-        # d with no kept defects reads its per-order pair sums
+    report = verify_deformation(d)
+    if report.ok:
+        # obstruction(d) reads the slot that verification kept (or, for an
+        # integration, the state it handed on); a copy of d with no report
+        # and no kept defects reads its per-order pair sums, unverified
+        ob = obstruction(d)
         fresh = TruncatedDeformation(f, d.coeffs)
-        assert obstruction(d) == obstruction(fresh)
+        assert ob.cochain == _obstruction_cochain(fresh)
+        assert ob.h3_class == tuple(comp.class_coordinates(ob.cochain))
         assert fresh._verification is None
+    else:
+        with pytest.raises(InvalidStructureError) as err:
+            obstruction(d)
+        assert str(err.value) == f"not a deformation ({report.message})"
 
 
 @settings(max_examples=40, deadline=None)
