@@ -15,7 +15,8 @@ through order N.  This module implements:
   one entry point :func:`obstruction` (for a deformation it is always a
   3-cocycle, so a violation is an internal error, never a data state;
   :func:`obstruction`, :func:`extend` and :func:`trivialize` verify
-  their input first and refuse a series that is no deformation with
+  their input first, unless :func:`integrate` built it (then through
+  :func:`extend`), and refuse a series that is no deformation with
   InvalidStructureError); a class is read by the quotient, after its
   one cocycle test (:func:`_class_of`);
 * order-by-order extension and integration of a 2-cocycle up to a
@@ -153,6 +154,7 @@ class TruncatedDeformation(_Series):
         super().__init__(morphism, coeffs)
         # (the verify_deformation report, the order-(N+1) defects when it
         # passes) once it has run, and the _Defects of the obstruction
+        # when integrate built the deformation (then through extend)
         self._verification = self._defects = None
 
     @staticmethod
@@ -386,7 +388,10 @@ class _Defects:
     """The order-(N+1) defects (D_a, D_b, D_f) of :func:`_packed_defects`
     of series a, b, f of order N, as matrices, from :class:`series.Cauchy`
     states: :func:`_bar_sums` of a and of b, f (x) f against a and b
-    against f.  :func:`extend` hands it on, unchanged once made.  The
+    against f.  :func:`integrate` forms it for a first-order deformation
+    whose coefficient is a cocycle, and :func:`extend` hands it on,
+    unchanged once made: a deformation that has one is valid by
+    construction, and is not verified again.  The
     Kronecker series f (x) f, whose pairs multiply only the small f_j,
     is kept through order N + 1, formed with f_(N+1) zero, and formed
     again only when an extension's f_(N+1) is not."""
@@ -542,22 +547,36 @@ def _class_of(comp, w, message) -> tuple:
 def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
     """The degree-3 cochain obstructing extension by one order: the
     order-(N+1) defect of the deformation equations with a zero
-    order-(N+1) coefficient, from the :class:`_Defects` of d (formed once,
-    or handed on by :func:`extend`); a 3-cocycle for valid input."""
-    if d._defects is None:
-        d._defects = _Defects(d.series_a(), d.series_b(), d.series_f())
-    return morphism_complex(d.morphism).element(*d._defects.next_order(), 3)
+    order-(N+1) coefficient, from the :class:`_Defects` handed on to d,
+    or else from one
+    formed for this call and not kept, so d is not taken as valid; a
+    3-cocycle for valid input."""
+    defects = d._defects
+    if defects is None:
+        defects = _Defects(d.series_a(), d.series_b(), d.series_f())
+    return morphism_complex(d.morphism).element(*defects.next_order(), 3)
 
 
 def _require_deformation(comp, d: TruncatedDeformation):
     """Raise InvalidStructureError("not a coalgebra morphism (...)")
     unless the morphism of comp is one, and then InvalidStructureError(
-    "not a deformation (...)") unless d passes :func:`verify_deformation`,
-    whose report is kept on d."""
+    "not a deformation (...)") unless d is one: by construction, when it
+    has the :class:`_Defects` that :func:`integrate` forms and
+    :func:`extend` hands on, or else by its :func:`verify_deformation`
+    report, kept on d."""
     comp.require_valid()
-    report = verify_deformation(d)
-    if not report.ok:
+    if d._defects is None and not (report := verify_deformation(d)).ok:
         raise InvalidStructureError(f"not a deformation ({report.message})")
+
+
+def _checked_obstruction(comp, d: TruncatedDeformation) -> MorphismCochain:
+    """The obstruction cochain of d once :func:`_require_deformation`
+    passes: from its handed-on :class:`_Defects`, or else the
+    order-(N+1) slot that its verification kept."""
+    _require_deformation(comp, d)
+    if d._defects is not None:
+        return _obstruction_cochain(d)
+    return comp.element(*d._verification[1], 3)
 
 
 def obstruction(d: TruncatedDeformation) -> ObstructionClass:
@@ -567,15 +586,11 @@ def obstruction(d: TruncatedDeformation) -> ObstructionClass:
     InvalidStructureError("not a deformation (...)") with the message of
     its :func:`verify_deformation` report.  The cochain is the
     order-(N+1) slot that verification kept, or else, for a deformation
-    that :func:`integrate` or :func:`extend` built (an ok report and no
-    slot), :func:`_obstruction_cochain`.
+    that :func:`integrate` built (then through :func:`extend`), which is
+    not verified, :func:`_obstruction_cochain` of its handed-on state.
     """
     comp = morphism_complex(d.morphism)
-    _require_deformation(comp, d)
-    if d._verification[1] is not None:
-        ob = comp.element(*d._verification[1], 3)
-    else:
-        ob = _obstruction_cochain(d)
+    ob = _checked_obstruction(comp, d)
     return ObstructionClass(ob, _class_of(comp, ob, _NOT_A_3_COCYCLE),
                             d.order + 1)
 
@@ -598,13 +613,13 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
     exists return the nonzero ObstructionClass instead of a deformation.
     The exact solve runs first, and the obstruction is classified
     (:func:`_class_of`) only where it fails.  A d that is no deformation
-    is refused as by :func:`obstruction`.  The extension gets the
-    :class:`_Defects` of d and an ok report: its new coefficient
-    cobounds the obstruction exactly, so it is valid by construction.
+    is refused as by :func:`obstruction`.  When d has handed-on
+    :class:`_Defects` (:func:`integrate` built it), the extension gets
+    them and is not verified either: its new coefficient cobounds the
+    obstruction exactly, so it is valid by construction.
     """
     comp = morphism_complex(d.morphism)
-    _require_deformation(comp, d)
-    ob = _obstruction_cochain(d)
+    ob = _checked_obstruction(comp, d)
     if w is not None:
         if w.degree != 2 or w.morphism != d.morphism:
             _class_of(comp, ob, _NOT_A_3_COCYCLE)
@@ -622,8 +637,8 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
             return ObstructionClass(ob, _class_of(comp, ob, _NOT_A_3_COCYCLE),
                                     d.order + 1)
     out = TruncatedDeformation(d.morphism, d.coeffs + (w,))
-    out._defects = d._defects.extended(w)
-    out._verification = DeformationReport(True), None
+    if d._defects is not None:
+        out._defects = d._defects.extended(w)
     return out
 
 
@@ -634,8 +649,10 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
     repeatedly extends with canonical solves.  Stops early with the
     blocking class if an obstruction fails to cobound.  A ``w`` that is
     not a cocycle raises InvalidStructureError.  The first-order
-    deformation of a cocycle and each extension are valid by
-    construction and carry an ok report: no verification is computed.
+    deformation of a cocycle is valid by construction: it gets its
+    :class:`_Defects` in place of a verification, and each extension
+    gets them handed on, so integration forms no verification product.
+    :func:`verify_deformation` of the result still checks it.
     """
     if target_order < 1:
         raise DimensionError("target order must be >= 1")
@@ -649,7 +666,7 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
         raise InvalidStructureError(
             "not an infinitesimal candidate: coboundary is nonzero in "
             "component %s at entry %s" % nonzero[:2])
-    d._verification = DeformationReport(True), None
+    d._defects = _Defects(d.series_a(), d.series_b(), d.series_f())
     while d.order < target_order:
         result = extend(d)
         if isinstance(result, ObstructionClass):

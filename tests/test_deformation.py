@@ -16,6 +16,7 @@ from coaldef.deformation import (
     InternalInvariantError,
     ObstructionClass,
     TruncatedDeformation,
+    _obstruction_cochain,
     apply_equivalence,
     comp_bar,
     compose_isomorphisms,
@@ -859,7 +860,9 @@ class TestNonDeformation:
 
     def test_integration_forms_no_verification_product(self, monkeypatch):
         # the first-order deformation of a cocycle and every extension
-        # are valid by construction and carry an ok report
+        # are valid by construction, so integrating, and reading the
+        # obstruction or the next extension of the result, verify
+        # nothing; verify_deformation of the result still checks it
         import coaldef.deformation as deformation
         f = identity_morphism(divided_power(3))
         w = random_cocycle(morphism_complex(f), fresh_rng(5), bound=3)
@@ -867,11 +870,22 @@ class TestNonDeformation:
         monkeypatch.setattr(deformation, "_verified",
                             lambda *args: verified.append(1) or real(*args))
         d = integrate(w, 12).deformation
-        assert d.order == 12 and verify_deformation(d).ok
-        assert obstruction(d).is_trivial
-        assert verified == []
-        assert verify_deformation(TruncatedDeformation(f, d.coeffs)).ok
+        assert d.order == 12 and obstruction(d).is_trivial
+        assert extend(d).order == 13
+        assert verified == [] and d._verification is None
+        assert verify_deformation(d).ok
         assert verified == [1]
+
+    def test_reading_the_obstruction_does_not_make_a_deformation(self):
+        # the unverified obstruction of a series that is no deformation
+        # is kept nowhere, so the series is still refused afterwards
+        f = identity_morphism(divided_power(3))
+        comp = morphism_complex(f)
+        w = comp.from_flat(2, [1] + [0] * (comp.cochain_dim(2) - 1))
+        d = TruncatedDeformation.from_higher_coefficients(f, [w], 1)
+        _obstruction_cochain(d)
+        self.refused(d, "coassociativity[source] fails at order 1, entry "
+                        "(1, 1)")
 
 
 class TestSeriesOrders:
