@@ -47,6 +47,7 @@ from .coalgebra import (
     InvalidStructureError,
     StructureReport,
     _pushed_forward,
+    check_coassociative,
     check_morphism,
     regular_bicomodule,
     require_morphism,
@@ -241,10 +242,12 @@ class _Record:
     """What a complex derives from its structure constants alone, by
     degree (operators, their largest absolute ints, eliminations, kernel
     echelons, quotients), and a deformation complex's morphism report
-    (None until checked)."""
+    and whether both its comultiplications are coassociative (None until
+    checked).  A coassociativity report names its coalgebra, and a
+    record holds no name, so only its outcome is kept."""
 
     __slots__ = ("operators", "heights", "eliminations", "echelons",
-                 "quotients", "report")
+                 "quotients", "report", "coassociative")
 
     def __init__(self):
         self.operators = {}
@@ -252,7 +255,7 @@ class _Record:
         self.eliminations = {}
         self.echelons = {}
         self.quotients = {}
-        self.report = None
+        self.report = self.coassociative = None
 
 
 class _ComplexBase:
@@ -550,6 +553,16 @@ class MorphismComplex(_ComplexBase):
         if record.report is None:
             record.report = check_morphism(self.morphism)
         return record.report
+
+    def coassociative(self) -> bool:
+        """Whether the :func:`check_coassociative` reports of the source
+        and the target both pass, checked once per record."""
+        record = self._record
+        if record.coassociative is None:
+            f = self.morphism
+            record.coassociative = all(
+                check_coassociative(c).ok for c in (f.source, f.target))
+        return record.coassociative
 
     def require_valid(self):
         """Raise InvalidStructureError("not a coalgebra morphism (...)")

@@ -14,11 +14,13 @@ through order N.  This module implements:
   extending the deformation one order further, and its class, from the
   one entry point :func:`obstruction` (for a deformation it is always a
   3-cocycle, so a violation is an internal error, never a data state;
-  :func:`obstruction`, :func:`extend` and :func:`trivialize` verify
-  their input first, unless :func:`integrate` built it (then through
-  :func:`extend`), and refuse a series that is no deformation with
-  InvalidStructureError); a class is read by the quotient, after its
-  one cocycle test (:func:`_class_of`);
+  :func:`obstruction` and :func:`extend` verify their input first,
+  unless :func:`integrate` built it (then through :func:`extend`), and
+  refuse a series that is no deformation with InvalidStructureError;
+  :func:`trivialize` refuses it too, but verifies an unverified input
+  only where its staircase fails, as its final check certifies it
+  otherwise); a class is read by the quotient, after its one cocycle
+  test (:func:`_class_of`);
 * order-by-order extension and integration of a 2-cocycle up to a
   target order, with the canonical linear solve picking the extension;
 * formal isomorphisms with truncated inversion and composition, and
@@ -649,9 +651,12 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
     repeatedly extends with canonical solves.  Stops early with the
     blocking class if an obstruction fails to cobound.  A ``w`` that is
     not a cocycle raises InvalidStructureError.  The first-order
-    deformation of a cocycle is valid by construction: it gets its
-    :class:`_Defects` in place of a verification, and each extension
-    gets them handed on, so integration forms no verification product.
+    deformation of a cocycle is valid by construction once its order-0
+    terms are a deformation (the morphism check, and both
+    comultiplications coassociative; else it is refused as by
+    :func:`obstruction`): it gets its :class:`_Defects` in place of a
+    verification, and each extension gets them handed on, so
+    integration forms no verification product.
     :func:`verify_deformation` of the result still checks it.
     """
     if target_order < 1:
@@ -661,6 +666,8 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
     d = TruncatedDeformation.from_higher_coefficients(w.morphism, [w])
     comp = morphism_complex(w.morphism)
     comp.require_valid()
+    if not comp.coassociative():
+        _require_deformation(comp, d)
     nonzero = _first_nonzero(comp.differential(w))
     if nonzero is not None:
         raise InvalidStructureError(
@@ -851,36 +858,63 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     characteristic p, such as the dual of d/dx on k[x]/(x^p) for
     id(dp_p), whose gauge I + chi t is reported blocked at order p.
 
-    A d that is no deformation is refused as by :func:`obstruction`.
+    The final check also certifies d itself, so an unverified d (no
+    report kept on it and not built by :func:`integrate`) is verified
+    only where the staircase fails.  That check reads (phi_A (x) phi_A)
+    o a = a_0 o phi_A, (phi_B (x) phi_B) o b = b_0 o phi_B and phi_B o
+    F = F_0 o phi_A through order N: d is the transport of its order-0
+    terms (a_0, b_0, F_0) by phi^-1, and a transport of a deformation
+    is one.  So d is a deformation when (a_0, b_0, F_0) is, that is
+    when a_0 and b_0 are coassociative and F_0 is a morphism: those two
+    checks, kept in the record of the complex
+    (:meth:`MorphismComplex.coassociative`,
+    :meth:`MorphismComplex.require_valid`), run first.  Only a block,
+    or an InternalInvariantError, which a series that is no
+    deformation can raise, verifies d; a d that is no deformation is
+    then refused as by :func:`obstruction`, with the report kept on d.
+    A returned isomorphism keeps no report on d, so
+    :func:`verify_deformation` of it is still a computed check.
     """
     comp = morphism_complex(d.morphism)
-    _require_deformation(comp, d)
+    comp.require_valid()
+    if not (d._verification is None and d._defects is None
+            and comp.coassociative()):
+        _require_deformation(comp, d)
     n, identity = d.order, FormalIsomorphism.identity(d.morphism, d.order)
     phi_a, phi_b = identity.series_a(), identity.series_b()
     orders = d.series_a(), d.series_b(), d.series_f()
     m, stepped = 1, False
-    while m <= n:
-        # until the first step phi is the identity: d is its own transport
-        top = min(2 * m - 1, n)
-        window = _window(phi_a, phi_b, orders, m, top) if stepped else \
-            zip(*(c[m:top + 1] for c in orders))
-        for l, parts in enumerate(window, m):
-            w = comp.element(*parts, 2)
-            if w.is_zero():
-                continue
-            chi = comp.is_coboundary(w)
-            if chi is None:
-                return TrivializationResult(False, None, l, w, _class_of(
-                    comp, w, "leading coefficient of a valid deformation "
-                    "must be a 2-cocycle"))
-            _step(phi_a, l, chi.a_part.matrix)
-            _step(phi_b, l, chi.b_part.matrix)
-            stepped = True
-        m *= 2
-    failure = series.intertwining_failure(phi_a, phi_b, *orders)
-    if failure is not None:
-        raise InternalInvariantError(
-            "the trivializing isomorphism fails on the %s at order %d; this "
-            "indicates a bug, not a property of the input" % failure)
+    # a block or an InternalInvariantError verifies d (reads its kept
+    # report when it was verified above)
+    try:
+        while m <= n:
+            # until the first step phi is the identity: d is its own
+            # transport
+            top = min(2 * m - 1, n)
+            window = _window(phi_a, phi_b, orders, m, top) if stepped else \
+                zip(*(c[m:top + 1] for c in orders))
+            for l, parts in enumerate(window, m):
+                w = comp.element(*parts, 2)
+                if w.is_zero():
+                    continue
+                chi = comp.is_coboundary(w)
+                if chi is None:
+                    h2_class = _class_of(
+                        comp, w, "leading coefficient of a valid deformation "
+                        "must be a 2-cocycle")
+                    _require_deformation(comp, d)
+                    return TrivializationResult(False, None, l, w, h2_class)
+                _step(phi_a, l, chi.a_part.matrix)
+                _step(phi_b, l, chi.b_part.matrix)
+                stepped = True
+            m *= 2
+        failure = series.intertwining_failure(phi_a, phi_b, *orders)
+        if failure is not None:
+            raise InternalInvariantError(
+                "the trivializing isomorphism fails on the %s at order %d; "
+                "this indicates a bug, not a property of the input" % failure)
+    except InternalInvariantError:
+        _require_deformation(comp, d)
+        raise
     return TrivializationResult(
         True, _isomorphism_from_series(d.morphism, phi_a, phi_b))

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from coaldef.coalgebra import (
+    Coalgebra,
     CoalgebraMorphism,
     change_basis,
     change_basis_morphism,
@@ -171,6 +172,20 @@ def doubled_dp2():
 # what every query and operation over doubled_dp2() raises
 NOT_A_MORPHISM = ("not a coalgebra morphism (morphism compatibility: "
                   "first failing entry at (0, 0) with value -2)")
+
+
+def broken_coalgebra(field=QQ):
+    """e0 -> e0 (x) e1 only, the fixture "broken": not coassociative."""
+    return Coalgebra("broken", 2, Matrix.from_sparse(field, 4, 2, {(1, 0): 1}))
+
+
+def into_broken(field=QQ):
+    """e0 -> e1 from zero_comultiplication(1) into broken_coalgebra(): a
+    morphism (both sides send e0 to 0), into a coalgebra that is not
+    coassociative."""
+    return CoalgebraMorphism(zero_comultiplication(1, field),
+                             broken_coalgebra(field),
+                             Matrix.from_sparse(field, 2, 1, {(1, 0): 1}))
 
 
 def fresh_rng(seed):

@@ -307,6 +307,26 @@ class TestIntegrate:
         assert r.exit_code == 0, r.output
         assert len(checked) == 1
 
+    def test_checks_coassociativity_once_per_record(self, tmp_path,
+                                                    monkeypatch):
+        # cohomology and integrate read whether both comultiplications are
+        # coassociative from the shared record of the morphism's complex
+        from coaldef import cli, cohomology
+        (tmp_path / "dp2.json").write_text(json.dumps(DP2_BUMP))
+        monkeypatch.chdir(tmp_path)
+        _parsed.cache_clear()
+        cohomology._shared_record.cache_clear()
+        checked, check = [], cli.check_coassociative
+        for module in (cli, cohomology):
+            monkeypatch.setattr(module, "check_coassociative", lambda c: (
+                checked.append(c.name) or check(c)))
+        for argv in (("cohomology", "dp2.json", "morphism", "id", 2),
+                     ("cohomology", "dp2.json", "morphism", "id", 1),
+                     ("integrate", "dp2.json", "w", 2, "-o", "out.json")):
+            r = run(*argv)
+            assert r.exit_code == 0, r.output
+        assert checked == ["dp2", "dp2"]
+
     def test_order_above_bound_is_usage_error(self, corpus_dir, tmp_path):
         r = run("integrate", corpus_dir / "fixtures.json", "zero_g1",
                 MAX_ORDER + 1, "-o", tmp_path / "x.json")
@@ -454,6 +474,22 @@ class TestSharedRecords:
         assert len(packed) == 1
         assert json_lines(r.output) == json_lines(fresh)
 
+    def test_a_failing_coalgebra_is_named_by_its_own_file(self, tmp_path,
+                                                          monkeypatch):
+        # the shared record keeps whether both comultiplications are
+        # coassociative, not the report, which names the coalgebra
+        monkeypatch.chdir(tmp_path)
+        for name in ("broken", "renamed"):
+            (tmp_path / f"{name}.json").write_text(json.dumps({
+                "coalgebras": {name: BROKEN},
+                "morphisms": {"id": {"source": name, "target": name,
+                                     "matrix": [["1", "0"], ["0", "1"]]}}}))
+            r = run("cohomology", f"{name}.json", "morphism", "id", 2)
+            assert r.exit_code == 1
+            assert machine_section(r.output)["payload"]["detail"] == (
+                f"coassociativity of {name!r}: first failing entry at "
+                f"(3, 0) with value -1")
+
     def test_names_do_not_reach_the_output(self, tmp_path, monkeypatch):
         # the second run reads the records of the first, whose
         # coalgebra had another name
@@ -501,6 +537,79 @@ class TestNonMorphismDeformation:
         assert machine_section(r.output)["payload"]["detail"] == \
             "morphism condition fails at order 0, entry (0, 0)"
         assert not out.exists()
+
+
+# the fixture coalgebra "broken", e0 -> e0 (x) e1, which is not
+# coassociative, with its identity and with the inclusion e0 -> e1 of
+# zero_comultiplication(1) into it: both pass the morphism check
+BROKEN = {"dim": 2, "delta": [[0, 0, 1, "1"]]}
+BROKEN_ORDER_ZERO = {
+    "coalgebras": {"broken": BROKEN, "z": {"dim": 1, "delta": []}},
+    "morphisms": {"id": {"source": "broken", "target": "broken",
+                         "matrix": [["1", "0"], ["0", "1"]]},
+                  "in": {"source": "z", "target": "broken",
+                         "matrix": [["0"], ["1"]]}},
+    "deformations": {"source": {"morphism": "id", "order": 2, "coeffs": {}},
+                     "target": {"morphism": "in", "order": 2, "coeffs": {}}},
+}
+
+
+class TestTrivializeRefusals:
+    """trivialize verifies an input only where its staircase fails; the
+    report of a series that is no deformation is what it was when every
+    input was verified first."""
+
+    @staticmethod
+    def write_problems(directory):
+        from coaldef.deformation import TruncatedDeformation, \
+            apply_equivalence
+        from coaldef.exactlinalg import Matrix
+        from helpers import random_isomorphism
+        (directory / "order0.json").write_text(json.dumps(BROKEN_ORDER_ZERO))
+        (directory / "doubled.json").write_text(json.dumps(DOUBLED_DP2))
+        # a gauge deformation of id(dp3) with one entry of F_2 moved
+        f = identity_morphism(divided_power(3))
+        comp = MorphismComplex(f)
+        d = apply_equivalence(random_isomorphism(comp, 3, fresh_rng(6),
+                                                 bound=2),
+                              TruncatedDeformation.trivial(f, 3))
+        coeffs = list(d.coeffs)
+        a, b, ab = (p.matrix for p in coeffs[2].parts())
+        coeffs[2] = comp.element(a, b, ab + Matrix.from_sparse(
+            ab.field, ab.rows, ab.cols, {(0, 1): 1}), 2)
+        pf = ProblemFile()
+        pf.coalgebras["dp3"] = f.source
+        pf.morphisms["f"] = f
+        pf.deformations["moved"] = TruncatedDeformation(f, coeffs)
+        write_problem(pf, directory / "moved.json")
+
+    @pytest.mark.parametrize("file, name, line", [
+        ("order0.json", "source",
+         'json: {"command": "trivialize order0.json source", "payload": '
+         '{"detail": "coassociativity[source] fails at order 0, entry '
+         '(3, 0)", "name": "source"}, "status": "fail"}'),
+        ("order0.json", "target",
+         'json: {"command": "trivialize order0.json target", "payload": '
+         '{"detail": "coassociativity[target] fails at order 0, entry '
+         '(3, 0)", "name": "target"}, "status": "fail"}'),
+        ("doubled.json", "d",
+         'json: {"command": "trivialize doubled.json d", "payload": '
+         '{"detail": "morphism condition fails at order 0, entry (0, 0)", '
+         '"name": "d"}, "status": "fail"}'),
+        ("moved.json", "moved",
+         'json: {"command": "trivialize moved.json moved", "payload": '
+         '{"detail": "morphism condition fails at order 2, entry (0, 1)", '
+         '"name": "moved"}, "status": "fail"}')],
+        ids=["source", "target", "map", "moved"])
+    def test_fails_located_and_writes_nothing(self, tmp_path, monkeypatch,
+                                              file, name, line):
+        self.write_problems(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        r = run("trivialize", file, name, "-o", "iso.json")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert json_lines(r.output) == [line]
+        assert not (tmp_path / "iso.json").exists()
 
 
 class TestDeterminism:

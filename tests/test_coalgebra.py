@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coaldef.coalgebra import (
-    Coalgebra,
     InvalidStructureError,
     bicomodule_via,
     change_basis,
@@ -27,13 +26,8 @@ from coaldef.coalgebra import (
 )
 from coaldef.exactlinalg import QQ, Matrix
 
-from helpers import fresh_rng, random_coalgebra, random_morphism
-
-
-def broken_coalgebra():
-    # e0 -> e0 (x) e1 only: not coassociative
-    delta = Matrix.from_rows(QQ, [[0, 0], [1, 0], [0, 0], [0, 0]])
-    return Coalgebra("broken", 2, delta)
+from helpers import broken_coalgebra, fresh_rng, random_coalgebra, \
+    random_morphism
 
 
 class TestIndexing:

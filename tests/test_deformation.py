@@ -37,9 +37,11 @@ from coaldef.coalgebra import InvalidStructureError
 
 from helpers import (
     NOT_A_MORPHISM,
+    broken_coalgebra,
     dilate_deformation,
     doubled_dp2,
     fresh_rng,
+    into_broken,
     random_cocycle,
     random_isomorphism,
     random_morphism,
@@ -858,6 +860,20 @@ class TestNonDeformation:
         self.refused(TruncatedDeformation(f, coeffs),
                      "coassociativity[target] fails at order 3, entry (1, 2)")
 
+    @pytest.mark.parametrize("morphism, side", [
+        (lambda: identity_morphism(broken_coalgebra()), "source"),
+        (into_broken, "target")], ids=["source", "target"])
+    def test_integration_over_order_zero_that_is_no_deformation_refuses(
+            self, morphism, side):
+        # a deformation that integrate builds is taken as valid, by
+        # trivialize too, so integrate checks its order-0 terms itself
+        comp = morphism_complex(morphism())
+        with pytest.raises(InvalidStructureError) as err:
+            integrate(comp.zero(2), 2)
+        assert str(err.value) == (
+            f"not a deformation (coassociativity[{side}] fails at order 0, "
+            f"entry (3, 0))")
+
     def test_integration_forms_no_verification_product(self, monkeypatch):
         # the first-order deformation of a cocycle and every extension
         # are valid by construction, so integrating, and reading the
@@ -886,6 +902,94 @@ class TestNonDeformation:
         _obstruction_cochain(d)
         self.refused(d, "coassociativity[source] fails at order 1, entry "
                         "(1, 1)")
+
+
+class TestCertifiedTrivialization:
+    """trivialize certifies an unverified input by its final check, which
+    makes the input the transport of its order-0 terms, after checking
+    those; it verifies the input only where the staircase fails."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        """The lists that get one entry per call of
+        deformation._verified, series.intertwining_failure and
+        deformation._packed_defects."""
+        import coaldef.deformation as deformation
+        calls = {}
+        for module, name in ((deformation, "_verified"),
+                             (series, "intertwining_failure"),
+                             (deformation, "_packed_defects")):
+            seen, real = calls.setdefault(name, []), getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, seen=seen,
+                                real=real: seen.append(1) or real(*args))
+        return calls
+
+    def test_a_gauge_trivialization_forms_no_verification(self,
+                                                          monkeypatch):
+        d, _ = TestTrivialize._gauge(12)
+        calls = self.spies(monkeypatch)
+        result = trivialize(d)
+        assert result.ok
+        assert calls == {"_verified": [], "intertwining_failure": [1],
+                         "_packed_defects": []}
+        # no report is kept, so verify_deformation computes one
+        assert d._verification is None
+        assert verify_deformation(d).ok
+        assert calls["_verified"] == [1]
+        monkeypatch.undo()
+        assert apply_equivalence(result.isomorphism, d) == \
+            TruncatedDeformation.trivial(d.morphism, 12)
+
+    def test_a_block_verifies_once_and_answers_as_when_verified(
+            self, monkeypatch):
+        f = identity_morphism(divided_power(3))
+        reps = morphism_complex(f).cohomology(2).representatives
+        built = integrate(sum(reps[1:], reps[0]), 6).deformation
+        verified = TruncatedDeformation(f, built.coeffs)
+        assert verify_deformation(verified).ok
+        fresh = TruncatedDeformation(f, built.coeffs)
+        calls = self.spies(monkeypatch)
+        result = trivialize(fresh)
+        assert (result.ok, result.blocked_order) == (False, 1)
+        assert calls["_verified"] == [1]
+        assert trivialize(verified) == result
+        assert calls["_verified"] == [1]
+
+    @pytest.mark.parametrize("morphism, message", [
+        (lambda: identity_morphism(broken_coalgebra()),
+         "not a deformation (coassociativity[source] fails at order 0, "
+         "entry (3, 0))"),
+        (into_broken,
+         "not a deformation (coassociativity[target] fails at order 0, "
+         "entry (3, 0))"),
+        (doubled_dp2, NOT_A_MORPHISM)], ids=["source", "target", "map"])
+    def test_order_zero_that_is_no_deformation_is_refused(self, morphism,
+                                                          message):
+        # the staircase of a trivial series succeeds with no step, and
+        # its final check holds: only the order-0 checks refuse it
+        f = morphism()
+        d = TruncatedDeformation.trivial(f, 2)
+        with pytest.raises(InvalidStructureError) as err:
+            trivialize(d)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=repr)
+    def test_moved_entry_of_a_gauge_deformation_is_refused(self, field):
+        f = identity_morphism(divided_power(3, field))
+        comp = morphism_complex(f)
+        d = apply_equivalence(random_isomorphism(comp, 3, fresh_rng(6),
+                                                 bound=2),
+                              TruncatedDeformation.trivial(f, 3))
+        coeffs = list(d.coeffs)
+        a, b, ab = (p.matrix for p in coeffs[2].parts())
+        coeffs[2] = comp.element(a, b, ab + Matrix.from_sparse(
+            field, ab.rows, ab.cols, {(0, 1): 1}), 2)
+        moved = TruncatedDeformation(f, coeffs)
+        message = "morphism condition fails at order 2, entry (0, 1)"
+        with pytest.raises(InvalidStructureError) as err:
+            trivialize(moved)
+        assert str(err.value) == f"not a deformation ({message})"
+        assert moved._verification[0].message == message
 
 
 class TestSeriesOrders:

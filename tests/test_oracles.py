@@ -18,7 +18,9 @@ differential_matrix are the reference for the sparse elimination behind
 cohomology, is_coboundary and class_coordinates, and on random kernel
 and image pairs for the one sparse.Quotient.  The staircase loop of
 reference.py, which transports the whole deformation at every step, is
-the reference for the incremental trivialize.  A full read of the
+the reference for the incremental trivialize, and trivializing a
+verified copy for the trivialize that certifies an unverified input by
+its final check.  A full read of the
 unpacked defects is the reference for the packed zero tests of
 verify_deformation.  The json module's indented encoder is the reference
 for the problem-file writer, and reading one scalar at a time for the
@@ -109,8 +111,10 @@ from coaldef.sparse import kernel_vectors
 
 from helpers import (
     LARGE_PRIMES,
+    broken_coalgebra,
     field_matrix,
     fresh_rng,
+    into_broken,
     invertible_matrix,
     random_bicomodule,
     random_cochain,
@@ -1123,6 +1127,62 @@ def test_trivialize_raises_when_the_packed_check_fails(monkeypatch):
                         lambda *args: ("morphism", 2))
     with pytest.raises(InternalInvariantError, match="morphism at order 2"):
         trivialize(d)
+
+
+def _certificate_input(rng, field, dim, order, kind):
+    """A gauge transport of the trivial deformation of id(dp_dim)
+    ("gauge"), the same with one entry of one coefficient moved
+    ("moved"), or a gauge transport of the trivial series of a morphism
+    whose source ("source") or target ("target") comultiplication is not
+    coassociative, which no check of the staircase sees."""
+    if kind == "source":
+        f = identity_morphism(broken_coalgebra(field))
+    elif kind == "target":
+        f = into_broken(field)
+    else:
+        f = identity_morphism(divided_power(dim, field))
+    comp = MorphismComplex(f)
+    d = apply_equivalence(random_isomorphism(comp, order, rng, bound=2),
+                          TruncatedDeformation.trivial(f, order))
+    if kind != "moved":
+        return d
+    coeffs, n = list(d.coeffs), rng.randint(1, order)
+    parts = [p.matrix for p in coeffs[n].parts()]
+    k = rng.randrange(3)
+    x = parts[k]
+    parts[k] = x + Matrix.from_sparse(field, x.rows, x.cols, {
+        (rng.randrange(x.rows), rng.randrange(x.cols)): rng.choice((1, -1))})
+    coeffs[n] = comp.element(*parts, 2)
+    return TruncatedDeformation(f, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from((QQ, PrimeField(2), PrimeField(3), PrimeField(101))),
+       st.sampled_from((2, 3)), st.integers(1, 6),
+       st.sampled_from(("gauge", "moved", "source", "target")))
+def test_unverified_trivialize_matches_verify_then_trivialize(
+        seed, field, dim, order, kind):
+    # trivialize verifies an unverified input only where the staircase
+    # fails, and certifies it by the final check otherwise; the
+    # reference verifies a copy first, the path of a verified input
+    d = _certificate_input(fresh_rng(seed), field, dim, order, kind)
+
+    def outcome(series):
+        try:
+            return trivialize(series)
+        except (InvalidStructureError, InternalInvariantError) as exc:
+            return type(exc), str(exc)
+
+    reference = TruncatedDeformation(d.morphism, d.coeffs)
+    report = verify_deformation(reference)
+    expected = outcome(reference)
+    assert outcome(TruncatedDeformation(d.morphism, d.coeffs)) == expected
+    if not report.ok:
+        assert expected == (InvalidStructureError,
+                            f"not a deformation ({report.message})")
+    if kind in ("source", "target"):
+        assert report.equation == f"coassociativity[{kind}]"
 
 
 # ---------------------------------------------------------------------------
