@@ -304,6 +304,11 @@ def _bar(s, x, d):
     return _backend.kernel().lincomb(left, 1, right, -1)
 
 
+_EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
+              ("coassociativity[target]", "coassociativity[target]"),
+              ("morphism", "morphism condition"))
+
+
 def _packed_defects(series_a, series_b, series_f, k):
     """The defects of the three deformation equations through order
     k - 1, packed.
@@ -324,19 +329,15 @@ def _packed_defects(series_a, series_b, series_f, k):
     integer products whatever the order: the two factor products of
     :func:`_bar` on a and on b, and :func:`series.morphism_defect`
     (f; a -> b) with its bound :func:`series.morphism_bound` for D_f,
-    all three on the same packed a, b and f.  Returns (L, D) and, for
-    D_a, D_b and D_f, the slot width w and the row-major packed ints,
-    whose slot n is the order-n defect over L^2 D^n (D_a, D_b) and
-    L^3 D^n (D_f).  With M_a(i), M_b(i) the largest scaled entry of the
-    order-i coefficient of a and b and d, e the source and target
-    dimensions, an entry of (a_i (x) Id - Id (x) a_i) o a_j is a
-    difference of two sums of d products, so the order-n slots obey
+    all three on the same packed a, b and f.  Returns their
+    :class:`series.PackedDefects`, labelled by ``_EQUATIONS``, whose
+    slot n is the order-n defect over L^2 D^n (D_a, D_b) and L^3 D^n
+    (D_f).  With M_a(i), M_b(i) the largest scaled entry of the order-i
+    coefficient of a and b and d, e the source and target dimensions,
+    an entry of (a_i (x) Id - Id (x) a_i) o a_j is a difference of two
+    sums of d products, so the order-n slots obey
 
-    * |D_a| <= 2 d (M_a * M_a)(n) and |D_b| <= 2 e (M_b * M_b)(n),
-
-    and w is one bit longer than the largest bound of all three
-    equations: each equation's slots lie within 2^(w_eq - 1) for its
-    own w_eq <= w, so reading all three at w stays exact.
+    * |D_a| <= 2 d (M_a * M_a)(n) and |D_b| <= 2 e (M_b * M_b)(n).
     """
     d, e = series_a[0].cols, series_b[0].cols
     given = [s[:k] for s in (series_a, series_b, series_f)]
@@ -349,9 +350,11 @@ def _packed_defects(series_a, series_b, series_f, k):
 
     unit, step, w = series.packing(given, k, bounds)
     a, b, f = (series.packed(s, w, unit, step) for s in given)
-    return unit, step, [
-        (w, _bar(a, a, d)), (w, _bar(b, b, e)),
-        (w, series.morphism_defect(f, a, b, d, e, k, w, unit))]
+    return series.PackedDefects(series_a[0].field, unit, step, w, [
+        (_EQUATIONS[0], (d ** 3, d), 2, _bar(a, a, d)),
+        (_EQUATIONS[1], (e ** 3, e), 2, _bar(b, b, e)),
+        (_EQUATIONS[2], (e * e, d), 3,
+         series.morphism_defect(f, a, b, d, e, k, w, unit))])
 
 
 def _cauchy_kron(x, y, n):
@@ -432,11 +435,6 @@ class _Defects:
                 self.bf.at(n, field, self.fa.at(n, field).as_integer_ratio()))
 
 
-_EQUATIONS = (("coassociativity[source]", "coassociativity[source]"),
-              ("coassociativity[target]", "coassociativity[target]"),
-              ("morphism", "morphism condition"))
-
-
 def verify_deformation(d: TruncatedDeformation) -> DeformationReport:
     """Check all defining identities coefficientwise through the order.
 
@@ -460,31 +458,23 @@ def _verified(series_a, series_b, series_f):
     length N + 1, and when it passes the order-(N+1) defects (D_a, D_b,
     D_f), else None), read from one :func:`_packed_defects` product.
 
-    :func:`series.first_nonzero_slot` decides each equation from slots
-    0..N, over QQ by one mask per entry, which stays exact: the slots
-    above N add only multiples of 2^((N+1) w).  Slot N + 1, over
-    L^2 D^(N+1) (D_a, D_b) or L^3 D^(N+1) (D_f), is the obstruction
-    cochain: the order-(N+1) defect with a zero order-(N+1) coefficient,
-    which :func:`obstruction` reads.
+    Its failure scan decides each equation from slots 0..N, over QQ by
+    one mask per entry, which stays exact: the slots above N add only
+    multiples of 2^((N+1) w).  Slot N + 1, read by its slot reader, is
+    the obstruction cochain: the order-(N+1) defect with a zero
+    order-(N+1) coefficient, which :func:`obstruction` reads.
     """
-    k, a_0 = len(series_a), series_a[0]
-    s, t = a_0.cols, series_b[0].cols
-    unit, step, packed = _packed_defects(series_a, series_b, series_f, k + 1)
-    for (label, statement), (w, ints), cols in zip(_EQUATIONS, packed,
-                                                   (s, t, s)):
-        failure = series.first_nonzero_slot(ints, w, k, a_0.field)
-        if failure is not None:
-            n, pos = failure[0], divmod(failure[1], cols)
-            return DeformationReport(
-                False, n, label, pos,
-                f"{statement} fails at order {n}, entry {pos}"), None
-    unpack = _backend.kernel().unpack
+    k = len(series_a)
+    defects = _packed_defects(series_a, series_b, series_f, k + 1)
+    failure = defects.failure(k)
+    if failure is not None:
+        (label, statement), n, pos = failure
+        return DeformationReport(
+            False, n, label, pos,
+            f"{statement} fails at order {n}, entry {pos}"), None
     return DeformationReport(True), [
-        Matrix.from_integer_ratio(a_0.field, rows, cols,
-                                  unpack(ints, w, [k])[0],
-                                  unit ** power * step ** k)
-        for (w, ints), (rows, cols, power) in zip(
-            packed, ((s ** 3, s, 2), (t ** 3, t, 2), (t * t, s, 3)))]
+        Matrix.from_integer_ratio(defects.field, *shape, *slot)
+        for shape, (slot,) in defects.slots([k])]
 
 
 def infinitesimal(d: TruncatedDeformation) -> InfinitesimalResult:
@@ -778,36 +768,34 @@ def _subtract_shifted(target, l, x, s):
 def _window(phi_a, phi_b, orders, m, top):
     """The orders m..top of the transport c' of the series ``orders`` =
     (a, b, F) by phi = (phi_A, phi_B), whose orders 1..m-1 vanish, as
-    triples (a'_n, b'_n, F'_n), from one
-    :func:`series._intertwining_defects` product through order top.
-    Slot n of (phi (x) phi) o c - c_0 o phi = (c' - c_0) o phi_in, and of
-    phi_B o F - F_0 o phi_A, is sum_(0 < j <= n) c'_j o phi_in,(n-j),
-    with phi_in = phi_A for a and F and phi_B for b, and phi_in,0 = I.
-    So slots 1..m-1 vanish (checked), and the slots m..top are read in
-    order, in ints: once c'_j is read, c'_j o phi_in,(n-j) is subtracted
-    from every slot n > j (:func:`_subtract_shifted`), and slot j + 1 is
-    then c'_(j+1).  With m = 1 it reads any transport."""
+    triples (a'_n, b'_n, F'_n), from the failure scan and the slot
+    reader of one :func:`series._intertwining_defects` product through
+    order top.  Slot n of (phi (x) phi) o c - c_0 o phi = (c' - c_0) o
+    phi_in, and of phi_B o F - F_0 o phi_A, is sum_(0 < j <= n) c'_j o
+    phi_in,(n-j), with phi_in = phi_A for a and F and phi_B for b, and
+    phi_in,0 = I.  So slots 1..m-1 vanish (scanned), and the slots
+    m..top are read in order, in ints: once c'_j is read, c'_j o
+    phi_in,(n-j) is subtracted from every slot n > j
+    (:func:`_subtract_shifted`), and slot j + 1 is then c'_(j+1).  With
+    m = 1 it reads any transport."""
     k = top + 1
     if k <= m:
         return []
-    unit, step, defects = series._intertwining_defects(
+    defects = series._intertwining_defects(
         phi_a[:k], phi_b[:k], *(c[:k] for c in orders))
-    field, s, t = orders[0][0].field, orders[0][0].cols, orders[1][0].cols
-    unpack = _backend.kernel().unpack
+    failure = defects.failure(m)
+    if failure is not None:
+        raise InternalInvariantError(
+            f"the transport of the {failure[0]} does not vanish below order "
+            f"{m}; this indicates a bug, not a property of the input")
     columns = []
-    for (label, w, ints), phi, (rows, cols, power) in zip(
-            defects, (phi_a, phi_b, phi_a),
-            ((s * s, s, 3), (t * t, t, 3), (t, s, 2))):
-        if series.first_nonzero_slot(ints, w, m, field) is not None:
-            raise InternalInvariantError(
-                f"the transport of the {label} does not vanish below order "
-                f"{m}; this indicates a bug, not a property of the input")
+    for (shape, slots), phi in zip(defects.slots(range(m, k)),
+                                   (phi_a, phi_b, phi_a)):
         below = [x.as_integer_ratio() for x in phi[1:k - m]]
-        slots = [(v, unit ** power * step ** n) for n, v in
-                 zip(range(m, k), unpack(ints, w, range(m, k)))]
         read = []
         for j, slot in enumerate(slots):
-            read.append(Matrix.from_integer_ratio(field, rows, cols, *slot))
+            read.append(Matrix.from_integer_ratio(defects.field, *shape,
+                                                  *slot))
             _subtract_shifted(slots, j + 1, read[j], below)
         columns.append(read)
     return list(zip(*columns))

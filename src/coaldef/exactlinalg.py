@@ -465,8 +465,9 @@ class Matrix:
 
     def rref(self):
         """(reduced row echelon form, pivot column tuple), read off the
-        image echelon of the transpose, whose columns are these rows."""
-        echelon = _elimination(self.transpose()).image
+        sparse echelon of these rows."""
+        echelon = sparse.sparse_rref(self.field, sparse._rows_of(
+            _elimination(self).entries).values(), self.cols)
         r = _pivot_rows(echelon).transpose()
         zeros = Matrix.zeros(self.field, self.rows - r.rows, self.cols)
         return r.vstack(zeros), tuple(sorted(echelon.rows))
@@ -555,7 +556,9 @@ class Subspace:
     def from_columns(cls, mat: Matrix) -> "Subspace":
         """Canonicalize the span of the columns of ``mat``: the reduced
         echelon rows of its columns, as columns."""
-        return cls(mat.rows, _pivot_rows(_elimination(mat).image))
+        columns = sparse._rows_of(_elimination(mat).entries, True).values()
+        return cls(mat.rows, _pivot_rows(
+            sparse.sparse_rref(mat.field, columns, mat.rows)))
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -584,7 +587,7 @@ class Subspace:
 
 def rank(m: Matrix) -> int:
     """Exact rank over the matrix's field."""
-    return _elimination(m).image.rank
+    return _elimination(m).echelon.rank
 
 
 def kernel_basis(m: Matrix) -> Subspace:

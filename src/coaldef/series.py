@@ -13,15 +13,16 @@ deformations, formal isomorphisms and their transport on:
   instead);
 * Kronecker substitution: one scale (L, D) and one slot width w for
   several series, from stated bounds on the slots of each packed
-  equation (:func:`packing`), each series packed once at w, scaled in
-  the same pass (:func:`packed`), and the test that the slots of a
-  packed equation vanish (:func:`first_nonzero_slot`).  The one-width
-  rule: w is one bit longer than the largest bound of all the
-  equations of a product, so each equation's slots lie within
-  2^(w_eq - 1) <= 2^(w - 1) for its own width w_eq, and reading every
-  equation at w stays exact.  The bounds read each coefficient's
-  largest |int| from :meth:`~coaldef.exactlinalg.Matrix.peak`, which a
-  matrix scans once and keeps;
+  equation (:func:`packing`, with the one-width rule), each series
+  packed once at w, scaled in the same pass (:func:`packed`).  A
+  whole-series product is one record (:class:`PackedDefects`): the
+  field, (L, D), w and, per equation, its label, slot shape, power p
+  and packed ints, slot n over L^p D^n.  Only its failure scan
+  (:meth:`~PackedDefects.failure`) and its slot reader
+  (:meth:`~PackedDefects.slots`) unpack it.  The bounds read each
+  coefficient's largest |int| from
+  :meth:`~coaldef.exactlinalg.Matrix.peak`, which a matrix scans once
+  and keeps;
 * the morphism equation (f (x) f) o a = b o f of series, packed, with
   its slot bound (:func:`morphism_defect`, :func:`morphism_bound`): the
   morphism condition of a deformation, and each comultiplication side
@@ -37,6 +38,7 @@ class that packs with it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -318,8 +320,51 @@ def morphism_defect(f, a, b, d, e, k, w, unit):
         factor_ints(b, f, e * e, e, 1, d), -unit)
 
 
+class PackedDefects(namedtuple("PackedDefects",
+                                 "field unit step w equations")):
+    """A whole-series product in ``field``, every series scaled by (L, D)
+    = (``unit``, ``step``) and packed at the one width ``w`` of
+    :func:`packing`; ``equations`` lists, per equation, its label, slot
+    (rows, cols), power p and row-major packed ints, whose slot n is
+    the order-n defect over L^p D^n."""
+
+    __slots__ = ()
+
+    def failure(self, k):
+        """The first (label, order, (row, col)) at which the slots
+        0..k-1 of an equation are nonzero in the field, by equation,
+        then order, then entry; None when all of them vanish.
+
+        Over QQ one mask decides each entry: slots 0..k-1 lie strictly
+        within 2^(w-1), so sum_(i<k) x_i 2^(i w) lies strictly within
+        2^(k w - 1), and it is 0 modulo 2^(k w) only when every x_i is 0.
+        The slots are unpacked only when some int fails its mask.  Over
+        GF(p) a vanishing slot is a multiple of p, so the slots are
+        unpacked and read modulo p.
+        """
+        unpack, w = _backend.kernel().unpack, self.w
+        p, low = getattr(self.field, "p", None), (1 << k * w) - 1
+        for label, (_, cols), _, ints in self.equations:
+            if p or any(x & low for x in ints):
+                for n, slot in enumerate(unpack(ints, w, range(k))):
+                    slot = list(map(p.__rmod__, slot)) if p else slot
+                    if any(slot):
+                        return label, n, divmod(
+                            next(i for i, x in enumerate(slot) if x), cols)
+        return None
+
+    def slots(self, orders):
+        """For each equation, its slot (rows, cols) and the (ints,
+        L^p D^n) of its slot n for each n in ``orders`` (a list or a
+        range): the row-major ints of the order-n defect over L^p D^n."""
+        unpack = _backend.kernel().unpack
+        return [(shape, [(v, self.unit ** p * self.step ** n) for n, v in
+                         zip(orders, unpack(ints, self.w, orders))])
+                for _, shape, p, ints in self.equations]
+
+
 def _intertwining_defects(phi_a, phi_b, series_a, series_b, series_f):
-    """(L, D, [(equation, slot width, packed ints)]) of
+    """The :class:`PackedDefects` of
 
     * (phi_A (x) phi_A) o a - L a_0 o phi_A ("source comultiplication"),
     * (phi_B (x) phi_B) o b - L b_0 o phi_B ("target comultiplication"),
@@ -353,14 +398,14 @@ def _intertwining_defects(phi_a, phi_b, series_a, series_b, series_f):
     p, q, a, b, f = (packed(s, w, unit, step) for s in given)
     a_0, b_0, f_0 = (_constant(s, unit) for s in given[2:])
     kern = _backend.kernel()
-    return unit, step, [
-        ("source comultiplication", w, morphism_defect(
-            p, a, a_0, dim_a, dim_a, k, w, unit)),
-        ("target comultiplication", w, morphism_defect(
-            q, b, b_0, dim_b, dim_b, k, w, unit)),
-        ("morphism", w, kern.lincomb(
+    return PackedDefects(series_a[0].field, unit, step, w, [
+        ("source comultiplication", (dim_a * dim_a, dim_a), 3,
+         morphism_defect(p, a, a_0, dim_a, dim_a, k, w, unit)),
+        ("target comultiplication", (dim_b * dim_b, dim_b), 3,
+         morphism_defect(q, b, b_0, dim_b, dim_b, k, w, unit)),
+        ("morphism", (dim_b, dim_a), 2, kern.lincomb(
             kern.matmul(q, f, dim_b, dim_b, dim_a), 1,
-            kern.matmul(f_0, p, dim_b, dim_a, dim_a), -1))]
+            kern.matmul(f_0, p, dim_b, dim_a, dim_a), -1))])
 
 
 def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
@@ -368,35 +413,6 @@ def intertwining_failure(phi_a, phi_b, series_a, series_b, series_f):
     :func:`_intertwining_defects` is nonzero, or None when all vanish
     through order N: then phi carries the deformation to its order-0
     terms, as phi is invertible."""
-    k = len(series_a)
-    for label, w, ints in _intertwining_defects(
-            phi_a, phi_b, series_a, series_b, series_f)[2]:
-        failure = first_nonzero_slot(ints, w, k, series_a[0].field)
-        if failure is not None:
-            return label, failure[0]
-    return None
-
-
-def first_nonzero_slot(packed, w, k, field):
-    """The first (order, entry index) at which the slots 0..k-1 of the
-    packed ints (see :mod:`coaldef._kernels_py`) are nonzero in the
-    field, by order, then by entry; None when all of them vanish.
-
-    Over QQ one mask decides each entry: slots 0..k-1 lie strictly
-    within 2^(w-1), so sum_(i<k) x_i 2^(i w) lies strictly within
-    2^(k w - 1), and it is 0 modulo 2^(k w) only when every x_i is 0.
-    The slots are unpacked only when some int fails its mask.  Over
-    GF(p) a vanishing slot is a multiple of p, so the slots are
-    unpacked and read modulo p.
-    """
-    rational = field.kind == "rational"
-    if rational:
-        low = (1 << k * w) - 1
-        if not any(x & low for x in packed):
-            return None
-    for n, slot in enumerate(_backend.kernel().unpack(packed, w, range(k))):
-        if not rational:
-            slot = list(map(field.p.__rmod__, slot))
-        if any(slot):
-            return n, next(i for i, x in enumerate(slot) if x)
-    return None
+    failure = _intertwining_defects(phi_a, phi_b, series_a, series_b,
+                                    series_f).failure(len(series_a))
+    return None if failure is None else failure[:2]

@@ -9,11 +9,12 @@ entry with a dense Gauss-Jordan elimination, which the tests keep as
 the reference.
 
 This is the one elimination engine of the package.
-:class:`Elimination` holds the canonical kernel and image bases and the
+:class:`Elimination` holds the canonical kernel basis and the
 canonical solve of one operator, and :class:`Quotient` a kernel modulo
 a subspace, read in the coordinates of the kernel's free columns: the
 cohomology of one degree, and the dense ``quotient_data``.  The dense
-API of :mod:`coaldef.exactlinalg` is a thin layer over these, and it
+API of :mod:`coaldef.exactlinalg` is a thin layer over these and
+:func:`sparse_rref` (its row echelon forms and image bases), and it
 and :mod:`coaldef.cohomology` load this module with the package.
 """
 
@@ -231,8 +232,6 @@ class Elimination:
     * ``echelon`` -- the reduced echelon form of the rows of D with
       rightmost pivots, and ``kernel``, the canonical kernel basis that
       :func:`kernel_vectors` reads from it;
-    * ``image`` -- the canonical image basis: the reduced echelon rows
-      of the columns of D;
     * ``solver`` -- the leftmost-pivot elimination of [D | I], whose
       bookkeeping columns record the row combination behind each pivot
       row, and ``combinations``, those combinations read out once for
@@ -254,12 +253,6 @@ class Elimination:
     @cached_property
     def kernel(self):
         return kernel_vectors(self.echelon)
-
-    @cached_property
-    def image(self):
-        return sparse_rref(self.field,
-                           _rows_of(self.entries, transpose=True).values(),
-                           self.rows)
 
     @cached_property
     def solver(self):

@@ -20,14 +20,15 @@ composes the whole isomorphism again.  The incremental
 :func:`coaldef.deformation.trivialize` must return the same result.
 
 ``read_defects`` reads every slot of the packed deformation equations
-back as matrices: verification only tests them for zero, and the
-tests compare the read with the Kronecker form of the equations.
+back as matrices, through the slot reader of their
+``series.PackedDefects`` record: verification only tests them for
+zero, and the tests compare the read with the Kronecker form of the
+equations.
 """
 
 import json
 from fractions import Fraction
 
-from coaldef._kernels_py import unpack
 from coaldef.cohomology import morphism_complex
 from coaldef.deformation import (FormalIsomorphism, InternalInvariantError,
                                  TrivializationResult, _Defects,
@@ -182,20 +183,14 @@ def read_defects(series_a, series_b, series_f, orders):
     """The defects (D_a, D_b, D_f) of the deformation equations at each
     of ``orders``, as matrices: the order just above the series from the
     order-n queries of ``_Defects`` (``series.Cauchy`` states), as the
-    obstruction is, and otherwise read off the slots of
-    ``_packed_defects``, each over L^2 D^n (D_a, D_b) or L^3 D^n (D_f)."""
+    obstruction is, and otherwise by the slot reader of the
+    ``_packed_defects`` record."""
     if list(orders) == [len(series_a)]:
         return [_Defects(series_a, series_b, series_f).next_order()]
-    field = series_a[0].field
-    d, e = series_a[0].cols, series_b[0].cols
-    unit, step, packed = _packed_defects(series_a, series_b, series_f,
-                                         max(orders) + 1)
+    defects = _packed_defects(series_a, series_b, series_f, max(orders) + 1)
     return list(zip(*[
-        [Matrix.from_integer_ratio(field, rows, cols, ints,
-                                   unit ** power * step ** n)
-         for n, ints in zip(orders, unpack(x, w, orders))]
-        for (w, x), rows, cols, power in zip(
-            packed, (d ** 3, e ** 3, e * e), (d, e, d), (2, 2, 3))]))
+        [Matrix.from_integer_ratio(defects.field, *shape, *slot)
+         for slot in slots] for shape, slots in defects.slots(orders)]))
 
 
 def _quadruples(m, dim):

@@ -22,9 +22,11 @@ the reference for the incremental trivialize, and trivializing a
 verified copy for the trivialize that certifies an unverified input by
 its final check.  A full read of the
 unpacked defects is the reference for the packed zero tests of
-verify_deformation.  The json module's indented encoder is the reference
-for the problem-file writer, and reading one scalar at a time for the
-reader that decodes a matrix's scalars together.
+verify_deformation, and the dense products of the intertwining
+equations for every slot of their packed product.  The json module's
+indented encoder is the reference for the problem-file writer, and
+reading one scalar at a time for the reader that decodes a matrix's
+scalars together.
 The long exact sequence of the mapping cone gives dim H^n(f) from three
 Hochschild complexes and the connecting map, without MorphismComplex.
 """
@@ -103,7 +105,8 @@ from coaldef.exactlinalg import (QQ, Matrix, PrimeField, QuotientError,
 from coaldef.problemfile import (ProblemFile, ProblemFileError, _decoded,
                                  _parse_scalar, builtin_corpus,
                                  parse_problem_text, serialize_problem)
-from coaldef.series import Cauchy, convolve, intertwining_failure
+from coaldef.series import (Cauchy, _intertwining_defects, convolve,
+                            intertwining_failure)
 from coaldef.series import inverse as series_inverse
 from coaldef.series import product as series_product
 from coaldef.series import nonzero as series_nonzero
@@ -1025,9 +1028,9 @@ def test_packed_check_rejects_a_perturbed_top_coefficient(field):
         assert intertwining_failure(a, b, *series)[1] == order
 
 
-def reference_intertwining_failure(phi_a, phi_b, a, b, f):
-    """The first (equation, order) at which (phi (x) phi) o c = c_0 o phi
-    (c = a, b) or phi_B o F = F_0 o phi_A fails, by dense products."""
+def reference_intertwining_products(phi_a, phi_b, a, b, f):
+    """(label, lhs, rhs) of (phi (x) phi) o c = c_0 o phi (c = a, b) and
+    phi_B o F = F_0 o phi_A, each side a series of dense products."""
     n = len(a) - 1
 
     def constant(c):
@@ -1038,24 +1041,27 @@ def reference_intertwining_failure(phi_a, phi_b, a, b, f):
                                      n),
                 reference_series_mul(constant(c), phi, n))
 
-    for label, (lhs, rhs) in (
-            ("source comultiplication", comul(phi_a, a)),
-            ("target comultiplication", comul(phi_b, b)),
-            ("morphism", (reference_series_mul(phi_b, f, n),
-                          reference_series_mul(constant(f), phi_a, n)))):
-        for k in range(n + 1):
+    return [("source comultiplication", *comul(phi_a, a)),
+            ("target comultiplication", *comul(phi_b, b)),
+            ("morphism", reference_series_mul(phi_b, f, n),
+             reference_series_mul(constant(f), phi_a, n))]
+
+
+def reference_intertwining_failure(phi_a, phi_b, a, b, f):
+    """The first (equation, order) at which an equation of
+    :func:`reference_intertwining_products` fails."""
+    for label, lhs, rhs in reference_intertwining_products(phi_a, phi_b,
+                                                           a, b, f):
+        for k in range(len(a)):
             if lhs[k] != rhs[k]:
                 return label, k
     return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
-       st.integers(0, 3), st.integers(0, 5))
-def test_intertwining_check_matches_dense_reference(seed, field, which,
-                                                     order):
-    # phi = g^-1 trivializes the transport of the trivial deformation by
-    # g; a bump at a random order and side makes it fail from there on
+def _bumped_intertwining_draw(seed, field, which, order):
+    """(phi_A, phi_B, (a, b, F)): phi = g^-1 trivializes the transport
+    (a, b, F) of the trivial deformation by g; a bump at a random order
+    and side makes it fail from there on."""
     rng = fresh_rng(seed)
     comp = MorphismComplex(_staircase_morphisms(field)[which])
     f = comp.morphism
@@ -1070,9 +1076,37 @@ def test_intertwining_check_matches_dense_reference(seed, field, which,
     else:
         phi_b[level] = phi_b[level] + _staircase_matrix(rng, field,
                                                         *phi_b[0].shape)
-    series = (d.series_a(), d.series_b(), d.series_f())
+    return phi_a, phi_b, (d.series_a(), d.series_b(), d.series_f())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3), st.integers(0, 5))
+def test_intertwining_check_matches_dense_reference(seed, field, which,
+                                                     order):
+    phi_a, phi_b, series = _bumped_intertwining_draw(seed, field, which,
+                                                     order)
     assert intertwining_failure(phi_a, phi_b, *series) == \
         reference_intertwining_failure(phi_a, phi_b, *series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3), st.integers(0, 5))
+def test_intertwining_slots_match_dense_reference(seed, field, which,
+                                                  order):
+    # every slot of the packed intertwining product, read as a matrix
+    # through its record, is lhs[n] - rhs[n] of the dense products
+    phi_a, phi_b, series = _bumped_intertwining_draw(seed, field, which,
+                                                     order)
+    defects = _intertwining_defects(phi_a, phi_b, *series)
+    reference = reference_intertwining_products(phi_a, phi_b, *series)
+    assert [label for label, *_ in defects.equations] == \
+        [label for label, _, _ in reference]
+    for (shape, slots), (_, lhs, rhs) in zip(
+            defects.slots(range(order + 1)), reference):
+        assert [Matrix.from_integer_ratio(field, *shape, *slot)
+                for slot in slots] == [x - y for x, y in zip(lhs, rhs)]
 
 
 def first_map_defect(c, phi):
