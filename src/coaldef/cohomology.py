@@ -347,8 +347,7 @@ class _ComplexBase:
         eliminations = self._record.eliminations
         if n not in eliminations:
             eliminations[n] = sparse.Elimination(
-                self.field, self.cochain_dim(n + 1), self.cochain_dim(n),
-                *self.operator(n))
+                self.field, self.cochain_dim(n), *self.operator(n))
         return eliminations[n]
 
     def _kernel_echelon(self, n):

@@ -14,15 +14,17 @@ through order N.  This module implements:
   extending the deformation one order further, and its class, from the
   one entry point :func:`obstruction` (for a deformation it is always a
   3-cocycle, so a violation is an internal error, never a data state;
-  :func:`obstruction` and :func:`extend` verify their input first,
-  unless :func:`integrate` built it (then through :func:`extend`), and
-  refuse a series that is no deformation with InvalidStructureError;
-  :func:`trivialize` refuses it too, but verifies an unverified input
-  only where its staircase fails, as its final check certifies it
-  otherwise); a class is read by the quotient, after its one cocycle
-  test (:func:`_class_of`);
+  :func:`obstruction` and :func:`extend` verify their input once, keep
+  the report on it, and refuse a series that is no deformation with
+  InvalidStructureError; :func:`trivialize` refuses it too, but
+  verifies an unverified input only where its staircase fails, as its
+  final check certifies it otherwise); a class is read by the
+  quotient, after its one cocycle test (:func:`_class_of`);
 * order-by-order extension and integration of a 2-cocycle up to a
   target order, with the canonical linear solve picking the extension;
+  :func:`integrate` keeps the per-order state of its obstructions
+  (:class:`_Defects`) to itself, and what it returns is an ordinary
+  deformation;
 * formal isomorphisms with truncated inversion and composition, and
   transport of deformations along them, read from one packed product
   of the intertwining defects with no inverse formed (:func:`_window`):
@@ -44,7 +46,6 @@ row of s.  A step and the corrections of a window are both that update.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field
 from itertools import chain
 from math import lcm
@@ -141,10 +142,12 @@ class TruncatedDeformation(_Series):
     ``coeffs[n]`` is the degree-2 morphism cochain carrying the order-n
     coefficients of the two comultiplications (a_part, b_part) and of
     the morphism (ab_part); ``coeffs[0]`` is always the structure triple
-    of the undeformed morphism.
+    of the undeformed morphism.  Besides them it keeps only its
+    :func:`verify_deformation` report, once computed, whichever function
+    built it.
     """
 
-    __slots__ = ("_verification", "_defects")
+    __slots__ = ("_verification",)
     _degree = 2
     _errors = ("a deformation has at least its order-0 term",
                "order-0 coefficient must be the structure maps of the "
@@ -155,9 +158,8 @@ class TruncatedDeformation(_Series):
     def __init__(self, morphism: CoalgebraMorphism, coeffs):
         super().__init__(morphism, coeffs)
         # (the verify_deformation report, the order-(N+1) defects when it
-        # passes) once it has run, and the _Defects of the obstruction
-        # when integrate built the deformation (then through extend)
-        self._verification = self._defects = None
+        # passes) once it has run
+        self._verification = None
 
     @staticmethod
     def _constant_maps(f):
@@ -393,13 +395,12 @@ class _Defects:
     """The order-(N+1) defects (D_a, D_b, D_f) of :func:`_packed_defects`
     of series a, b, f of order N, as matrices, from :class:`series.Cauchy`
     states: :func:`_bar_sums` of a and of b, f (x) f against a and b
-    against f.  :func:`integrate` forms it for a first-order deformation
-    whose coefficient is a cocycle, and :func:`extend` hands it on,
-    unchanged once made: a deformation that has one is valid by
-    construction, and is not verified again.  The
-    Kronecker series f (x) f, whose pairs multiply only the small f_j,
-    is kept through order N + 1, formed with f_(N+1) zero, and formed
-    again only when an extension's f_(N+1) is not."""
+    against f.  :func:`integrate` forms one from its first-order series
+    and extends it in place, order by order (:meth:`extend`); it is
+    local to that call, and no deformation carries one.  The Kronecker
+    series f (x) f, whose pairs multiply only the small f_j, is kept
+    through order N + 1, formed with f_(N+1) zero, and formed again only
+    when an extension's f_(N+1) is not."""
 
     def __init__(self, series_a, series_b, series_f):
         self.order, self.field = len(series_a) - 1, series_a[0].field
@@ -413,20 +414,19 @@ class _Defects:
             a, (e * e, d * d, d))
         self.bf = series.Cauchy(b, f, (e * e, e, d))
 
-    def extended(self, w):
-        """The state of the extension by the order-(N+1) coefficient w."""
-        grown = copy(self)
-        grown.order = n = self.order + 1
+    def extend(self, w):
+        """Extend the series by the order-(N+1) coefficient w, in place."""
+        self.order = n = self.order + 1
         a, b, f = (p.matrix for p in w.parts())
-        grown.a = self.a.with_left(n, a).with_right(n, a)
-        grown.b = self.b.with_left(n, b).with_right(n, b)
-        grown.bf = self.bf.with_left(n, b).with_right(n, f)
-        fa = self.fa.with_right(n, a)
+        for sums, left, right in ((self.a, a, a), (self.b, b, b),
+                                  (self.bf, b, f)):
+            sums.put_left(n, left)
+            sums.put_right(n, right)
+        self.fa.put_right(n, a)
         if not f.is_zero():
-            grown.f = {**self.f, n: f}
-            fa = fa.with_left(n, _cauchy_kron(grown.f, grown.f, n))
-        grown.fa = fa.with_left(n + 1, _cauchy_kron(grown.f, grown.f, n + 1))
-        return grown
+            self.f[n] = f
+            self.fa.put_left(n, _cauchy_kron(self.f, self.f, n))
+        self.fa.put_left(n + 1, _cauchy_kron(self.f, self.f, n + 1))
 
     def next_order(self):
         """(D_a, D_b, D_f) at order N + 1, where f_(N+1) is zero."""
@@ -536,14 +536,14 @@ def _class_of(comp, w, message) -> tuple:
         raise InternalInvariantError(message) from None
 
 
-def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
+def _obstruction_cochain(d, defects=None) -> MorphismCochain:
     """The degree-3 cochain obstructing extension by one order: the
     order-(N+1) defect of the deformation equations with a zero
-    order-(N+1) coefficient, from the :class:`_Defects` handed on to d,
-    or else from one
-    formed for this call and not kept, so d is not taken as valid; a
-    3-cocycle for valid input."""
-    defects = d._defects
+    order-(N+1) coefficient, a 3-cocycle for valid input.  It is read
+    from ``defects``, the :class:`_Defects` of an order-N series over the
+    morphism of d that :func:`integrate` keeps for its loop, or else
+    from one formed from the series of d for this call and not kept, so
+    d is not taken as valid."""
     if defects is None:
         defects = _Defects(d.series_a(), d.series_b(), d.series_f())
     return morphism_complex(d.morphism).element(*defects.next_order(), 3)
@@ -552,23 +552,29 @@ def _obstruction_cochain(d: TruncatedDeformation) -> MorphismCochain:
 def _require_deformation(comp, d: TruncatedDeformation):
     """Raise InvalidStructureError("not a coalgebra morphism (...)")
     unless the morphism of comp is one, and then InvalidStructureError(
-    "not a deformation (...)") unless d is one: by construction, when it
-    has the :class:`_Defects` that :func:`integrate` forms and
-    :func:`extend` hands on, or else by its :func:`verify_deformation`
-    report, kept on d."""
+    "not a deformation (...)") unless d is one, by its
+    :func:`verify_deformation` report, computed once and kept on d."""
     comp.require_valid()
-    if d._defects is None and not (report := verify_deformation(d)).ok:
+    if not (report := verify_deformation(d)).ok:
         raise InvalidStructureError(f"not a deformation ({report.message})")
 
 
 def _checked_obstruction(comp, d: TruncatedDeformation) -> MorphismCochain:
     """The obstruction cochain of d once :func:`_require_deformation`
-    passes: from its handed-on :class:`_Defects`, or else the
-    order-(N+1) slot that its verification kept."""
+    passes: the order-(N+1) slot that its verification kept."""
     _require_deformation(comp, d)
-    if d._defects is not None:
-        return _obstruction_cochain(d)
     return comp.element(*d._verification[1], 3)
+
+
+def _solved(comp, ob, next_order):
+    """The canonical coefficient whose coboundary is the obstruction
+    cochain ob, or, only where that exact solve fails, the
+    :class:`ObstructionClass` of ob, classified (:func:`_class_of`)."""
+    w = comp.is_coboundary(ob)
+    if w is None:
+        return ObstructionClass(ob, _class_of(comp, ob, _NOT_A_3_COCYCLE),
+                                next_order)
+    return w
 
 
 def obstruction(d: TruncatedDeformation) -> ObstructionClass:
@@ -577,9 +583,8 @@ def obstruction(d: TruncatedDeformation) -> ObstructionClass:
     After the morphism check, a series that is no deformation raises
     InvalidStructureError("not a deformation (...)") with the message of
     its :func:`verify_deformation` report.  The cochain is the
-    order-(N+1) slot that verification kept, or else, for a deformation
-    that :func:`integrate` built (then through :func:`extend`), which is
-    not verified, :func:`_obstruction_cochain` of its handed-on state.
+    order-(N+1) slot that verification kept, so a deformation is
+    verified once, whoever built it, and read from its report after.
     """
     comp = morphism_complex(d.morphism)
     ob = _checked_obstruction(comp, d)
@@ -604,11 +609,10 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
     Without it, solve for the canonical cobounding coefficient; if none
     exists return the nonzero ObstructionClass instead of a deformation.
     The exact solve runs first, and the obstruction is classified
-    (:func:`_class_of`) only where it fails.  A d that is no deformation
-    is refused as by :func:`obstruction`.  When d has handed-on
-    :class:`_Defects` (:func:`integrate` built it), the extension gets
-    them and is not verified either: its new coefficient cobounds the
-    obstruction exactly, so it is valid by construction.
+    (:func:`_class_of`) only where it fails (:func:`_solved`).  d is
+    verified as by :func:`obstruction`, which reads its kept report, and
+    refused when it is no deformation; the extension is a new
+    deformation with no report of its own.
     """
     comp = morphism_complex(d.morphism)
     ob = _checked_obstruction(comp, d)
@@ -624,30 +628,30 @@ def extend(d: TruncatedDeformation, w: MorphismCochain | None = None):
                 "coboundary of the supplied coefficient differs from the "
                 "obstruction in component %s at entry %s by %s" % nonzero)
     else:
-        w = comp.is_coboundary(ob)
-        if w is None:
-            return ObstructionClass(ob, _class_of(comp, ob, _NOT_A_3_COCYCLE),
-                                    d.order + 1)
-    out = TruncatedDeformation(d.morphism, d.coeffs + (w,))
-    if d._defects is not None:
-        out._defects = d._defects.extended(w)
-    return out
+        w = _solved(comp, ob, d.order + 1)
+        if isinstance(w, ObstructionClass):
+            return w
+    return TruncatedDeformation(d.morphism, d.coeffs + (w,))
 
 
 def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
     """Integrate a 2-cocycle to a deformation of the requested order.
 
     Starts from the first-order deformation with coefficient ``w`` and
-    repeatedly extends with canonical solves.  Stops early with the
-    blocking class if an obstruction fails to cobound.  A ``w`` that is
-    not a cocycle raises InvalidStructureError.  The first-order
-    deformation of a cocycle is valid by construction once its order-0
-    terms are a deformation (the morphism check, and both
-    comultiplications coassociative; else it is refused as by
-    :func:`obstruction`): it gets its :class:`_Defects` in place of a
-    verification, and each extension gets them handed on, so
-    integration forms no verification product.
-    :func:`verify_deformation` of the result still checks it.
+    extends it with canonical solves, as repeated :func:`extend` does.
+    Stops early with the blocking class if an obstruction fails to
+    cobound.  A ``w`` that is not a cocycle raises InvalidStructureError.
+    The first-order deformation of a cocycle is one once its order-0
+    terms are (the morphism check, and both comultiplications
+    coassociative; else it is refused as by :func:`obstruction`), and
+    each canonical coefficient cobounds the obstruction exactly, so the
+    loop verifies nothing.  It forms one :class:`_Defects` from the
+    first-order series, reads each order's obstruction from it
+    (:func:`_obstruction_cochain`), extends it in place, and builds the
+    deformation once, at the target order or at a block.  The state
+    stays in this call: the result is an ordinary deformation, which
+    :func:`obstruction`, :func:`extend` and :func:`trivialize` verify
+    once, as any other.
     """
     if target_order < 1:
         raise DimensionError("target order must be >= 1")
@@ -663,13 +667,16 @@ def integrate(w: MorphismCochain, target_order) -> IntegrationResult:
         raise InvalidStructureError(
             "not an infinitesimal candidate: coboundary is nonzero in "
             "component %s at entry %s" % nonzero[:2])
-    d._defects = _Defects(d.series_a(), d.series_b(), d.series_f())
-    while d.order < target_order:
-        result = extend(d)
-        if isinstance(result, ObstructionClass):
-            return IntegrationResult(d, result)
-        d = result
-    return IntegrationResult(d, None)
+    defects = _Defects(d.series_a(), d.series_b(), d.series_f())
+    coeffs = list(d.coeffs)
+    while len(coeffs) <= target_order:
+        x = _solved(comp, _obstruction_cochain(d, defects), len(coeffs))
+        if isinstance(x, ObstructionClass):
+            return IntegrationResult(TruncatedDeformation(d.morphism, coeffs),
+                                     x)
+        coeffs.append(x)
+        defects.extend(x)
+    return IntegrationResult(TruncatedDeformation(d.morphism, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -847,26 +854,24 @@ def trivialize(d: TruncatedDeformation) -> TrivializationResult:
     id(dp_p), whose gauge I + chi t is reported blocked at order p.
 
     The final check also certifies d itself, so an unverified d (no
-    report kept on it and not built by :func:`integrate`) is verified
-    only where the staircase fails.  That check reads (phi_A (x) phi_A)
-    o a = a_0 o phi_A, (phi_B (x) phi_B) o b = b_0 o phi_B and phi_B o
-    F = F_0 o phi_A through order N: d is the transport of its order-0
-    terms (a_0, b_0, F_0) by phi^-1, and a transport of a deformation
-    is one.  So d is a deformation when (a_0, b_0, F_0) is, that is
-    when a_0 and b_0 are coassociative and F_0 is a morphism: those two
-    checks, kept in the record of the complex
+    report kept on it) is verified only where the staircase fails.  That
+    check reads (phi_A (x) phi_A) o a = a_0 o phi_A, (phi_B (x) phi_B) o
+    b = b_0 o phi_B and phi_B o F = F_0 o phi_A through order N: d is
+    the transport of its order-0 terms (a_0, b_0, F_0) by phi^-1, and a
+    transport of a deformation is one.  So d is a deformation when (a_0,
+    b_0, F_0) is, that is when a_0 and b_0 are coassociative and F_0 is
+    a morphism: those two checks, kept in the record of the complex
     (:meth:`MorphismComplex.coassociative`,
-    :meth:`MorphismComplex.require_valid`), run first.  Only a block,
-    or an InternalInvariantError, which a series that is no
-    deformation can raise, verifies d; a d that is no deformation is
-    then refused as by :func:`obstruction`, with the report kept on d.
-    A returned isomorphism keeps no report on d, so
-    :func:`verify_deformation` of it is still a computed check.
+    :meth:`MorphismComplex.require_valid`), run first.  Only a block, or
+    an InternalInvariantError, which a series that is no deformation can
+    raise, verifies d; a d that is no deformation is then refused as by
+    :func:`obstruction`, with the report kept on d.  A returned
+    isomorphism keeps no report on d, so :func:`verify_deformation` of
+    it is still a computed check.
     """
     comp = morphism_complex(d.morphism)
     comp.require_valid()
-    if not (d._verification is None and d._defects is None
-            and comp.coassociative()):
+    if not (d._verification is None and comp.coassociative()):
         _require_deformation(comp, d)
     n, identity = d.order, FormalIsomorphism.identity(d.morphism, d.order)
     phi_a, phi_b = identity.series_a(), identity.series_b()

@@ -509,9 +509,8 @@ def _elimination(m):
     """The :class:`coaldef.sparse.Elimination` of m: its nonzero ints as
     a dict {(row, col): int} over the common denominator."""
     ints, den = m.as_integer_ratio()
-    return sparse.Elimination(
-        m.field, m.rows, m.cols,
-        {divmod(k, m.cols): x for k, x in enumerate(ints) if x}, den)
+    return sparse.Elimination(m.field, m.cols, {
+        divmod(k, m.cols): x for k, x in enumerate(ints) if x}, den)
 
 
 def _column_matrix(field, rows, columns):

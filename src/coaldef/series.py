@@ -65,11 +65,12 @@ def _kept(x):
 
 
 def _put(table, n, x):
-    """A copy of the table with order n set to the matrix x, or removed
+    """Set order n of the table to the matrix x, in place, or remove it
     when x is None or zero."""
     if x is None or x.is_zero():
-        return {j: y for j, y in table.items() if j != n}
-    return {**table, n: _kept(x)}
+        table.pop(n, None)
+    else:
+        table[n] = _kept(x)
 
 
 class Cauchy:
@@ -96,9 +97,10 @@ class Cauchy:
     with the order repack O(log N) times through order N.
 
     Only kept pairs are summed, so a coefficient not yet known counts as
-    zero.  :meth:`with_left` and :meth:`with_right` add to copies of the
-    tables, and a query that packs replaces the right table, so states
-    that share a table never see it change; no result depends on w.
+    zero.  :meth:`put_left` and :meth:`put_right` set a coefficient in
+    place, and a query repacks the right rows it pairs in place: a state
+    keeps coefficients, kept and packed, and no sums, so no result
+    depends on w or on the order in which the coefficients were put.
     """
 
     __slots__ = ("shape", "read", "left", "right", "w")
@@ -109,19 +111,13 @@ class Cauchy:
         self.left = {n: _kept(x) for n, x in left.items()}
         self.right = {n: _kept(x) for n, x in right.items()}
 
-    def _with(self, left, right):
-        grown = object.__new__(Cauchy)
-        grown.shape, grown.read, grown.w = self.shape, self.read, self.w
-        grown.left, grown.right = left, right
-        return grown
+    def put_left(self, n, x):
+        """Make x (None for zero) the order-n left coefficient."""
+        _put(self.left, n, x)
 
-    def with_left(self, n, x):
-        """The state with x (None for zero) the order-n left coefficient."""
-        return self._with(_put(self.left, n, x), self.right)
-
-    def with_right(self, n, x):
-        """The state with x (None for zero) the order-n right coefficient."""
-        return self._with(self.left, _put(self.right, n, x))
+    def put_right(self, n, x):
+        """Make x (None for zero) the order-n right coefficient."""
+        _put(self.right, n, x)
 
     def _packed(self, ints):
         """The packed inner rows of a right coefficient at width w."""
@@ -146,11 +142,9 @@ class Cauchy:
                          zip(pairs, scales))).bit_length() + 1
         if w > self.w:
             self.w = 2 * w
-        stale = {j: y for _, y, j in pairs if y[3:4] != (self.w,)}
-        if stale:
-            self.right = right = {**right, **{
-                j: y[:3] + (self.w, self._packed(y[0]))
-                for j, y in stale.items()}}
+        for _, y, j in pairs:
+            if y[3:4] != (self.w,):
+                right[j] = y[:3] + (self.w, self._packed(y[0]))
         packed = [v for _, _, j in pairs for v in right[j][4]]
         lefts = [x[0] if c == 1 else [c * v for v in x[0]]
                  for (x, _, _), c in zip(pairs, scales)]
@@ -184,14 +178,15 @@ def product(a, b, order):
 def inverse(a, order):
     """Inverse of a truncated series whose constant term is the identity:
     inv_0 = a_0, and inv_n = sum_(0<i<=n) (-a_i) inv_(n-i) is one query
-    of a :class:`Cauchy` state whose right series, the inverse, grows."""
+    of a :class:`Cauchy` state whose right series, the inverse, grows in
+    place."""
     k, field = a[0].rows, a[0].field
     sums = Cauchy({i: -x for i, x in nonzero(a, order).items()},
                   {0: a[0]}, (k, k, k))
     inv = [a[0]]
     for n in range(1, order + 1):
         inv.append(sums.at(n, field))
-        sums = sums.with_right(n, inv[n])
+        sums.put_right(n, inv[n])
     return inv
 
 

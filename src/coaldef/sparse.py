@@ -223,8 +223,8 @@ def _annihilated(echelon, v):
 
 
 class Elimination:
-    """The exact sparse elimination of one ``rows x cols`` operator D,
-    given as ``entries / den``.
+    """The exact sparse elimination of one operator D with ``cols``
+    columns, given as ``entries / den``.
 
     Each part is computed on first use, and each is fixed by the
     uniqueness of reduced echelon forms:
@@ -238,9 +238,8 @@ class Elimination:
       :meth:`solve`.
     """
 
-    def __init__(self, field, rows, cols, entries, den):
+    def __init__(self, field, cols, entries, den):
         self.field = field
-        self.rows = rows
         self.cols = cols
         self.entries = entries
         self.den = den

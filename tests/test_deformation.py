@@ -625,7 +625,9 @@ class TestTrivialize:
         # one integer product of the coefficient read and the block row
         # of phi (deformation._subtract_shifted), three per order (one
         # per series); neither queries a series.Cauchy state.  An input
-        # blocked at order 1 forms no packed product at all
+        # blocked at order 1 forms no packed product at all once verified
+        # (a block verifies an unverified input, so it is verified here
+        # before the spies go on)
         from coaldef import _kernels_py, deformation
         f = identity_morphism(divided_power(3))
         comp = morphism_complex(f)
@@ -634,6 +636,7 @@ class TestTrivialize:
         d = apply_equivalence(gauge, TruncatedDeformation.trivial(f, order))
         reps = comp.cohomology(2).representatives
         blocked = integrate(sum(reps[1:], reps[0]), order).deformation
+        assert verify_deformation(blocked).ok
         calls, packed, products, per_update, per_step = [], [], [], [], []
         real_ratio = series.Cauchy.ratio
         monkeypatch.setattr(series.Cauchy, "ratio",
@@ -875,22 +878,28 @@ class TestNonDeformation:
             f"entry (3, 0))")
 
     def test_integration_forms_no_verification_product(self, monkeypatch):
-        # the first-order deformation of a cocycle and every extension
-        # are valid by construction, so integrating, and reading the
-        # obstruction or the next extension of the result, verify
-        # nothing; verify_deformation of the result still checks it
+        # integrating a cocycle verifies nothing: each canonical
+        # coefficient cobounds the obstruction exactly, read from one
+        # obstruction state per call.  Its result is an ordinary
+        # deformation: reading its obstruction, its next extension and
+        # its trivialization verify it once between them, and a later
+        # verify_deformation reads the kept report
         import coaldef.deformation as deformation
         f = identity_morphism(divided_power(3))
         w = random_cocycle(morphism_complex(f), fresh_rng(5), bound=3)
-        verified, real = [], deformation._verified
-        monkeypatch.setattr(deformation, "_verified",
-                            lambda *args: verified.append(1) or real(*args))
+        calls = {"_verified": [], "_Defects": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(deformation, name, lambda *args, seen=seen,
+                                real=getattr(deformation, name):
+                                seen.append(1) or real(*args))
         d = integrate(w, 12).deformation
+        assert calls == {"_verified": [], "_Defects": [1]}
+        assert d._verification is None
         assert d.order == 12 and obstruction(d).is_trivial
         assert extend(d).order == 13
-        assert verified == [] and d._verification is None
+        assert not trivialize(d).ok
         assert verify_deformation(d).ok
-        assert verified == [1]
+        assert calls == {"_verified": [1], "_Defects": [1]}
 
     def test_reading_the_obstruction_does_not_make_a_deformation(self):
         # the unverified obstruction of a series that is no deformation

@@ -418,7 +418,7 @@ class TestSparseRref:
         m, sparse = _sparse_operand(rng, field, rows, cols)
         entries = {(i, j): x for i, row in enumerate(sparse)
                    for j, x in row.items()}
-        elimination = Elimination(field, rows, cols, entries, 1)
+        elimination = Elimination(field, cols, entries, 1)
         x_den, combinations = elimination.combinations
         pivots = elimination.solver.rows
         assert [c for c, *_ in combinations] == list(pivots)

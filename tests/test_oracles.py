@@ -82,6 +82,7 @@ from coaldef.deformation import (
     DeformationReport,
     FormalIsomorphism,
     InternalInvariantError,
+    ObstructionClass,
     TruncatedDeformation,
     _Defects,
     _cauchy_kron,
@@ -688,22 +689,22 @@ def test_series_products_match_dense_reference(seed, field, bits):
     assert series_inverse(big, top) == inv
     x, y = extremal(r or 1, m, top + 1), extremal(m, c or 1, top + 1)
     assert series_product(x, y, top) == reference_series_mul(x, y, top)
-    # two extensions of one state by different right coefficients at one
-    # order, read in alternation, each as the reference reads its series
+    # one state whose right coefficient at one order is absent, then set,
+    # replaced and removed in place, read at each as the reference reads
+    # its series
     zero = Matrix.zeros(field, m, m)
     cut = rng.randint(1, top)
     state = Cauchy({n: z for n, z in enumerate(big) if n}, {0: big[0]},
                    (m, m, m))
     for n in range(1, cut):
-        state = state.with_right(n, inv[n])
+        state.put_right(n, inv[n])
     lefts = [zero] + big[1:]
-    branches = [(state, inv[:cut] + [zero] * (top + 1 - cut))]
-    for z in (inv[cut], extremal(m, m, 1)[0]):
-        branches.append((state.with_right(cut, z),
-                         inv[:cut] + [z] + [zero] * (top - cut)))
-    for n in range(cut, top + 1):
-        for sums, rights in branches:
-            assert sums.at(n, field) == reference_cauchy(lefts, rights, n)
+    for z in (None, inv[cut], extremal(m, m, 1)[0], None):
+        state.put_right(cut, z)
+        rights = inv[:cut] + [zero if z is None else z] + \
+            [zero] * (top - cut)
+        for n in range(cut, top + 1):
+            assert state.at(n, field) == reference_cauchy(lefts, rights, n)
 
 
 def _transport_morphisms(field):
@@ -1456,7 +1457,7 @@ def _incremental_defects(seed, field, which, prefix, top, bits, signs,
                          den_mode):
     """Drive the obstruction state of integration, built from orders
     0..prefix of an extremal draw with zero coefficients (or zero parts
-    of them) inside, through ``extended`` to order ``top``, asserting at
+    of them) inside, through ``extend`` to order ``top``, asserting at
     each order N that its order-(N+1) defects equal the reference.
     Returns the slot widths of its two packed sums at each order."""
     rng = fresh_rng(seed)
@@ -1471,7 +1472,7 @@ def _incremental_defects(seed, field, which, prefix, top, bits, signs,
     widths = []
     for n in range(prefix, top + 1):
         if n > prefix:
-            state = state.extended(comp.element(*(s[n] for s in series), 2))
+            state.extend(comp.element(*(s[n] for s in series), 2))
         widths.append((state.a.w, state.b.w))
         assert state.next_order() == \
             reference_defects(*_zero_padded(series, n + 1), [n + 1])[0]
@@ -1485,8 +1486,9 @@ def _incremental_defects(seed, field, which, prefix, top, bits, signs,
        st.sampled_from(("one", "shared", "distinct", "powers")))
 def test_incremental_defects_match_kronecker_reference_at_the_slot_bound(
         seed, field, which, prefix, top, bits, signs, den_mode):
-    # integration hands the state of the obstruction on from order to
-    # order; its packed rows must read every order as the reference does
+    # integration extends the state of the obstruction in place from
+    # order to order; its packed rows must read every order as the
+    # reference does
     _incremental_defects(seed, field, which, prefix, top, bits, signs,
                          den_mode)
 
@@ -1508,15 +1510,14 @@ def test_incremental_defects_widen_their_slots_mid_run():
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_branches_of_one_deformation_obstruct_as_the_reference(field):
     # two extensions of one deformation, the canonical one and one by
-    # w + z with z a 2-cocycle, share the obstruction state they were
-    # extended from; integrated further in alternation, each branch's
-    # obstructions must stay those of its own series.  f collapses
-    # grouplike(2) onto one grouplike, so it is neither injective nor
-    # surjective and a canonical coefficient has a nonzero morphism part
-    # (for an identity it never has), and its cohomology vanishes, so
-    # every order extends.  Both order-3 coefficients are nonzero in all
-    # three parts, so each branch adds to the shared tables of every
-    # series.Cauchy state of the obstruction
+    # w + z with z a 2-cocycle, extended from one verified deformation;
+    # integrated further in alternation, each branch's obstructions must
+    # stay those of its own series.  f collapses grouplike(2) onto one
+    # grouplike, so it is neither injective nor surjective and a
+    # canonical coefficient has a nonzero morphism part (for an identity
+    # it never has), and its cohomology vanishes, so every order
+    # extends.  Both order-3 coefficients are nonzero in all three
+    # parts, so the branches differ in every series of the obstruction
     g2 = grouplike(2, field)
     f = CoalgebraMorphism(g2, g2, Matrix.from_rows(field, [[1, 1], [0, 0]]))
     comp = morphism_complex(f)
@@ -1640,6 +1641,17 @@ def test_zero_tests_match_a_full_read_on_perturbed_deformations(
 # its per-order pair sums.
 
 
+def _drawn_cocycle(rng, comp):
+    """A 2-cocycle of the complex: with a nonzero class when H^2 is
+    nonzero (:func:`_nonzero_class`), else a coboundary."""
+    if comp.cohomology(2).h_dim:
+        return _nonzero_class(rng, comp)
+    f, field = comp.morphism, comp.field
+    return comp.differential(comp.element(
+        _staircase_matrix(rng, field, f.source.dim, f.source.dim),
+        _staircase_matrix(rng, field, f.target.dim, f.target.dim), None, 1))
+
+
 def _obstruct_morphisms(field):
     """The staircase morphisms, id(zero_comultiplication(1)), where H^3
     has dimension 3, and the identity of the non-cocommutative
@@ -1662,14 +1674,7 @@ def test_obstruct_reads_report_and_obstruction_from_one_product(
     rng = fresh_rng(seed)
     comp = MorphismComplex(_obstruct_morphisms(field)[which])
     f = comp.morphism
-    if comp.cohomology(2).h_dim:
-        w = _nonzero_class(rng, comp)
-    else:
-        w = comp.differential(comp.element(
-            _staircase_matrix(rng, field, f.source.dim, f.source.dim),
-            _staircase_matrix(rng, field, f.target.dim, f.target.dim),
-            None, 1))
-    d = integrate(w, order).deformation
+    d = integrate(_drawn_cocycle(rng, comp), order).deformation
     if transport:
         d = apply_equivalence(_staircase_isomorphism(rng, comp, d.order), d)
     if perturb:
@@ -1682,9 +1687,8 @@ def test_obstruct_reads_report_and_obstruction_from_one_product(
         d = TruncatedDeformation(f, coeffs)
     report = verify_deformation(d)
     if report.ok:
-        # obstruction(d) reads the slot that verification kept (or, for an
-        # integration, the state it handed on); a copy of d with no report
-        # and no kept defects reads its per-order pair sums, unverified
+        # obstruction(d) reads the slot that verification kept; a copy of
+        # d with no report reads its per-order pair sums, unverified
         ob = obstruction(d)
         fresh = TruncatedDeformation(f, d.coeffs)
         assert ob.cochain == _obstruction_cochain(fresh)
@@ -1694,6 +1698,39 @@ def test_obstruct_reads_report_and_obstruction_from_one_product(
         with pytest.raises(InvalidStructureError) as err:
             obstruction(d)
         assert str(err.value) == f"not a deformation ({report.message})"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(ORACLE_FIELDS),
+       st.integers(0, 3), st.integers(1, 6))
+def test_integration_is_the_extend_chain(seed, field, which, order):
+    # integrate keeps its obstruction state to itself and calls no
+    # extend; its result, complete or blocked, must be that of extending
+    # the first-order deformation with canonical solves, one verified
+    # order at a time.  The built-in "obstructed" cocycle over id(zero2)
+    # blocks at order 2
+    rng = fresh_rng(seed)
+    if which == 3:
+        w = builtin_corpus(field)["obstructed"].cocycles["stuck_cocycle"]
+    else:
+        w = _drawn_cocycle(rng, MorphismComplex(
+            [identity_morphism(divided_power(2, field)),
+             identity_morphism(divided_power(3, field)),
+             collapse_morphism(3, field)][which]))
+    result = integrate(w, order)
+    d = TruncatedDeformation.from_higher_coefficients(w.morphism, [w])
+    blocked = None
+    while d.order < order:
+        step = extend(d)
+        if isinstance(step, ObstructionClass):
+            blocked = step
+            break
+        d = step
+    assert result.deformation == d
+    assert result.obstruction == blocked
+    if which == 3 and order > 1:
+        assert (d.order, blocked.next_order) == (1, 2)
+        assert blocked.h3_class
 
 
 @settings(max_examples=40, deadline=None)
